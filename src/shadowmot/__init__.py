@@ -1,13 +1,12 @@
 """Shadow-set multi-object tracking: label assignment, set-based query
 lifecycle, a synthetic oracle pipeline, and tracking metrics."""
 
-from .geometry import BoundingBox, PixelBox, from_pixel, giou, iou, l1_distance, to_pixel
+from .geometry import BoundingBox, giou, iou, l1_distance, to_pixel
 from .matching import (
     Assignment,
     ClassScores,
     CostMatrix,
     CostWeights,
-    build_cost_matrix,
     focal_cost,
     hungarian,
     pair_cost,
@@ -22,7 +21,6 @@ from .assignment import (
     assign_tracking_sets,
     build_set_cost_tensor,
     cola_targets,
-    merge_assignments,
     reduce_set_costs,
     tala_targets,
 )
@@ -34,7 +32,6 @@ from .shadow import (
     ShadowSet,
     init_query_bank,
     reduce_values,
-    representative_score,
     select_output,
 )
 from .tracker import FrameResult, Observation, ShadowTracker, TrackerConfig, Tracklets
@@ -65,14 +62,14 @@ from .config import ConfigError, RunConfig, load_run_config, parse_config_text
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundingBox", "PixelBox", "iou", "giou", "l1_distance", "to_pixel", "from_pixel",
+    "BoundingBox", "iou", "giou", "l1_distance", "to_pixel",
     "ClassScores", "CostWeights", "CostMatrix", "Assignment",
-    "focal_cost", "pair_cost", "build_cost_matrix", "hungarian",
+    "focal_cost", "pair_cost", "hungarian",
     "Target", "GroundTruthObject", "FrameGroundTruth", "LabelAssignment", "SetCostTensor",
     "tala_targets", "cola_targets", "reduce_set_costs", "build_set_cost_tensor",
-    "assign_detection_sets", "assign_tracking_sets", "merge_assignments",
+    "assign_detection_sets", "assign_tracking_sets",
     "QueryState", "ShadowSet", "ShadowConfig", "REDUCTIONS", "INIT_METHODS",
-    "init_query_bank", "reduce_values", "representative_score", "select_output",
+    "init_query_bank", "reduce_values", "select_output",
     "TrackerConfig", "FrameResult", "Observation", "Tracklets", "ShadowTracker",
     "SceneConfig", "OracleConfig", "SceneFrame", "Scene",
     "generate_scene", "oracle_decode", "emit_training_targets", "track_scene",

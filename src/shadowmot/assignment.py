@@ -37,7 +37,6 @@ __all__ = [
     "build_set_cost_tensor",
     "assign_detection_sets",
     "assign_tracking_sets",
-    "merge_assignments",
 ]
 
 # None is the explicit background target; assignments are total functions.
@@ -274,19 +273,3 @@ def assign_tracking_sets(
         assert s.identity is not None
         targets[s.set_id] = s.identity if s.identity in present else None
     return LabelAssignment(layer=layer, n_shadows=n_shadows, tracking=targets)
-
-
-def merge_assignments(track: LabelAssignment, det: LabelAssignment) -> LabelAssignment:
-    """Combine a tracking-only and a detection-only assignment for the same
-    layer into one record."""
-    if track.layer != det.layer:
-        raise ValueError(f"layer mismatch: {track.layer} vs {det.layer}")
-    if track.tracking and det.tracking or track.detection and det.detection:
-        raise ValueError("assignments overlap in role")
-    n_shadows = max(track.n_shadows, det.n_shadows)
-    return LabelAssignment(
-        layer=track.layer,
-        n_shadows=n_shadows,
-        tracking=dict(track.tracking) or dict(det.tracking),
-        detection=dict(det.detection) or dict(track.detection),
-    )

@@ -28,7 +28,7 @@ from .config import ConfigError, RunConfig, describe_defaults, load_run_config, 
 from .metrics import evaluate
 from .mot_io import read_mot, write_mot
 from .simulator import Scene, generate_scene, emit_training_targets, oracle_decode, track_scene
-from .tracker import ShadowTracker
+from .tracker import ShadowTracker, TrackerConfig, Tracklets
 from .shadow import REDUCTIONS
 
 __all__ = ["main"]
@@ -100,19 +100,7 @@ def _add_tracking_flags(p: argparse.ArgumentParser) -> None:
 
 def _scene_manifest(run: RunConfig, scene: Scene) -> dict:
     """Run manifest with scene keys taken from the scene document itself."""
-    manifest = run.to_manifest()
-    for key, value in (("scene.n_frames", scene.config.n_frames),
-                       ("scene.n_objects", scene.config.n_objects),
-                       ("scene.schedule", scene.config.schedule),
-                       ("scene.jitter", scene.config.jitter),
-                       ("scene.image_width", scene.config.image_width),
-                       ("scene.image_height", scene.config.image_height)):
-        manifest[key] = value
-    manifest["scene.occlusions"] = ",".join(
-        f"{i}:{a}:{b}" for i, a, b in scene.config.occlusions
-    )
-    manifest["scene.seed"] = scene.config.seed
-    return manifest
+    return {**replace(run, scene=scene.config).to_manifest(), "scene.seed": scene.config.seed}
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -165,6 +153,27 @@ def _parse_grid(spec: str) -> list[str]:
     return axes
 
 
+def _mean_metric_columns(
+    scene: Scene, gt: Tracklets, run: RunConfig, tracker_cfg: TrackerConfig, trials: int
+) -> list[str]:
+    """The CSV metric columns of one grid cell: each metric's mean over
+    ``trials`` oracle seeds, with mota left empty when any trial lacks it."""
+    sums = {"hota": 0.0, "deta": 0.0, "assa": 0.0, "mota": 0.0,
+            "idf1": 0.0, "ids": 0.0, "fp": 0.0, "fn": 0.0}
+    mota_defined = True
+    for trial in range(trials):
+        oracle = replace(run.oracle, seed=run.seed + trial)
+        report = evaluate(gt, track_scene(scene, tracker_cfg, oracle))
+        for name in sums:
+            value = getattr(report, name)
+            if name == "mota" and value is None:
+                mota_defined = False
+                value = 0.0
+            sums[name] += float(value)
+    means = {name: total / trials for name, total in sums.items()}
+    return [repr(means[name]) if name != "mota" or mota_defined else "" for name in sums]
+
+
 def _cmd_ablate(args: argparse.Namespace) -> int:
     overrides: dict[str, object] = {}
     if args.seed is not None:
@@ -177,6 +186,9 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
     rows = ["lambda,phi,ns,trials,hota,deta,assa,mota,idf1,ids,fp,fn"]
     gt = scene.gt_tracklets()
+    # lambda (the training cost reduction) reaches neither tracking nor
+    # evaluation, so cells that differ only in lambda share one run
+    metric_columns: dict[tuple[str, int], list[str]] = {}
     for combo in itertools.product(*(_GRID_AXES[a][1] for a in axes)):
         cell = dict(zip(axes, combo))
         shadow = replace(
@@ -185,35 +197,16 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
             score_reduction=cell.get("phi", run.tracker.shadow.score_reduction),
             n_shadows=cell.get("ns", run.tracker.shadow.n_shadows),
         )
-        tracker_cfg = replace(run.tracker, shadow=shadow)
-        sums = {"hota": 0.0, "deta": 0.0, "assa": 0.0, "mota": 0.0,
-                "idf1": 0.0, "ids": 0.0, "fp": 0.0, "fn": 0.0}
-        mota_defined = True
-        for trial in range(args.trials):
-            oracle = replace(run.oracle, seed=run.seed + trial)
-            pred = track_scene(scene, tracker_cfg, oracle)
-            report = evaluate(gt, pred)
-            for name in sums:
-                value = getattr(report, name)
-                if name == "mota" and value is None:
-                    mota_defined = False
-                    value = 0.0
-                sums[name] += float(value)
-        means = {name: total / args.trials for name, total in sums.items()}
-        mota_text = repr(means["mota"]) if mota_defined else ""
+        key = (shadow.score_reduction, shadow.n_shadows)
+        if key not in metric_columns:
+            tracker_cfg = replace(run.tracker, shadow=shadow)
+            metric_columns[key] = _mean_metric_columns(scene, gt, run, tracker_cfg, args.trials)
         rows.append(",".join([
             shadow.cost_reduction,
             shadow.score_reduction,
             str(shadow.n_shadows),
             str(args.trials),
-            repr(means["hota"]),
-            repr(means["deta"]),
-            repr(means["assa"]),
-            mota_text,
-            repr(means["idf1"]),
-            repr(means["ids"]),
-            repr(means["fp"]),
-            repr(means["fn"]),
+            *metric_columns[key],
         ]))
     _write_text(args.output, "\n".join(rows) + "\n")
     print(f"wrote {args.output}: {len(rows) - 1} configurations x {args.trials} trials")

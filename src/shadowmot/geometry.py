@@ -14,12 +14,10 @@ from dataclasses import dataclass
 
 __all__ = [
     "BoundingBox",
-    "PixelBox",
     "iou",
     "giou",
     "l1_distance",
     "to_pixel",
-    "from_pixel",
 ]
 
 
@@ -57,22 +55,6 @@ class BoundingBox:
             self.cx + self.w / 2.0,
             self.cy + self.h / 2.0,
         )
-
-
-@dataclass(frozen=True)
-class PixelBox:
-    """Top-left box in pixel units, the MOTChallenge file convention."""
-
-    left: float
-    top: float
-    width: float
-    height: float
-
-    def __post_init__(self) -> None:
-        if self.width < 0 or self.height < 0:
-            raise ValueError(
-                f"pixel box extent must be non-negative, got {self.width}x{self.height}"
-            )
 
 
 def _overlap_terms(a: BoundingBox, b: BoundingBox) -> tuple[float, float, float]:
@@ -122,27 +104,16 @@ def l1_distance(a: BoundingBox, b: BoundingBox) -> float:
     )
 
 
-def to_pixel(box: BoundingBox, img_w: float, img_h: float) -> PixelBox:
-    """Convert a normalized center-format box to pixel top-left format."""
+def to_pixel(
+    box: BoundingBox, img_w: float, img_h: float
+) -> tuple[float, float, float, float]:
+    """Convert a normalized center-format box to pixel top-left format,
+    the MOTChallenge file convention: ``(left, top, width, height)``."""
     if img_w <= 0 or img_h <= 0:
         raise ValueError(f"image dimensions must be positive, got {img_w}x{img_h}")
-    return PixelBox(
-        left=(box.cx - box.w / 2.0) * img_w,
-        top=(box.cy - box.h / 2.0) * img_h,
-        width=box.w * img_w,
-        height=box.h * img_h,
-    )
-
-
-def from_pixel(box: PixelBox, img_w: float, img_h: float) -> BoundingBox:
-    """Inverse of :func:`to_pixel`; lossless up to floating-point rounding."""
-    if img_w <= 0 or img_h <= 0:
-        raise ValueError(f"image dimensions must be positive, got {img_w}x{img_h}")
-    w = box.width / img_w
-    h = box.height / img_h
-    return BoundingBox(
-        cx=box.left / img_w + w / 2.0,
-        cy=box.top / img_h + h / 2.0,
-        w=w,
-        h=h,
+    return (
+        (box.cx - box.w / 2.0) * img_w,
+        (box.cy - box.h / 2.0) * img_h,
+        box.w * img_w,
+        box.h * img_h,
     )

@@ -25,7 +25,6 @@ __all__ = [
     "Assignment",
     "focal_cost",
     "pair_cost",
-    "build_cost_matrix",
     "hungarian",
 ]
 
@@ -147,22 +146,6 @@ def pair_cost(
         + w.w_l1 * l1_distance(pred_box, gt_box)
         - w.w_giou * giou(pred_box, gt_box)
     )
-
-
-def build_cost_matrix(
-    preds: Sequence[tuple[BoundingBox, ClassScores]],
-    gts: Sequence[tuple[BoundingBox, int]],
-    w: CostWeights,
-) -> CostMatrix:
-    """Pairwise cost matrix of all predictions against all targets.
-
-    Either side may be empty, yielding a 0xM or Nx0 matrix.
-    """
-    costs = np.empty((len(preds), len(gts)), dtype=float)
-    for i, (pbox, pscores) in enumerate(preds):
-        for j, (gbox, gclass) in enumerate(gts):
-            costs[i, j] = pair_cost(pbox, pscores, gbox, gclass, w)
-    return CostMatrix(costs)
 
 
 def hungarian(cost: CostMatrix | np.ndarray) -> Assignment:

@@ -141,8 +141,7 @@ def format_mot(
     for identity, track in tracklets:
         for obs in track:
             if image_size is not None:
-                pb = to_pixel(obs.box, image_size[0], image_size[1])
-                left, top, width, height = pb.left, pb.top, pb.width, pb.height
+                left, top, width, height = to_pixel(obs.box, image_size[0], image_size[1])
             else:
                 left = obs.box.cx - obs.box.w / 2
                 top = obs.box.cy - obs.box.h / 2

@@ -32,7 +32,6 @@ __all__ = [
     "ShadowConfig",
     "reduce_values",
     "init_query_bank",
-    "representative_score",
     "select_output",
 ]
 
@@ -61,20 +60,17 @@ def reduce_values(values: Iterable[float], how: str) -> float:
 
 @dataclass(frozen=True)
 class QueryState:
-    """One query: a 4-vector position with box semantics plus an opaque
-    embedding vector.  Components must be finite; positions are not
-    clamped to the unit box because they are anchors, not outputs."""
+    """One query: a 4-vector position with box semantics.  Components must
+    be finite; positions are not clamped to the unit box because they are
+    anchors, not outputs."""
 
     position: tuple[float, float, float, float]
-    embedding: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if len(self.position) != 4:
             raise ValueError(f"position must have 4 components, got {len(self.position)}")
         if not all(math.isfinite(v) for v in self.position):
             raise ValueError("position components must be finite")
-        if not all(math.isfinite(v) for v in self.embedding):
-            raise ValueError("embedding components must be finite")
 
 
 @dataclass(frozen=True)
@@ -92,9 +88,6 @@ class ShadowSet:
             raise ValueError(f"role must be 'detection' or 'tracking', got {self.role!r}")
         if len(self.shadows) < 1:
             raise ValueError("a shadow set needs at least one shadow")
-        dims = {len(s.embedding) for s in self.shadows}
-        if len(dims) > 1:
-            raise ValueError(f"shadows disagree on embedding dimension: {sorted(dims)}")
         if self.role == "tracking" and self.identity is None:
             raise ValueError("tracking sets carry an identity")
         if self.role == "detection" and self.identity is not None:
@@ -115,7 +108,10 @@ class ShadowConfig:
 
     ``cost_reduction`` picks the representative during training-cost
     reduction, ``score_reduction`` during inference gating; max/min is the
-    strongest pairing.  The sigmas apply to the noisy initialization only.
+    strongest pairing.  ``sigma_pos`` applies to the noisy initialization
+    only.  Queries carry no embedding: ``embed_dim`` sizes a discarded draw
+    that precedes the position noise, and ``sigma_emb`` is validated and
+    reported but read by nothing.
     ``tau`` has no principled value; 0.5 is the usual convention for
     query-based trackers.
     """
@@ -148,48 +144,37 @@ class ShadowConfig:
             raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
 
 
-def _as_state(pos: np.ndarray, emb: np.ndarray) -> QueryState:
+def _as_state(pos: np.ndarray) -> QueryState:
     p = tuple(float(v) for v in pos)
-    return QueryState(position=(p[0], p[1], p[2], p[3]), embedding=tuple(float(v) for v in emb))
+    return QueryState(position=(p[0], p[1], p[2], p[3]))
 
 
 def init_query_bank(n_sets: int, cfg: ShadowConfig, seed: int) -> list[ShadowSet]:
     """Seeded detection-set bank.
 
-    rand: every shadow drawn independently (positions uniform on [0,1]^4,
-    embeddings standard normal scaled by 0.02).  copy: all shadows of a set
-    equal one per-set base draw.  noise: copy plus per-shadow Gaussian
-    perturbation with the configured sigmas.  Each set uses its own
-    generator derived from (seed, set_id), so banks are reproducible and
-    order-independent.
+    rand: every shadow position drawn independently, uniform on [0,1]^4.
+    copy: all shadows of a set equal one per-set base draw.  noise: copy
+    plus per-shadow Gaussian position noise with ``sigma_pos``.  Each set
+    uses its own generator derived from (seed, set_id), so banks are
+    reproducible and order-independent.
     """
     if n_sets < 1:
         raise ValueError(f"n_sets must be >= 1, got {n_sets}")
-    n, d = cfg.n_shadows, cfg.embed_dim
+    n = cfg.n_shadows
     bank: list[ShadowSet] = []
     for set_id in range(n_sets):
         rng = np.random.default_rng([seed, set_id])
         if cfg.init == "rand":
             pos = rng.uniform(size=(n, 4))
-            emb = rng.standard_normal((n, d)) * 0.02
         else:
-            base_pos = rng.uniform(size=4)
-            base_emb = rng.standard_normal(d) * 0.02
-            pos = np.tile(base_pos, (n, 1))
-            emb = np.tile(base_emb, (n, 1))
-            if cfg.init == "noise":
-                if cfg.sigma_pos > 0:
-                    pos = pos + rng.normal(0.0, cfg.sigma_pos, size=(n, 4))
-                if cfg.sigma_emb > 0:
-                    emb = emb + rng.normal(0.0, cfg.sigma_emb, size=(n, d))
-        shadows = tuple(_as_state(pos[j], emb[j]) for j in range(n))
+            pos = np.tile(rng.uniform(size=4), (n, 1))
+            # discarded, but noise positions come after it in the stream
+            rng.standard_normal(cfg.embed_dim)
+            if cfg.init == "noise" and cfg.sigma_pos > 0:
+                pos = pos + rng.normal(0.0, cfg.sigma_pos, size=(n, 4))
+        shadows = tuple(_as_state(pos[j]) for j in range(n))
         bank.append(ShadowSet(set_id=set_id, role="detection", shadows=shadows))
     return bank
-
-
-def representative_score(scores: Sequence[float], phi: str) -> float:
-    """Gate score of a set: the phi-reduction of its shadow scores."""
-    return reduce_values(scores, phi)
 
 
 def select_output(

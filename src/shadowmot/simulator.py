@@ -224,17 +224,21 @@ class Scene:
             raise ValueError(f"unknown scene document keys: {sorted(unknown)}")
         config = SceneConfig.from_json(doc["config"])
         tracks: dict[int, tuple[SceneFrame, ...]] = {}
-        for entry in doc["tracks"]:
+        for n, entry in enumerate(doc["tracks"]):
             identity = int(entry["id"])
-            states = tuple(
-                SceneFrame(
-                    t=int(f["t"]),
-                    box=BoundingBox(*(float(v) for v in f["box"])),
-                    visible=bool(f["visible"]),
+            if identity in tracks:
+                raise ValueError(f"tracks[{n}].id: duplicate id {identity}")
+            states = []
+            for m, f in enumerate(entry["frames"]):
+                box = [float(v) for v in f["box"]]
+                if len(box) != 4:
+                    raise ValueError(
+                        f"tracks[{n}].frames[{m}].box: expected 4 numbers, got {len(box)}"
+                    )
+                states.append(
+                    SceneFrame(t=int(f["t"]), box=BoundingBox(*box), visible=bool(f["visible"]))
                 )
-                for f in entry["frames"]
-            )
-            tracks[identity] = states
+            tracks[identity] = tuple(states)
         return cls(config=config, tracks=tracks)
 
 
@@ -321,36 +325,28 @@ def _noisy_box(target: BoundingBox, eps: np.ndarray, scale: float) -> BoundingBo
     )
 
 
-def oracle_decode(
+class _SetDraws(NamedTuple):
+    """One set's per-frame draws: the box it is served (None when it is
+    unassociated), the unscaled per-shadow box noise, the per-shadow
+    scores after corruption, and the box an unassociated set emits."""
+
+    target: BoundingBox | None
+    eps: np.ndarray
+    scores: list[float]
+    fallback: BoundingBox | None
+
+
+def _frame_draws(
     scene: Scene,
     frame: int,
     live_sets: Sequence[ShadowSet],
     cfg: OracleConfig,
-    n_layers: int,
-) -> list[list[list[tuple[BoundingBox, ClassScores]]]]:
-    """Per-layer predictions for every live set, standing in for the
-    decoder stack.
-
-    Tracking sets are served the object their anchor sits on: each set
-    claims the present object its anchor overlaps best (best first, any
-    positive overlap, one set per object).  The claimed object's box is
-    served with the base score, reduced under occlusion; a set whose
-    anchor overlaps nothing has lost its target and scores zero.
-    Detection sets are associated to visible objects no tracking set
-    claimed: overlapping anchors claim first (IoU >= 0.5, best first),
-    then leftover objects fill leftover sets in index order so no
-    unclaimed object goes unserved while sets remain.  Unassociated sets
-    emit a random low-score box, or a false positive at the configured
-    rate.
-
-    Output is indexed [layer][set][shadow]; layer noise shrinks by
-    refinement**(layer-1) around a single per-frame draw, and per-shadow
-    score corruption is shared across layers.
-    """
+) -> list[_SetDraws]:
+    """Everything random about one frame, drawn in a fixed order: claims
+    and association first (no draws), then per set its box noise,
+    corruption flags, and fallback box."""
     if not 1 <= frame <= scene.n_frames:
         raise ValueError(f"frame {frame} outside [1, {scene.n_frames}]")
-    if n_layers < 1:
-        raise ValueError(f"n_layers must be >= 1, got {n_layers}")
 
     frame_rng = np.random.default_rng([cfg.seed, _STREAM_ORACLE, frame])
     corrupt_rng = np.random.default_rng([cfg.seed, _STREAM_CORRUPT, frame])
@@ -414,9 +410,7 @@ def oracle_decode(
         for i, k in zip(free_sets, free_objs):
             association[i] = unclaimed[k][1]
 
-    # per-layer accumulation; scores are drawn once per set and reused
-    layers: list[list[list[tuple[BoundingBox, ClassScores]]]] = [[] for _ in range(n_layers)]
-    scales = [cfg.refinement ** l for l in range(n_layers)]
+    draws: list[_SetDraws] = []
     for i, set_ in enumerate(live_sets):
         ns = set_.n_shadows
         eps = (
@@ -427,6 +421,7 @@ def oracle_decode(
         corrupted = corrupt_rng.uniform(size=ns) < cfg.p_corrupt
 
         target: BoundingBox | None = None
+        fallback: BoundingBox | None = None
         base = 0.0
         if set_.role == "tracking":
             st = recognized.get(i)
@@ -441,23 +436,63 @@ def oracle_decode(
         if target is None:
             if set_.role == "detection" and float(frame_rng.uniform()) < cfg.fp_rate:
                 base = cfg.fp_score
+            # drawn for tracking sets too, which then emit their anchor
             fp_cx, fp_cy = frame_rng.uniform(0.2, 0.8, size=2)
             fp_w, fp_h = frame_rng.uniform(0.02, 0.1, size=2)
             fallback = BoundingBox(float(fp_cx), float(fp_cy), float(fp_w), float(fp_h))
             if set_.role == "tracking":
                 fallback = _anchor_box(set_)
 
-        for l in range(n_layers):
-            per_shadow = []
-            for j in range(ns):
-                score = 0.0 if corrupted[j] else base
-                if target is not None:
-                    box = _noisy_box(target, eps[j], scales[l])
-                else:
-                    box = fallback
-                per_shadow.append((box, (score,)))
-            layers[l].append(per_shadow)
-    return layers
+        scores = [0.0 if corrupted[j] else base for j in range(ns)]
+        draws.append(_SetDraws(target, eps, scores, fallback))
+    return draws
+
+
+def _render_layer(
+    draws: Sequence[_SetDraws], scale: float
+) -> list[list[tuple[BoundingBox, ClassScores]]]:
+    """One decoder layer's [set][shadow] predictions, box noise scaled by
+    ``scale``.  Makes no draws."""
+    return [
+        [
+            (_noisy_box(d.target, d.eps[j], scale) if d.target is not None else d.fallback,
+             (score,))
+            for j, score in enumerate(d.scores)
+        ]
+        for d in draws
+    ]
+
+
+def oracle_decode(
+    scene: Scene,
+    frame: int,
+    live_sets: Sequence[ShadowSet],
+    cfg: OracleConfig,
+    n_layers: int,
+) -> list[list[list[tuple[BoundingBox, ClassScores]]]]:
+    """Per-layer predictions for every live set, standing in for the
+    decoder stack.
+
+    Tracking sets are served the object their anchor sits on: each set
+    claims the present object its anchor overlaps best (best first, any
+    positive overlap, one set per object).  The claimed object's box is
+    served with the base score, reduced under occlusion; a set whose
+    anchor overlaps nothing has lost its target and scores zero.
+    Detection sets are associated to visible objects no tracking set
+    claimed: overlapping anchors claim first (IoU >= 0.5, best first),
+    then leftover objects fill leftover sets in index order so no
+    unclaimed object goes unserved while sets remain.  Unassociated sets
+    emit a random low-score box, or a false positive at the configured
+    rate.
+
+    Output is indexed [layer][set][shadow]; layer noise shrinks by
+    refinement**(layer-1) around a single per-frame draw, and per-shadow
+    score corruption is shared across layers.
+    """
+    if n_layers < 1:
+        raise ValueError(f"n_layers must be >= 1, got {n_layers}")
+    draws = _frame_draws(scene, frame, live_sets, cfg)
+    return [_render_layer(draws, cfg.refinement ** l) for l in range(n_layers)]
 
 
 def track_scene(
@@ -468,8 +503,10 @@ def track_scene(
     """Run the oracle-fed tracker over a whole scene.  The oracle seed also
     seeds the tracker's query bank, so one seed pins the entire run."""
     tracker = ShadowTracker(tracker_cfg, seed=oracle_cfg.seed)
+    # only the final layer reaches the tracker, so only it is rendered
+    scale = oracle_cfg.refinement ** (tracker_cfg.n_layers - 1)
 
     def provider(frame: int, live: list[ShadowSet]):
-        return oracle_decode(scene, frame, live, oracle_cfg, tracker_cfg.n_layers)[-1]
+        return _render_layer(_frame_draws(scene, frame, live, oracle_cfg), scale)
 
     return tracker.run(scene.n_frames, provider)

@@ -20,7 +20,7 @@ from .shadow import (
     ShadowConfig,
     ShadowSet,
     init_query_bank,
-    representative_score,
+    reduce_values,
     select_output,
 )
 
@@ -123,15 +123,6 @@ class Tracklets:
         seen = {obs.frame for track in self._tracks.values() for obs in track}
         return tuple(sorted(seen))
 
-    def at_frame(self, frame: int) -> dict[int, tuple[BoundingBox, float]]:
-        out = {}
-        for identity, track in self._tracks.items():
-            for obs in track:
-                if obs.frame == frame:
-                    out[identity] = (obs.box, obs.score)
-                    break
-        return out
-
     def by_frame(self) -> dict[int, dict[int, tuple[BoundingBox, float]]]:
         """Frame-major view, built once for per-frame consumers."""
         out: dict[int, dict[int, tuple[BoundingBox, float]]] = {}
@@ -165,11 +156,8 @@ def _shadow_score(scores: ClassScores) -> float:
 
 
 def _reanchored(set_: ShadowSet, boxes: Sequence[BoundingBox]) -> ShadowSet:
-    """Shadows moved onto their own predicted boxes, embeddings kept."""
-    shadows = tuple(
-        QueryState(position=(b.cx, b.cy, b.w, b.h), embedding=s.embedding)
-        for s, b in zip(set_.shadows, boxes)
-    )
+    """Shadows moved onto their own predicted boxes."""
+    shadows = tuple(QueryState(position=(b.cx, b.cy, b.w, b.h)) for b in boxes)
     return ShadowSet(set_id=set_.set_id, role=set_.role, shadows=shadows, identity=set_.identity)
 
 
@@ -225,7 +213,7 @@ class ShadowTracker:
             identity = set_.identity
             assert identity is not None
             shadow_scores = [_shadow_score(scores) for _, scores in per_shadow]
-            if representative_score(shadow_scores, phi) > tau:
+            if reduce_values(shadow_scores, phi) > tau:
                 box, score = select_output(
                     [(b, _shadow_score(s)) for b, s in per_shadow]
                 )
@@ -243,7 +231,7 @@ class ShadowTracker:
 
         for set_, per_shadow in zip(self._detection_bank, predictions[n_tracks:]):
             shadow_scores = [_shadow_score(scores) for _, scores in per_shadow]
-            if representative_score(shadow_scores, phi) > tau:
+            if reduce_values(shadow_scores, phi) > tau:
                 identity = self._next_identity
                 self._next_identity += 1
                 box, score = select_output(

@@ -3,12 +3,25 @@
 from __future__ import annotations
 
 import math
+import os
 from functools import lru_cache
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 
-from shadowmot import BoundingBox, Tracklets
+import shadowmot
+from shadowmot import BoundingBox, CostMatrix, CostWeights, Tracklets, pair_cost
+
+
+def cli_env() -> dict[str, str]:
+    """This environment with the absolute directory holding the imported
+    ``shadowmot`` package first on PYTHONPATH, so a child
+    ``python -m shadowmot.cli`` finds the same package from any cwd."""
+    env = dict(os.environ)
+    root = str(Path(shadowmot.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join([root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 @lru_cache(maxsize=64)
@@ -47,6 +60,17 @@ def assignment_total(costs: np.ndarray, pairs) -> float:
     """Correctly rounded total of the matched entries, fsum like the oracle."""
     costs = np.asarray(costs, dtype=float)
     return math.fsum(float(costs[r, c]) for r, c in pairs)
+
+
+def build_cost_matrix(preds, gts, w: CostWeights) -> CostMatrix:
+    """Pairwise cost matrix of (box, scores) predictions against
+    (box, class) targets, one ``pair_cost`` per entry.  The independent
+    single-shadow reference that set cost tensors are compared against."""
+    costs = np.empty((len(preds), len(gts)), dtype=float)
+    for i, (pbox, pscores) in enumerate(preds):
+        for j, (gbox, gclass) in enumerate(gts):
+            costs[i, j] = pair_cost(pbox, pscores, gbox, gclass, w)
+    return CostMatrix(costs)
 
 
 def random_box(rng: np.random.Generator) -> BoundingBox:

@@ -38,7 +38,6 @@ from shadowmot import (
     TrackerConfig,
     Tracklets,
     assign_detection_sets,
-    build_cost_matrix,
     build_set_cost_tensor,
     clear_mot,
     cola_targets,
@@ -58,6 +57,8 @@ from shadowmot.mot_io import parse_mot_line
 
 from helpers import (
     assignment_total,
+    build_cost_matrix,
+    cli_env,
     brute_force_min_cost,
     disjoint_boxes,
     longest_run,
@@ -79,7 +80,7 @@ def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
 def _run_cli(*args: str, cwd: Path) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "shadowmot.cli", *args],
-        cwd=cwd, capture_output=True, text=True,
+        cwd=cwd, capture_output=True, text=True, env=cli_env(),
     )
 
 

@@ -15,16 +15,14 @@ from shadowmot import (
     ShadowSet,
     assign_detection_sets,
     assign_tracking_sets,
-    build_cost_matrix,
     build_set_cost_tensor,
     cola_targets,
     hungarian,
-    merge_assignments,
     reduce_set_costs,
     tala_targets,
 )
 
-from helpers import disjoint_boxes, random_box
+from helpers import build_cost_matrix, disjoint_boxes, random_box
 
 UNIT = CostWeights.unit()
 
@@ -42,7 +40,7 @@ def _gt(tracked_ids, newborn_ids, boxes=None):
 
 def _track_set(identity, box=None, n_shadows=1):
     box = box or BoundingBox(cx=0.5, cy=0.5, w=0.1, h=0.1)
-    state = QueryState(position=(box.cx, box.cy, box.w, box.h), embedding=(0.0,))
+    state = QueryState(position=(box.cx, box.cy, box.w, box.h))
     return ShadowSet(
         set_id=identity, role="tracking", shadows=(state,) * n_shadows, identity=identity
     )
@@ -345,7 +343,7 @@ class TestAssignTrackingSets:
             assign_tracking_sets([_track_set(4), _track_set(4)], gt, layer=1)
 
     def test_detection_role_rejected(self):
-        state = QueryState(position=(0.5, 0.5, 0.1, 0.1), embedding=(0.0,))
+        state = QueryState(position=(0.5, 0.5, 0.1, 0.1))
         det = ShadowSet(set_id=0, role="detection", shadows=(state,))
         gt = _gt(tracked_ids=[], newborn_ids=[1])
         with pytest.raises(ValueError):
@@ -370,16 +368,3 @@ class TestLabelAssignment:
     def test_layer_validation(self):
         with pytest.raises(ValueError):
             LabelAssignment(layer=0, n_shadows=1)
-
-    def test_merge(self):
-        t = LabelAssignment(layer=3, n_shadows=2, tracking={4: 4})
-        d = LabelAssignment(layer=3, n_shadows=2, detection={0: 9, 1: None})
-        merged = merge_assignments(t, d)
-        assert merged.tracking == {4: 4}
-        assert merged.detection == {0: 9, 1: None}
-
-    def test_merge_layer_mismatch_rejected(self):
-        t = LabelAssignment(layer=3, n_shadows=1, tracking={4: 4})
-        d = LabelAssignment(layer=4, n_shadows=1, detection={0: 9})
-        with pytest.raises(ValueError):
-            merge_assignments(t, d)

@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from shadowmot import read_mot
+from shadowmot import ShadowTracker, cli, read_mot
+
+from helpers import cli_env
 
 _CONFIG = """\
 # small scene so the suite stays fast
@@ -27,7 +29,7 @@ shadow.embed_dim = 8
 def run_cli(*args: str, cwd: Path) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "shadowmot.cli", *args],
-        cwd=cwd, capture_output=True, text=True,
+        cwd=cwd, capture_output=True, text=True, env=cli_env(),
     )
 
 
@@ -138,6 +140,22 @@ class TestTrack:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
 
+    @pytest.mark.parametrize("defect,message", [
+        ("duplicate-id", "error: tracks[1].id: duplicate id 1"),
+        ("short-box", "error: tracks[0].frames[3].box: expected 4 numbers, got 3"),
+    ], ids=["duplicate-id", "short-box"])
+    def test_malformed_scene_is_one_located_error(self, workdir, scene_path, defect, message):
+        doc = json.loads(scene_path.read_text())
+        if defect == "duplicate-id":
+            doc["tracks"][1]["id"] = doc["tracks"][0]["id"]
+        else:
+            doc["tracks"][0]["frames"][3]["box"] = doc["tracks"][0]["frames"][3]["box"][:3]
+        (workdir / "bad.json").write_text(json.dumps(doc))
+        proc = run_cli("track", "--scene", "bad.json", "--config", "run.cfg",
+                       "-o", "out.txt", cwd=workdir)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [message]
+
     def test_tala_and_cola_are_mutually_exclusive(self, workdir, scene_path):
         proc = run_cli("track", "--scene", "scene.json", "--tala", "--cola",
                        "-o", "out.txt", cwd=workdir)
@@ -217,6 +235,27 @@ class TestAblate:
                            "--grid", "ns", "-o", name, cwd=workdir)
             assert proc.returncode == 0, proc.stderr
         assert (workdir / "a.csv").read_bytes() == (workdir / "b.csv").read_bytes()
+
+    def test_lambda_cells_reuse_their_phi_run(self, workdir, scene_path, monkeypatch):
+        # lambda reaches neither tracking nor evaluation, so the default
+        # lambda x phi grid tracks once per phi value
+        built = []
+        init = ShadowTracker.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ShadowTracker, "__init__", counting_init)
+        out = workdir / "inproc.csv"
+        code = cli.main(["ablate", "--scene", str(scene_path), "--config",
+                         str(workdir / "run.cfg"), "-o", str(out)])
+        assert code == 0
+        assert len(built) == 3
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        blocks = [[row[1:] for row in rows[i:i + 3]] for i in (0, 3, 6)]
+        assert [rows[i][0] for i in (0, 3, 6)] == ["min", "mean", "max"]
+        assert blocks[0] == blocks[1] == blocks[2]
 
     def test_unknown_axis(self, workdir, scene_path):
         proc = run_cli("ablate", "--scene", "scene.json", "--grid", "lambda x bogus",

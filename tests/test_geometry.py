@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from shadowmot import BoundingBox, PixelBox, from_pixel, giou, iou, l1_distance, to_pixel
+from shadowmot import BoundingBox, giou, iou, l1_distance, to_pixel
 
 coords = st.floats(min_value=-0.5, max_value=1.5, allow_nan=False, allow_infinity=False)
 sizes = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False)
@@ -129,21 +129,30 @@ class TestL1Distance:
         assert d >= 0.0
 
 
+def _normalized(pixel, img_w, img_h):
+    """Center-format normalized (cx, cy, w, h) of a pixel top-left box."""
+    left, top, width, height = pixel
+    return (
+        (left + width / 2.0) / img_w,
+        (top + height / 2.0) / img_h,
+        width / img_w,
+        height / img_h,
+    )
+
+
 class TestPixelConversion:
     def test_full_frame(self):
         b = BoundingBox(cx=0.5, cy=0.5, w=1.0, h=1.0)
-        p = to_pixel(b, 1920, 1080)
-        assert (p.left, p.top, p.width, p.height) == (0.0, 0.0, 1920.0, 1080.0)
+        assert to_pixel(b, 1920, 1080) == (0.0, 0.0, 1920.0, 1080.0)
 
     def test_quarter_box(self):
         b = BoundingBox(cx=0.5, cy=0.5, w=0.5, h=0.5)
-        p = to_pixel(b, 100, 200)
-        assert (p.left, p.top, p.width, p.height) == (25.0, 50.0, 50.0, 100.0)
+        assert to_pixel(b, 100, 200) == (25.0, 50.0, 50.0, 100.0)
 
     def test_round_trip(self):
         b = BoundingBox(cx=0.3137, cy=0.7211, w=0.0917, h=0.2203)
-        r = from_pixel(to_pixel(b, 1920, 1080), 1920, 1080)
-        for got, want in zip((r.cx, r.cy, r.w, r.h), (b.cx, b.cy, b.w, b.h)):
+        r = _normalized(to_pixel(b, 1920, 1080), 1920, 1080)
+        for got, want in zip(r, (b.cx, b.cy, b.w, b.h)):
             assert got == pytest.approx(want, rel=1e-9)
 
     def test_non_positive_image_rejected(self):
@@ -151,12 +160,6 @@ class TestPixelConversion:
         for w, h in ((0, 100), (100, 0), (-5, 100)):
             with pytest.raises(ValueError):
                 to_pixel(b, w, h)
-            with pytest.raises(ValueError):
-                from_pixel(PixelBox(left=0, top=0, width=10, height=10), w, h)
-
-    def test_pixel_box_negative_extent_rejected(self):
-        with pytest.raises(ValueError):
-            PixelBox(left=0, top=0, width=-1, height=5)
 
     @given(b=st.builds(
         BoundingBox,
@@ -167,8 +170,8 @@ class TestPixelConversion:
     ))
     @settings(max_examples=300)
     def test_round_trip_property(self, b):
-        r = from_pixel(to_pixel(b, 1920, 1080), 1920, 1080)
-        assert r.cx == pytest.approx(b.cx, rel=1e-9, abs=1e-12)
-        assert r.cy == pytest.approx(b.cy, rel=1e-9, abs=1e-12)
-        assert r.w == pytest.approx(b.w, rel=1e-9, abs=1e-12)
-        assert r.h == pytest.approx(b.h, rel=1e-9, abs=1e-12)
+        cx, cy, w, h = _normalized(to_pixel(b, 1920, 1080), 1920, 1080)
+        assert cx == pytest.approx(b.cx, rel=1e-9, abs=1e-12)
+        assert cy == pytest.approx(b.cy, rel=1e-9, abs=1e-12)
+        assert w == pytest.approx(b.w, rel=1e-9, abs=1e-12)
+        assert h == pytest.approx(b.h, rel=1e-9, abs=1e-12)

@@ -10,7 +10,8 @@ from shadowmot import (
     BoundingBox,
     CostMatrix,
     CostWeights,
-    build_cost_matrix,
+    GroundTruthObject,
+    build_set_cost_tensor,
     focal_cost,
     giou,
     hungarian,
@@ -119,22 +120,27 @@ class TestPairCost:
 
 
 class TestCostMatrix:
+    # pairwise costs come from the set cost tensor's single-shadow case
     def test_shape_and_labels(self):
         rng = np.random.default_rng(3)
         preds = [(random_box(rng), (0.7,)) for _ in range(4)]
-        gts = [(random_box(rng), 0) for _ in range(2)]
-        m = build_cost_matrix(preds, gts, UNIT)
-        assert m.shape == (4, 2)
+        gts = [GroundTruthObject(identity=10 + k, box=random_box(rng)) for k in range(2)]
+        t = build_set_cost_tensor([[p] for p in preds], [5, 6, 7, 8], gts, UNIT)
+        assert t.shape == (4, 1, 2)
+        assert t.set_ids == (5, 6, 7, 8)
+        assert t.target_ids == (10, 11)
         for i in range(4):
             for j in range(2):
-                assert m.costs[i, j] == pytest.approx(
-                    pair_cost(preds[i][0], preds[i][1], gts[j][0], gts[j][1], UNIT), abs=1e-12
+                assert t.costs[i, 0, j] == pytest.approx(
+                    pair_cost(preds[i][0], preds[i][1], gts[j].box, gts[j].class_index, UNIT),
+                    abs=1e-12,
                 )
 
     def test_empty_sides(self):
         b = BoundingBox(cx=0.5, cy=0.5, w=0.2, h=0.2)
-        assert build_cost_matrix([], [(b, 0)] * 3, UNIT).shape == (0, 3)
-        assert build_cost_matrix([(b, (0.5,))] * 2, [], UNIT).shape == (2, 0)
+        gts = [GroundTruthObject(identity=k, box=b) for k in range(3)]
+        assert build_set_cost_tensor([], [], gts, UNIT).shape == (0, 1, 3)
+        assert build_set_cost_tensor([[(b, (0.5,))]] * 2, [0, 1], [], UNIT).shape == (2, 1, 0)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -14,7 +15,9 @@ from shadowmot import (
     ShadowConfig,
     ShadowSet,
     QueryState,
+    ShadowTracker,
     TrackerConfig,
+    Tracklets,
     evaluate,
     generate_scene,
     emit_training_targets,
@@ -24,14 +27,14 @@ from shadowmot import (
 
 
 def _tracking_set(identity, box, ns=1):
-    state = QueryState(position=(box.cx, box.cy, box.w, box.h), embedding=(0.0,))
+    state = QueryState(position=(box.cx, box.cy, box.w, box.h))
     return ShadowSet(
         set_id=identity, role="tracking", shadows=(state,) * ns, identity=identity
     )
 
 
 def _detection_set(set_id, ns=1, at=(0.5, 0.5, 0.05, 0.05)):
-    state = QueryState(position=at, embedding=(0.0,))
+    state = QueryState(position=at)
     return ShadowSet(set_id=set_id, role="detection", shadows=(state,) * ns)
 
 
@@ -383,6 +386,23 @@ class TestOracleDecode:
         for l in range(5):
             assert means[l + 1] == pytest.approx(means[l] / 2, rel=1e-9)
 
+    def test_run_digest_pinned(self):
+        # every layer of every frame of a noisy tracked run, as float64
+        # bytes; pins the oracle's draw order and per-layer rendering
+        scene = generate_scene(SceneConfig(n_frames=12, n_objects=4, schedule="uniform", seed=3))
+        oracle = OracleConfig(seed=3, box_noise_std=0.01, p_corrupt=0.2, fp_rate=0.3)
+        tracker = ShadowTracker(TrackerConfig(n_detection_sets=8), seed=3)
+        h = hashlib.sha256()
+        for frame in range(1, 13):
+            layers = oracle_decode(scene, frame, tracker.live_sets(), oracle, 6)
+            for layer in layers:
+                for per_set in layer:
+                    for box, scores in per_set:
+                        h.update(np.array([box.cx, box.cy, box.w, box.h, *scores]).tobytes())
+            tracker.step(layers[-1])
+        assert len(tracker.track_identities) == 3
+        assert h.hexdigest() == "abb88bde6e92fd38f463ca959ea6ede175c64e05a0a632924366c65a044ac7e3"
+
     def test_frame_out_of_range(self):
         scene = self._scene()
         with pytest.raises(ValueError):
@@ -431,3 +451,25 @@ class TestTrackScene:
         cfg = TrackerConfig(shadow=ShadowConfig(embed_dim=8), n_detection_sets=6)
         oracle = OracleConfig(seed=5, box_noise_std=0.005, p_corrupt=0.1)
         assert track_scene(scene, cfg, oracle) == track_scene(scene, cfg, oracle)
+
+    @pytest.mark.parametrize("seed,ns,p_corrupt,box_noise", [
+        (0, 1, 0.0, 0.0),
+        (3, 3, 0.1, 0.005),
+        (8, 2, 0.3, 0.02),
+        (21, 5, 0.05, 0.01),
+    ])
+    def test_equals_loop_over_full_decode(self, seed, ns, p_corrupt, box_noise):
+        scene = generate_scene(
+            SceneConfig(n_frames=15, n_objects=4, schedule="uniform", seed=seed)
+        )
+        cfg = TrackerConfig(shadow=ShadowConfig(n_shadows=ns, embed_dim=8), n_detection_sets=8)
+        oracle = OracleConfig(seed=seed, box_noise_std=box_noise, p_corrupt=p_corrupt, fp_rate=0.2)
+        tracker = ShadowTracker(cfg, seed=seed)
+        want = Tracklets()
+        for frame in range(1, scene.n_frames + 1):
+            layers = oracle_decode(scene, frame, tracker.live_sets(), oracle, cfg.n_layers)
+            result = tracker.step(layers[-1])
+            for identity, box, score in result.outputs:
+                want.add(identity, result.frame, box, score)
+        assert want.n_boxes() > 0
+        assert track_scene(scene, cfg, oracle) == want
