@@ -31,10 +31,6 @@ class TestReduceValues:
         assert reduce_values(vals, "max") == 3.0
         assert reduce_values(vals, "min") == 1.0
         assert reduce_values(vals, "mean") == 2.0
-        vals = (0.9, 0.8, 0.1)
-        assert reduce_values(vals, "min") == 0.1
-        assert reduce_values(vals, "max") == 0.9
-        assert reduce_values(vals, "mean") == pytest.approx(0.6, abs=1e-12)
 
     def test_single_value_all_agree(self):
         for how in REDUCTIONS:
@@ -65,6 +61,15 @@ class TestReduceValues:
         for how in REDUCTIONS:
             r = reduce_values(vals, how)
             assert min(vals) - 1e-12 <= r <= max(vals) + 1e-12
+
+
+class TestRepresentativeScore:
+    # The tracker gates a set on the phi reduction of its shadow scores.
+    def test_examples(self):
+        vals = (0.9, 0.8, 0.1)
+        assert reduce_values(vals, "min") == 0.1
+        assert reduce_values(vals, "max") == 0.9
+        assert reduce_values(vals, "mean") == pytest.approx(0.6, abs=1e-12)
 
 
 class TestQueryState:
