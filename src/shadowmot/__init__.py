@@ -1,7 +1,7 @@
 """Shadow-set multi-object tracking: label assignment, set-based query
 lifecycle, a synthetic oracle pipeline, and tracking metrics."""
 
-from .geometry import BoundingBox, giou, iou, l1_distance, to_pixel
+from .geometry import BoundingBox, pairwise, to_pixel
 from .matching import (
     Assignment,
     ClassScores,
@@ -9,7 +9,6 @@ from .matching import (
     CostWeights,
     focal_cost,
     hungarian,
-    pair_cost,
 )
 from .assignment import (
     FrameGroundTruth,
@@ -62,9 +61,9 @@ from .config import ConfigError, RunConfig, load_run_config, parse_config_text
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundingBox", "iou", "giou", "l1_distance", "to_pixel",
+    "BoundingBox", "pairwise", "to_pixel",
     "ClassScores", "CostWeights", "CostMatrix", "Assignment",
-    "focal_cost", "pair_cost", "hungarian",
+    "focal_cost", "hungarian",
     "Target", "GroundTruthObject", "FrameGroundTruth", "LabelAssignment", "SetCostTensor",
     "tala_targets", "cola_targets", "reduce_set_costs", "build_set_cost_tensor",
     "assign_detection_sets", "assign_tracking_sets",

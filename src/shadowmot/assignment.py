@@ -21,8 +21,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .geometry import BoundingBox
-from .matching import ClassScores, CostMatrix, CostWeights, hungarian, pair_cost
+from .geometry import BoundingBox, pairwise
+from .matching import ClassScores, CostMatrix, CostWeights, focal_cost, hungarian
 from .shadow import REDUCTIONS, ShadowSet
 
 __all__ = [
@@ -221,12 +221,20 @@ def build_set_cost_tensor(
     ns = n_shadows.pop() if n_shadows else 1
     if ns < 1:
         raise ValueError("every set needs at least one shadow prediction")
-    costs = np.empty((len(predictions), ns, len(candidates)), dtype=float)
-    for i, per_shadow in enumerate(predictions):
-        for j, (box, scores) in enumerate(per_shadow):
-            for k, cand in enumerate(candidates):
-                costs[i, j, k] = pair_cost(box, scores, cand.box, cand.class_index, weights)
-    return SetCostTensor(costs, set_ids=tuple(set_ids), target_ids=tuple(c.identity for c in candidates))
+    shadows = [pred for per_shadow in predictions for pred in per_shadow]
+    _, giou, l1 = pairwise([box for box, _ in shadows], [c.box for c in candidates])
+    # the scalar focal cost once per shadow and class present: vectorised
+    # log/power need not round like math.log and **
+    classes = sorted({c.class_index for c in candidates})
+    focal = np.array(
+        [[focal_cost(scores, cls, weights) for cls in classes] for _, scores in shadows]
+    ).reshape(len(shadows), len(classes))[:, [classes.index(c.class_index) for c in candidates]]
+    costs = weights.w_class * focal + weights.w_l1 * l1 - weights.w_giou * giou
+    return SetCostTensor(
+        costs.reshape(len(predictions), ns, len(candidates)),
+        set_ids=tuple(set_ids),
+        target_ids=tuple(c.identity for c in candidates),
+    )
 
 
 def assign_detection_sets(

@@ -174,6 +174,8 @@ def load_run_config(
                 resolved[key] = value
 
     seed = int(resolved["seed"])
+    if seed < 0:
+        raise ConfigError(f"key 'seed': must be >= 0, got {seed}")
     try:
         scene = SceneConfig(
             n_frames=resolved["scene.n_frames"],

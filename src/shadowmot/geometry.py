@@ -2,7 +2,7 @@
 
 The canonical box format everywhere in this package is normalized
 center-format ``(cx, cy, w, h)``; corner format exists only transiently
-inside the IoU/GIoU computations.  Boxes are deliberately never clamped to
+inside the pairwise overlap kernel.  Boxes are deliberately never clamped to
 ``[0, 1]``: the oracle decoder may emit slightly out-of-range boxes and all
 costs must remain well-defined on them.
 """
@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 __all__ = [
     "BoundingBox",
-    "iou",
-    "giou",
-    "l1_distance",
+    "pairwise",
     "to_pixel",
 ]
 
@@ -57,51 +58,43 @@ class BoundingBox:
         )
 
 
-def _overlap_terms(a: BoundingBox, b: BoundingBox) -> tuple[float, float, float]:
-    """Intersection, union, and enclosing-hull areas.
+def _components(boxes: Sequence[BoundingBox]) -> np.ndarray:
+    """``[4, n]``: the rows cx, cy, w, h of ``n`` boxes."""
+    return np.array([(x.cx, x.cy, x.w, x.h) for x in boxes], dtype=float).reshape(-1, 4).T
 
-    All three derive from the same corner coordinates so that identical
-    boxes yield intersection == union == hull exactly, keeping the identity
-    cases of IoU and GIoU at 1.0 with no rounding residue.
+
+def pairwise(
+    a: Sequence[BoundingBox], b: Sequence[BoundingBox]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """IoU, GIoU and L1 distance of every box of ``a`` against every box of
+    ``b``, each a ``[len(a), len(b)]`` array.
+
+    Only elementwise ``+ - * /``, ``abs``, ``minimum``/``maximum`` and
+    comparisons enter, in one fixed order, so each entry has the bits of
+    the one-pair formula.  Intersection, union and hull share one set of
+    corners, so identical boxes give IoU and GIoU exactly 1.  IoU is 0
+    where the union is empty, GIoU is 0 where the hull is empty.
     """
-    ax1, ay1, ax2, ay2 = a.corners()
-    bx1, by1, bx2, by2 = b.corners()
+    acx, acy, aw, ah = _components(a)[:, :, np.newaxis]
+    bcx, bcy, bw, bh = _components(b)[:, np.newaxis, :]
+    ax1, ay1, ax2, ay2 = acx - aw / 2.0, acy - ah / 2.0, acx + aw / 2.0, acy + ah / 2.0
+    bx1, by1, bx2, by2 = bcx - bw / 2.0, bcy - bh / 2.0, bcx + bw / 2.0, bcy + bh / 2.0
     area_a = (ax2 - ax1) * (ay2 - ay1)
     area_b = (bx2 - bx1) * (by2 - by1)
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    inter = iw * ih if iw > 0.0 and ih > 0.0 else 0.0
+    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
     union = area_a + area_b - inter
-    hull = (max(ax2, bx2) - min(ax1, bx1)) * (max(ay2, by2) - min(ay1, by1))
-    return inter, union, hull
-
-
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union, with 0 by convention when the union is empty."""
-    inter, union, _ = _overlap_terms(a, b)
-    if union <= 0.0:
-        return 0.0
-    return min(inter / union, 1.0)
-
-
-def giou(a: BoundingBox, b: BoundingBox) -> float:
-    """Generalized IoU: ``iou - (hull - union) / hull``, in ``[-1, 1]``.
-
-    A degenerate enclosing hull (both boxes zero-area at one point)
-    returns 0, mirroring the zero-union IoU convention.
-    """
-    inter, union, hull = _overlap_terms(a, b)
-    if hull <= 0.0:
-        return 0.0
-    iou_val = min(inter / union, 1.0) if union > 0.0 else 0.0
-    return iou_val - max(hull - union, 0.0) / hull
-
-
-def l1_distance(a: BoundingBox, b: BoundingBox) -> float:
-    """Sum of absolute differences over the four normalized components."""
-    return (
-        abs(a.cx - b.cx) + abs(a.cy - b.cy) + abs(a.w - b.w) + abs(a.h - b.h)
+    hull = (np.maximum(ax2, bx2) - np.minimum(ax1, bx1)) * (
+        np.maximum(ay2, by2) - np.minimum(ay1, by1)
     )
+    iou = np.minimum(np.divide(inter, union, out=np.zeros_like(union), where=union > 0.0), 1.0)
+    spill = np.divide(
+        np.maximum(hull - union, 0.0), hull, out=np.zeros_like(hull), where=hull > 0.0
+    )
+    giou = np.where(hull > 0.0, iou - spill, 0.0)
+    l1 = np.abs(acx - bcx) + np.abs(acy - bcy) + np.abs(aw - bw) + np.abs(ah - bh)
+    return iou, giou, l1
 
 
 def to_pixel(

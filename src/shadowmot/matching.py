@@ -16,15 +16,12 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import BoundingBox, giou, l1_distance
-
 __all__ = [
     "ClassScores",
     "CostWeights",
     "CostMatrix",
     "Assignment",
     "focal_cost",
-    "pair_cost",
     "hungarian",
 ]
 
@@ -128,24 +125,6 @@ def focal_cost(scores: ClassScores, target_class: int, w: CostWeights) -> float:
     pos = w.alpha * (1.0 - p) ** w.gamma * (-math.log(p + w.eps))
     neg = (1.0 - w.alpha) * p**w.gamma * (-math.log(1.0 - p + w.eps))
     return pos - neg
-
-
-def pair_cost(
-    pred_box: BoundingBox,
-    pred_scores: ClassScores,
-    gt_box: BoundingBox,
-    gt_class: int,
-    w: CostWeights,
-) -> float:
-    """Weighted matching cost of one prediction against one target.
-
-    GIoU enters negated: higher overlap means lower cost.
-    """
-    return (
-        w.w_class * focal_cost(pred_scores, gt_class, w)
-        + w.w_l1 * l1_distance(pred_box, gt_box)
-        - w.w_giou * giou(pred_box, gt_box)
-    )
 
 
 def hungarian(cost: CostMatrix | np.ndarray) -> Assignment:

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import BoundingBox, iou
+from .geometry import pairwise
 from .matching import hungarian
 from .tracker import Tracklets
 
@@ -59,18 +59,20 @@ class HotaResult(NamedTuple):
     per_alpha: tuple[AlphaScores, ...]
 
 
-def _frame_union(gt: Tracklets, pred: Tracklets) -> list[int]:
-    return sorted(set(gt.frames()) | set(pred.frames()))
-
-
-def _iou_matrix(
-    gt_boxes: list[BoundingBox], pred_boxes: list[BoundingBox]
-) -> np.ndarray:
-    m = np.zeros((len(gt_boxes), len(pred_boxes)))
-    for a, g in enumerate(gt_boxes):
-        for b, p in enumerate(pred_boxes):
-            m[a, b] = iou(g, p)
-    return m
+def _frame_overlaps(
+    gt: Tracklets, pred: Tracklets
+) -> Iterator[tuple[list[int], list[int], np.ndarray]]:
+    """``(sorted gt ids, sorted pred ids, gt x pred IoU)`` for every frame
+    in which either side has a box, in frame order."""
+    gt_by_frame = gt.by_frame()
+    pred_by_frame = pred.by_frame()
+    for frame in sorted(gt_by_frame.keys() | pred_by_frame.keys()):
+        gts = gt_by_frame.get(frame, {})
+        preds = pred_by_frame.get(frame, {})
+        gt_ids = sorted(gts)
+        pred_ids = sorted(preds)
+        sim, _, _ = pairwise([gts[g][0] for g in gt_ids], [preds[p][0] for p in pred_ids])
+        yield gt_ids, pred_ids, sim
 
 
 def clear_mot(gt: Tracklets, pred: Tracklets, iou_threshold: float = 0.5) -> ClearMotResult:
@@ -83,32 +85,26 @@ def clear_mot(gt: Tracklets, pred: Tracklets, iou_threshold: float = 0.5) -> Cle
     1 - (FN + FP + IDS) / total ground-truth boxes, None when that total is
     zero.
     """
-    gt_by_frame = gt.by_frame()
-    pred_by_frame = pred.by_frame()
     total_gt = gt.n_boxes()
 
     fp = fn = ids = 0
     active: dict[int, int] = {}  # gt id -> pred id carried from previous frame
     last_match: dict[int, int] = {}  # gt id -> last pred id ever matched
 
-    for frame in _frame_union(gt, pred):
-        gts = gt_by_frame.get(frame, {})
-        preds = pred_by_frame.get(frame, {})
-        gt_ids = sorted(gts)
-        pred_ids = sorted(preds)
+    for gt_ids, pred_ids, sim in _frame_overlaps(gt, pred):
+        row = {g: r for r, g in enumerate(gt_ids)}
+        col = {p: c for c, p in enumerate(pred_ids)}
 
         matches: dict[int, int] = {}
         for g, p in active.items():
-            if g in gts and p in preds and iou(gts[g][0], preds[p][0]) >= iou_threshold:
+            if g in row and p in col and sim[row[g], col[p]] >= iou_threshold:
                 matches[g] = p
 
         free_gt = [g for g in gt_ids if g not in matches]
         taken_preds = set(matches.values())
         free_pred = [p for p in pred_ids if p not in taken_preds]
         if free_gt and free_pred:
-            ious = _iou_matrix(
-                [gts[g][0] for g in free_gt], [preds[p][0] for p in free_pred]
-            )
+            ious = sim[np.ix_([row[g] for g in free_gt], [col[p] for p in free_pred])]
             cost = np.where(ious >= iou_threshold, 1.0 - ious, _FORBIDDEN)
             for r, c in hungarian(cost).pairs:
                 if ious[r, c] >= iou_threshold:
@@ -142,19 +138,13 @@ def idf1(gt: Tracklets, pred: Tracklets, iou_threshold: float = 0.5) -> float:
     if total_gt == 0 or total_pred == 0:
         return 0.0
 
-    gt_ids = gt.identities
-    pred_ids = pred.identities
-    overlap = np.zeros((len(gt_ids), len(pred_ids)))
-    pred_by_frame = pred.by_frame()
-    for a, g in enumerate(gt_ids):
-        for obs in gt.track(g):
-            frame_preds = pred_by_frame.get(obs.frame)
-            if not frame_preds:
-                continue
-            for b, p in enumerate(pred_ids):
-                entry = frame_preds.get(p)
-                if entry is not None and iou(obs.box, entry[0]) >= iou_threshold:
-                    overlap[a, b] += 1
+    gt_row = {g: a for a, g in enumerate(gt.identities)}
+    pred_col = {p: b for b, p in enumerate(pred.identities)}
+    overlap = np.zeros((len(gt_row), len(pred_col)))
+    for gt_ids, pred_ids, sim in _frame_overlaps(gt, pred):
+        rows = [gt_row[g] for g in gt_ids]
+        cols = [pred_col[p] for p in pred_ids]
+        overlap[np.ix_(rows, cols)] += sim >= iou_threshold
 
     idtp = -hungarian(-overlap).total_cost(-overlap)
     return 2.0 * float(idtp) / (total_gt + total_pred)
@@ -179,24 +169,15 @@ def hota(gt: Tracklets, pred: Tracklets) -> HotaResult:
 
     gt_row = {g: a for a, g in enumerate(gt_ids)}
     pred_col = {p: b for b, p in enumerate(pred_ids)}
-    gt_by_frame = gt.by_frame()
-    pred_by_frame = pred.by_frame()
-    frames = _frame_union(gt, pred)
 
     # pass one: global alignment from potential matches and presence counts
     potential = np.zeros((n_gt, n_pred))
     gt_count = np.zeros(n_gt)
     pred_count = np.zeros(n_pred)
     per_frame: list[tuple[list[int], list[int], np.ndarray]] = []
-    for frame in frames:
-        g_here = sorted(gt_by_frame.get(frame, {}))
-        p_here = sorted(pred_by_frame.get(frame, {}))
+    for g_here, p_here, sim in _frame_overlaps(gt, pred):
         rows = [gt_row[g] for g in g_here]
         cols = [pred_col[p] for p in p_here]
-        sim = _iou_matrix(
-            [gt_by_frame[frame][g][0] for g in g_here],
-            [pred_by_frame[frame][p][0] for p in p_here],
-        )
         if rows and cols:
             denom = sim.sum(axis=0)[np.newaxis, :] + sim.sum(axis=1)[:, np.newaxis] - sim
             weighted = np.zeros_like(sim)

@@ -23,7 +23,7 @@ from typing import Literal, NamedTuple, Sequence
 import numpy as np
 
 from .assignment import FrameGroundTruth, GroundTruthObject
-from .geometry import BoundingBox, iou
+from .geometry import BoundingBox, pairwise
 from .matching import ClassScores
 from .shadow import ShadowSet
 from .tracker import ShadowTracker, Tracklets, TrackerConfig
@@ -154,12 +154,15 @@ class Scene:
     tracks: dict[int, tuple[SceneFrame, ...]]
 
     def __post_init__(self) -> None:
+        self._states: dict[int, dict[int, SceneFrame]] = {}
         for identity, states in self.tracks.items():
             frames = [s.t for s in states]
             if frames != sorted(set(frames)):
                 raise ValueError(f"identity {identity}: frame indices must strictly increase")
             if frames and (frames[0] < 1 or frames[-1] > self.config.n_frames):
                 raise ValueError(f"identity {identity}: frames outside [1, {self.config.n_frames}]")
+            for s in states:
+                self._states.setdefault(s.t, {})[identity] = s
 
     @property
     def n_frames(self) -> int:
@@ -173,13 +176,7 @@ class Scene:
         return self.tracks[identity][0].t
 
     def states_at(self, frame: int) -> dict[int, SceneFrame]:
-        out = {}
-        for identity, states in self.tracks.items():
-            for s in states:
-                if s.t == frame:
-                    out[identity] = s
-                    break
-        return out
+        return dict(self._states.get(frame, {}))
 
     def visible_objects(self, frame: int) -> tuple[GroundTruthObject, ...]:
         return tuple(
@@ -216,30 +213,66 @@ class Scene:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Scene":
+        """Parse a scene document; any defect is a ValueError that names its
+        path, e.g. ``tracks[0].frames[3].box: expected 4 numbers, got 3``."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"scene document: expected an object, got {type(doc).__name__}")
         version = doc.get("version")
         if version != SCENE_JSON_VERSION:
             raise ValueError(f"unsupported scene document version {version!r}")
         unknown = set(doc) - {"version", "config", "tracks"}
         if unknown:
             raise ValueError(f"unknown scene document keys: {sorted(unknown)}")
-        config = SceneConfig.from_json(doc["config"])
+        config = SceneConfig.from_json(_key(doc, "config", "scene document"))
         tracks: dict[int, tuple[SceneFrame, ...]] = {}
-        for n, entry in enumerate(doc["tracks"]):
-            identity = int(entry["id"])
+        for n, entry in enumerate(_list(_key(doc, "tracks", "scene document"), "tracks")):
+            path = f"tracks[{n}]"
+            identity = _integer(_key(entry, "id", path), f"{path}.id")
+            if identity < 1:
+                raise ValueError(f"{path}.id: must be >= 1, got {identity}")
             if identity in tracks:
-                raise ValueError(f"tracks[{n}].id: duplicate id {identity}")
+                raise ValueError(f"{path}.id: duplicate id {identity}")
             states = []
-            for m, f in enumerate(entry["frames"]):
-                box = [float(v) for v in f["box"]]
+            for m, f in enumerate(_list(_key(entry, "frames", path), f"{path}.frames")):
+                fpath = f"{path}.frames[{m}]"
+                t = _integer(_key(f, "t", fpath), f"{fpath}.t")
+                box = _key(f, "box", fpath)
+                if not isinstance(box, list) or not all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in box
+                ):
+                    raise ValueError(f"{fpath}.box: expected a list of 4 numbers, got {box!r}")
                 if len(box) != 4:
-                    raise ValueError(
-                        f"tracks[{n}].frames[{m}].box: expected 4 numbers, got {len(box)}"
-                    )
-                states.append(
-                    SceneFrame(t=int(f["t"]), box=BoundingBox(*box), visible=bool(f["visible"]))
-                )
+                    raise ValueError(f"{fpath}.box: expected 4 numbers, got {len(box)}")
+                try:
+                    bbox = BoundingBox(*(float(v) for v in box))
+                except ValueError as exc:
+                    raise ValueError(f"{fpath}.box: {exc}") from None
+                visible = _key(f, "visible", fpath)
+                if not isinstance(visible, bool):
+                    raise ValueError(f"{fpath}.visible: expected true or false, got {visible!r}")
+                states.append(SceneFrame(t=t, box=bbox, visible=visible))
             tracks[identity] = tuple(states)
         return cls(config=config, tracks=tracks)
+
+
+def _key(obj: object, key: str, path: str) -> object:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected an object")
+    if key not in obj:
+        raise ValueError(f"{path}: missing key {key!r}")
+    return obj[key]
+
+
+def _list(value: object, path: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{path}: expected a list")
+    return value
+
+
+def _integer(value: object, path: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{path}: expected an integer, got {value!r}")
+    return value
 
 
 def _reflect(center: float, half: float) -> tuple[float, float]:
@@ -362,13 +395,13 @@ def _frame_draws(
     recognized: dict[int, SceneFrame] = {}
     trk_indices = [i for i, s in enumerate(live_sets) if s.role == "tracking"]
     if present and trk_indices:
-        trk_candidates = []
-        for i in trk_indices:
-            anchor = _anchor_box(live_sets[i])
-            for k, (_, st) in enumerate(present):
-                overlap = iou(anchor, st.box)
-                if overlap > 0.0:
-                    trk_candidates.append((-overlap, i, k))
+        overlaps, _, _ = pairwise(
+            [_anchor_box(live_sets[i]) for i in trk_indices], [st.box for _, st in present]
+        )
+        trk_candidates = [
+            (-float(overlaps[r, k]), trk_indices[r], k)
+            for r, k in np.argwhere(overlaps > 0.0).tolist()
+        ]
         claimed_sets: set[int] = set()
         claimed_objs: set[int] = set()
         for _, i, k in sorted(trk_candidates):
@@ -390,13 +423,13 @@ def _frame_draws(
     det_indices = [i for i, s in enumerate(live_sets) if s.role == "detection"]
     association: dict[int, BoundingBox] = {}
     if unclaimed and det_indices:
-        candidates = []
-        for i in det_indices:
-            anchor = _anchor_box(live_sets[i])
-            for k, (identity, box) in enumerate(unclaimed):
-                overlap = iou(anchor, box)
-                if overlap >= 0.5:
-                    candidates.append((-overlap, i, identity, k))
+        overlaps, _, _ = pairwise(
+            [_anchor_box(live_sets[i]) for i in det_indices], [box for _, box in unclaimed]
+        )
+        candidates = [
+            (-float(overlaps[r, k]), det_indices[r], unclaimed[k][0], k)
+            for r, k in np.argwhere(overlaps >= 0.5).tolist()
+        ]
         taken_sets: set[int] = set()
         taken_objs: set[int] = set()
         for _, i, identity, k in sorted(candidates):

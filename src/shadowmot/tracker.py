@@ -119,10 +119,6 @@ class Tracklets:
     def track(self, identity: int) -> tuple[Observation, ...]:
         return tuple(self._tracks[identity])
 
-    def frames(self) -> tuple[int, ...]:
-        seen = {obs.frame for track in self._tracks.values() for obs in track}
-        return tuple(sorted(seen))
-
     def by_frame(self) -> dict[int, dict[int, tuple[BoundingBox, float]]]:
         """Frame-major view, built once for per-frame consumers."""
         out: dict[int, dict[int, tuple[BoundingBox, float]]] = {}

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import shadowmot
-from shadowmot import BoundingBox, CostMatrix, CostWeights, Tracklets, pair_cost
+from shadowmot import BoundingBox, ClassScores, CostMatrix, CostWeights, Tracklets, focal_cost
 
 
 def cli_env() -> dict[str, str]:
@@ -60,6 +60,65 @@ def assignment_total(costs: np.ndarray, pairs) -> float:
     """Correctly rounded total of the matched entries, fsum like the oracle."""
     costs = np.asarray(costs, dtype=float)
     return math.fsum(float(costs[r, c]) for r, c in pairs)
+
+
+# One-pair scalar geometry: the reference oracles for ``pairwise`` and
+# the cost tensor.  Plain Python floats, one pair at a time.
+
+
+def _overlap_terms(a: BoundingBox, b: BoundingBox) -> tuple[float, float, float]:
+    """Intersection, union, and enclosing-hull areas, all from the same
+    corner coordinates."""
+    ax1, ay1, ax2, ay2 = a.corners()
+    bx1, by1, bx2, by2 = b.corners()
+    area_a = (ax2 - ax1) * (ay2 - ay1)
+    area_b = (bx2 - bx1) * (by2 - by1)
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
+    inter = iw * ih if iw > 0.0 and ih > 0.0 else 0.0
+    union = area_a + area_b - inter
+    hull = (max(ax2, bx2) - min(ax1, bx1)) * (max(ay2, by2) - min(ay1, by1))
+    return inter, union, hull
+
+
+def iou(a: BoundingBox, b: BoundingBox) -> float:
+    """Intersection over union, with 0 by convention when the union is empty."""
+    inter, union, _ = _overlap_terms(a, b)
+    if union <= 0.0:
+        return 0.0
+    return min(inter / union, 1.0)
+
+
+def giou(a: BoundingBox, b: BoundingBox) -> float:
+    """Generalized IoU: ``iou - (hull - union) / hull``, 0 for a degenerate hull."""
+    inter, union, hull = _overlap_terms(a, b)
+    if hull <= 0.0:
+        return 0.0
+    iou_val = min(inter / union, 1.0) if union > 0.0 else 0.0
+    return iou_val - max(hull - union, 0.0) / hull
+
+
+def l1_distance(a: BoundingBox, b: BoundingBox) -> float:
+    """Sum of absolute differences over the four normalized components."""
+    return (
+        abs(a.cx - b.cx) + abs(a.cy - b.cy) + abs(a.w - b.w) + abs(a.h - b.h)
+    )
+
+
+def pair_cost(
+    pred_box: BoundingBox,
+    pred_scores: ClassScores,
+    gt_box: BoundingBox,
+    gt_class: int,
+    w: CostWeights,
+) -> float:
+    """Weighted matching cost of one prediction against one target; GIoU
+    enters negated."""
+    return (
+        w.w_class * focal_cost(pred_scores, gt_class, w)
+        + w.w_l1 * l1_distance(pred_box, gt_box)
+        - w.w_giou * giou(pred_box, gt_box)
+    )
 
 
 def build_cost_matrix(preds, gts, w: CostWeights) -> CostMatrix:

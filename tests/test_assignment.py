@@ -238,6 +238,27 @@ class TestSetCostTensor:
         with pytest.raises(ValueError):
             build_set_cost_tensor(preds, [0, 1], [], UNIT)
 
+    @pytest.mark.parametrize("ns", [1, 2, 3])
+    def test_every_shadow_slice_equals_reference(self, ns):
+        # exact, not approx: the tensor must reproduce the per-pair
+        # reference bit for bit, over candidates of two classes
+        rng = np.random.default_rng(40 + ns)
+        w = CostWeights()
+        preds = [
+            [(random_box(rng), tuple(float(p) for p in rng.uniform(0.01, 0.99, size=2)))
+             for _ in range(ns)]
+            for _ in range(5)
+        ]
+        cands = [
+            GroundTruthObject(identity=k + 1, box=random_box(rng), class_index=k % 2)
+            for k in range(4)
+        ]
+        costs = build_set_cost_tensor(preds, list(range(5)), cands, w).costs
+        gts = [(c.box, c.class_index) for c in cands]
+        for j in range(ns):
+            want = build_cost_matrix([p[j] for p in preds], gts, w).costs
+            assert np.array_equal(costs[:, j, :], want)
+
 
 class TestAssignDetectionSets:
     def test_overlapping_set_wins(self):

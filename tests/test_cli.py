@@ -77,7 +77,7 @@ class TestSimulate:
 
         gt = read_mot(str(workdir / "scene.gt.txt"))
         assert gt.identities == (1, 2, 3)
-        assert gt.frames() == tuple(range(1, 13))
+        assert sorted(gt.by_frame()) == list(range(1, 13))
 
     def test_reruns_are_byte_identical(self, workdir):
         for name in ("a.json", "b.json"):
@@ -90,6 +90,17 @@ class TestSimulate:
         run_cli("simulate", "--config", "run.cfg", "-o", "a.json", cwd=workdir)
         run_cli("simulate", "--config", "run.cfg", "--seed", "6", "-o", "b.json", cwd=workdir)
         assert (workdir / "a.json").read_bytes() != (workdir / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("route", ["config", "flag"])
+    def test_negative_seed_names_key(self, workdir, route):
+        if route == "config":
+            (workdir / "neg.cfg").write_text("seed = -1\n", encoding="ascii")
+            args = ("--config", "neg.cfg")
+        else:
+            args = ("--config", "run.cfg", "--seed", "-1")
+        proc = run_cli("simulate", *args, "-o", "scene.json", cwd=workdir)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error: key 'seed': must be >= 0, got -1"]
 
     def test_works_without_config_file(self, tmp_path):
         proc = run_cli("simulate", "--seed", "3", "-o", "scene.json", cwd=tmp_path)
@@ -107,7 +118,7 @@ class TestTrack:
 
         pred = read_mot(str(workdir / "out.txt"))
         assert len(pred) == 3
-        assert pred.frames() == tuple(range(1, 13))
+        assert sorted(pred.by_frame()) == list(range(1, 13))
 
         manifest = json.loads((workdir / "out.txt.manifest.json").read_text())
         assert manifest["scene_path"] == "scene.json"
@@ -143,13 +154,33 @@ class TestTrack:
     @pytest.mark.parametrize("defect,message", [
         ("duplicate-id", "error: tracks[1].id: duplicate id 1"),
         ("short-box", "error: tracks[0].frames[3].box: expected 4 numbers, got 3"),
-    ], ids=["duplicate-id", "short-box"])
+        ("scalar-box", "error: tracks[0].frames[2].box: expected a list of 4 numbers, got 5"),
+        ("tracks-object", "error: tracks: expected a list"),
+        ("top-level-list", "error: scene document: expected an object, got list"),
+        ("missing-frames", "error: tracks[1]: missing key 'frames'"),
+        ("string-frame", "error: tracks[0].frames[2].t: expected an integer, got 'x'"),
+        ("zero-id", "error: tracks[0].id: must be >= 1, got 0"),
+    ], ids=["duplicate-id", "short-box", "scalar-box", "tracks-object", "top-level-list",
+            "missing-frames", "string-frame", "zero-id"])
     def test_malformed_scene_is_one_located_error(self, workdir, scene_path, defect, message):
         doc = json.loads(scene_path.read_text())
+        tracks = doc["tracks"]
         if defect == "duplicate-id":
-            doc["tracks"][1]["id"] = doc["tracks"][0]["id"]
+            tracks[1]["id"] = tracks[0]["id"]
+        elif defect == "short-box":
+            tracks[0]["frames"][3]["box"] = tracks[0]["frames"][3]["box"][:3]
+        elif defect == "scalar-box":
+            tracks[0]["frames"][2]["box"] = 5
+        elif defect == "tracks-object":
+            doc["tracks"] = {"a": 1}
+        elif defect == "top-level-list":
+            doc = [doc]
+        elif defect == "missing-frames":
+            del tracks[1]["frames"]
+        elif defect == "string-frame":
+            tracks[0]["frames"][2]["t"] = "x"
         else:
-            doc["tracks"][0]["frames"][3]["box"] = doc["tracks"][0]["frames"][3]["box"][:3]
+            tracks[0]["id"] = 0
         (workdir / "bad.json").write_text(json.dumps(doc))
         proc = run_cli("track", "--scene", "bad.json", "--config", "run.cfg",
                        "-o", "out.txt", cwd=workdir)

@@ -61,6 +61,11 @@ class TestLoadRunConfig:
         assert run.scene.seed == 41
         assert run.oracle.seed == 41
 
+    def test_negative_seed_names_key(self):
+        for source in ({"pairs": {"seed": "-1"}}, {"overrides": {"seed": -1}}):
+            with pytest.raises(ConfigError, match="^key 'seed': must be >= 0, got -1$"):
+                load_run_config(**source)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key 'shadow.n'"):
             load_run_config({"shadow.n": "3"})

@@ -3,14 +3,30 @@ from __future__ import annotations
 import math
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from shadowmot import BoundingBox, giou, iou, l1_distance, to_pixel
+from shadowmot import BoundingBox, pairwise, to_pixel
+
+from helpers import giou, iou, l1_distance
 
 coords = st.floats(min_value=-0.5, max_value=1.5, allow_nan=False, allow_infinity=False)
 sizes = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False)
 boxes = st.builds(BoundingBox, cx=coords, cy=coords, w=sizes, h=sizes)
+
+
+def _kernel(term: int):
+    """One entry of ``pairwise`` on 1x1 inputs, as a two-box function."""
+    def one_pair(a: BoundingBox, b: BoundingBox) -> float:
+        return float(pairwise([a], [b])[term][0, 0])
+    return one_pair
+
+
+# every one-pair case runs on the scalar reference and on the kernel
+IOUS = (iou, _kernel(0))
+GIOUS = (giou, _kernel(1))
+L1S = (l1_distance, _kernel(2))
 
 
 class TestBoundingBox:
@@ -48,85 +64,139 @@ class TestBoundingBox:
 class TestIou:
     def test_identity_is_exactly_one(self):
         b = BoundingBox(cx=0.5, cy=0.5, w=0.2, h=0.2)
-        assert iou(b, b) == 1.0
+        for f in IOUS:
+            assert f(b, b) == 1.0
 
     def test_identity_exact_for_awkward_floats(self):
         # widths whose corner differences do not round-trip through cx +/- w/2
         for w in (0.2, 0.3, 0.1, 0.7, 1e-3):
             b = BoundingBox(cx=0.4 + w, cy=0.3, w=w, h=w)
-            assert iou(b, b) == 1.0
+            for f in IOUS:
+                assert f(b, b) == 1.0
 
     def test_corner_touching_is_zero(self):
         a = BoundingBox(cx=0.25, cy=0.25, w=0.5, h=0.5)
         b = BoundingBox(cx=0.75, cy=0.75, w=0.5, h=0.5)
-        assert iou(a, b) == 0.0
+        for f in IOUS:
+            assert f(a, b) == 0.0
 
     def test_half_shifted_unit_boxes(self):
         a = BoundingBox(cx=0.5, cy=0.5, w=1.0, h=1.0)
         b = BoundingBox(cx=0.75, cy=0.75, w=1.0, h=1.0)
-        assert iou(a, b) == pytest.approx(9.0 / 23.0, abs=1e-12)
+        for f in IOUS:
+            assert f(a, b) == pytest.approx(9.0 / 23.0, abs=1e-12)
 
     def test_zero_area_degenerate(self):
         a = BoundingBox(cx=0.5, cy=0.5, w=0.0, h=0.0)
-        assert iou(a, a) == 0.0
+        for f in IOUS:
+            assert f(a, a) == 0.0
 
     @given(a=boxes, b=boxes)
     @settings(max_examples=500)
     def test_symmetry_and_range(self, a, b):
-        v = iou(a, b)
-        assert v == iou(b, a)
-        assert 0.0 <= v <= 1.0
+        for f in IOUS:
+            v = f(a, b)
+            assert v == f(b, a)
+            assert 0.0 <= v <= 1.0
 
 
 class TestGiou:
     def test_identity_is_exactly_one(self):
         b = BoundingBox(cx=0.37, cy=0.81, w=0.23, h=0.11)
-        assert giou(b, b) == 1.0
+        for f in GIOUS:
+            assert f(b, b) == 1.0
 
     def test_diagonal_disjoint_unit_boxes(self):
         a = BoundingBox(cx=0.5, cy=0.5, w=1.0, h=1.0)
         b = BoundingBox(cx=1.5, cy=1.5, w=1.0, h=1.0)
-        assert giou(a, b) == pytest.approx(-0.5, abs=1e-12)
+        for f in GIOUS:
+            assert f(a, b) == pytest.approx(-0.5, abs=1e-12)
 
     def test_diagonal_overlapping_two_by_two(self):
         a = BoundingBox(cx=1.0, cy=1.0, w=2.0, h=2.0)
         b = BoundingBox(cx=2.0, cy=2.0, w=2.0, h=2.0)
-        assert giou(a, b) == pytest.approx(1.0 / 7.0 - 2.0 / 9.0, abs=1e-12)
+        for f in GIOUS:
+            assert f(a, b) == pytest.approx(1.0 / 7.0 - 2.0 / 9.0, abs=1e-12)
 
     def test_degenerate_hull_is_zero(self):
         a = BoundingBox(cx=0.5, cy=0.5, w=0.0, h=0.0)
-        assert giou(a, a) == 0.0
+        for f in GIOUS:
+            assert f(a, a) == 0.0
 
     @given(a=boxes, b=boxes)
     @settings(max_examples=500)
     def test_symmetry_range_and_iou_bound(self, a, b):
-        g = giou(a, b)
-        assert g == giou(b, a)
-        assert -1.0 <= g <= 1.0
-        assert g <= iou(a, b) + 1e-12
+        for f, iou_f in zip(GIOUS, IOUS):
+            g = f(a, b)
+            assert g == f(b, a)
+            assert -1.0 <= g <= 1.0
+            assert g <= iou_f(a, b) + 1e-12
 
 
 class TestL1Distance:
     def test_identity_is_zero(self):
         b = BoundingBox(cx=0.1, cy=0.2, w=0.3, h=0.4)
-        assert l1_distance(b, b) == 0.0
+        for f in L1S:
+            assert f(b, b) == 0.0
 
     def test_single_component_shift(self):
         a = BoundingBox(cx=0.5, cy=0.5, w=0.2, h=0.2)
         b = BoundingBox(cx=0.6, cy=0.5, w=0.2, h=0.2)
-        assert l1_distance(a, b) == pytest.approx(0.1, abs=1e-12)
+        for f in L1S:
+            assert f(a, b) == pytest.approx(0.1, abs=1e-12)
 
     def test_all_components(self):
         a = BoundingBox(cx=0.1, cy=0.2, w=0.3, h=0.4)
         b = BoundingBox(cx=0.2, cy=0.4, w=0.1, h=0.1)
-        assert l1_distance(a, b) == pytest.approx(0.8, abs=1e-12)
+        for f in L1S:
+            assert f(a, b) == pytest.approx(0.8, abs=1e-12)
 
     @given(a=boxes, b=boxes)
     @settings(max_examples=500)
     def test_symmetry_and_nonnegativity(self, a, b):
-        d = l1_distance(a, b)
-        assert d == l1_distance(b, a)
-        assert d >= 0.0
+        for f in L1S:
+            d = f(a, b)
+            assert d == f(b, a)
+            assert d >= 0.0
+
+
+@st.composite
+def box_lists(draw, max_size: int = 6):
+    """Box lists rich in the edge cases of the overlap formulas: zero
+    width or height, exact repeats, boxes sharing an edge, and centres
+    outside the frame."""
+    base = draw(st.lists(boxes, max_size=max_size))
+    out = []
+    for b in base:
+        kind = draw(st.sampled_from(["plain", "flat", "repeat", "touch"]))
+        if kind == "flat":
+            b = (BoundingBox(b.cx, b.cy, 0.0, b.h) if draw(st.booleans())
+                 else BoundingBox(b.cx, b.cy, b.w, 0.0))
+        elif kind == "repeat" and out:
+            b = draw(st.sampled_from(out))
+        elif kind == "touch" and out:
+            o = draw(st.sampled_from(out))
+            b = BoundingBox(o.cx + (o.w + b.w) / 2.0, o.cy, b.w, b.h)
+        out.append(b)
+    return out
+
+
+class TestPairwise:
+    @given(a=box_lists(), b=box_lists())
+    @settings(max_examples=300)
+    def test_equals_scalar_reference_exactly(self, a, b):
+        got_iou, got_giou, got_l1 = pairwise(a, b + a)
+        for terms, ref in ((got_iou, iou), (got_giou, giou), (got_l1, l1_distance)):
+            assert terms.shape == (len(a), len(a) + len(b))
+            want = np.array([[ref(x, y) for y in b + a] for x in a]).reshape(terms.shape)
+            assert np.array_equal(terms, want)
+
+    def test_empty_sides(self):
+        some = [BoundingBox(0.5, 0.5, 0.1, 0.1)] * 3
+        for a, b in (([], some), (some, []), ([], [])):
+            for terms in pairwise(a, b):
+                assert terms.shape == (len(a), len(b))
+                assert terms.dtype == float
 
 
 def _normalized(pixel, img_w, img_h):

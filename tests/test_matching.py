@@ -13,12 +13,10 @@ from shadowmot import (
     GroundTruthObject,
     build_set_cost_tensor,
     focal_cost,
-    giou,
     hungarian,
-    pair_cost,
 )
 
-from helpers import assignment_total, brute_force_min_cost, random_box
+from helpers import assignment_total, brute_force_min_cost, giou, pair_cost, random_box
 
 UNIT = CostWeights.unit()
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -20,11 +21,10 @@ from shadowmot import (
     generate_scene,
     hota,
     idf1,
-    iou,
     track_scene,
 )
 
-from helpers import disjoint_boxes, tracklets_from_rows
+from helpers import disjoint_boxes, iou, tracklets_from_rows
 
 
 def _shift(box: BoundingBox, dx: float) -> BoundingBox:
@@ -396,4 +396,35 @@ class TestMetricsReport:
         assert report == MetricsReport(
             hota=1.0, deta=1.0, assa=1.0, mota=1.0, idf1=1.0, ids=0, fp=0, fn=0,
             per_alpha=report.per_alpha,
+        )
+
+
+def _report_digest(pairs) -> str:
+    h = hashlib.sha256()
+    for gt, pred in pairs:
+        h.update(json.dumps(evaluate(gt, pred).to_json_dict()).encode())
+    return h.hexdigest()
+
+
+class TestReportDigest:
+    """Every metric pinned to the bit: digests of the full report,
+    recorded from the per-pair scalar implementation."""
+
+    def test_random_small_cases(self):
+        rng = np.random.default_rng(2024)
+        pairs = [_random_small_case(rng) for _ in range(20)]
+        assert _report_digest(pairs) == (
+            "eda6f6a1e60dd2499b9aff1c9dd0ab640191521e6f49b069c96306ea3ebae24c"
+        )
+
+    def test_tracked_scene(self):
+        scene = generate_scene(SceneConfig(n_frames=20, n_objects=40, seed=11))
+        cfg = TrackerConfig(
+            shadow=ShadowConfig(n_shadows=1, embed_dim=8), n_detection_sets=50
+        )
+        pred = track_scene(
+            scene, cfg, OracleConfig(seed=11, box_noise_std=0.01, p_corrupt=0.1)
+        )
+        assert _report_digest([(scene.gt_tracklets(), pred)]) == (
+            "b1666a305ab3008916c1e71c6f27e8bfe1d5a45194f0549894d50e83ff166dc6"
         )

@@ -184,6 +184,38 @@ class TestSceneViews:
             Scene.from_json(doc)
 
 
+    @pytest.mark.parametrize("defect,message", [
+        ("missing-config", "scene document: missing key 'config'"),
+        ("track-not-object", "tracks[0]: expected an object"),
+        ("frames-not-list", "tracks[0].frames: expected a list"),
+        ("missing-t", "tracks[0].frames[1]: missing key 't'"),
+        ("string-number", "tracks[0].frames[1].box: expected a list of 4 numbers, got ['0.5', 0.5, 0.1, 0.1]"),
+        ("negative-width", "tracks[0].frames[1].box: box extent must be non-negative, got w=-0.1, h=0.1"),
+        ("visible-int", "tracks[0].frames[1].visible: expected true or false, got 1"),
+    ])
+    def test_scene_json_defect_names_its_path(self, defect, message):
+        doc = generate_scene(SceneConfig(n_frames=3, n_objects=1)).to_json()
+        track = doc["tracks"][0]
+        frame = track["frames"][1]
+        if defect == "missing-config":
+            del doc["config"]
+        elif defect == "track-not-object":
+            doc["tracks"][0] = [1]
+        elif defect == "frames-not-list":
+            track["frames"] = {}
+        elif defect == "missing-t":
+            del frame["t"]
+        elif defect == "string-number":
+            frame["box"] = ["0.5", 0.5, 0.1, 0.1]
+        elif defect == "negative-width":
+            frame["box"] = [0.5, 0.5, -0.1, 0.1]
+        else:
+            frame["visible"] = 1
+        with pytest.raises(ValueError) as info:
+            Scene.from_json(doc)
+        assert str(info.value) == message
+
+
 class TestEmitTrainingTargets:
     def test_first_frame_all_newborn(self):
         scene = generate_scene(SceneConfig(n_frames=10, n_objects=5, seed=1))

@@ -71,7 +71,7 @@ class TestTracklets:
         t.add(5, 2, b2, 0.8)
         t.add(7, 2, b1, 0.7)
         assert t.identities == (5, 7)
-        assert t.frames() == (1, 2)
+        assert sorted(t.by_frame()) == [1, 2]
         assert t.by_frame() == {1: {5: (b1, 0.9)}, 2: {5: (b2, 0.8), 7: (b1, 0.7)}}
         assert len(t) == 2
         assert t.n_boxes() == 3
