@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = [
     "ClassScores",
@@ -145,6 +144,10 @@ def hungarian(cost: CostMatrix | np.ndarray) -> Assignment:
             unmatched_rows=tuple(range(costs.shape[0])),
             unmatched_cols=tuple(range(costs.shape[1])),
         )
+    # imported here so that commands which never match (simulate, track)
+    # do not pay for loading scipy
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(costs)
     pairs = tuple(sorted(zip(rows.tolist(), cols.tolist())))
     matched_rows = {r for r, _ in pairs}

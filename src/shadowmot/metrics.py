@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -59,20 +59,24 @@ class HotaResult(NamedTuple):
     per_alpha: tuple[AlphaScores, ...]
 
 
-def _frame_overlaps(
-    gt: Tracklets, pred: Tracklets
-) -> Iterator[tuple[list[int], list[int], np.ndarray]]:
-    """``(sorted gt ids, sorted pred ids, gt x pred IoU)`` for every frame
-    in which either side has a box, in frame order."""
+# Per frame in which either side has a box, in frame order:
+# (sorted gt ids, sorted pred ids, gt x pred IoU).
+_FrameOverlaps = list[tuple[list[int], list[int], np.ndarray]]
+
+
+def _frame_overlaps(gt: Tracklets, pred: Tracklets) -> _FrameOverlaps:
+    """The one overlap pass every metric reads."""
     gt_by_frame = gt.by_frame()
     pred_by_frame = pred.by_frame()
+    out: _FrameOverlaps = []
     for frame in sorted(gt_by_frame.keys() | pred_by_frame.keys()):
         gts = gt_by_frame.get(frame, {})
         preds = pred_by_frame.get(frame, {})
         gt_ids = sorted(gts)
         pred_ids = sorted(preds)
         sim, _, _ = pairwise([gts[g][0] for g in gt_ids], [preds[p][0] for p in pred_ids])
-        yield gt_ids, pred_ids, sim
+        out.append((gt_ids, pred_ids, sim))
+    return out
 
 
 def clear_mot(gt: Tracklets, pred: Tracklets, iou_threshold: float = 0.5) -> ClearMotResult:
@@ -85,13 +89,17 @@ def clear_mot(gt: Tracklets, pred: Tracklets, iou_threshold: float = 0.5) -> Cle
     1 - (FN + FP + IDS) / total ground-truth boxes, None when that total is
     zero.
     """
+    return _clear_mot(gt, _frame_overlaps(gt, pred), iou_threshold)
+
+
+def _clear_mot(gt: Tracklets, frames: _FrameOverlaps, iou_threshold: float) -> ClearMotResult:
     total_gt = gt.n_boxes()
 
     fp = fn = ids = 0
     active: dict[int, int] = {}  # gt id -> pred id carried from previous frame
     last_match: dict[int, int] = {}  # gt id -> last pred id ever matched
 
-    for gt_ids, pred_ids, sim in _frame_overlaps(gt, pred):
+    for gt_ids, pred_ids, sim in frames:
         row = {g: r for r, g in enumerate(gt_ids)}
         col = {p: c for c, p in enumerate(pred_ids)}
 
@@ -131,6 +139,10 @@ def idf1(gt: Tracklets, pred: Tracklets, iou_threshold: float = 0.5) -> float:
     2*IDTP / (total gt boxes + total pred boxes) follows from the standard
     definition.  Both sides empty scores 1 by convention.
     """
+    return _idf1(gt, pred, _frame_overlaps(gt, pred), iou_threshold)
+
+
+def _idf1(gt: Tracklets, pred: Tracklets, frames: _FrameOverlaps, iou_threshold: float) -> float:
     total_gt = gt.n_boxes()
     total_pred = pred.n_boxes()
     if total_gt == 0 and total_pred == 0:
@@ -141,7 +153,7 @@ def idf1(gt: Tracklets, pred: Tracklets, iou_threshold: float = 0.5) -> float:
     gt_row = {g: a for a, g in enumerate(gt.identities)}
     pred_col = {p: b for b, p in enumerate(pred.identities)}
     overlap = np.zeros((len(gt_row), len(pred_col)))
-    for gt_ids, pred_ids, sim in _frame_overlaps(gt, pred):
+    for gt_ids, pred_ids, sim in frames:
         rows = [gt_row[g] for g in gt_ids]
         cols = [pred_col[p] for p in pred_ids]
         overlap[np.ix_(rows, cols)] += sim >= iou_threshold
@@ -160,6 +172,10 @@ def hota(gt: Tracklets, pred: Tracklets) -> HotaResult:
     association accuracies per alpha; the headline number is the mean over
     alphas of the geometric mean of the two.
     """
+    return _hota(gt, pred, _frame_overlaps(gt, pred))
+
+
+def _hota(gt: Tracklets, pred: Tracklets, frames: _FrameOverlaps) -> HotaResult:
     gt_ids = gt.identities
     pred_ids = pred.identities
     n_gt, n_pred = len(gt_ids), len(pred_ids)
@@ -175,7 +191,7 @@ def hota(gt: Tracklets, pred: Tracklets) -> HotaResult:
     gt_count = np.zeros(n_gt)
     pred_count = np.zeros(n_pred)
     per_frame: list[tuple[list[int], list[int], np.ndarray]] = []
-    for g_here, p_here, sim in _frame_overlaps(gt, pred):
+    for g_here, p_here, sim in frames:
         rows = [gt_row[g] for g in g_here]
         cols = [pred_col[p] for p in p_here]
         if rows and cols:
@@ -284,15 +300,17 @@ class MetricsReport:
 
 def evaluate(gt: Tracklets, pred: Tracklets, iou_threshold: float = 0.5) -> MetricsReport:
     """All metrics in one report; the CLEAR gate applies to the CLEAR and
-    identity-F1 scores, the higher-order score keeps its own alpha grid."""
-    clear = clear_mot(gt, pred, iou_threshold)
-    h = hota(gt, pred)
+    identity-F1 scores, the higher-order score keeps its own alpha grid.
+    The per-frame overlaps are computed once and shared by all three."""
+    frames = _frame_overlaps(gt, pred)
+    clear = _clear_mot(gt, frames, iou_threshold)
+    h = _hota(gt, pred, frames)
     return MetricsReport(
         hota=h.hota,
         deta=h.deta,
         assa=h.assa,
         mota=clear.mota,
-        idf1=idf1(gt, pred, iou_threshold),
+        idf1=_idf1(gt, pred, frames, iou_threshold),
         ids=clear.ids,
         fp=clear.fp,
         fn=clear.fn,

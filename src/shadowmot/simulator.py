@@ -48,6 +48,12 @@ _STREAM_CORRUPT = 2
 
 SCENE_JSON_VERSION = 1
 
+# Bounds of the box an unassociated detection set emits, per (cx, cy, w, h).
+# It is drawn as lo + (hi - lo) * u from one frame_rng.random call, which is
+# what numpy's uniform(lo, hi) computes from the same doubles.
+_FALLBACK_LO = (0.2, 0.2, 0.02, 0.02)
+_FALLBACK_HI = (0.8, 0.8, 0.1, 0.1)
+
 
 @dataclass(frozen=True)
 class SceneConfig:
@@ -98,6 +104,11 @@ class SceneConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SceneConfig":
+        """Parse the ``config`` object of a scene document; a value of the
+        wrong type is a ValueError that names its key, e.g.
+        ``config.n_frames: expected an integer, got 'x'``."""
+        if not isinstance(doc, dict):
+            raise ValueError("config: expected an object")
         known = {
             "n_frames", "n_objects", "schedule", "jitter", "occlusions",
             "image_width", "image_height", "seed",
@@ -106,8 +117,24 @@ class SceneConfig:
         if unknown:
             raise ValueError(f"unknown scene config keys: {sorted(unknown)}")
         kwargs = dict(doc)
-        if "occlusions" in kwargs:
-            kwargs["occlusions"] = tuple(tuple(o) for o in kwargs["occlusions"])
+        for key, value in doc.items():
+            path = f"config.{key}"
+            if key == "schedule":
+                if not isinstance(value, str):
+                    raise ValueError(f"{path}: expected a string, got {value!r}")
+            elif key == "jitter":
+                if not _is_number(value):
+                    raise ValueError(f"{path}: expected a number, got {value!r}")
+            elif key == "occlusions":
+                for n, window in enumerate(_list(value, path)):
+                    if not (isinstance(window, list) and len(window) == 3
+                            and all(_is_integer(v) for v in window)):
+                        raise ValueError(
+                            f"{path}[{n}]: expected a list of 3 integers, got {window!r}"
+                        )
+                kwargs[key] = tuple(tuple(w) for w in value)
+            else:
+                _integer(value, path)
         return cls(**kwargs)
 
 
@@ -237,9 +264,7 @@ class Scene:
                 fpath = f"{path}.frames[{m}]"
                 t = _integer(_key(f, "t", fpath), f"{fpath}.t")
                 box = _key(f, "box", fpath)
-                if not isinstance(box, list) or not all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in box
-                ):
+                if not isinstance(box, list) or not all(_is_number(v) for v in box):
                     raise ValueError(f"{fpath}.box: expected a list of 4 numbers, got {box!r}")
                 if len(box) != 4:
                     raise ValueError(f"{fpath}.box: expected 4 numbers, got {len(box)}")
@@ -269,8 +294,16 @@ def _list(value: object, path: str) -> list:
     return value
 
 
+def _is_integer(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _integer(value: object, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_integer(value):
         raise ValueError(f"{path}: expected an integer, got {value!r}")
     return value
 
@@ -376,8 +409,10 @@ def _frame_draws(
     cfg: OracleConfig,
 ) -> list[_SetDraws]:
     """Everything random about one frame, drawn in a fixed order: claims
-    and association first (no draws), then per set its box noise,
-    corruption flags, and fallback box."""
+    and association first (no draws), then every shadow's corruption flag
+    from the corruption stream, then per set its box noise and, when it
+    has no target, a false-positive coin (detection sets only) and a
+    fallback box."""
     if not 1 <= frame <= scene.n_frames:
         raise ValueError(f"frame {frame} outside [1, {scene.n_frames}]")
 
@@ -443,7 +478,13 @@ def _frame_draws(
         for i, k in zip(free_sets, free_objs):
             association[i] = unclaimed[k][1]
 
+    # every shadow's corruption flag, in set order, in one call: no other
+    # draw reads this stream
+    n_total = sum(set_.n_shadows for set_ in live_sets)
+    flags = (corrupt_rng.uniform(size=n_total) < cfg.p_corrupt).tolist()
+
     draws: list[_SetDraws] = []
+    start = 0
     for i, set_ in enumerate(live_sets):
         ns = set_.n_shadows
         eps = (
@@ -451,7 +492,8 @@ def _frame_draws(
             if cfg.box_noise_std > 0
             else np.zeros((ns, 4))
         )
-        corrupted = corrupt_rng.uniform(size=ns) < cfg.p_corrupt
+        corrupted = flags[start:start + ns]
+        start += ns
 
         target: BoundingBox | None = None
         fallback: BoundingBox | None = None
@@ -462,21 +504,23 @@ def _frame_draws(
                 target = st.box
                 base = cfg.base_score - (0.0 if st.visible else cfg.occ_drop)
                 base = max(base, 0.0)
+            else:
+                # a lost track emits its anchor; the stream still advances
+                # past the fallback box it does not use
+                frame_rng.random(4)
+                fallback = _anchor_box(set_)
         elif i in association:
             target = association[i]
             base = cfg.base_score
-
-        if target is None:
-            if set_.role == "detection" and float(frame_rng.uniform()) < cfg.fp_rate:
+        else:
+            coin, *u = frame_rng.random(5).tolist()
+            if coin < cfg.fp_rate:
                 base = cfg.fp_score
-            # drawn for tracking sets too, which then emit their anchor
-            fp_cx, fp_cy = frame_rng.uniform(0.2, 0.8, size=2)
-            fp_w, fp_h = frame_rng.uniform(0.02, 0.1, size=2)
-            fallback = BoundingBox(float(fp_cx), float(fp_cy), float(fp_w), float(fp_h))
-            if set_.role == "tracking":
-                fallback = _anchor_box(set_)
+            fallback = BoundingBox(
+                *(lo + (hi - lo) * v for lo, hi, v in zip(_FALLBACK_LO, _FALLBACK_HI, u))
+            )
 
-        scores = [0.0 if corrupted[j] else base for j in range(ns)]
+        scores = [0.0 if c else base for c in corrupted]
         draws.append(_SetDraws(target, eps, scores, fallback))
     return draws
 

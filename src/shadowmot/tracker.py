@@ -211,7 +211,7 @@ class ShadowTracker:
             shadow_scores = [_shadow_score(scores) for _, scores in per_shadow]
             if reduce_values(shadow_scores, phi) > tau:
                 box, score = select_output(
-                    [(b, _shadow_score(s)) for b, s in per_shadow]
+                    [(b, s) for (b, _), s in zip(per_shadow, shadow_scores)]
                 )
                 outputs.append((identity, box, score))
                 self._misses[identity] = 0
@@ -231,7 +231,7 @@ class ShadowTracker:
                 identity = self._next_identity
                 self._next_identity += 1
                 box, score = select_output(
-                    [(b, _shadow_score(s)) for b, s in per_shadow]
+                    [(b, s) for (b, _), s in zip(per_shadow, shadow_scores)]
                 )
                 outputs.append((identity, box, score))
                 births.append(identity)

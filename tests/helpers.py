@@ -12,6 +12,8 @@ import numpy as np
 
 import shadowmot
 from shadowmot import BoundingBox, ClassScores, CostMatrix, CostWeights, Tracklets, focal_cost
+from shadowmot.geometry import pairwise
+from shadowmot.simulator import _STREAM_CORRUPT, _STREAM_ORACLE, _SetDraws, _anchor_box
 
 
 def cli_env() -> dict[str, str]:
@@ -130,6 +132,110 @@ def build_cost_matrix(preds, gts, w: CostWeights) -> CostMatrix:
         for j, (gbox, gclass) in enumerate(gts):
             costs[i, j] = pair_cost(pbox, pscores, gbox, gclass, w)
     return CostMatrix(costs)
+
+
+def frame_draws_reference(scene, frame, live_sets, cfg) -> list[_SetDraws]:
+    """The oracle's per-frame draws made one numpy call per value group:
+    per set its box noise, its corruption flags, then, without a target,
+    the false-positive coin (detection sets only) and the fallback box
+    through ``uniform(lo, hi)``.  The reference that the batched
+    ``simulator._frame_draws`` must equal exactly."""
+    if not 1 <= frame <= scene.n_frames:
+        raise ValueError(f"frame {frame} outside [1, {scene.n_frames}]")
+
+    frame_rng = np.random.default_rng([cfg.seed, _STREAM_ORACLE, frame])
+    corrupt_rng = np.random.default_rng([cfg.seed, _STREAM_CORRUPT, frame])
+
+    states = scene.states_at(frame)
+    present = sorted(states.items())
+
+    recognized = {}
+    trk_indices = [i for i, s in enumerate(live_sets) if s.role == "tracking"]
+    if present and trk_indices:
+        overlaps, _, _ = pairwise(
+            [_anchor_box(live_sets[i]) for i in trk_indices], [st.box for _, st in present]
+        )
+        trk_candidates = [
+            (-float(overlaps[r, k]), trk_indices[r], k)
+            for r, k in np.argwhere(overlaps > 0.0).tolist()
+        ]
+        claimed_sets: set[int] = set()
+        claimed_objs: set[int] = set()
+        for _, i, k in sorted(trk_candidates):
+            if i in claimed_sets or k in claimed_objs:
+                continue
+            recognized[i] = present[k][1]
+            claimed_sets.add(i)
+            claimed_objs.add(k)
+        claimed_ids = {present[k][0] for k in claimed_objs}
+    else:
+        claimed_ids = set()
+
+    unclaimed = [
+        (identity, st.box)
+        for identity, st in present
+        if st.visible and identity not in claimed_ids
+    ]
+
+    det_indices = [i for i, s in enumerate(live_sets) if s.role == "detection"]
+    association = {}
+    if unclaimed and det_indices:
+        overlaps, _, _ = pairwise(
+            [_anchor_box(live_sets[i]) for i in det_indices], [box for _, box in unclaimed]
+        )
+        candidates = [
+            (-float(overlaps[r, k]), det_indices[r], unclaimed[k][0], k)
+            for r, k in np.argwhere(overlaps >= 0.5).tolist()
+        ]
+        taken_sets: set[int] = set()
+        taken_objs: set[int] = set()
+        for _, i, identity, k in sorted(candidates):
+            if i in taken_sets or k in taken_objs:
+                continue
+            association[i] = unclaimed[k][1]
+            taken_sets.add(i)
+            taken_objs.add(k)
+        free_sets = [i for i in det_indices if i not in taken_sets]
+        free_objs = [k for k in range(len(unclaimed)) if k not in taken_objs]
+        for i, k in zip(free_sets, free_objs):
+            association[i] = unclaimed[k][1]
+
+    draws = []
+    for i, set_ in enumerate(live_sets):
+        ns = set_.n_shadows
+        eps = (
+            frame_rng.normal(0.0, cfg.box_noise_std, size=(ns, 4))
+            if cfg.box_noise_std > 0
+            else np.zeros((ns, 4))
+        )
+        corrupted = corrupt_rng.uniform(size=ns) < cfg.p_corrupt
+
+        target = None
+        fallback = None
+        base = 0.0
+        if set_.role == "tracking":
+            st = recognized.get(i)
+            if st is not None:
+                target = st.box
+                base = cfg.base_score - (0.0 if st.visible else cfg.occ_drop)
+                base = max(base, 0.0)
+        elif i in association:
+            target = association[i]
+            base = cfg.base_score
+
+        if target is None:
+            if set_.role == "detection" and float(frame_rng.uniform()) < cfg.fp_rate:
+                base = cfg.fp_score
+            # drawn for tracking sets too, which then emit their anchor
+            fp_cx, fp_cy = frame_rng.uniform(0.2, 0.8, size=2)
+            fp_w, fp_h = frame_rng.uniform(0.02, 0.1, size=2)
+            fallback = BoundingBox(float(fp_cx), float(fp_cy), float(fp_w), float(fp_h))
+            if set_.role == "tracking":
+                fallback = _anchor_box(set_)
+
+        scores = [0.0 if corrupted[j] else base for j in range(ns)]
+        draws.append(_SetDraws(target, eps, scores, fallback))
+    return draws
 
 
 def random_box(rng: np.random.Generator) -> BoundingBox:

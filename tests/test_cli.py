@@ -160,8 +160,11 @@ class TestTrack:
         ("missing-frames", "error: tracks[1]: missing key 'frames'"),
         ("string-frame", "error: tracks[0].frames[2].t: expected an integer, got 'x'"),
         ("zero-id", "error: tracks[0].id: must be >= 1, got 0"),
+        ("string-n-frames", "error: config.n_frames: expected an integer, got 'x'"),
+        ("string-occlusion", "error: config.occlusions[0]: expected a list of 3 integers, "
+                             "got [1, 'a', 2]"),
     ], ids=["duplicate-id", "short-box", "scalar-box", "tracks-object", "top-level-list",
-            "missing-frames", "string-frame", "zero-id"])
+            "missing-frames", "string-frame", "zero-id", "string-n-frames", "string-occlusion"])
     def test_malformed_scene_is_one_located_error(self, workdir, scene_path, defect, message):
         doc = json.loads(scene_path.read_text())
         tracks = doc["tracks"]
@@ -179,8 +182,12 @@ class TestTrack:
             del tracks[1]["frames"]
         elif defect == "string-frame":
             tracks[0]["frames"][2]["t"] = "x"
-        else:
+        elif defect == "zero-id":
             tracks[0]["id"] = 0
+        elif defect == "string-n-frames":
+            doc["config"]["n_frames"] = "x"
+        else:
+            doc["config"]["occlusions"] = [[1, "a", 2]]
         (workdir / "bad.json").write_text(json.dumps(doc))
         proc = run_cli("track", "--scene", "bad.json", "--config", "run.cfg",
                        "-o", "out.txt", cwd=workdir)
@@ -191,6 +198,43 @@ class TestTrack:
         proc = run_cli("track", "--scene", "scene.json", "--tala", "--cola",
                        "-o", "out.txt", cwd=workdir)
         assert proc.returncode == 2
+
+
+class TestScipyImport:
+    """scipy is loaded only by the commands that solve an assignment:
+    importing the CLI and running ``simulate`` or ``track`` never do."""
+
+    # runs cli.main on the arguments given, if any, then reports whether
+    # scipy got imported
+    _SCRIPT = (
+        "import sys\n"
+        "from shadowmot import cli\n"
+        "status = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print(status, 'scipy' in sys.modules)\n"
+    )
+
+    def _loads_scipy(self, workdir: Path, *args: str) -> bool:
+        proc = subprocess.run(
+            [sys.executable, "-c", self._SCRIPT, *args],
+            cwd=workdir, capture_output=True, text=True, env=cli_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        status, loaded = proc.stdout.splitlines()[-1].split()
+        assert status == "0"
+        return loaded == "True"
+
+    def test_import_does_not_load_scipy(self, workdir):
+        assert not self._loads_scipy(workdir)
+
+    def test_simulate_and_track_do_not_load_scipy(self, workdir):
+        assert not self._loads_scipy(workdir, "simulate", "--config", "run.cfg", "-o", "scene.json")
+        assert not self._loads_scipy(workdir, "track", "--scene", "scene.json",
+                                     "--config", "run.cfg", "-o", "out.txt")
+        assert (workdir / "out.txt").read_text()
+
+    def test_eval_loads_scipy(self, workdir, scene_path):
+        assert self._loads_scipy(workdir, "eval", "--gt", "scene.gt.txt",
+                                 "--results", "scene.gt.txt", "-o", "report.json")
 
 
 class TestEval:

@@ -4,8 +4,10 @@ import hashlib
 import json
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from shadowmot import (
     BoundingBox,
@@ -24,6 +26,9 @@ from shadowmot import (
     oracle_decode,
     track_scene,
 )
+from shadowmot.simulator import _FALLBACK_HI, _FALLBACK_LO, _frame_draws, _render_layer
+
+from helpers import frame_draws_reference
 
 
 def _tracking_set(identity, box, ns=1):
@@ -192,6 +197,14 @@ class TestSceneViews:
         ("string-number", "tracks[0].frames[1].box: expected a list of 4 numbers, got ['0.5', 0.5, 0.1, 0.1]"),
         ("negative-width", "tracks[0].frames[1].box: box extent must be non-negative, got w=-0.1, h=0.1"),
         ("visible-int", "tracks[0].frames[1].visible: expected true or false, got 1"),
+        ("config-list", "config: expected an object"),
+        ("string-n-frames", "config.n_frames: expected an integer, got 'x'"),
+        ("bool-seed", "config.seed: expected an integer, got True"),
+        ("float-width", "config.image_width: expected an integer, got 1920.0"),
+        ("string-jitter", "config.jitter: expected a number, got '0'"),
+        ("number-schedule", "config.schedule: expected a string, got 1"),
+        ("occlusions-object", "config.occlusions: expected a list"),
+        ("short-occlusion", "config.occlusions[0]: expected a list of 3 integers, got [1, 2]"),
     ])
     def test_scene_json_defect_names_its_path(self, defect, message):
         doc = generate_scene(SceneConfig(n_frames=3, n_objects=1)).to_json()
@@ -209,8 +222,24 @@ class TestSceneViews:
             frame["box"] = ["0.5", 0.5, 0.1, 0.1]
         elif defect == "negative-width":
             frame["box"] = [0.5, 0.5, -0.1, 0.1]
-        else:
+        elif defect == "visible-int":
             frame["visible"] = 1
+        elif defect == "config-list":
+            doc["config"] = [doc["config"]]
+        elif defect == "string-n-frames":
+            doc["config"]["n_frames"] = "x"
+        elif defect == "bool-seed":
+            doc["config"]["seed"] = True
+        elif defect == "float-width":
+            doc["config"]["image_width"] = 1920.0
+        elif defect == "string-jitter":
+            doc["config"]["jitter"] = "0"
+        elif defect == "number-schedule":
+            doc["config"]["schedule"] = 1
+        elif defect == "occlusions-object":
+            doc["config"]["occlusions"] = {}
+        else:
+            doc["config"]["occlusions"] = [[1, 2]]
         with pytest.raises(ValueError) as info:
             Scene.from_json(doc)
         assert str(info.value) == message
@@ -505,3 +534,112 @@ class TestTrackScene:
                 want.add(identity, result.frame, box, score)
         assert want.n_boxes() > 0
         assert track_scene(scene, cfg, oracle) == want
+
+
+def _branches(live, draws, oracle):
+    """Which draw branches a frame took: recognized and lost tracking
+    sets, associated detection sets, and unassociated ones with the
+    false-positive coin up or down."""
+    seen = set()
+    for set_, d in zip(live, draws):
+        if set_.role == "tracking":
+            seen.add("track-served" if d.target is not None else "track-lost")
+        elif d.target is not None:
+            seen.add("detection-served")
+        else:
+            up = d.scores and max(d.scores) == oracle.fp_score
+            seen.add("fp-up" if up else "fp-down")
+    return seen
+
+
+class TestBatchedDraws:
+    """``_frame_draws`` draws with one call where the reference in
+    tests/helpers.py makes one per value group; every field must match
+    exactly, frame by frame along whole tracked runs."""
+
+    @staticmethod
+    def _run(scene, cfg, oracle):
+        tracker = ShadowTracker(cfg, seed=oracle.seed)
+        scale = oracle.refinement ** (cfg.n_layers - 1)
+        want = Tracklets()
+        seen = set()
+        for frame in range(1, scene.n_frames + 1):
+            live = tracker.live_sets()
+            got = _frame_draws(scene, frame, live, oracle)
+            ref = frame_draws_reference(scene, frame, live, oracle)
+            assert len(got) == len(ref)
+            for g, r in zip(got, ref):
+                assert g.target == r.target
+                assert np.array_equal(g.eps, r.eps)
+                assert g.scores == r.scores
+                assert g.fallback == r.fallback
+            seen |= _branches(live, ref, oracle)
+            result = tracker.step(_render_layer(ref, scale))
+            for identity, box, score in result.outputs:
+                want.add(identity, result.frame, box, score)
+        assert track_scene(scene, cfg, oracle) == want
+        return seen
+
+    @given(
+        seed=st.integers(0, 2**16),
+        ns=st.integers(1, 6),
+        box_noise=st.sampled_from([0.0, 0.01]),
+        p_corrupt=st.sampled_from([0.0, 0.1, 0.5]),
+        fp_rate=st.sampled_from([0.1, 0.5]),
+        fp_score=st.sampled_from([0.1, 0.8]),
+        patience=st.integers(1, 3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_reference_along_a_run(
+        self, seed, ns, box_noise, p_corrupt, fp_rate, fp_score, patience
+    ):
+        scene = generate_scene(SceneConfig(
+            n_frames=10, n_objects=4, schedule="uniform",
+            occlusions=((1, 3, 5), (2, 6, 8)), seed=seed,
+        ))
+        cfg = TrackerConfig(
+            shadow=ShadowConfig(n_shadows=ns, embed_dim=8), n_detection_sets=6, patience=patience
+        )
+        oracle = OracleConfig(
+            seed=seed, box_noise_std=box_noise, p_corrupt=p_corrupt,
+            fp_rate=fp_rate, fp_score=fp_score,
+        )
+        self._run(scene, cfg, oracle)
+
+    def test_a_run_takes_every_branch(self):
+        # false positives above tau are born as tracks whose anchors sit on
+        # nothing, so the next frames hold lost tracking sets; patience keeps
+        # them alive for the draws to reach
+        scene = generate_scene(SceneConfig(
+            n_frames=12, n_objects=4, schedule="uniform", occlusions=((1, 3, 5),), seed=3,
+        ))
+        cfg = TrackerConfig(
+            shadow=ShadowConfig(n_shadows=3, embed_dim=8), n_detection_sets=6, patience=2
+        )
+        oracle = OracleConfig(
+            seed=3, box_noise_std=0.01, p_corrupt=0.1, fp_rate=0.3, fp_score=0.8
+        )
+        assert self._run(scene, cfg, oracle) == {
+            "track-served", "track-lost", "detection-served", "fp-up", "fp-down",
+        }
+
+    def test_mapped_random_equals_uniform(self):
+        # lo + (hi - lo) * u is what numpy's uniform(lo, hi) computes from
+        # the same double, unless the platform fuses the multiply-add
+        for seed in range(200):
+            a = np.random.default_rng(seed)
+            b = np.random.default_rng(seed)
+            want = [
+                float(a.uniform()),
+                *a.uniform(0.2, 0.8, size=2).tolist(),
+                *a.uniform(0.02, 0.1, size=2).tolist(),
+            ]
+            coin, *u = b.random(5).tolist()
+            got = [coin, *(lo + (hi - lo) * v for lo, hi, v in zip(_FALLBACK_LO, _FALLBACK_HI, u))]
+            assert got == want
+        for seed, (lo, hi) in enumerate(sorted(set(zip(_FALLBACK_LO, _FALLBACK_HI)))):
+            a = np.random.default_rng(seed)
+            b = np.random.default_rng(seed)
+            want = a.uniform(lo, hi, size=10_000)
+            got = [lo + (hi - lo) * v for v in b.random(10_000).tolist()]
+            assert want.tolist() == got
