@@ -187,6 +187,10 @@ def load_run_config(
             image_height=resolved["scene.image_height"],
             seed=seed,
         )
+    except ValueError as exc:
+        # SceneConfig names the field; the config key adds "scene."
+        raise ConfigError(f"scene.{exc}") from None
+    try:
         oracle = OracleConfig(
             seed=seed,
             box_noise_std=resolved["oracle.box_noise_std"],

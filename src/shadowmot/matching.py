@@ -126,29 +126,113 @@ def focal_cost(scores: ClassScores, target_class: int, w: CostWeights) -> float:
     return pos - neg
 
 
+def _shortest_augmenting_path(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of a minimum-cost assignment of a non-empty
+    matrix with no NaN or -inf entry.
+
+    A port of ``rectangular_lsap.cpp``, the solver behind SciPy's
+    ``linear_sum_assignment`` (D. F. Crouse, "On implementing 2D rectangular
+    assignment algorithms", IEEE TAES 2016).  It makes the same choice at
+    every tie, so both return the same pairs.
+    Only the scan over the remaining columns is vectorised; its arithmetic
+    keeps the C++ evaluation order, so every reduced cost is the same double.
+    """
+    transpose = costs.shape[1] < costs.shape[0]
+    if transpose:
+        costs = costs.T
+    costs = np.ascontiguousarray(costs)
+    nr, nc = costs.shape
+    u = np.zeros(nr)
+    v = np.zeros(nc)
+    path = np.full(nc, -1)
+    col4row = np.full(nr, -1)
+    row4col = np.full(nc, -1)
+
+    for cur_row in range(nr):
+        shortest = np.full(nc, np.inf)
+        in_sr = np.zeros(nr, dtype=bool)
+        in_sc = np.zeros(nc, dtype=bool)
+        # filled in reverse, so that a constant matrix gives the identity;
+        # a visited column is swap-removed
+        remaining = np.arange(nc - 1, -1, -1)
+        n_remaining = nc
+        min_val = 0.0
+        i = cur_row
+        sink = -1
+        while sink == -1:
+            in_sr[i] = True
+            cols = remaining[:n_remaining]
+            reduced = min_val + costs[i, cols] - u[i] - v[cols]
+            dist = shortest[cols]
+            better = reduced < dist
+            path[cols[better]] = i
+            np.copyto(dist, reduced, where=better)
+            shortest[cols] = dist
+            # among the columns at the minimum the last unassigned one
+            # wins; if none is unassigned, the first one does
+            index = int(dist.argmin())
+            min_val = dist[index]
+            if min_val == np.inf:
+                raise ValueError("cost matrix is infeasible")
+            free = ((dist == min_val) & (row4col[cols] == -1)).nonzero()[0]
+            if free.size:
+                index = int(free[-1])
+            j = int(cols[index])
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = int(row4col[j])
+            in_sc[j] = True
+            n_remaining -= 1
+            remaining[index] = remaining[n_remaining]
+
+        u[cur_row] += min_val
+        in_sr[cur_row] = False
+        u[in_sr] += min_val - shortest[col4row[in_sr]]
+        v[in_sc] -= min_val - shortest[in_sc]
+
+        j = sink
+        while True:
+            i = int(path[j])
+            row4col[j] = i
+            col4row[i], j = j, int(col4row[i])
+            if i == cur_row:
+                break
+
+    if transpose:
+        order = np.argsort(col4row, kind="stable")
+        return col4row[order], order
+    return np.arange(nr), col4row
+
+
 def hungarian(cost: CostMatrix | np.ndarray) -> Assignment:
     """Minimum-total-cost assignment of size ``min(rows, cols)``.
 
     Rectangular matrices are handled by leaving the surplus side unmatched.
-    Tie-breaking among equally optimal assignments is whatever the
-    deterministic solver produces.
+    ``+inf`` marks a forbidden pair; NaN, ``-inf`` and a matrix with no
+    finite assignment of full size are a ValueError.  Ties among equally
+    optimal assignments are broken exactly as by SciPy's
+    ``linear_sum_assignment``: a tall matrix is solved transposed; rows
+    are added one at a time, in order; each row's search keeps the columns
+    still to visit in a list filled from the last column to the first,
+    from which a visited column is swap-removed; and among the listed
+    columns at the least reduced cost the last unassigned one is taken,
+    or the first one if all of them are assigned.
     """
     costs = cost.costs if isinstance(cost, CostMatrix) else np.asarray(cost, dtype=float)
     if costs.ndim != 2:
         raise ValueError(f"cost matrix must be 2-dimensional, got shape {costs.shape}")
-    if costs.size and np.isnan(costs).any():
-        raise ValueError("cost matrix contains NaN entries")
     if costs.shape[0] == 0 or costs.shape[1] == 0:
         return Assignment(
             pairs=(),
             unmatched_rows=tuple(range(costs.shape[0])),
             unmatched_cols=tuple(range(costs.shape[1])),
         )
-    # imported here so that commands which never match (simulate, track)
-    # do not pay for loading scipy
-    from scipy.optimize import linear_sum_assignment
-
-    rows, cols = linear_sum_assignment(costs)
+    if np.isnan(costs).any():
+        raise ValueError("cost matrix contains NaN entries")
+    if (costs == -np.inf).any():
+        raise ValueError("cost matrix contains -inf entries")
+    rows, cols = _shortest_augmenting_path(costs)
     pairs = tuple(sorted(zip(rows.tolist(), cols.tolist())))
     matched_rows = {r for r, _ in pairs}
     matched_cols = {c for _, c in pairs}

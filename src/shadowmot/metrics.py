@@ -158,7 +158,9 @@ def _idf1(gt: Tracklets, pred: Tracklets, frames: _FrameOverlaps, iou_threshold:
         cols = [pred_col[p] for p in pred_ids]
         overlap[np.ix_(rows, cols)] += sim >= iou_threshold
 
-    idtp = -hungarian(-overlap).total_cost(-overlap)
+    # a sum of the matched counts, not a negated total cost, which would
+    # make a zero IDTP -0.0
+    idtp = sum(overlap[r, c] for r, c in hungarian(-overlap).pairs)
     return 2.0 * float(idtp) / (total_gt + total_pred)
 
 

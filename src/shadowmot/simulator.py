@@ -70,24 +70,34 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # each message starts with the field it is about, e.g.
+        # "n_frames: must be >= 1, got 0", so that readers of a scene
+        # document or a config file can put their own prefix on it
         if self.n_frames < 1:
-            raise ValueError(f"n_frames must be >= 1, got {self.n_frames}")
+            raise ValueError(f"n_frames: must be >= 1, got {self.n_frames}")
         if self.n_objects < 0:
-            raise ValueError(f"n_objects must be >= 0, got {self.n_objects}")
+            raise ValueError(f"n_objects: must be >= 0, got {self.n_objects}")
         if self.schedule not in ("all-at-start", "uniform"):
-            raise ValueError(f"schedule must be 'all-at-start' or 'uniform', got {self.schedule!r}")
+            raise ValueError(
+                f"schedule: must be 'all-at-start' or 'uniform', got {self.schedule!r}"
+            )
         if not (math.isfinite(self.jitter) and self.jitter >= 0):
-            raise ValueError(f"jitter must be finite and >= 0, got {self.jitter!r}")
-        if self.image_width < 1 or self.image_height < 1:
-            raise ValueError("image dimensions must be positive")
+            raise ValueError(f"jitter: must be finite and >= 0, got {self.jitter!r}")
+        for name in ("image_width", "image_height"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)}")
         occs = tuple((int(i), int(a), int(b)) for i, a, b in self.occlusions)
         object.__setattr__(self, "occlusions", occs)
-        for identity, start, end in occs:
-            if identity < 1:
-                raise ValueError(f"occlusion identity must be >= 1, got {identity}")
+        for n, (identity, start, end) in enumerate(occs):
+            if not 1 <= identity <= self.n_objects:
+                raise ValueError(
+                    f"occlusions[{n}]: identity must be in [1, n_objects = "
+                    f"{self.n_objects}], got {identity}"
+                )
             if not 1 <= start <= end <= self.n_frames:
                 raise ValueError(
-                    f"occlusion window [{start}, {end}] outside frames [1, {self.n_frames}]"
+                    f"occlusions[{n}]: window [{start}, {end}] outside frames "
+                    f"[1, {self.n_frames}]"
                 )
 
     def to_json(self) -> dict:
@@ -105,8 +115,9 @@ class SceneConfig:
     @classmethod
     def from_json(cls, doc: dict) -> "SceneConfig":
         """Parse the ``config`` object of a scene document; a value of the
-        wrong type is a ValueError that names its key, e.g.
-        ``config.n_frames: expected an integer, got 'x'``."""
+        wrong type or out of range is a ValueError that names its key, e.g.
+        ``config.n_frames: expected an integer, got 'x'`` or
+        ``config.n_frames: must be >= 1, got 0``."""
         if not isinstance(doc, dict):
             raise ValueError("config: expected an object")
         known = {
@@ -135,7 +146,10 @@ class SceneConfig:
                 kwargs[key] = tuple(tuple(w) for w in value)
             else:
                 _integer(value, path)
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            raise ValueError(f"config.{exc}") from None
 
 
 @dataclass(frozen=True)

@@ -163,8 +163,12 @@ class TestTrack:
         ("string-n-frames", "error: config.n_frames: expected an integer, got 'x'"),
         ("string-occlusion", "error: config.occlusions[0]: expected a list of 3 integers, "
                              "got [1, 'a', 2]"),
+        ("zero-n-frames", "error: config.n_frames: must be >= 1, got 0"),
+        ("unknown-occlusion-id",
+         "error: config.occlusions[0]: identity must be in [1, n_objects = 3], got 9"),
     ], ids=["duplicate-id", "short-box", "scalar-box", "tracks-object", "top-level-list",
-            "missing-frames", "string-frame", "zero-id", "string-n-frames", "string-occlusion"])
+            "missing-frames", "string-frame", "zero-id", "string-n-frames", "string-occlusion",
+            "zero-n-frames", "unknown-occlusion-id"])
     def test_malformed_scene_is_one_located_error(self, workdir, scene_path, defect, message):
         doc = json.loads(scene_path.read_text())
         tracks = doc["tracks"]
@@ -186,8 +190,12 @@ class TestTrack:
             tracks[0]["id"] = 0
         elif defect == "string-n-frames":
             doc["config"]["n_frames"] = "x"
-        else:
+        elif defect == "string-occlusion":
             doc["config"]["occlusions"] = [[1, "a", 2]]
+        elif defect == "zero-n-frames":
+            doc["config"]["n_frames"] = 0
+        else:
+            doc["config"]["occlusions"] = [[9, 1, 2]]
         (workdir / "bad.json").write_text(json.dumps(doc))
         proc = run_cli("track", "--scene", "bad.json", "--config", "run.cfg",
                        "-o", "out.txt", cwd=workdir)
@@ -201,8 +209,8 @@ class TestTrack:
 
 
 class TestScipyImport:
-    """scipy is loaded only by the commands that solve an assignment:
-    importing the CLI and running ``simulate`` or ``track`` never do."""
+    """No command loads scipy: the assignment solver is in-tree, and scipy
+    is only the tests' oracle for it."""
 
     # runs cli.main on the arguments given, if any, then reports whether
     # scipy got imported
@@ -213,9 +221,28 @@ class TestScipyImport:
         "print(status, 'scipy' in sys.modules)\n"
     )
 
-    def _loads_scipy(self, workdir: Path, *args: str) -> bool:
+    # runs the README tour in-process, one command after another, with
+    # scipy unimportable when the first argument is "blocked"
+    _TOUR_SCRIPT = (
+        "import json, sys\n"
+        "if sys.argv[1] == 'blocked':\n"
+        "    sys.modules['scipy'] = None\n"
+        "from shadowmot import cli\n"
+        "for argv in json.loads(sys.argv[2]):\n"
+        "    print('exit', cli.main(argv))\n"
+    )
+    _TOUR = [
+        ["simulate", "--config", "run.cfg", "-o", "scene.json"],
+        ["track", "--scene", "scene.json", "--config", "run.cfg", "-o", "results.txt"],
+        ["eval", "--gt", "scene.gt.txt", "--results", "results.txt", "-o", "report.json"],
+        ["ablate", "--scene", "scene.json", "--config", "run.cfg", "-o", "sweep.csv"],
+        ["assign-debug", "--scene", "scene.json", "--config", "run.cfg",
+         "--frame", "2", "--layer", "3"],
+    ]
+
+    def _loads_scipy(self, workdir: Path, *args: str, prelude: str = "") -> bool:
         proc = subprocess.run(
-            [sys.executable, "-c", self._SCRIPT, *args],
+            [sys.executable, "-c", prelude + self._SCRIPT, *args],
             cwd=workdir, capture_output=True, text=True, env=cli_env(),
         )
         assert proc.returncode == 0, proc.stderr
@@ -232,9 +259,41 @@ class TestScipyImport:
                                      "--config", "run.cfg", "-o", "out.txt")
         assert (workdir / "out.txt").read_text()
 
-    def test_eval_loads_scipy(self, workdir, scene_path):
+    @pytest.mark.parametrize("args", [
+        ("eval", "--gt", "scene.gt.txt", "--results", "scene.gt.txt", "-o", "report.json"),
+        ("ablate", "--scene", "scene.json", "--config", "run.cfg", "-o", "sweep.csv"),
+        ("assign-debug", "--scene", "scene.json", "--config", "run.cfg",
+         "--frame", "2", "--layer", "3"),
+    ], ids=["eval", "ablate", "assign-debug"])
+    def test_matching_commands_do_not_load_scipy(self, workdir, scene_path, args):
+        assert not self._loads_scipy(workdir, *args)
+
+    def test_preloaded_scipy_is_reported(self, workdir, scene_path):
+        # positive control: the check does see scipy when it is loaded
         assert self._loads_scipy(workdir, "eval", "--gt", "scene.gt.txt",
-                                 "--results", "scene.gt.txt", "-o", "report.json")
+                                 "--results", "scene.gt.txt", "-o", "report.json",
+                                 prelude="import scipy.optimize\n")
+
+    def test_tour_runs_with_scipy_blocked(self, tmp_path):
+        outputs = {}
+        for mode in ("blocked", "free"):
+            workdir = tmp_path / mode
+            workdir.mkdir()
+            (workdir / "run.cfg").write_text(_CONFIG, encoding="ascii")
+            proc = subprocess.run(
+                [sys.executable, "-c", self._TOUR_SCRIPT, mode, json.dumps(self._TOUR)],
+                cwd=workdir, capture_output=True, env=cli_env(),
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == b""
+            assert proc.stdout.count(b"exit 0\n") == len(self._TOUR)
+            files = {path.name: path.read_bytes() for path in sorted(workdir.iterdir())}
+            outputs[mode] = (proc.stdout, files)
+        assert sorted(outputs["blocked"][1]) == [
+            "report.json", "results.txt", "results.txt.manifest.json", "run.cfg",
+            "scene.gt.txt", "scene.json", "sweep.csv",
+        ]
+        assert outputs["blocked"] == outputs["free"]
 
 
 class TestEval:

@@ -91,6 +91,20 @@ class TestLoadRunConfig:
         with pytest.raises(ConfigError, match="scene.occlusions"):
             load_run_config({"scene.occlusions": "3:10"})
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("scene.n_frames", "0", "scene.n_frames: must be >= 1, got 0"),
+        ("scene.n_objects", "-2", "scene.n_objects: must be >= 0, got -2"),
+        ("scene.jitter", "-1", "scene.jitter: must be finite and >= 0, got -1.0"),
+        ("scene.image_height", "0", "scene.image_height: must be >= 1, got 0"),
+        ("scene.occlusions", "3:10:20, 11:1:2",
+         "scene.occlusions[1]: identity must be in [1, n_objects = 10], got 11"),
+        ("scene.occlusions", "3:90:120", "scene.occlusions[0]: window [90, 120] outside frames [1, 100]"),
+    ])
+    def test_scene_range_error_names_its_key(self, key, value, message):
+        with pytest.raises(ConfigError) as info:
+            load_run_config({key: value})
+        assert str(info.value) == message
+
     def test_overrides_beat_file_pairs(self):
         run = load_run_config({"shadow.ns": "2"}, overrides={"shadow.ns": 5})
         assert run.tracker.shadow.n_shadows == 5

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from scipy.optimize import linear_sum_assignment
 
 from shadowmot import (
     Assignment,
@@ -218,6 +221,76 @@ class TestHungarian:
             costs = rng.integers(-3, 4, size=(n, m)).astype(float)
             got = assignment_total(costs, hungarian(costs).pairs)
             assert got == brute_force_min_cost(costs)
+
+
+def _tie_heavy_costs(kind: str, shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
+    """A cost matrix of the kind the callers of ``hungarian`` build."""
+    if kind == "float":
+        # with exact zeros, as in HOTA's negated alignment-weighted scores
+        return rng.uniform(-1.0, 1.0, size=shape) * (rng.random(shape) < 0.7)
+    if kind == "all-equal":
+        return np.full(shape, float(rng.integers(-2, 3)))
+    if kind == "small-int":
+        return rng.integers(0, 3, size=shape).astype(float)
+    if kind == "gated-iou":
+        # CLEAR's gate, on quantised overlaps so that equal costs occur
+        iou = rng.integers(0, 5, size=shape) / 4.0
+        threshold = float(rng.choice([0.25, 0.5, 0.75]))
+        return np.where(iou >= threshold, 1.0 - iou, 1e9)
+    if kind == "negated-counts":
+        # IDF1 maximises frame counts by minimising their negation
+        return -rng.integers(0, 4, size=shape).astype(float)
+    assert kind == "feasible-inf"
+    costs = rng.integers(0, 3, size=shape).astype(float)
+    costs[rng.random(shape) < 0.5] = np.inf
+    k = min(shape)
+    rows = rng.permutation(shape[0])[:k]
+    cols = rng.permutation(shape[1])[:k]
+    costs[rows, cols] = rng.integers(0, 3, size=k)
+    return costs
+
+
+_SHAPES = {
+    "wide": st.integers(2, 9).flatmap(lambda n: st.tuples(st.just(n), st.integers(n + 1, 14))),
+    "tall": st.integers(2, 9).flatmap(lambda n: st.tuples(st.integers(n + 1, 14), st.just(n))),
+    "square": st.integers(1, 10).map(lambda n: (n, n)),
+    "1xn": st.integers(1, 16).map(lambda n: (1, n)),
+    "nx1": st.integers(1, 16).map(lambda n: (n, 1)),
+    # the largest matrices the benchmark workloads solve
+    "bench": st.sampled_from([(60, 60), (40, 324), (324, 40)]),
+}
+
+
+class TestSameTiesAsScipy:
+    """scipy's ``linear_sum_assignment`` is the oracle: the in-tree solver
+    must return its pairs exactly, which pins every tie that a metric digest
+    depends on."""
+
+    @pytest.mark.parametrize("shape_kind", sorted(_SHAPES))
+    @pytest.mark.parametrize("kind", [
+        "float", "all-equal", "small-int", "gated-iou", "negated-counts", "feasible-inf",
+    ])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_same_pairs(self, kind, shape_kind, data):
+        shape = data.draw(_SHAPES[shape_kind], label="shape")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        costs = _tie_heavy_costs(kind, shape, np.random.default_rng(seed))
+        rows, cols = linear_sum_assignment(costs)
+        assert hungarian(costs).pairs == tuple(sorted(zip(rows.tolist(), cols.tolist())))
+
+    @pytest.mark.parametrize("costs", [
+        [[1.0, math.nan], [2.0, 3.0]],
+        [[1.0, -math.inf], [2.0, 3.0]],
+        [[math.inf, math.inf], [1.0, 2.0]],
+        [[1.0, math.inf], [2.0, math.inf]],
+        [[math.inf], [math.inf]],
+    ], ids=["nan", "minus-inf", "infeasible-row", "infeasible-col", "infeasible-tall"])
+    def test_same_rejections(self, costs):
+        with pytest.raises(ValueError):
+            linear_sum_assignment(np.array(costs))
+        with pytest.raises(ValueError):
+            hungarian(np.array(costs))
 
 
 class TestAssignment:

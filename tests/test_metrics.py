@@ -142,6 +142,18 @@ class TestIdf1:
         pred = _single_object(range(1, 6), box=BoundingBox(cx=0.8, cy=0.8, w=0.1, h=0.1))
         assert idf1(gt, pred) == 0.0
 
+    def test_disjoint_tracklets_score_positive_zero(self):
+        # no pair ever reaches the gate: IDTP is 0, and the report must
+        # read 0.0, not -0.0
+        a, b, c, d = disjoint_boxes(4)
+        gt = tracklets_from_rows([(1, f, a, 1.0) for f in range(1, 6)]
+                                 + [(2, f, b, 1.0) for f in range(1, 6)])
+        pred = tracklets_from_rows([(7, f, c, 1.0) for f in range(1, 6)]
+                                   + [(8, f, d, 1.0) for f in range(3, 9)])
+        score = idf1(gt, pred)
+        assert score == 0.0 and math.copysign(1.0, score) == 1.0
+        assert '"idf1": 0.0,' in json.dumps(evaluate(gt, pred).to_json_dict())
+
     def test_both_empty_is_one(self):
         assert idf1(Tracklets(), Tracklets()) == 1.0
 
@@ -414,7 +426,7 @@ class TestReportDigest:
         rng = np.random.default_rng(2024)
         pairs = [_random_small_case(rng) for _ in range(20)]
         assert _report_digest(pairs) == (
-            "eda6f6a1e60dd2499b9aff1c9dd0ab640191521e6f49b069c96306ea3ebae24c"
+            "f1c01b36972ee4918fd5e9ccc902c0f4752628fb70bef600e25b37f14a1f60cb"
         )
 
     def test_tracked_scene(self):

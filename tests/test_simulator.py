@@ -56,6 +56,13 @@ class TestSceneConfig:
         with pytest.raises(ValueError):
             SceneConfig(n_frames=10, n_objects=1, image_width=0)
 
+    def test_occlusion_of_unknown_identity_rejected(self):
+        SceneConfig(n_frames=10, n_objects=2, occlusions=((2, 3, 7),))
+        with pytest.raises(ValueError, match=r"^occlusions\[0\]: identity must be in"):
+            SceneConfig(n_frames=10, n_objects=2, occlusions=((3, 3, 7),))
+        with pytest.raises(ValueError, match=r"^occlusions\[0\]: identity must be in"):
+            SceneConfig(n_frames=10, n_objects=0, occlusions=((1, 3, 7),))
+
     def test_occlusion_window_bounds(self):
         SceneConfig(n_frames=10, n_objects=2, occlusions=((1, 3, 7),))
         with pytest.raises(ValueError):
@@ -205,6 +212,17 @@ class TestSceneViews:
         ("number-schedule", "config.schedule: expected a string, got 1"),
         ("occlusions-object", "config.occlusions: expected a list"),
         ("short-occlusion", "config.occlusions[0]: expected a list of 3 integers, got [1, 2]"),
+        ("zero-n-frames", "config.n_frames: must be >= 1, got 0"),
+        ("negative-n-objects", "config.n_objects: must be >= 0, got -1"),
+        ("unknown-schedule", "config.schedule: must be 'all-at-start' or 'uniform', got 'burst'"),
+        ("negative-jitter", "config.jitter: must be finite and >= 0, got -0.5"),
+        ("zero-width", "config.image_width: must be >= 1, got 0"),
+        ("zero-height", "config.image_height: must be >= 1, got 0"),
+        ("occlusion-id-zero", "config.occlusions[0]: identity must be in [1, n_objects = 1], got 0"),
+        ("occlusion-id-unknown",
+         "config.occlusions[1]: identity must be in [1, n_objects = 1], got 2"),
+        ("occlusion-past-end", "config.occlusions[0]: window [2, 4] outside frames [1, 3]"),
+        ("occlusion-reversed", "config.occlusions[0]: window [3, 2] outside frames [1, 3]"),
     ])
     def test_scene_json_defect_names_its_path(self, defect, message):
         doc = generate_scene(SceneConfig(n_frames=3, n_objects=1)).to_json()
@@ -238,8 +256,28 @@ class TestSceneViews:
             doc["config"]["schedule"] = 1
         elif defect == "occlusions-object":
             doc["config"]["occlusions"] = {}
-        else:
+        elif defect == "short-occlusion":
             doc["config"]["occlusions"] = [[1, 2]]
+        elif defect == "zero-n-frames":
+            doc["config"]["n_frames"] = 0
+        elif defect == "negative-n-objects":
+            doc["config"]["n_objects"] = -1
+        elif defect == "unknown-schedule":
+            doc["config"]["schedule"] = "burst"
+        elif defect == "negative-jitter":
+            doc["config"]["jitter"] = -0.5
+        elif defect == "zero-width":
+            doc["config"]["image_width"] = 0
+        elif defect == "zero-height":
+            doc["config"]["image_height"] = 0
+        elif defect == "occlusion-id-zero":
+            doc["config"]["occlusions"] = [[0, 1, 2]]
+        elif defect == "occlusion-id-unknown":
+            doc["config"]["occlusions"] = [[1, 1, 2], [2, 1, 2]]
+        elif defect == "occlusion-past-end":
+            doc["config"]["occlusions"] = [[1, 2, 4]]
+        else:
+            doc["config"]["occlusions"] = [[1, 3, 2]]
         with pytest.raises(ValueError) as info:
             Scene.from_json(doc)
         assert str(info.value) == message
