@@ -47,7 +47,8 @@ def _fmt_occlusions(occs: tuple[tuple[int, int, int], ...]) -> str:
     return ",".join(f"{i}:{a}:{b}" for i, a, b in occs)
 
 
-# key -> (converter, default, help text)
+# key -> (converter, default, help text).  Every ``section.*`` key names a
+# field of that section's constructor: the same name, or the one in _FIELDS.
 _SCHEMA: dict[str, tuple] = {
     "seed": (int, 0, "master seed for scene, oracle, and query bank"),
     "scene.n_frames": (int, 100, "frames per sequence"),
@@ -84,6 +85,16 @@ _SCHEMA: dict[str, tuple] = {
 }
 
 
+# config keys whose constructor field has another name
+_FIELDS = {
+    "shadow.ns": "n_shadows",
+    "shadow.lambda": "cost_reduction",
+    "shadow.phi": "score_reduction",
+    "tracker.mode": "assignment_mode",
+}
+_KEYS = {field: key for key, field in _FIELDS.items()}
+
+
 def parse_config_text(text: str) -> dict[str, str]:
     """Raw ``key = value`` pairs from a config document."""
     pairs: dict[str, str] = {}
@@ -115,41 +126,20 @@ class RunConfig:
 
     def to_manifest(self) -> dict:
         """Every knob that affects output, in config-file key terms."""
-        shadow = self.tracker.shadow
-        return {
-            "seed": self.seed,
-            "scene.n_frames": self.scene.n_frames,
-            "scene.n_objects": self.scene.n_objects,
-            "scene.schedule": self.scene.schedule,
-            "scene.jitter": self.scene.jitter,
-            "scene.occlusions": _fmt_occlusions(self.scene.occlusions),
-            "scene.image_width": self.scene.image_width,
-            "scene.image_height": self.scene.image_height,
-            "oracle.box_noise_std": self.oracle.box_noise_std,
-            "oracle.base_score": self.oracle.base_score,
-            "oracle.occ_drop": self.oracle.occ_drop,
-            "oracle.p_corrupt": self.oracle.p_corrupt,
-            "oracle.refinement": self.oracle.refinement,
-            "oracle.fp_rate": self.oracle.fp_rate,
-            "oracle.fp_score": self.oracle.fp_score,
-            "shadow.ns": shadow.n_shadows,
-            "shadow.init": shadow.init,
-            "shadow.sigma_pos": shadow.sigma_pos,
-            "shadow.sigma_emb": shadow.sigma_emb,
-            "shadow.lambda": shadow.cost_reduction,
-            "shadow.phi": shadow.score_reduction,
-            "shadow.tau": shadow.tau,
-            "shadow.embed_dim": shadow.embed_dim,
-            "tracker.n_layers": self.tracker.n_layers,
-            "tracker.n_detection_sets": self.tracker.n_detection_sets,
-            "tracker.patience": self.tracker.patience,
-            "tracker.mode": self.tracker.assignment_mode,
-            "cost.w_class": self.weights.w_class,
-            "cost.w_l1": self.weights.w_l1,
-            "cost.w_giou": self.weights.w_giou,
-            "cost.alpha": self.weights.alpha,
-            "cost.gamma": self.weights.gamma,
+        sections = {
+            "scene": self.scene,
+            "oracle": self.oracle,
+            "shadow": self.tracker.shadow,
+            "tracker": self.tracker,
+            "cost": self.weights,
         }
+        manifest: dict[str, object] = {"seed": self.seed}
+        for key in _SCHEMA:
+            section, _, name = key.partition(".")
+            if name:
+                manifest[key] = getattr(sections[section], _FIELDS.get(key, name))
+        manifest["scene.occlusions"] = _fmt_occlusions(self.scene.occlusions)
+        return manifest
 
 
 def load_run_config(
@@ -176,58 +166,31 @@ def load_run_config(
     seed = int(resolved["seed"])
     if seed < 0:
         raise ConfigError(f"key 'seed': must be >= 0, got {seed}")
-    try:
-        scene = SceneConfig(
-            n_frames=resolved["scene.n_frames"],
-            n_objects=resolved["scene.n_objects"],
-            schedule=resolved["scene.schedule"],
-            jitter=resolved["scene.jitter"],
-            occlusions=resolved["scene.occlusions"],
-            image_width=resolved["scene.image_width"],
-            image_height=resolved["scene.image_height"],
-            seed=seed,
-        )
-    except ValueError as exc:
-        # SceneConfig names the field; the config key adds "scene."
-        raise ConfigError(f"scene.{exc}") from None
-    try:
-        oracle = OracleConfig(
-            seed=seed,
-            box_noise_std=resolved["oracle.box_noise_std"],
-            base_score=resolved["oracle.base_score"],
-            occ_drop=resolved["oracle.occ_drop"],
-            p_corrupt=resolved["oracle.p_corrupt"],
-            refinement=resolved["oracle.refinement"],
-            fp_rate=resolved["oracle.fp_rate"],
-            fp_score=resolved["oracle.fp_score"],
-        )
-        shadow = ShadowConfig(
-            n_shadows=resolved["shadow.ns"],
-            init=resolved["shadow.init"],
-            sigma_pos=resolved["shadow.sigma_pos"],
-            sigma_emb=resolved["shadow.sigma_emb"],
-            cost_reduction=resolved["shadow.lambda"],
-            score_reduction=resolved["shadow.phi"],
-            tau=resolved["shadow.tau"],
-            embed_dim=resolved["shadow.embed_dim"],
-        )
-        tracker = TrackerConfig(
-            shadow=shadow,
-            n_layers=resolved["tracker.n_layers"],
-            n_detection_sets=resolved["tracker.n_detection_sets"],
-            patience=resolved["tracker.patience"],
-            assignment_mode=resolved["tracker.mode"],
-        )
-        weights = CostWeights(
-            w_class=resolved["cost.w_class"],
-            w_l1=resolved["cost.w_l1"],
-            w_giou=resolved["cost.w_giou"],
-            alpha=resolved["cost.alpha"],
-            gamma=resolved["cost.gamma"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    scene = _build(SceneConfig, "scene", resolved, seed=seed)
+    oracle = _build(OracleConfig, "oracle", resolved, seed=seed)
+    shadow = _build(ShadowConfig, "shadow", resolved)
+    tracker = _build(TrackerConfig, "tracker", resolved, shadow=shadow)
+    weights = _build(CostWeights, "cost", resolved)
     return RunConfig(seed=seed, scene=scene, oracle=oracle, tracker=tracker, weights=weights)
+
+
+def _build(cls, section: str, resolved: Mapping[str, object], **extra):
+    """``cls`` made from the ``section.*`` keys.  Its range errors start with
+    a field name (``tau: must lie in [0, 1], got nan``); the ConfigError
+    starts with the key instead (``shadow.tau: ...``)."""
+    prefix = section + "."
+    kwargs = {
+        _FIELDS.get(key, key[len(prefix):]): value
+        for key, value in resolved.items()
+        if key.startswith(prefix)
+    }
+    try:
+        return cls(**kwargs, **extra)
+    except ValueError as exc:
+        where, _, problem = str(exc).partition(": ")
+        field = where.partition("[")[0]  # occlusions[1] -> occlusions
+        key = _KEYS.get(field, prefix + field)
+        raise ConfigError(f"{key}{where[len(field):]}: {problem}") from None
 
 
 def describe_defaults() -> str:

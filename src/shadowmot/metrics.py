@@ -178,6 +178,15 @@ def hota(gt: Tracklets, pred: Tracklets) -> HotaResult:
 
 
 def _hota(gt: Tracklets, pred: Tracklets, frames: _FrameOverlaps) -> HotaResult:
+    """:func:`hota` on the shared overlap pass.
+
+    Pass two solves one matrix per frame.  The matched pairs of all
+    frames are then tested against every alpha at once, as TrackEval's
+    ``hota.py`` does, and counted into one ``[alpha, gt, pred]`` array.
+    Each association sum stays dense over the whole gt x pred matrix,
+    because summing only its nonzero entries changes numpy's summation
+    tree and so can move the last bit.
+    """
     gt_ids = gt.identities
     pred_ids = pred.identities
     n_gt, n_pred = len(gt_ids), len(pred_ids)
@@ -210,28 +219,32 @@ def _hota(gt: Tracklets, pred: Tracklets, frames: _FrameOverlaps) -> HotaResult:
         gt_count[:, np.newaxis] + pred_count[np.newaxis, :] - potential
     )
 
-    # pass two: per-frame matching on alignment-weighted similarity
-    n_alpha = len(ALPHA_GRID)
-    tp = np.zeros(n_alpha)
-    fn = np.zeros(n_alpha)
-    fp = np.zeros(n_alpha)
-    matches = [np.zeros((n_gt, n_pred)) for _ in range(n_alpha)]
+    # pass two: per-frame matching on alignment-weighted similarity; the
+    # matched pairs of all frames are then counted on the alpha grid at once
+    pair_gt: list[int] = []
+    pair_pred: list[int] = []
+    pair_sim: list[float] = []
     for rows, cols, sim in per_frame:
         if rows and cols:
             score = alignment[np.ix_(rows, cols)] * sim
-            pairs = hungarian(-score).pairs
-            for a, alpha in enumerate(ALPHA_GRID):
-                n_matched = 0
-                for r, c in pairs:
-                    if sim[r, c] >= alpha - 1e-12:
-                        matches[a][rows[r], cols[c]] += 1
-                        n_matched += 1
-                tp[a] += n_matched
-                fn[a] += len(rows) - n_matched
-                fp[a] += len(cols) - n_matched
-        else:
-            fn += len(rows)
-            fp += len(cols)
+            for r, c in hungarian(-score).pairs:
+                pair_gt.append(rows[r])
+                pair_pred.append(cols[c])
+                pair_sim.append(sim[r, c])
+
+    n_alpha = len(ALPHA_GRID)
+    shape = (n_alpha, n_gt, n_pred)
+    hit = np.array(pair_sim) >= np.array(ALPHA_GRID)[:, np.newaxis] - 1e-12
+    a_idx, k_idx = hit.nonzero()
+    cells = np.ravel_multi_index(
+        (a_idx, np.array(pair_gt, dtype=np.intp)[k_idx], np.array(pair_pred, dtype=np.intp)[k_idx]),
+        shape,
+    )
+    # a gt/pred pair recurs across frames, so count with bincount, not +=
+    matches = np.bincount(cells, minlength=math.prod(shape)).reshape(shape).astype(float)
+    tp = hit.sum(axis=1).astype(float)
+    fn = gt_count.sum() - tp
+    fp = pred_count.sum() - tp
 
     presence = gt_count[:, np.newaxis] + pred_count[np.newaxis, :]
     per_alpha = []

@@ -127,21 +127,21 @@ class ShadowConfig:
 
     def __post_init__(self) -> None:
         if self.n_shadows < 1:
-            raise ValueError(f"n_shadows must be >= 1, got {self.n_shadows}")
+            raise ValueError(f"n_shadows: must be >= 1, got {self.n_shadows}")
         if self.init not in INIT_METHODS:
-            raise ValueError(f"init must be one of {INIT_METHODS}, got {self.init!r}")
+            raise ValueError(f"init: must be one of {INIT_METHODS}, got {self.init!r}")
         if not (math.isfinite(self.sigma_pos) and self.sigma_pos >= 0):
-            raise ValueError(f"sigma_pos must be finite and >= 0, got {self.sigma_pos!r}")
+            raise ValueError(f"sigma_pos: must be finite and >= 0, got {self.sigma_pos!r}")
         if not (math.isfinite(self.sigma_emb) and self.sigma_emb >= 0):
-            raise ValueError(f"sigma_emb must be finite and >= 0, got {self.sigma_emb!r}")
+            raise ValueError(f"sigma_emb: must be finite and >= 0, got {self.sigma_emb!r}")
         if self.cost_reduction not in REDUCTIONS:
-            raise ValueError(f"cost_reduction must be one of {REDUCTIONS}, got {self.cost_reduction!r}")
+            raise ValueError(f"cost_reduction: must be one of {REDUCTIONS}, got {self.cost_reduction!r}")
         if self.score_reduction not in REDUCTIONS:
-            raise ValueError(f"score_reduction must be one of {REDUCTIONS}, got {self.score_reduction!r}")
+            raise ValueError(f"score_reduction: must be one of {REDUCTIONS}, got {self.score_reduction!r}")
         if not 0.0 <= self.tau <= 1.0:
-            raise ValueError(f"tau must lie in [0, 1], got {self.tau!r}")
+            raise ValueError(f"tau: must lie in [0, 1], got {self.tau!r}")
         if self.embed_dim < 1:
-            raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
+            raise ValueError(f"embed_dim: must be >= 1, got {self.embed_dim}")
 
 
 def _as_state(pos: np.ndarray) -> QueryState:

@@ -126,7 +126,9 @@ class SceneConfig:
         }
         unknown = set(doc) - known
         if unknown:
-            raise ValueError(f"unknown scene config keys: {sorted(unknown)}")
+            raise ValueError(f"config: unknown keys {sorted(unknown)}")
+        for key in ("n_frames", "n_objects"):
+            _key(doc, key, "config")
         kwargs = dict(doc)
         for key, value in doc.items():
             path = f"config.{key}"
@@ -172,13 +174,13 @@ class OracleConfig:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.box_noise_std) and self.box_noise_std >= 0):
-            raise ValueError(f"box_noise_std must be finite and >= 0, got {self.box_noise_std!r}")
+            raise ValueError(f"box_noise_std: must be finite and >= 0, got {self.box_noise_std!r}")
         for name in ("base_score", "occ_drop", "p_corrupt", "fp_rate", "fp_score"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
+                raise ValueError(f"{name}: must lie in [0, 1], got {v!r}")
         if not 0.0 <= self.refinement < 1.0:
-            raise ValueError(f"refinement must lie in [0, 1), got {self.refinement!r}")
+            raise ValueError(f"refinement: must lie in [0, 1), got {self.refinement!r}")
 
 
 class SceneFrame(NamedTuple):
@@ -291,7 +293,14 @@ class Scene:
                     raise ValueError(f"{fpath}.visible: expected true or false, got {visible!r}")
                 states.append(SceneFrame(t=t, box=bbox, visible=visible))
             tracks[identity] = tuple(states)
-        return cls(config=config, tracks=tracks)
+        try:
+            return cls(config=config, tracks=tracks)
+        except ValueError as exc:
+            # the check names an identity; the document names its track,
+            # the n-th in both
+            where, _, problem = str(exc).partition(": ")
+            n = list(tracks).index(int(where.removeprefix("identity ")))
+            raise ValueError(f"tracks[{n}]: {problem}") from None
 
 
 def _key(obj: object, key: str, path: str) -> object:

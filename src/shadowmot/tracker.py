@@ -55,13 +55,13 @@ class TrackerConfig:
 
     def __post_init__(self) -> None:
         if self.n_layers < 1:
-            raise ValueError(f"n_layers must be >= 1, got {self.n_layers}")
+            raise ValueError(f"n_layers: must be >= 1, got {self.n_layers}")
         if self.n_detection_sets < 1:
-            raise ValueError(f"n_detection_sets must be >= 1, got {self.n_detection_sets}")
+            raise ValueError(f"n_detection_sets: must be >= 1, got {self.n_detection_sets}")
         if self.patience < 0:
-            raise ValueError(f"patience must be >= 0, got {self.patience}")
+            raise ValueError(f"patience: must be >= 0, got {self.patience}")
         if self.assignment_mode not in ("tala", "cola"):
-            raise ValueError(f"assignment_mode must be 'tala' or 'cola', got {self.assignment_mode!r}")
+            raise ValueError(f"assignment_mode: must be 'tala' or 'cola', got {self.assignment_mode!r}")
 
 
 @dataclass(frozen=True)

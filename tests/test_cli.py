@@ -166,9 +166,11 @@ class TestTrack:
         ("zero-n-frames", "error: config.n_frames: must be >= 1, got 0"),
         ("unknown-occlusion-id",
          "error: config.occlusions[0]: identity must be in [1, n_objects = 3], got 9"),
+        ("missing-n-frames", "error: config: missing key 'n_frames'"),
+        ("missing-n-objects", "error: config: missing key 'n_objects'"),
     ], ids=["duplicate-id", "short-box", "scalar-box", "tracks-object", "top-level-list",
             "missing-frames", "string-frame", "zero-id", "string-n-frames", "string-occlusion",
-            "zero-n-frames", "unknown-occlusion-id"])
+            "zero-n-frames", "unknown-occlusion-id", "missing-n-frames", "missing-n-objects"])
     def test_malformed_scene_is_one_located_error(self, workdir, scene_path, defect, message):
         doc = json.loads(scene_path.read_text())
         tracks = doc["tracks"]
@@ -194,6 +196,10 @@ class TestTrack:
             doc["config"]["occlusions"] = [[1, "a", 2]]
         elif defect == "zero-n-frames":
             doc["config"]["n_frames"] = 0
+        elif defect == "missing-n-frames":
+            del doc["config"]["n_frames"]
+        elif defect == "missing-n-objects":
+            del doc["config"]["n_objects"]
         else:
             doc["config"]["occlusions"] = [[9, 1, 2]]
         (workdir / "bad.json").write_text(json.dumps(doc))

@@ -105,6 +105,26 @@ class TestLoadRunConfig:
             load_run_config({key: value})
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("shadow.tau", "nan", "shadow.tau: must lie in [0, 1], got nan"),
+        ("oracle.p_corrupt", "inf", "oracle.p_corrupt: must lie in [0, 1], got inf"),
+        ("oracle.refinement", "1", "oracle.refinement: must lie in [0, 1), got 1.0"),
+        ("cost.w_l1", "-1", "cost.w_l1: must be finite and non-negative, got -1.0"),
+        ("cost.alpha", "0", "cost.alpha: must lie in (0, 1), got 0.0"),
+        ("tracker.n_layers", "0", "tracker.n_layers: must be >= 1, got 0"),
+        ("tracker.patience", "-1", "tracker.patience: must be >= 0, got -1"),
+        ("tracker.mode", "hybrid", "tracker.mode: must be 'tala' or 'cola', got 'hybrid'"),
+        ("shadow.ns", "0", "shadow.ns: must be >= 1, got 0"),
+        ("shadow.lambda", "sum",
+         "shadow.lambda: must be one of ('min', 'mean', 'max'), got 'sum'"),
+        ("shadow.phi", "median",
+         "shadow.phi: must be one of ('min', 'mean', 'max'), got 'median'"),
+    ])
+    def test_range_error_names_its_key(self, key, value, message):
+        with pytest.raises(ConfigError) as info:
+            load_run_config({key: value})
+        assert str(info.value) == message
+
     def test_overrides_beat_file_pairs(self):
         run = load_run_config({"shadow.ns": "2"}, overrides={"shadow.ns": 5})
         assert run.tracker.shadow.n_shadows == 5

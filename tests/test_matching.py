@@ -240,6 +240,10 @@ def _tie_heavy_costs(kind: str, shape: tuple[int, int], rng: np.random.Generator
     if kind == "negated-counts":
         # IDF1 maximises frame counts by minimising their negation
         return -rng.integers(0, 4, size=shape).astype(float)
+    if kind == "negated-tenths":
+        # tenths are not exact doubles, so the order in which a reduced cost
+        # is summed decides which of two equal costs is the lower
+        return -rng.integers(0, 10, size=shape) / 10.0
     assert kind == "feasible-inf"
     costs = rng.integers(0, 3, size=shape).astype(float)
     costs[rng.random(shape) < 0.5] = np.inf
@@ -268,7 +272,8 @@ class TestSameTiesAsScipy:
 
     @pytest.mark.parametrize("shape_kind", sorted(_SHAPES))
     @pytest.mark.parametrize("kind", [
-        "float", "all-equal", "small-int", "gated-iou", "negated-counts", "feasible-inf",
+        "float", "all-equal", "small-int", "gated-iou", "negated-counts", "negated-tenths",
+        "feasible-inf",
     ])
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)

@@ -4,8 +4,10 @@ import hashlib
 import json
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from shadowmot import (
     ALPHA_GRID,
@@ -24,7 +26,7 @@ from shadowmot import (
     track_scene,
 )
 
-from helpers import disjoint_boxes, iou, tracklets_from_rows
+from helpers import disjoint_boxes, hota_reference, iou, tracklets_from_rows
 
 
 def _shift(box: BoundingBox, dx: float) -> BoundingBox:
@@ -290,6 +292,54 @@ class TestHota:
         gt = _single_object(range(1, 4))
         assert hota(gt, empty).hota == 0.0
         assert hota(empty, gt).hota == 0.0
+
+
+@st.composite
+def _fragmented_case(draw):
+    """Ground truth and a prediction whose identities fragment, whose frames
+    may hold one side only, and whose IoUs often sit on alpha grid points."""
+    n_frames = draw(st.integers(1, 8))
+    slots = disjoint_boxes(4, width=0.1)
+    gt_rows, pred_rows = [], []
+    for g, slot in enumerate(slots[: draw(st.integers(0, 4))], start=1):
+        for f in sorted(draw(st.sets(st.integers(1, n_frames)))):
+            gt_rows.append((g, f, slot, 1.0))
+            kind = draw(st.sampled_from(["miss", "same", "grid", "shifted"]))
+            if kind == "miss":
+                continue
+            if kind == "same":
+                box = slot
+            elif kind == "grid":
+                # nested in the gt box: IoU k/20, up to rounding
+                box = _resized(slot, draw(st.integers(1, 20)) / 20)
+            else:
+                box = _shift(slot, draw(st.sampled_from([0.01, 0.03, 0.06, 0.3])))
+            # each gt identity is followed by up to three predicted identities
+            pred_rows.append((10 * g + draw(st.integers(0, 2)), f, box, 1.0))
+    stray = BoundingBox(cx=0.05, cy=0.05, w=0.04, h=0.04)
+    for f in draw(st.sets(st.integers(1, n_frames), max_size=3)):
+        pred_rows.append((1000, f, stray, 0.5))
+    return tracklets_from_rows(gt_rows), tracklets_from_rows(pred_rows)
+
+
+def _resized(box: BoundingBox, width_share: float) -> BoundingBox:
+    return BoundingBox(cx=box.cx, cy=box.cy, w=box.w * width_share, h=box.h)
+
+
+class TestHotaAgainstReference:
+    """The alpha tally counted in one array pass equals the per-pair,
+    per-alpha loop, to the bit and at every alpha."""
+
+    @given(case=_fragmented_case())
+    @settings(max_examples=300, deadline=None)
+    def test_equal_to_reference(self, case):
+        gt, pred = case
+        assert hota(gt, pred) == hota_reference(gt, pred)
+
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_tracked_scene(self, seed):
+        gt, pred = _noisy_case(seed=seed)
+        assert hota(gt, pred) == hota_reference(gt, pred)
 
 
 class TestInvariances:

@@ -223,6 +223,12 @@ class TestSceneViews:
          "config.occlusions[1]: identity must be in [1, n_objects = 1], got 2"),
         ("occlusion-past-end", "config.occlusions[0]: window [2, 4] outside frames [1, 3]"),
         ("occlusion-reversed", "config.occlusions[0]: window [3, 2] outside frames [1, 3]"),
+        ("missing-n-frames", "config: missing key 'n_frames'"),
+        ("missing-n-objects", "config: missing key 'n_objects'"),
+        ("unknown-config-key", "config: unknown keys ['bogus']"),
+        ("frame-past-end", "tracks[0]: frames outside [1, 3]"),
+        ("repeated-frame", "tracks[0]: frame indices must strictly increase"),
+        ("second-track-past-end", "tracks[1]: frames outside [1, 3]"),
     ])
     def test_scene_json_defect_names_its_path(self, defect, message):
         doc = generate_scene(SceneConfig(n_frames=3, n_objects=1)).to_json()
@@ -276,6 +282,18 @@ class TestSceneViews:
             doc["config"]["occlusions"] = [[1, 1, 2], [2, 1, 2]]
         elif defect == "occlusion-past-end":
             doc["config"]["occlusions"] = [[1, 2, 4]]
+        elif defect == "missing-n-frames":
+            del doc["config"]["n_frames"]
+        elif defect == "missing-n-objects":
+            del doc["config"]["n_objects"]
+        elif defect == "unknown-config-key":
+            doc["config"]["bogus"] = 1
+        elif defect == "frame-past-end":
+            track["frames"][2]["t"] = 4
+        elif defect == "repeated-frame":
+            frame["t"] = 1
+        elif defect == "second-track-past-end":
+            doc["tracks"].append({"id": 7, "frames": [dict(frame, t=4)]})
         else:
             doc["config"]["occlusions"] = [[1, 3, 2]]
         with pytest.raises(ValueError) as info:
