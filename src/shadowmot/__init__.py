@@ -26,7 +26,6 @@ from .assignment import (
 from .shadow import (
     INIT_METHODS,
     REDUCTIONS,
-    QueryState,
     ShadowConfig,
     ShadowSet,
     init_query_bank,
@@ -67,7 +66,7 @@ __all__ = [
     "Target", "GroundTruthObject", "FrameGroundTruth", "LabelAssignment", "SetCostTensor",
     "tala_targets", "cola_targets", "reduce_set_costs", "build_set_cost_tensor",
     "assign_detection_sets", "assign_tracking_sets",
-    "QueryState", "ShadowSet", "ShadowConfig", "REDUCTIONS", "INIT_METHODS",
+    "ShadowSet", "ShadowConfig", "REDUCTIONS", "INIT_METHODS",
     "init_query_bank", "reduce_values", "select_output",
     "TrackerConfig", "FrameResult", "Observation", "Tracklets", "ShadowTracker",
     "SceneConfig", "OracleConfig", "SceneFrame", "Scene",

@@ -61,26 +61,39 @@ def _config_pairs(path: Optional[str]) -> dict[str, str]:
     return parse_config_text(_read_text(path)) if path else {}
 
 
-def _tracking_overrides(args: argparse.Namespace) -> dict[str, object]:
-    """Collect flag overrides shared by track and assign-debug."""
+# flag -> (argparse dest, config key) of every flag that overrides a key
+_OVERRIDE_FLAGS = {
+    "--seed": ("seed", "seed"),
+    "--ns": ("ns", "shadow.ns"),
+    "--lambda": ("lam", "shadow.lambda"),
+    "--phi": ("phi", "shadow.phi"),
+    "--tau": ("tau", "shadow.tau"),
+    "--patience": ("patience", "tracker.patience"),
+}
+
+
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """The ``--config`` file with the command's flags as overrides.  A bad
+    flag value is reported under the flag (``--ns: must be >= 1, got 0``),
+    not under the config key it sets."""
     overrides: dict[str, object] = {}
-    mapping = {
-        "ns": "shadow.ns",
-        "lam": "shadow.lambda",
-        "phi": "shadow.phi",
-        "tau": "shadow.tau",
-        "patience": "tracker.patience",
-        "seed": "seed",
-    }
-    for attr, key in mapping.items():
-        value = getattr(args, attr, None)
+    flags: dict[str, str] = {}
+    for flag, (dest, key) in _OVERRIDE_FLAGS.items():
+        value = getattr(args, dest, None)
         if value is not None:
             overrides[key] = value
+            flags[key] = flag
     if getattr(args, "tala", False):
         overrides["tracker.mode"] = "tala"
     if getattr(args, "cola", False):
         overrides["tracker.mode"] = "cola"
-    return overrides
+    try:
+        return load_run_config(_config_pairs(args.config), overrides)
+    except ConfigError as exc:
+        key, _, problem = str(exc).partition(": ")
+        if key not in flags:
+            raise
+        raise ConfigError(f"{flags[key]}: {problem}") from None
 
 
 def _add_tracking_flags(p: argparse.ArgumentParser) -> None:
@@ -104,10 +117,7 @@ def _scene_manifest(run: RunConfig, scene: Scene) -> dict:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    overrides: dict[str, object] = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    run = load_run_config(_config_pairs(args.config), overrides)
+    run = _run_config(args)
     scene = generate_scene(run.scene)
     out = Path(args.output)
     _write_text(str(out), _dump_json(scene.to_json()))
@@ -120,7 +130,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_track(args: argparse.Namespace) -> int:
-    run = load_run_config(_config_pairs(args.config), _tracking_overrides(args))
+    run = _run_config(args)
     scene = _load_scene(args.scene)
     tracklets = track_scene(scene, run.tracker, run.oracle)
     size = (scene.config.image_width, scene.config.image_height)
@@ -175,10 +185,7 @@ def _mean_metric_columns(
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
-    overrides: dict[str, object] = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    run = load_run_config(_config_pairs(args.config), overrides)
+    run = _run_config(args)
     scene = _load_scene(args.scene)
     axes = _parse_grid(args.grid)
     if args.trials < 1:
@@ -214,7 +221,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def _cmd_assign_debug(args: argparse.Namespace) -> int:
-    run = load_run_config(_config_pairs(args.config), _tracking_overrides(args))
+    run = _run_config(args)
     scene = _load_scene(args.scene)
     n_layers = run.tracker.n_layers
     if not 1 <= args.layer <= n_layers:
@@ -334,7 +341,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
         detail = str(exc) or exc.__class__.__name__
         print(f"error: {detail}", file=sys.stderr)
         return 1

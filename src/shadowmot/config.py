@@ -66,7 +66,7 @@ _SCHEMA: dict[str, tuple] = {
     "oracle.fp_rate": (float, 0.0, "false-positive rate for idle detection sets"),
     "oracle.fp_score": (float, 0.1, "score of a false-positive box"),
     "shadow.ns": (int, 3, "shadows per set"),
-    "shadow.init": (str, "noise", "bank initialization: rand, copy, or noise"),
+    "shadow.init": (str, "noise", "bank anchor initialization: rand, copy, or noise; rand and copy give the same anchors"),
     "shadow.sigma_pos": (float, 1e-6, "position noise std for noisy init"),
     "shadow.sigma_emb": (float, 1e-6, "unread (queries carry no embedding); validated >= 0 and kept in manifests"),
     "shadow.lambda": (str, "max", "training cost reduction: min, mean, or max"),
@@ -165,7 +165,7 @@ def load_run_config(
 
     seed = int(resolved["seed"])
     if seed < 0:
-        raise ConfigError(f"key 'seed': must be >= 0, got {seed}")
+        raise ConfigError(f"seed: must be >= 0, got {seed}")
     scene = _build(SceneConfig, "scene", resolved, seed=seed)
     oracle = _build(OracleConfig, "oracle", resolved, seed=seed)
     shadow = _build(ShadowConfig, "shadow", resolved)

@@ -92,21 +92,15 @@ class CostMatrix:
 
 @dataclass(frozen=True)
 class Assignment:
-    """Result of a rectangular assignment: matched pairs plus the leftovers."""
+    """Result of a rectangular assignment: the matched (row, col) pairs."""
 
     pairs: tuple[tuple[int, int], ...]
-    unmatched_rows: tuple[int, ...] = ()
-    unmatched_cols: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         rows = [r for r, _ in self.pairs]
         cols = [c for _, c in self.pairs]
         if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
             raise ValueError("pairs must form a matching: no repeated row or col")
-
-    def total_cost(self, cost: CostMatrix | np.ndarray) -> float:
-        costs = cost.costs if isinstance(cost, CostMatrix) else np.asarray(cost)
-        return float(sum(costs[r, c] for r, c in self.pairs))
 
 
 def focal_cost(scores: ClassScores, target_class: int, w: CostWeights) -> float:
@@ -240,21 +234,10 @@ def hungarian(cost: CostMatrix | np.ndarray) -> Assignment:
     if costs.ndim != 2:
         raise ValueError(f"cost matrix must be 2-dimensional, got shape {costs.shape}")
     if costs.shape[0] == 0 or costs.shape[1] == 0:
-        return Assignment(
-            pairs=(),
-            unmatched_rows=tuple(range(costs.shape[0])),
-            unmatched_cols=tuple(range(costs.shape[1])),
-        )
+        return Assignment(pairs=())
     if np.isnan(costs).any():
         raise ValueError("cost matrix contains NaN entries")
     if (costs == -np.inf).any():
         raise ValueError("cost matrix contains -inf entries")
     rows, cols = _shortest_augmenting_path(costs)
-    pairs = tuple(sorted(zip(rows, cols)))
-    matched_rows = {r for r, _ in pairs}
-    matched_cols = {c for _, c in pairs}
-    return Assignment(
-        pairs=pairs,
-        unmatched_rows=tuple(r for r in range(costs.shape[0]) if r not in matched_rows),
-        unmatched_cols=tuple(c for c in range(costs.shape[1]) if c not in matched_cols),
-    )
+    return Assignment(pairs=tuple(sorted(zip(rows, cols))))

@@ -7,7 +7,8 @@ boxes in pixel units.  Reals are serialized with shortest round-trip
 precision, so reading back what was written recovers the exact values.
 
 Parsing is strict: wrong field count, non-numeric fields, frames below 1,
-and duplicate (frame, id) pairs all raise with the 1-based line number.
+duplicate (frame, id) pairs and boxes whose center overflows all raise with
+the file path and the 1-based line number.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ class MotLine(NamedTuple):
 
 
 class MotFormatError(ValueError):
-    """Malformed line in a MOT-format file; message carries the line number."""
+    """Malformed line in a MOT-format file; message carries the line number,
+    and from ``read_mot`` the file path before it."""
 
 
 def parse_mot_line(text: str, line_no: int) -> MotLine:
@@ -111,19 +113,25 @@ def read_mot(path: str) -> Tracklets:
     for line_no, text in enumerate(raw_lines, start=1):
         if not text.strip():
             continue
-        line = parse_mot_line(text, line_no)
-        key = (line.frame, line.id)
-        if key in seen:
-            raise MotFormatError(
-                f"line {line_no}: duplicate (frame, id) = ({line.frame}, {line.id})"
+        try:
+            line = parse_mot_line(text, line_no)
+            key = (line.frame, line.id)
+            if key in seen:
+                raise MotFormatError(
+                    f"line {line_no}: duplicate (frame, id) = ({line.frame}, {line.id})"
+                )
+            seen.add(key)
+            # finite fields can still sum to an infinite center
+            box = BoundingBox(
+                cx=line.bb_left + line.bb_width / 2,
+                cy=line.bb_top + line.bb_height / 2,
+                w=line.bb_width,
+                h=line.bb_height,
             )
-        seen.add(key)
-        box = BoundingBox(
-            cx=line.bb_left + line.bb_width / 2,
-            cy=line.bb_top + line.bb_height / 2,
-            w=line.bb_width,
-            h=line.bb_height,
-        )
+        except MotFormatError as exc:
+            raise MotFormatError(f"{path}: {exc}") from None
+        except ValueError as exc:
+            raise MotFormatError(f"{path}: line {line_no}: {exc}") from None
         entries.append((line.id, line.frame, box, line.conf))
     return Tracklets.from_entries(entries)
 

@@ -13,7 +13,7 @@ highest-scoring shadow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import fmean
 from typing import Iterable, Literal, Optional, Sequence
 
@@ -27,7 +27,6 @@ __all__ = [
     "Reduction",
     "InitMethod",
     "Role",
-    "QueryState",
     "ShadowSet",
     "ShadowConfig",
     "reduce_values",
@@ -59,47 +58,31 @@ def reduce_values(values: Iterable[float], how: str) -> float:
 
 
 @dataclass(frozen=True)
-class QueryState:
-    """One query: a 4-vector position with box semantics.  Components must
-    be finite; positions are not clamped to the unit box because they are
-    anchors, not outputs."""
-
-    position: tuple[float, float, float, float]
-
-    def __post_init__(self) -> None:
-        if len(self.position) != 4:
-            raise ValueError(f"position must have 4 components, got {len(self.position)}")
-        if not all(math.isfinite(v) for v in self.position):
-            raise ValueError("position components must be finite")
-
-
-@dataclass(frozen=True)
 class ShadowSet:
-    """A set of queries acting as one.  ``identity`` is the track id and
-    is present exactly when the set has tracking role."""
+    """A set of ``n_shadows`` queries acting as one, placed at one anchor
+    box.  Every shadow of a set is served by the set's anchor, so shadows
+    carry no position of their own.  ``identity`` is the track id and is
+    present exactly when the set has tracking role."""
 
     set_id: int
     role: Role
-    shadows: tuple[QueryState, ...]
+    anchor: BoundingBox
+    n_shadows: int
     identity: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.role not in ("detection", "tracking"):
             raise ValueError(f"role must be 'detection' or 'tracking', got {self.role!r}")
-        if len(self.shadows) < 1:
+        if self.n_shadows < 1:
             raise ValueError("a shadow set needs at least one shadow")
         if self.role == "tracking" and self.identity is None:
             raise ValueError("tracking sets carry an identity")
         if self.role == "detection" and self.identity is not None:
             raise ValueError("detection sets carry no identity")
 
-    @property
-    def n_shadows(self) -> int:
-        return len(self.shadows)
-
     def promoted(self, identity: int) -> "ShadowSet":
-        """The same shadows re-rooted as a tracking set for ``identity``."""
-        return ShadowSet(set_id=identity, role="tracking", shadows=self.shadows, identity=identity)
+        """The same set re-rooted as a tracking set for ``identity``."""
+        return replace(self, set_id=identity, role="tracking", identity=identity)
 
 
 @dataclass(frozen=True)
@@ -108,10 +91,13 @@ class ShadowConfig:
 
     ``cost_reduction`` picks the representative during training-cost
     reduction, ``score_reduction`` during inference gating; max/min is the
-    strongest pairing.  ``sigma_pos`` applies to the noisy initialization
-    only.  Queries carry no embedding: ``embed_dim`` sizes a discarded draw
-    that precedes the position noise, and ``sigma_emb`` is validated and
-    reported but read by nothing.
+    strongest pairing.  ``init`` draws each set's anchor, which is where
+    the first shadow would sit; ``rand`` and ``copy`` place that shadow
+    alike, so they give the same anchors and byte-identical runs.
+    ``sigma_pos`` applies to the noisy initialization only.  Queries carry
+    no embedding: ``embed_dim`` sizes a discarded draw that precedes the
+    position noise, and ``sigma_emb`` is validated and reported but read by
+    nothing.
     ``tau`` has no principled value; 0.5 is the usual convention for
     query-based trackers.
     """
@@ -144,36 +130,31 @@ class ShadowConfig:
             raise ValueError(f"embed_dim: must be >= 1, got {self.embed_dim}")
 
 
-def _as_state(pos: np.ndarray) -> QueryState:
-    p = tuple(float(v) for v in pos)
-    return QueryState(position=(p[0], p[1], p[2], p[3]))
-
-
 def init_query_bank(n_sets: int, cfg: ShadowConfig, seed: int) -> list[ShadowSet]:
     """Seeded detection-set bank.
 
-    rand: every shadow position drawn independently, uniform on [0,1]^4.
-    copy: all shadows of a set equal one per-set base draw.  noise: copy
-    plus per-shadow Gaussian position noise with ``sigma_pos``.  Each set
-    uses its own generator derived from (seed, set_id), so banks are
-    reproducible and order-independent.
+    Each set's anchor is a uniform draw on [0,1]^4, the first shadow's
+    position under both rand (every shadow drawn independently) and copy
+    (every shadow at one draw).  noise moves it by Gaussian noise with
+    ``sigma_pos``, drawn after a discarded draw of ``embed_dim`` values.
+    Each set uses its own generator derived from (seed, set_id), so banks
+    are reproducible and order-independent.
     """
     if n_sets < 1:
         raise ValueError(f"n_sets must be >= 1, got {n_sets}")
-    n = cfg.n_shadows
     bank: list[ShadowSet] = []
     for set_id in range(n_sets):
         rng = np.random.default_rng([seed, set_id])
-        if cfg.init == "rand":
-            pos = rng.uniform(size=(n, 4))
-        else:
-            pos = np.tile(rng.uniform(size=4), (n, 1))
-            # discarded, but noise positions come after it in the stream
+        pos = rng.uniform(size=4)
+        if cfg.init == "noise" and cfg.sigma_pos > 0:
+            # discarded, but the noise comes after it in the stream
             rng.standard_normal(cfg.embed_dim)
-            if cfg.init == "noise" and cfg.sigma_pos > 0:
-                pos = pos + rng.normal(0.0, cfg.sigma_pos, size=(n, 4))
-        shadows = tuple(_as_state(pos[j]) for j in range(n))
-        bank.append(ShadowSet(set_id=set_id, role="detection", shadows=shadows))
+            pos = pos + rng.normal(0.0, cfg.sigma_pos, size=4)
+        cx, cy, w, h = pos.tolist()
+        anchor = BoundingBox(cx, cy, max(w, 0.0), max(h, 0.0))
+        bank.append(
+            ShadowSet(set_id=set_id, role="detection", anchor=anchor, n_shadows=cfg.n_shadows)
+        )
     return bank
 
 

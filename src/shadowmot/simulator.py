@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, NamedTuple, Sequence
+from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -400,9 +400,24 @@ def emit_training_targets(
     return FrameGroundTruth.partition(scene.visible_objects(frame), track_ids)
 
 
-def _anchor_box(s: ShadowSet) -> BoundingBox:
-    cx, cy, w, h = s.shadows[0].position
-    return BoundingBox(cx, cy, max(w, 0.0), max(h, 0.0))
+def _claim(
+    sets: Sequence[ShadowSet],
+    boxes: Sequence[BoundingBox],
+    gate: Callable[[np.ndarray], np.ndarray],
+) -> dict[int, int]:
+    """Greedy one-to-one claim of ``boxes`` by the anchors of ``sets``, as
+    set index -> box index: best overlap first, ties to the lower set and
+    then the lower box, among the pairs whose overlap passes ``gate``."""
+    overlaps, _, _ = pairwise([s.anchor for s in sets], boxes)
+    claims: dict[int, int] = {}
+    taken: set[int] = set()
+    for _, r, k in sorted(
+        (-float(overlaps[r, k]), r, k) for r, k in np.argwhere(gate(overlaps)).tolist()
+    ):
+        if r not in claims and k not in taken:
+            claims[r] = k
+            taken.add(k)
+    return claims
 
 
 def _noisy_box(target: BoundingBox, eps: np.ndarray, scale: float) -> BoundingBox:
@@ -451,55 +466,28 @@ def _frame_draws(
     # any positive overlap because one frame of motion can drop a small
     # box below IoU 0.5 even without noise
     recognized: dict[int, SceneFrame] = {}
+    claimed_ids: set[int] = set()
     trk_indices = [i for i, s in enumerate(live_sets) if s.role == "tracking"]
     if present and trk_indices:
-        overlaps, _, _ = pairwise(
-            [_anchor_box(live_sets[i]) for i in trk_indices], [st.box for _, st in present]
-        )
-        trk_candidates = [
-            (-float(overlaps[r, k]), trk_indices[r], k)
-            for r, k in np.argwhere(overlaps > 0.0).tolist()
-        ]
-        claimed_sets: set[int] = set()
-        claimed_objs: set[int] = set()
-        for _, i, k in sorted(trk_candidates):
-            if i in claimed_sets or k in claimed_objs:
-                continue
-            recognized[i] = present[k][1]
-            claimed_sets.add(i)
-            claimed_objs.add(k)
-        claimed_ids = {present[k][0] for k in claimed_objs}
-    else:
-        claimed_ids = set()
+        boxes = [st.box for _, st in present]
+        claims = _claim([live_sets[i] for i in trk_indices], boxes, lambda ov: ov > 0.0)
+        for r, k in claims.items():
+            recognized[trk_indices[r]] = present[k][1]
+            claimed_ids.add(present[k][0])
 
-    unclaimed = [
-        (identity, st.box)
-        for identity, st in present
-        if st.visible and identity not in claimed_ids
-    ]
+    unclaimed = [st.box for identity, st in present if st.visible and identity not in claimed_ids]
 
     det_indices = [i for i, s in enumerate(live_sets) if s.role == "detection"]
     association: dict[int, BoundingBox] = {}
     if unclaimed and det_indices:
-        overlaps, _, _ = pairwise(
-            [_anchor_box(live_sets[i]) for i in det_indices], [box for _, box in unclaimed]
-        )
-        candidates = [
-            (-float(overlaps[r, k]), det_indices[r], unclaimed[k][0], k)
-            for r, k in np.argwhere(overlaps >= 0.5).tolist()
-        ]
-        taken_sets: set[int] = set()
-        taken_objs: set[int] = set()
-        for _, i, identity, k in sorted(candidates):
-            if i in taken_sets or k in taken_objs:
-                continue
-            association[i] = unclaimed[k][1]
-            taken_sets.add(i)
-            taken_objs.add(k)
-        free_sets = [i for i in det_indices if i not in taken_sets]
-        free_objs = [k for k in range(len(unclaimed)) if k not in taken_objs]
+        claims = _claim([live_sets[i] for i in det_indices], unclaimed, lambda ov: ov >= 0.5)
+        for r, k in claims.items():
+            association[det_indices[r]] = unclaimed[k]
+        taken = set(claims.values())
+        free_sets = [i for r, i in enumerate(det_indices) if r not in claims]
+        free_objs = [k for k in range(len(unclaimed)) if k not in taken]
         for i, k in zip(free_sets, free_objs):
-            association[i] = unclaimed[k][1]
+            association[i] = unclaimed[k]
 
     # every shadow's corruption flag, in set order, in one call: no other
     # draw reads this stream
@@ -531,7 +519,7 @@ def _frame_draws(
                 # a lost track emits its anchor; the stream still advances
                 # past the fallback box it does not use
                 frame_rng.random(4)
-                fallback = _anchor_box(set_)
+                fallback = set_.anchor
         elif i in association:
             target = association[i]
             base = cfg.base_score

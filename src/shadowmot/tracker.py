@@ -10,19 +10,12 @@ best member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
 from .geometry import BoundingBox
 from .matching import ClassScores
-from .shadow import (
-    QueryState,
-    ShadowConfig,
-    ShadowSet,
-    init_query_bank,
-    reduce_values,
-    select_output,
-)
+from .shadow import ShadowConfig, ShadowSet, init_query_bank, reduce_values, select_output
 
 __all__ = [
     "AssignmentMode",
@@ -151,12 +144,6 @@ def _shadow_score(scores: ClassScores) -> float:
     return float(max(scores))
 
 
-def _reanchored(set_: ShadowSet, boxes: Sequence[BoundingBox]) -> ShadowSet:
-    """Shadows moved onto their own predicted boxes."""
-    shadows = tuple(QueryState(position=(b.cx, b.cy, b.w, b.h)) for b in boxes)
-    return ShadowSet(set_id=set_.set_id, role=set_.role, shadows=shadows, identity=set_.identity)
-
-
 class ShadowTracker:
     """Single-sequence state machine.  Frames are 1-based; identities are
     drawn from a monotone counter and never reused."""
@@ -204,19 +191,22 @@ class ShadowTracker:
         deaths: list[int] = []
         survivors: list[ShadowSet] = []
 
-        n_tracks = len(self._tracks)
-        for set_, per_shadow in zip(self._tracks, predictions[:n_tracks]):
-            identity = set_.identity
-            assert identity is not None
+        for set_, per_shadow in zip(live, predictions):
             shadow_scores = [_shadow_score(scores) for _, scores in per_shadow]
             if reduce_values(shadow_scores, phi) > tau:
+                if set_.role == "detection":
+                    set_ = set_.promoted(self._next_identity)
+                    self._next_identity += 1
+                    births.append(set_.identity)
                 box, score = select_output(
                     [(b, s) for (b, _), s in zip(per_shadow, shadow_scores)]
                 )
-                outputs.append((identity, box, score))
-                self._misses[identity] = 0
-                survivors.append(_reanchored(set_, [b for b, _ in per_shadow]))
-            else:
+                outputs.append((set_.identity, box, score))
+                self._misses[set_.identity] = 0
+                # the oracle serves the set next frame by this box
+                survivors.append(replace(set_, anchor=per_shadow[0][0]))
+            elif set_.role == "tracking":
+                identity = set_.identity
                 misses = self._misses.get(identity, 0) + 1
                 if misses > cfg.patience:
                     deaths.append(identity)
@@ -224,20 +214,6 @@ class ShadowTracker:
                 else:
                     self._misses[identity] = misses
                     survivors.append(set_)
-
-        for set_, per_shadow in zip(self._detection_bank, predictions[n_tracks:]):
-            shadow_scores = [_shadow_score(scores) for _, scores in per_shadow]
-            if reduce_values(shadow_scores, phi) > tau:
-                identity = self._next_identity
-                self._next_identity += 1
-                box, score = select_output(
-                    [(b, s) for (b, _), s in zip(per_shadow, shadow_scores)]
-                )
-                outputs.append((identity, box, score))
-                births.append(identity)
-                self._misses[identity] = 0
-                promoted = set_.promoted(identity)
-                survivors.append(_reanchored(promoted, [b for b, _ in per_shadow]))
 
         self._tracks = survivors
         return FrameResult(

@@ -15,7 +15,7 @@ from shadowmot import BoundingBox, ClassScores, CostMatrix, CostWeights, Trackle
 from shadowmot.geometry import pairwise
 from shadowmot.matching import hungarian
 from shadowmot.metrics import ALPHA_GRID, AlphaScores, HotaResult, _frame_overlaps
-from shadowmot.simulator import _STREAM_CORRUPT, _STREAM_ORACLE, _SetDraws, _anchor_box
+from shadowmot.simulator import _STREAM_CORRUPT, _STREAM_ORACLE, _SetDraws
 
 
 def cli_env() -> dict[str, str]:
@@ -155,7 +155,7 @@ def frame_draws_reference(scene, frame, live_sets, cfg) -> list[_SetDraws]:
     trk_indices = [i for i, s in enumerate(live_sets) if s.role == "tracking"]
     if present and trk_indices:
         overlaps, _, _ = pairwise(
-            [_anchor_box(live_sets[i]) for i in trk_indices], [st.box for _, st in present]
+            [live_sets[i].anchor for i in trk_indices], [st.box for _, st in present]
         )
         trk_candidates = [
             (-float(overlaps[r, k]), trk_indices[r], k)
@@ -183,7 +183,7 @@ def frame_draws_reference(scene, frame, live_sets, cfg) -> list[_SetDraws]:
     association = {}
     if unclaimed and det_indices:
         overlaps, _, _ = pairwise(
-            [_anchor_box(live_sets[i]) for i in det_indices], [box for _, box in unclaimed]
+            [live_sets[i].anchor for i in det_indices], [box for _, box in unclaimed]
         )
         candidates = [
             (-float(overlaps[r, k]), det_indices[r], unclaimed[k][0], k)
@@ -233,7 +233,7 @@ def frame_draws_reference(scene, frame, live_sets, cfg) -> list[_SetDraws]:
             fp_w, fp_h = frame_rng.uniform(0.02, 0.1, size=2)
             fallback = BoundingBox(float(fp_cx), float(fp_cy), float(fp_w), float(fp_h))
             if set_.role == "tracking":
-                fallback = _anchor_box(set_)
+                fallback = set_.anchor
 
         scores = [0.0 if corrupted[j] else base for j in range(ns)]
         draws.append(_SetDraws(target, eps, scores, fallback))

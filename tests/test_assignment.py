@@ -10,7 +10,6 @@ from shadowmot import (
     FrameGroundTruth,
     GroundTruthObject,
     LabelAssignment,
-    QueryState,
     SetCostTensor,
     ShadowSet,
     assign_detection_sets,
@@ -40,9 +39,8 @@ def _gt(tracked_ids, newborn_ids, boxes=None):
 
 def _track_set(identity, box=None, n_shadows=1):
     box = box or BoundingBox(cx=0.5, cy=0.5, w=0.1, h=0.1)
-    state = QueryState(position=(box.cx, box.cy, box.w, box.h))
     return ShadowSet(
-        set_id=identity, role="tracking", shadows=(state,) * n_shadows, identity=identity
+        set_id=identity, role="tracking", anchor=box, n_shadows=n_shadows, identity=identity
     )
 
 
@@ -364,8 +362,8 @@ class TestAssignTrackingSets:
             assign_tracking_sets([_track_set(4), _track_set(4)], gt, layer=1)
 
     def test_detection_role_rejected(self):
-        state = QueryState(position=(0.5, 0.5, 0.1, 0.1))
-        det = ShadowSet(set_id=0, role="detection", shadows=(state,))
+        anchor = BoundingBox(cx=0.5, cy=0.5, w=0.1, h=0.1)
+        det = ShadowSet(set_id=0, role="detection", anchor=anchor, n_shadows=1)
         gt = _gt(tracked_ids=[], newborn_ids=[1])
         with pytest.raises(ValueError):
             assign_tracking_sets([det], gt, layer=1)

@@ -100,7 +100,8 @@ class TestSimulate:
             args = ("--config", "run.cfg", "--seed", "-1")
         proc = run_cli("simulate", *args, "-o", "scene.json", cwd=workdir)
         assert proc.returncode == 1
-        assert proc.stderr.splitlines() == ["error: key 'seed': must be >= 0, got -1"]
+        name = "seed" if route == "config" else "--seed"
+        assert proc.stderr.splitlines() == [f"error: {name}: must be >= 0, got -1"]
 
     def test_works_without_config_file(self, tmp_path):
         proc = run_cli("simulate", "--seed", "3", "-o", "scene.json", cwd=tmp_path)
@@ -145,6 +146,31 @@ class TestTrack:
                        "--tau", "0.95", "-o", "quiet.txt", cwd=workdir)
         assert proc.returncode == 0, proc.stderr
         assert (workdir / "quiet.txt").read_text() == ""
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--ns", "0", "error: --ns: must be >= 1, got 0"),
+        ("--tau", "2", "error: --tau: must lie in [0, 1], got 2.0"),
+        ("--patience", "-1", "error: --patience: must be >= 0, got -1"),
+        ("--seed", "-1", "error: --seed: must be >= 0, got -1"),
+    ])
+    def test_bad_flag_value_names_the_flag(self, workdir, scene_path, flag, value, message):
+        proc = run_cli("track", "--scene", "scene.json", "--config", "run.cfg",
+                       flag, value, "-o", "out.txt", cwd=workdir)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [message]
+
+    def test_rand_and_copy_init_track_identically(self, workdir, scene_path):
+        # a set is served by its anchor, the first shadow's position, and
+        # rand and copy draw that position alike
+        for init in ("rand", "copy"):
+            (workdir / f"{init}.cfg").write_text(
+                _CONFIG + f"shadow.init = {init}\noracle.box_noise_std = 0.02\n"
+                "oracle.p_corrupt = 0.2\n", encoding="ascii")
+            proc = run_cli("track", "--scene", "scene.json", "--config", f"{init}.cfg",
+                           "-o", f"{init}.txt", cwd=workdir)
+            assert proc.returncode == 0, proc.stderr
+        rand = (workdir / "rand.txt").read_bytes()
+        assert rand and rand == (workdir / "copy.txt").read_bytes()
 
     def test_missing_scene_file(self, workdir):
         proc = run_cli("track", "--scene", "nope.json", "-o", "out.txt", cwd=workdir)
@@ -338,7 +364,16 @@ class TestEval:
         proc = run_cli("eval", "--gt", "scene.gt.txt", "--results", "bad.txt",
                        "-o", "report.json", cwd=workdir)
         assert proc.returncode == 1
-        assert "line 1: expected 10 fields, got 9" in proc.stderr
+        assert proc.stderr.splitlines() == ["error: bad.txt: line 1: expected 10 fields, got 9"]
+
+    def test_malformed_ground_truth_names_its_file(self, workdir, scene_path):
+        (workdir / "bad.gt.txt").write_text("1,1,10,10,5,5,1,-1,-1,-1\n1,1,10,10,5,5,1,-1,-1,-1\n")
+        proc = run_cli("eval", "--gt", "bad.gt.txt", "--results", "scene.gt.txt",
+                       "-o", "report.json", cwd=workdir)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "error: bad.gt.txt: line 2: duplicate (frame, id) = (1, 1)"
+        ]
 
 
 class TestAblate:
@@ -458,3 +493,15 @@ class TestConfigErrors:
         proc = run_cli("simulate", "--config", "nope.cfg", "-o", "s.json", cwd=tmp_path)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
+
+
+class TestMain:
+    def test_key_error_is_not_an_input_error(self, monkeypatch, tmp_path):
+        # input errors arrive as ValueError or OSError; a KeyError is a bug
+        # and must surface as a traceback, not as exit 1
+        def broken(args):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(cli, "_cmd_simulate", broken)
+        with pytest.raises(KeyError):
+            cli.main(["simulate", "-o", str(tmp_path / "scene.json")])

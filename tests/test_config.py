@@ -63,7 +63,7 @@ class TestLoadRunConfig:
 
     def test_negative_seed_names_key(self):
         for source in ({"pairs": {"seed": "-1"}}, {"overrides": {"seed": -1}}):
-            with pytest.raises(ConfigError, match="^key 'seed': must be >= 0, got -1$"):
+            with pytest.raises(ConfigError, match="^seed: must be >= 0, got -1$"):
                 load_run_config(**source)
 
     def test_unknown_key_rejected(self):

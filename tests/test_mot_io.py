@@ -121,6 +121,24 @@ class TestReadMot:
         with pytest.raises(MotFormatError, match="line 3: expected 10 fields"):
             read_mot(str(path))
 
+    def test_error_names_the_file(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_text("1,3,0.0,0.0,10.0,10.0,1.0,-1,-1,-1\n\nbroken\n")
+        with pytest.raises(MotFormatError) as info:
+            read_mot(str(path))
+        assert str(info.value) == f"{path}: line 3: expected 10 fields, got 1"
+
+    def test_overflowing_box_center_is_a_located_error(self, tmp_path):
+        # every field is finite, but bb_left + bb_width / 2 is not
+        path = tmp_path / "r.txt"
+        path.write_text(
+            "1,3,0.0,0.0,10.0,10.0,1.0,-1,-1,-1\n"
+            "2,3,1.7e308,0.0,1.7e308,10.0,1.0,-1,-1,-1\n"
+        )
+        with pytest.raises(MotFormatError) as info:
+            read_mot(str(path))
+        assert str(info.value) == f"{path}: line 2: box component cx must be finite, got inf"
+
 
 class TestWriteReadCycle:
     def test_write_then_read_pixel_tracklets(self, tmp_path):

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import math
 import statistics
 
 import hypothesis.strategies as st
@@ -14,7 +13,6 @@ from shadowmot import (
     INIT_METHODS,
     REDUCTIONS,
     BoundingBox,
-    QueryState,
     ShadowConfig,
     ShadowSet,
     init_query_bank,
@@ -72,50 +70,37 @@ class TestRepresentativeScore:
         assert reduce_values(vals, "mean") == pytest.approx(0.6, abs=1e-12)
 
 
-class TestQueryState:
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            QueryState(position=(0.5, 0.5, math.nan, 0.1))
-        with pytest.raises(ValueError):
-            QueryState(position=(0.5, 0.5, 0.1, math.inf))
-
-    def test_position_arity(self):
-        with pytest.raises(ValueError):
-            QueryState(position=(0.5, 0.5, 0.1))
-
-
 class TestShadowSet:
-    def _state(self):
-        return QueryState(position=(0.5, 0.5, 0.1, 0.1))
+    _anchor = BoundingBox(cx=0.5, cy=0.5, w=0.1, h=0.1)
 
     def test_detection_set_has_no_identity(self):
-        s = ShadowSet(set_id=0, role="detection", shadows=(self._state(),))
+        s = ShadowSet(set_id=0, role="detection", anchor=self._anchor, n_shadows=1)
         assert s.identity is None
         assert s.n_shadows == 1
 
     def test_detection_set_rejects_identity(self):
         with pytest.raises(ValueError):
-            ShadowSet(set_id=0, role="detection", shadows=(self._state(),), identity=4)
+            ShadowSet(set_id=0, role="detection", anchor=self._anchor, n_shadows=1, identity=4)
 
     def test_tracking_set_requires_identity(self):
         with pytest.raises(ValueError):
-            ShadowSet(set_id=0, role="tracking", shadows=(self._state(),))
+            ShadowSet(set_id=0, role="tracking", anchor=self._anchor, n_shadows=1)
 
     def test_promoted(self):
-        s = ShadowSet(set_id=3, role="detection", shadows=(self._state(),) * 2)
+        s = ShadowSet(set_id=3, role="detection", anchor=self._anchor, n_shadows=2)
         t = s.promoted(identity=9)
         assert t.role == "tracking"
         assert t.identity == 9
         assert t.set_id == 9
-        assert t.shadows == s.shadows
+        assert (t.anchor, t.n_shadows) == (s.anchor, s.n_shadows)
 
     def test_empty_shadows_rejected(self):
         with pytest.raises(ValueError):
-            ShadowSet(set_id=0, role="detection", shadows=())
+            ShadowSet(set_id=0, role="detection", anchor=self._anchor, n_shadows=0)
 
     def test_unknown_role_rejected(self):
         with pytest.raises(ValueError):
-            ShadowSet(set_id=0, role="query", shadows=(self._state(),))
+            ShadowSet(set_id=0, role="query", anchor=self._anchor, n_shadows=1)
 
 
 class TestShadowConfig:
@@ -157,21 +142,6 @@ class TestInitQueryBank:
         assert all(s.role == "detection" for s in bank)
         assert [s.set_id for s in bank] == [0, 1, 2, 3, 4]
 
-    def test_copy_init_duplicates_exactly(self):
-        cfg = ShadowConfig(n_shadows=4, init="copy", embed_dim=8)
-        bank = init_query_bank(6, cfg, seed=3)
-        for s in bank:
-            assert all(sh == s.shadows[0] for sh in s.shadows)
-
-    def test_rand_init_spreads(self):
-        cfg = ShadowConfig(n_shadows=3, init="rand", embed_dim=8)
-        bank = init_query_bank(4, cfg, seed=3)
-        for s in bank:
-            positions = {sh.position for sh in s.shadows}
-            assert len(positions) == 3
-            for sh in s.shadows:
-                assert all(0.0 <= v <= 1.0 for v in sh.position)
-
     def test_noise_init_spread_matches_sigma(self):
         cfg_noise = ShadowConfig(n_shadows=3, init="noise", embed_dim=32)
         cfg_copy = dataclasses.replace(cfg_noise, init="copy")
@@ -179,8 +149,8 @@ class TestInitQueryBank:
         copy = init_query_bank(60, cfg_copy, seed=42)
         pos_deltas = []
         for a, b in zip(noise, copy):
-            for sa, sb in zip(a.shadows, b.shadows):
-                pos_deltas.extend(x - y for x, y in zip(sa.position, sb.position))
+            deltas = zip(dataclasses.astuple(a.anchor), dataclasses.astuple(b.anchor))
+            pos_deltas.extend(x - y for x, y in deltas)
         assert 1e-7 < statistics.stdev(pos_deltas) < 1e-5
 
     def test_noise_init_with_zero_sigma_equals_copy(self):
@@ -208,23 +178,24 @@ class TestInitQueryBank:
         with pytest.raises(ValueError):
             init_query_bank(0, ShadowConfig(), seed=0)
 
-    # sha256 of the float64 positions of init_query_bank(7, ns=3, seed=11).
-    # Noise init positions follow a discarded standard_normal(embed_dim)
-    # draw, so its digest depends on embed_dim while rand and copy do not.
+    # sha256 of the float64 anchors of init_query_bank(7, ns=3, seed=11).
+    # The noise of noise init follows a discarded standard_normal(embed_dim)
+    # draw, so its digest depends on embed_dim.  rand and copy anchors are
+    # one and the same uniform draw.
     PINNED_POSITIONS = {
-        ("rand", 256): "0a0ec2b3af98e78d6307e7118fe191f5a7eab24a40134e86066cd9728be67c81",
-        ("rand", 8): "0a0ec2b3af98e78d6307e7118fe191f5a7eab24a40134e86066cd9728be67c81",
-        ("copy", 256): "91bddc653149707234db1904e452a3c39bd5a4413a482e69755bb9dde34d5c7c",
-        ("copy", 8): "91bddc653149707234db1904e452a3c39bd5a4413a482e69755bb9dde34d5c7c",
-        ("noise", 256): "b5f933cfc27de86c37299d249e6256f0bf39f7e6d1a12c86c160c55c8570c6a8",
-        ("noise", 8): "ddaa746de06cfbf8f35ffa36a9847a65c4b2b53474f8d601873c8a4805cdc0c7",
+        ("rand", 256): "a1201e4a2dd4e888e3b0704dbf85e934c1a05c9538d2bbc6688faa90c3698f2f",
+        ("rand", 8): "a1201e4a2dd4e888e3b0704dbf85e934c1a05c9538d2bbc6688faa90c3698f2f",
+        ("copy", 256): "a1201e4a2dd4e888e3b0704dbf85e934c1a05c9538d2bbc6688faa90c3698f2f",
+        ("copy", 8): "a1201e4a2dd4e888e3b0704dbf85e934c1a05c9538d2bbc6688faa90c3698f2f",
+        ("noise", 256): "60c9ad23a9102082ec1cb8f86cefabb5c420b7136043420b3b2b2ef7d5ef7833",
+        ("noise", 8): "273e577e43cd5011e63794e4cb391fa8d830de661aaa3edd872840432a2dd5a4",
     }
 
     @pytest.mark.parametrize("method,embed_dim", sorted(PINNED_POSITIONS))
     def test_positions_pinned(self, method, embed_dim):
         cfg = ShadowConfig(n_shadows=3, init=method, embed_dim=embed_dim)
         bank = init_query_bank(7, cfg, seed=11)
-        pos = np.array([sh.position for s in bank for sh in s.shadows], dtype=float)
+        pos = np.array([dataclasses.astuple(s.anchor) for s in bank], dtype=float)
         digest = hashlib.sha256(pos.tobytes()).hexdigest()
         assert digest == self.PINNED_POSITIONS[(method, embed_dim)]
 

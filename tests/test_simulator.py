@@ -16,7 +16,6 @@ from shadowmot import (
     SceneConfig,
     ShadowConfig,
     ShadowSet,
-    QueryState,
     ShadowTracker,
     TrackerConfig,
     Tracklets,
@@ -32,15 +31,11 @@ from helpers import frame_draws_reference
 
 
 def _tracking_set(identity, box, ns=1):
-    state = QueryState(position=(box.cx, box.cy, box.w, box.h))
-    return ShadowSet(
-        set_id=identity, role="tracking", shadows=(state,) * ns, identity=identity
-    )
+    return ShadowSet(set_id=identity, role="tracking", anchor=box, n_shadows=ns, identity=identity)
 
 
 def _detection_set(set_id, ns=1, at=(0.5, 0.5, 0.05, 0.05)):
-    state = QueryState(position=at)
-    return ShadowSet(set_id=set_id, role="detection", shadows=(state,) * ns)
+    return ShadowSet(set_id=set_id, role="detection", anchor=BoundingBox(*at), n_shadows=ns)
 
 
 class TestSceneConfig:

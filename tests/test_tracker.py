@@ -203,8 +203,7 @@ class TestLifecycle:
         tracker = ShadowTracker(_cfg(n_sets=1), seed=0)
         box = BoundingBox(cx=0.31, cy=0.62, w=0.05, h=0.08)
         tracker.step(_preds_for(tracker.live_sets(), [0.9], box=box))
-        anchored = tracker.live_sets()[0].shadows[0].position
-        assert anchored == (0.31, 0.62, 0.05, 0.08)
+        assert tracker.live_sets()[0].anchor == box
 
 
 class TestRun:
