@@ -30,7 +30,6 @@ from .shadow import (
     ShadowSet,
     init_query_bank,
     reduce_values,
-    select_output,
 )
 from .tracker import FrameResult, Observation, ShadowTracker, TrackerConfig, Tracklets
 from .simulator import (
@@ -67,7 +66,7 @@ __all__ = [
     "tala_targets", "cola_targets", "reduce_set_costs", "build_set_cost_tensor",
     "assign_detection_sets", "assign_tracking_sets",
     "ShadowSet", "ShadowConfig", "REDUCTIONS", "INIT_METHODS",
-    "init_query_bank", "reduce_values", "select_output",
+    "init_query_bank", "reduce_values",
     "TrackerConfig", "FrameResult", "Observation", "Tracklets", "ShadowTracker",
     "SceneConfig", "OracleConfig", "SceneFrame", "Scene",
     "generate_scene", "oracle_decode", "emit_training_targets", "track_scene",

@@ -26,7 +26,7 @@ from .assignment import (
 )
 from .config import ConfigError, RunConfig, describe_defaults, load_run_config, parse_config_text
 from .metrics import evaluate
-from .mot_io import read_mot, write_mot
+from .mot_io import _read_ascii as _read_text, read_mot, write_mot
 from .simulator import Scene, generate_scene, emit_training_targets, oracle_decode, track_scene
 from .tracker import ShadowTracker, TrackerConfig, Tracklets
 from .shadow import REDUCTIONS
@@ -38,10 +38,6 @@ _GRID_AXES = {
     "phi": ("shadow.phi", list(REDUCTIONS)),
     "ns": ("shadow.ns", [1, 2, 3, 4, 5, 6]),
 }
-
-
-def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="ascii")
 
 
 def _write_text(path: str, text: str) -> None:

@@ -58,9 +58,9 @@ class BoundingBox:
         )
 
 
-def _components(boxes: Sequence[BoundingBox]) -> np.ndarray:
-    """``[4, n]``: the rows cx, cy, w, h of ``n`` boxes."""
-    return np.array([(x.cx, x.cy, x.w, x.h) for x in boxes], dtype=float).reshape(-1, 4).T
+def _rows(boxes: Sequence[BoundingBox]) -> np.ndarray:
+    """``[n, 4]``: the ``(cx, cy, w, h)`` row of each of ``n`` boxes."""
+    return np.array([(x.cx, x.cy, x.w, x.h) for x in boxes], dtype=float).reshape(-1, 4)
 
 
 def pairwise(
@@ -75,8 +75,13 @@ def pairwise(
     corners, so identical boxes give IoU and GIoU exactly 1.  IoU is 0
     where the union is empty, GIoU is 0 where the hull is empty.
     """
-    acx, acy, aw, ah = _components(a)[:, :, np.newaxis]
-    bcx, bcy, bw, bh = _components(b)[:, np.newaxis, :]
+    return _pairwise(_rows(a), _rows(b))
+
+
+def _pairwise(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``pairwise`` on ``[n, 4]`` and ``[m, 4]`` arrays of box rows."""
+    acx, acy, aw, ah = a.T[:, :, np.newaxis]
+    bcx, bcy, bw, bh = b.T[:, np.newaxis, :]
     ax1, ay1, ax2, ay2 = acx - aw / 2.0, acy - ah / 2.0, acx + aw / 2.0, acy + ah / 2.0
     bx1, by1, bx2, by2 = bcx - bw / 2.0, bcy - bh / 2.0, bcx + bw / 2.0, bcy + bh / 2.0
     area_a = (ax2 - ax1) * (ay2 - ay1)

@@ -6,14 +6,15 @@ Boxes on disk are pixel top-left format; in memory they become center-format
 boxes in pixel units.  Reals are serialized with shortest round-trip
 precision, so reading back what was written recovers the exact values.
 
-Parsing is strict: wrong field count, non-numeric fields, frames below 1,
-duplicate (frame, id) pairs and boxes whose center overflows all raise with
-the file path and the 1-based line number.
+Parsing is strict: a non-ASCII byte, wrong field count, non-numeric fields,
+frames below 1, duplicate (frame, id) pairs and boxes whose center
+overflows all raise with the file path and the 1-based line number.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 from .geometry import BoundingBox, to_pixel
@@ -99,6 +100,21 @@ def format_mot_line(line: MotLine) -> str:
     )
 
 
+def _read_ascii(path: str) -> str:
+    """The text of an ASCII file.  A non-ASCII byte is a ValueError that
+    names the file, the line and the byte, e.g. ``bad.txt: line 1:
+    non-ASCII byte 0xc3``."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # a stand-in character completes the bad byte's line
+        line_no = len((data[:exc.start].decode("ascii") + "?").splitlines())
+        raise ValueError(
+            f"{path}: line {line_no}: non-ASCII byte 0x{data[exc.start]:02x}"
+        ) from None
+
+
 def read_mot(path: str) -> Tracklets:
     """Parse a results or ground-truth file into pixel-space tracklets.
 
@@ -106,8 +122,10 @@ def read_mot(path: str) -> Tracklets:
     which rules out detection files full of id -1 rows; those are not
     tracklets.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        raw_lines = fh.read().splitlines()
+    try:
+        raw_lines = _read_ascii(path).splitlines()
+    except ValueError as exc:
+        raise MotFormatError(str(exc)) from None
     entries = []
     seen: set[tuple[int, int]] = set()
     for line_no, text in enumerate(raw_lines, start=1):

@@ -3,11 +3,10 @@
 A shadow set is a group of queries standing in for one logical query: all
 members share one label assignment during training and one identity at
 inference.  This module owns set construction (three initialization
-schemes), the score reduction used for alive/dead gating, and the
-best-shadow output selection.  Gating and output selection are deliberately
-separate operations: the gate applies a configurable reduction over the
-whole set, while the emitted box always comes from the single
-highest-scoring shadow.
+schemes) and the score reduction used for alive/dead gating.  The tracker
+keeps gating and output selection apart: the gate applies a configurable
+reduction over the whole set, while the emitted box always comes from the
+single highest-scoring shadow.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from statistics import fmean
-from typing import Iterable, Literal, Optional, Sequence
+from typing import Iterable, Literal, Optional
 
 import numpy as np
 
@@ -31,7 +30,6 @@ __all__ = [
     "ShadowConfig",
     "reduce_values",
     "init_query_bank",
-    "select_output",
 ]
 
 Reduction = Literal["min", "mean", "max"]
@@ -43,8 +41,9 @@ INIT_METHODS: tuple[str, ...] = ("rand", "copy", "noise")
 
 
 def reduce_values(values: Iterable[float], how: str) -> float:
-    """Scalar min/mean/max reduction, the shared primitive behind both
-    the training-cost reduction and the inference gate."""
+    """Scalar min/mean/max reduction of one value list; ``mean`` is
+    ``statistics.fmean``, which rounds once.  The tracker's ``mean`` gate
+    reduces each distinct score row with it."""
     vals = list(values)
     if not vals:
         raise ValueError("cannot reduce an empty value list")
@@ -156,17 +155,3 @@ def init_query_bank(n_sets: int, cfg: ShadowConfig, seed: int) -> list[ShadowSet
             ShadowSet(set_id=set_id, role="detection", anchor=anchor, n_shadows=cfg.n_shadows)
         )
     return bank
-
-
-def select_output(
-    predictions: Sequence[tuple[BoundingBox, float]],
-) -> tuple[BoundingBox, float]:
-    """Box and score of the highest-scoring shadow; ties go to the lowest
-    shadow index."""
-    if not predictions:
-        raise ValueError("select_output needs at least one prediction")
-    best = 0
-    for j in range(1, len(predictions)):
-        if predictions[j][1] > predictions[best][1]:
-            best = j
-    return predictions[best]

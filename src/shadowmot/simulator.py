@@ -23,7 +23,7 @@ from typing import Callable, Literal, NamedTuple, Sequence
 import numpy as np
 
 from .assignment import FrameGroundTruth, GroundTruthObject
-from .geometry import BoundingBox, pairwise
+from .geometry import BoundingBox, _pairwise, _rows
 from .matching import ClassScores
 from .shadow import ShadowSet
 from .tracker import ShadowTracker, Tracklets, TrackerConfig
@@ -51,8 +51,8 @@ SCENE_JSON_VERSION = 1
 # Bounds of the box an unassociated detection set emits, per (cx, cy, w, h).
 # It is drawn as lo + (hi - lo) * u from one frame_rng.random call, which is
 # what numpy's uniform(lo, hi) computes from the same doubles.
-_FALLBACK_LO = (0.2, 0.2, 0.02, 0.02)
-_FALLBACK_HI = (0.8, 0.8, 0.1, 0.1)
+_FALLBACK_LO = np.array((0.2, 0.2, 0.02, 0.02))
+_FALLBACK_HI = np.array((0.8, 0.8, 0.1, 0.1))
 
 
 @dataclass(frozen=True)
@@ -401,14 +401,15 @@ def emit_training_targets(
 
 
 def _claim(
-    sets: Sequence[ShadowSet],
-    boxes: Sequence[BoundingBox],
+    anchors: np.ndarray,
+    boxes: np.ndarray,
     gate: Callable[[np.ndarray], np.ndarray],
 ) -> dict[int, int]:
-    """Greedy one-to-one claim of ``boxes`` by the anchors of ``sets``, as
-    set index -> box index: best overlap first, ties to the lower set and
-    then the lower box, among the pairs whose overlap passes ``gate``."""
-    overlaps, _, _ = pairwise([s.anchor for s in sets], boxes)
+    """Greedy one-to-one claim of the ``boxes`` rows by the ``anchors``
+    rows, as anchor index -> box index: best overlap first, ties to the
+    lower anchor and then the lower box, among the pairs whose overlap
+    passes ``gate``."""
+    overlaps, _, _ = _pairwise(anchors, boxes)
     claims: dict[int, int] = {}
     taken: set[int] = set()
     for _, r, k in sorted(
@@ -420,135 +421,142 @@ def _claim(
     return claims
 
 
-def _noisy_box(target: BoundingBox, eps: np.ndarray, scale: float) -> BoundingBox:
-    return BoundingBox(
-        target.cx + float(eps[0]) * scale,
-        target.cy + float(eps[1]) * scale,
-        max(target.w + float(eps[2]) * scale, 0.0),
-        max(target.h + float(eps[3]) * scale, 0.0),
-    )
+class _FrameDraws(NamedTuple):
+    """One frame's draws for ``S`` sets holding ``N = sum(ns)`` shadows.
+    Per set: the box it is served (``target[S, 4]``, valid where
+    ``has_target``), its base score and the box it emits without a target
+    (``fallback[S, 4]``).  Per shadow, flat in set order: the corruption
+    flag and the unscaled box noise ``eps[N, 4]``.  ``owner[N]`` is the
+    set of each shadow."""
 
-
-class _SetDraws(NamedTuple):
-    """One set's per-frame draws: the box it is served (None when it is
-    unassociated), the unscaled per-shadow box noise, the per-shadow
-    scores after corruption, and the box an unassociated set emits."""
-
-    target: BoundingBox | None
+    target: np.ndarray
+    has_target: np.ndarray
+    base: np.ndarray
+    corrupted: np.ndarray
     eps: np.ndarray
-    scores: list[float]
-    fallback: BoundingBox | None
+    fallback: np.ndarray
+    owner: np.ndarray
+
+
+def _set_arrays(live_sets: Sequence[ShadowSet]) -> tuple[np.ndarray, list[bool], list[int]]:
+    """The anchors ``[S, 4]``, tracking flags and shadow counts of sets."""
+    return (
+        _rows([s.anchor for s in live_sets]),
+        [s.role == "tracking" for s in live_sets],
+        [s.n_shadows for s in live_sets],
+    )
 
 
 def _frame_draws(
     scene: Scene,
     frame: int,
-    live_sets: Sequence[ShadowSet],
+    anchors: np.ndarray,
+    tracking: Sequence[bool],
+    ns: Sequence[int],
     cfg: OracleConfig,
-) -> list[_SetDraws]:
-    """Everything random about one frame, drawn in a fixed order: claims
-    and association first (no draws), then every shadow's corruption flag
-    from the corruption stream, then per set its box noise and, when it
-    has no target, a false-positive coin (detection sets only) and a
-    fallback box."""
+) -> _FrameDraws:
+    """Everything random about one frame for the sets with ``anchors[S, 4]``,
+    ``tracking`` roles and ``ns`` shadows each, drawn in a fixed order:
+    claims and association first (no draws), then every shadow's
+    corruption flag from the corruption stream, then per set its box noise
+    and, when it has no target, a false-positive coin and a fallback box
+    (detection sets) or four discarded doubles (tracking sets, which fall
+    back to their anchor)."""
     if not 1 <= frame <= scene.n_frames:
         raise ValueError(f"frame {frame} outside [1, {scene.n_frames}]")
 
     frame_rng = np.random.default_rng([cfg.seed, _STREAM_ORACLE, frame])
     corrupt_rng = np.random.default_rng([cfg.seed, _STREAM_CORRUPT, frame])
 
-    states = scene.states_at(frame)
-    present = sorted(states.items())
+    present = sorted(scene.states_at(frame).items())
+    n_sets = len(ns)
+    base = np.zeros(n_sets)
+    served: dict[int, BoundingBox] = {}
 
     # tracking sets recognize their target by anchor overlap, not by the
     # tracker's identity counter (identities diverge from scene ids as
     # soon as a track dies or objects enter out of order); the gate is
     # any positive overlap because one frame of motion can drop a small
     # box below IoU 0.5 even without noise
-    recognized: dict[int, SceneFrame] = {}
     claimed_ids: set[int] = set()
-    trk_indices = [i for i, s in enumerate(live_sets) if s.role == "tracking"]
+    trk_indices = [i for i in range(n_sets) if tracking[i]]
     if present and trk_indices:
-        boxes = [st.box for _, st in present]
-        claims = _claim([live_sets[i] for i in trk_indices], boxes, lambda ov: ov > 0.0)
+        boxes = _rows([st.box for _, st in present])
+        claims = _claim(anchors[trk_indices], boxes, lambda ov: ov > 0.0)
         for r, k in claims.items():
-            recognized[trk_indices[r]] = present[k][1]
-            claimed_ids.add(present[k][0])
+            identity, st = present[k]
+            served[trk_indices[r]] = st.box
+            base[trk_indices[r]] = max(cfg.base_score - (0.0 if st.visible else cfg.occ_drop), 0.0)
+            claimed_ids.add(identity)
 
     unclaimed = [st.box for identity, st in present if st.visible and identity not in claimed_ids]
 
-    det_indices = [i for i, s in enumerate(live_sets) if s.role == "detection"]
-    association: dict[int, BoundingBox] = {}
+    det_indices = [i for i in range(n_sets) if not tracking[i]]
     if unclaimed and det_indices:
-        claims = _claim([live_sets[i] for i in det_indices], unclaimed, lambda ov: ov >= 0.5)
-        for r, k in claims.items():
-            association[det_indices[r]] = unclaimed[k]
+        claims = _claim(anchors[det_indices], _rows(unclaimed), lambda ov: ov >= 0.5)
         taken = set(claims.values())
-        free_sets = [i for r, i in enumerate(det_indices) if r not in claims]
+        free_sets = [r for r in range(len(det_indices)) if r not in claims]
         free_objs = [k for k in range(len(unclaimed)) if k not in taken]
-        for i, k in zip(free_sets, free_objs):
-            association[i] = unclaimed[k]
+        claims.update(zip(free_sets, free_objs))
+        for r, k in claims.items():
+            served[det_indices[r]] = unclaimed[k]
+            base[det_indices[r]] = cfg.base_score
 
     # every shadow's corruption flag, in set order, in one call: no other
     # draw reads this stream
-    n_total = sum(set_.n_shadows for set_ in live_sets)
-    flags = (corrupt_rng.uniform(size=n_total) < cfg.p_corrupt).tolist()
+    corrupted = corrupt_rng.uniform(size=sum(ns)) < cfg.p_corrupt
 
-    draws: list[_SetDraws] = []
-    start = 0
-    for i, set_ in enumerate(live_sets):
-        ns = set_.n_shadows
-        eps = (
-            frame_rng.normal(0.0, cfg.box_noise_std, size=(ns, 4))
-            if cfg.box_noise_std > 0
-            else np.zeros((ns, 4))
-        )
-        corrupted = flags[start:start + ns]
-        start += ns
-
-        target: BoundingBox | None = None
-        fallback: BoundingBox | None = None
-        base = 0.0
-        if set_.role == "tracking":
-            st = recognized.get(i)
-            if st is not None:
-                target = st.box
-                base = cfg.base_score - (0.0 if st.visible else cfg.occ_drop)
-                base = max(base, 0.0)
-            else:
-                # a lost track emits its anchor; the stream still advances
-                # past the fallback box it does not use
-                frame_rng.random(4)
-                fallback = set_.anchor
-        elif i in association:
-            target = association[i]
-            base = cfg.base_score
+    # the box noise is one normal call per set, and a set without a target
+    # draws right after its noise, so these calls stay one per set; the
+    # doubles are mapped after the loop
+    std = cfg.box_noise_std
+    noise: list[np.ndarray] = []
+    lost: list[int] = []
+    free: list[int] = []
+    fallback_draws: list[np.ndarray] = []
+    for i, n in enumerate(ns):
+        if std > 0:
+            noise.append(frame_rng.normal(0.0, std, size=(n, 4)))
+        if i in served:
+            continue
+        if tracking[i]:
+            # a lost track emits its anchor; the stream still advances
+            # past the fallback box it does not use
+            frame_rng.random(4)
+            lost.append(i)
         else:
-            coin, *u = frame_rng.random(5).tolist()
-            if coin < cfg.fp_rate:
-                base = cfg.fp_score
-            fallback = BoundingBox(
-                *(lo + (hi - lo) * v for lo, hi, v in zip(_FALLBACK_LO, _FALLBACK_HI, u))
-            )
+            free.append(i)
+            fallback_draws.append(frame_rng.random(5))
 
-        scores = [0.0 if c else base for c in corrupted]
-        draws.append(_SetDraws(target, eps, scores, fallback))
-    return draws
+    target = np.zeros((n_sets, 4))
+    has_target = np.zeros(n_sets, dtype=bool)
+    if served:
+        rows = list(served)
+        target[rows] = _rows(list(served.values()))
+        has_target[rows] = True
+    fallback = np.zeros((n_sets, 4))
+    fallback[lost] = anchors[lost]
+    if free:
+        u = np.concatenate(fallback_draws).reshape(-1, 5)
+        base[free] = np.where(u[:, 0] < cfg.fp_rate, cfg.fp_score, 0.0)
+        fallback[free] = _FALLBACK_LO + (_FALLBACK_HI - _FALLBACK_LO) * u[:, 1:]
+    eps = np.concatenate(noise) if noise else np.zeros((sum(ns), 4))
+    owner = np.repeat(np.arange(n_sets), ns)
+    return _FrameDraws(target, has_target, base, corrupted, eps, fallback, owner)
 
 
-def _render_layer(
-    draws: Sequence[_SetDraws], scale: float
-) -> list[list[tuple[BoundingBox, ClassScores]]]:
-    """One decoder layer's [set][shadow] predictions, box noise scaled by
-    ``scale``.  Makes no draws."""
-    return [
-        [
-            (_noisy_box(d.target, d.eps[j], scale) if d.target is not None else d.fallback,
-             (score,))
-            for j, score in enumerate(d.scores)
-        ]
-        for d in draws
-    ]
+def _render_layer(draws: _FrameDraws, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """One decoder layer's per-shadow boxes ``[N, 4]`` and scores ``[N]``,
+    box noise scaled by ``scale``.  Makes no draws.  The extent clamp is
+    ``np.where(v < 0.0, 0.0, v)``, which keeps ``-0.0`` as ``max(v, 0.0)``
+    does and ``np.maximum`` does not."""
+    owner = draws.owner
+    boxes = draws.target[owner] + draws.eps * scale
+    extent = boxes[:, 2:]
+    boxes[:, 2:] = np.where(extent < 0.0, 0.0, extent)
+    boxes = np.where(draws.has_target[owner, np.newaxis], boxes, draws.fallback[owner])
+    scores = np.where(draws.corrupted, 0.0, draws.base[owner])
+    return boxes, scores
 
 
 def oracle_decode(
@@ -575,12 +583,30 @@ def oracle_decode(
 
     Output is indexed [layer][set][shadow]; layer noise shrinks by
     refinement**(layer-1) around a single per-frame draw, and per-shadow
-    score corruption is shared across layers.
+    score corruption is shared across layers.  The draws and each layer
+    are arrays over the flat shadow axis (sets may differ in shadow
+    count); the boxes and score tuples are built from them here.
     """
     if n_layers < 1:
         raise ValueError(f"n_layers must be >= 1, got {n_layers}")
-    draws = _frame_draws(scene, frame, live_sets, cfg)
-    return [_render_layer(draws, cfg.refinement ** l) for l in range(n_layers)]
+    anchors, tracking, ns = _set_arrays(live_sets)
+    draws = _frame_draws(scene, frame, anchors, tracking, ns, cfg)
+    # a set without a target emits one box at every shadow and layer
+    served = draws.has_target.tolist()
+    fallback = [None if hit else BoundingBox(*row)
+                for hit, row in zip(served, draws.fallback.tolist())]
+    ends = np.cumsum(ns).tolist()
+    layers = []
+    for l in range(n_layers):
+        boxes, scores = _render_layer(draws, cfg.refinement ** l)
+        rendered = iter(boxes[draws.has_target[draws.owner]].tolist())
+        scores = scores.tolist()
+        layers.append([
+            [(BoundingBox(*next(rendered)) if served[i] else fallback[i], (score,))
+             for score in scores[end - n:end]]
+            for i, (end, n) in enumerate(zip(ends, ns))
+        ])
+    return layers
 
 
 def track_scene(
@@ -589,12 +615,22 @@ def track_scene(
     oracle_cfg: OracleConfig,
 ) -> Tracklets:
     """Run the oracle-fed tracker over a whole scene.  The oracle seed also
-    seeds the tracker's query bank, so one seed pins the entire run."""
+    seeds the tracker's query bank, so one seed pins the entire run.  The
+    oracle's arrays go straight into the tracker's lifecycle core; boxes
+    are built only for the emitted outputs."""
     tracker = ShadowTracker(tracker_cfg, seed=oracle_cfg.seed)
     # only the final layer reaches the tracker, so only it is rendered
     scale = oracle_cfg.refinement ** (tracker_cfg.n_layers - 1)
-
-    def provider(frame: int, live: list[ShadowSet]):
-        return _render_layer(_frame_draws(scene, frame, live, oracle_cfg), scale)
-
-    return tracker.run(scene.n_frames, provider)
+    ns = tracker_cfg.shadow.n_shadows
+    tracklets = Tracklets()
+    for frame in range(1, scene.n_frames + 1):
+        anchors, n_tracks = tracker._live_anchors()
+        n_sets = len(anchors)
+        tracking = [True] * n_tracks + [False] * (n_sets - n_tracks)
+        draws = _frame_draws(scene, frame, anchors, tracking, [ns] * n_sets, oracle_cfg)
+        boxes, scores = _render_layer(draws, scale)
+        boxes = boxes.reshape(n_sets, ns, 4)
+        result = tracker._advance(scores.reshape(n_sets, ns), lambda sets: boxes[sets])
+        for identity, box, score in result.outputs:
+            tracklets.add(identity, result.frame, box, score)
+    return tracklets

@@ -10,12 +10,14 @@ best member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
-from .geometry import BoundingBox
+import numpy as np
+
+from .geometry import BoundingBox, _rows
 from .matching import ClassScores
-from .shadow import ShadowConfig, ShadowSet, init_query_bank, reduce_values, select_output
+from .shadow import ShadowConfig, ShadowSet, init_query_bank, reduce_values
 
 __all__ = [
     "AssignmentMode",
@@ -36,9 +38,9 @@ SetPredictions = Sequence[Sequence[tuple[BoundingBox, ClassScores]]]
 
 @dataclass(frozen=True)
 class TrackerConfig:
-    """Tracker knobs.  ``assignment_mode`` only affects which training
-    targets are emitted alongside inference; the lifecycle itself is
-    identical for both."""
+    """Tracker knobs.  ``assignment_mode`` picks the training-target
+    policy (TALA or COLA) that ``assign-debug`` reports.  Tracking never
+    reads it: no ``track`` or ``ablate`` output depends on it."""
 
     shadow: ShadowConfig = field(default_factory=ShadowConfig)
     n_layers: int = 6
@@ -139,21 +141,27 @@ class Tracklets:
         return sum(len(t) for t in self._tracks.values())
 
 
-def _shadow_score(scores: ClassScores) -> float:
-    """Confidence of one shadow: its maximum class score."""
-    return float(max(scores))
-
-
 class ShadowTracker:
     """Single-sequence state machine.  Frames are 1-based; identities are
-    drawn from a monotone counter and never reused."""
+    drawn from a monotone counter and never reused.
+
+    The live tracks are held as arrays: one anchor row per track in
+    ``[T, 4]``, with its identity and miss count.  The fixed detection bank
+    is one ``[D, 4]`` anchor array.  Each frame the lifecycle core reads the
+    final-layer shadow scores ``[T + D, ns]`` of the tracks, then the bank,
+    and the boxes ``[ns, 4]`` of the sets that pass the gate.  ``step``
+    turns object predictions into those arrays, and ``live_sets`` builds
+    the sets only when asked.
+    """
 
     def __init__(self, config: TrackerConfig, seed: int) -> None:
         self.config = config
         self.seed = seed
         self._detection_bank = init_query_bank(config.n_detection_sets, config.shadow, seed)
-        self._tracks: list[ShadowSet] = []
-        self._misses: dict[int, int] = {}
+        self._bank_anchors = _rows([s.anchor for s in self._detection_bank])
+        self._anchors = np.zeros((0, 4))
+        self._identities: list[int] = []
+        self._misses: list[int] = []
         self._next_identity = 1
         self._frame = 0
 
@@ -163,62 +171,108 @@ class ShadowTracker:
 
     @property
     def track_identities(self) -> tuple[int, ...]:
-        return tuple(s.identity for s in self._tracks if s.identity is not None)
+        return tuple(self._identities)
 
     def live_sets(self) -> list[ShadowSet]:
         """Sets expecting predictions this frame: current tracks first,
         then the full detection bank (refreshed every frame boundary)."""
-        return list(self._tracks) + list(self._detection_bank)
+        ns = self.config.shadow.n_shadows
+        tracks = [
+            ShadowSet(set_id=identity, role="tracking", anchor=BoundingBox(*anchor),
+                      n_shadows=ns, identity=identity)
+            for identity, anchor in zip(self._identities, self._anchors.tolist())
+        ]
+        return tracks + list(self._detection_bank)
+
+    def _live_anchors(self) -> tuple[np.ndarray, int]:
+        """The anchors ``[T + D, 4]`` of the live sets and the track count."""
+        return np.concatenate([self._anchors, self._bank_anchors]), len(self._identities)
 
     def step(self, predictions: SetPredictions) -> FrameResult:
-        live = self.live_sets()
-        if len(predictions) != len(live):
-            raise ValueError(
-                f"expected predictions for {len(live)} sets, got {len(predictions)}"
-            )
-        for set_, per_shadow in zip(live, predictions):
-            if len(per_shadow) != set_.n_shadows:
+        """One frame over ``[set][shadow]`` predictions of ``(box, class
+        scores)`` in ``live_sets()`` order.  A shadow's confidence is its
+        maximum class score."""
+        n_sets = len(self._identities) + len(self._detection_bank)
+        if len(predictions) != n_sets:
+            raise ValueError(f"expected predictions for {n_sets} sets, got {len(predictions)}")
+        ns = self.config.shadow.n_shadows
+        for n, per_shadow in enumerate(predictions):
+            if len(per_shadow) != ns:
                 raise ValueError(
-                    f"set {set_.set_id}: expected {set_.n_shadows} shadow predictions, "
+                    f"set {self.live_sets()[n].set_id}: expected {ns} shadow predictions, "
                     f"got {len(per_shadow)}"
                 )
+        scores = np.array(
+            [max(s) for per_shadow in predictions for _, s in per_shadow], dtype=float
+        )
+        return self._advance(
+            scores.reshape(n_sets, ns),
+            lambda sets: _rows([b for i in sets for b, _ in predictions[i]]).reshape(-1, ns, 4),
+        )
+
+    def _advance(
+        self, scores: np.ndarray, boxes_of: Callable[[list[int]], np.ndarray]
+    ) -> FrameResult:
+        """The lifecycle core: gate every live set on its reduced shadow
+        scores ``[T + D, ns]``, emit the best shadow of each set that
+        passes, promote the bank sets that pass, and drop tracks past their
+        patience.  ``boxes_of(sets)`` gives the final-layer boxes
+        ``[len(sets), ns, 4]`` of the listed live sets; it is asked only for
+        the sets that pass."""
         self._frame += 1
         cfg = self.config
         phi, tau = cfg.shadow.score_reduction, cfg.shadow.tau
+        if phi == "mean":
+            # fmean rounds once where np.mean need not; shadow scores take
+            # few values, so each distinct row is reduced once
+            rows = [tuple(row) for row in scores.tolist()]
+            means = {row: reduce_values(row, phi) for row in set(rows)}
+            alive = np.array([means[row] > tau for row in rows], dtype=bool)
+        else:
+            alive = (scores.min(axis=1) if phi == "min" else scores.max(axis=1)) > tau
 
-        outputs: list[tuple[int, BoundingBox, float]] = []
-        births: list[int] = []
+        n_tracks = len(self._identities)
+        hits: list[int] = []
+        kept: list[int] = []
+        misses: list[int] = []
         deaths: list[int] = []
-        survivors: list[ShadowSet] = []
+        for i, on in enumerate(alive[:n_tracks].tolist()):
+            miss = 0 if on else self._misses[i] + 1
+            if on:
+                hits.append(i)
+            if miss > cfg.patience:
+                deaths.append(self._identities[i])
+            else:
+                kept.append(i)
+                misses.append(miss)
+        newborn = (np.flatnonzero(alive[n_tracks:]) + n_tracks).tolist()
+        births = list(range(self._next_identity, self._next_identity + len(newborn)))
+        self._next_identity += len(newborn)
+        emitted = hits + newborn
+        out_ids = [self._identities[i] for i in hits] + births
 
-        for set_, per_shadow in zip(live, predictions):
-            shadow_scores = [_shadow_score(scores) for _, scores in per_shadow]
-            if reduce_values(shadow_scores, phi) > tau:
-                if set_.role == "detection":
-                    set_ = set_.promoted(self._next_identity)
-                    self._next_identity += 1
-                    births.append(set_.identity)
-                box, score = select_output(
-                    [(b, s) for (b, _), s in zip(per_shadow, shadow_scores)]
-                )
-                outputs.append((set_.identity, box, score))
-                self._misses[set_.identity] = 0
-                # the oracle serves the set next frame by this box
-                survivors.append(replace(set_, anchor=per_shadow[0][0]))
-            elif set_.role == "tracking":
-                identity = set_.identity
-                misses = self._misses.get(identity, 0) + 1
-                if misses > cfg.patience:
-                    deaths.append(identity)
-                    self._misses.pop(identity, None)
-                else:
-                    self._misses[identity] = misses
-                    survivors.append(set_)
+        boxes = boxes_of(emitted)
 
-        self._tracks = survivors
+        # the oracle serves a set next frame by the box of its first shadow
+        anchors = self._anchors.copy()
+        anchors[hits] = boxes[:len(hits), 0]
+        self._anchors = np.concatenate([anchors[kept], boxes[len(hits):, 0]])
+        self._identities = [self._identities[i] for i in kept] + births
+        self._misses = misses + [0] * len(newborn)
+
+        # argmax takes the lowest shadow index among equal scores
+        best = scores[emitted].argmax(axis=1)
+        outputs = tuple(
+            (identity, BoundingBox(*box), score)
+            for identity, box, score in zip(
+                out_ids,
+                boxes[np.arange(len(emitted)), best].tolist(),
+                scores[emitted, best].tolist(),
+            )
+        )
         return FrameResult(
             frame=self._frame,
-            outputs=tuple(outputs),
+            outputs=outputs,
             births=tuple(births),
             deaths=tuple(deaths),
         )

@@ -4,18 +4,30 @@ from __future__ import annotations
 
 import math
 import os
+from dataclasses import replace
 from functools import lru_cache
 from itertools import permutations
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 import shadowmot
-from shadowmot import BoundingBox, ClassScores, CostMatrix, CostWeights, Tracklets, focal_cost
+from shadowmot import (
+    BoundingBox,
+    ClassScores,
+    CostMatrix,
+    CostWeights,
+    FrameResult,
+    Tracklets,
+    focal_cost,
+    init_query_bank,
+    reduce_values,
+)
 from shadowmot.geometry import pairwise
 from shadowmot.matching import hungarian
 from shadowmot.metrics import ALPHA_GRID, AlphaScores, HotaResult, _frame_overlaps
-from shadowmot.simulator import _STREAM_CORRUPT, _STREAM_ORACLE, _SetDraws
+from shadowmot.simulator import _STREAM_CORRUPT, _STREAM_ORACLE
 
 
 def cli_env() -> dict[str, str]:
@@ -136,6 +148,22 @@ def build_cost_matrix(preds, gts, w: CostWeights) -> CostMatrix:
     return CostMatrix(costs)
 
 
+# The object path of the oracle and the tracker: one box object per shadow,
+# one loop over the sets.  The reference that the array path in
+# ``simulator`` and ``tracker`` must equal bit for bit.
+
+
+class _SetDraws(NamedTuple):
+    """One set's per-frame draws: the box it is served (None when it is
+    unassociated), the unscaled per-shadow box noise, the per-shadow
+    scores after corruption, and the box an unassociated set emits."""
+
+    target: BoundingBox | None
+    eps: np.ndarray
+    scores: list[float]
+    fallback: BoundingBox | None
+
+
 def frame_draws_reference(scene, frame, live_sets, cfg) -> list[_SetDraws]:
     """The oracle's per-frame draws made one numpy call per value group:
     per set its box noise, its corruption flags, then, without a target,
@@ -238,6 +266,123 @@ def frame_draws_reference(scene, frame, live_sets, cfg) -> list[_SetDraws]:
         scores = [0.0 if corrupted[j] else base for j in range(ns)]
         draws.append(_SetDraws(target, eps, scores, fallback))
     return draws
+
+
+def _noisy_box(target: BoundingBox, eps: np.ndarray, scale: float) -> BoundingBox:
+    return BoundingBox(
+        target.cx + float(eps[0]) * scale,
+        target.cy + float(eps[1]) * scale,
+        max(target.w + float(eps[2]) * scale, 0.0),
+        max(target.h + float(eps[3]) * scale, 0.0),
+    )
+
+
+def render_layer_reference(
+    draws: Sequence[_SetDraws], scale: float
+) -> list[list[tuple[BoundingBox, ClassScores]]]:
+    """One decoder layer's [set][shadow] predictions, box noise scaled by
+    ``scale``, one box per shadow."""
+    return [
+        [
+            (_noisy_box(d.target, d.eps[j], scale) if d.target is not None else d.fallback,
+             (score,))
+            for j, score in enumerate(d.scores)
+        ]
+        for d in draws
+    ]
+
+
+def select_output(
+    predictions: Sequence[tuple[BoundingBox, float]],
+) -> tuple[BoundingBox, float]:
+    """Box and score of the highest-scoring shadow; ties go to the lowest
+    shadow index."""
+    if not predictions:
+        raise ValueError("select_output needs at least one prediction")
+    best = 0
+    for j in range(1, len(predictions)):
+        if predictions[j][1] > predictions[best][1]:
+            best = j
+    return predictions[best]
+
+
+class TrackerReference:
+    """The tracker lifecycle over ``ShadowSet`` objects: one loop over the
+    live sets per frame, the gate through ``reduce_values`` per set and the
+    emitted shadow through ``select_output``."""
+
+    def __init__(self, config, seed: int) -> None:
+        self.config = config
+        self._detection_bank = init_query_bank(config.n_detection_sets, config.shadow, seed)
+        self._tracks = []
+        self._misses: dict[int, int] = {}
+        self._next_identity = 1
+        self._frame = 0
+
+    @property
+    def track_identities(self) -> tuple[int, ...]:
+        return tuple(s.identity for s in self._tracks)
+
+    def live_sets(self) -> list:
+        return list(self._tracks) + list(self._detection_bank)
+
+    def step(self, predictions) -> FrameResult:
+        live = self.live_sets()
+        assert len(predictions) == len(live)
+        self._frame += 1
+        cfg = self.config
+        phi, tau = cfg.shadow.score_reduction, cfg.shadow.tau
+        outputs, births, deaths, survivors = [], [], [], []
+        for set_, per_shadow in zip(live, predictions):
+            assert len(per_shadow) == set_.n_shadows
+            shadow_scores = [float(max(scores)) for _, scores in per_shadow]
+            if reduce_values(shadow_scores, phi) > tau:
+                if set_.role == "detection":
+                    set_ = set_.promoted(self._next_identity)
+                    self._next_identity += 1
+                    births.append(set_.identity)
+                box, score = select_output(
+                    [(b, s) for (b, _), s in zip(per_shadow, shadow_scores)]
+                )
+                outputs.append((set_.identity, box, score))
+                self._misses[set_.identity] = 0
+                survivors.append(replace(set_, anchor=per_shadow[0][0]))
+            elif set_.role == "tracking":
+                identity = set_.identity
+                misses = self._misses.get(identity, 0) + 1
+                if misses > cfg.patience:
+                    deaths.append(identity)
+                    self._misses.pop(identity, None)
+                else:
+                    self._misses[identity] = misses
+                    survivors.append(set_)
+        self._tracks = survivors
+        return FrameResult(self._frame, tuple(outputs), tuple(births), tuple(deaths))
+
+
+def track_scene_reference(scene, tracker_cfg, oracle_cfg) -> Tracklets:
+    """``track_scene`` on the object path: reference draws, one box per
+    shadow, and the reference lifecycle."""
+    tracker = TrackerReference(tracker_cfg, seed=oracle_cfg.seed)
+    scale = oracle_cfg.refinement ** (tracker_cfg.n_layers - 1)
+    tracklets = Tracklets()
+    for frame in range(1, scene.n_frames + 1):
+        draws = frame_draws_reference(scene, frame, tracker.live_sets(), oracle_cfg)
+        result = tracker.step(render_layer_reference(draws, scale))
+        for identity, box, score in result.outputs:
+            tracklets.add(identity, result.frame, box, score)
+    return tracklets
+
+
+def tracklet_bits(tracklets: Tracklets) -> bytes:
+    """Every identity, frame, box component and score of ``tracklets`` as
+    float64 bytes, so that equal values of different sign (``-0.0`` and
+    ``0.0``) differ."""
+    return np.array(
+        [(identity, obs.frame, obs.box.cx, obs.box.cy, obs.box.w, obs.box.h, obs.score)
+         for identity, track in tracklets for obs in track],
+        dtype=float,
+    ).tobytes()
 
 
 def random_box(rng: np.random.Generator) -> BoundingBox:

@@ -234,6 +234,19 @@ class TestTrack:
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [message]
 
+    def test_tala_and_cola_write_the_same_results(self, workdir, scene_path):
+        # the assignment mode picks training targets, which tracking never
+        # reads; noise and corruption make the run take every branch
+        (workdir / "noisy.cfg").write_text(
+            _CONFIG + "oracle.box_noise_std = 0.02\noracle.p_corrupt = 0.2\n"
+            "oracle.fp_rate = 0.3\n", encoding="ascii")
+        for mode in ("tala", "cola"):
+            proc = run_cli("track", "--scene", "scene.json", "--config", "noisy.cfg",
+                           f"--{mode}", "-o", f"{mode}.txt", cwd=workdir)
+            assert proc.returncode == 0, proc.stderr
+        tala = (workdir / "tala.txt").read_bytes()
+        assert tala and tala == (workdir / "cola.txt").read_bytes()
+
     def test_tala_and_cola_are_mutually_exclusive(self, workdir, scene_path):
         proc = run_cli("track", "--scene", "scene.json", "--tala", "--cola",
                        "-o", "out.txt", cwd=workdir)
@@ -374,6 +387,37 @@ class TestEval:
         assert proc.stderr.splitlines() == [
             "error: bad.gt.txt: line 2: duplicate (frame, id) = (1, 1)"
         ]
+
+
+class TestNonAsciiInput:
+    """A non-ASCII byte in any input file is one error naming the file,
+    the line and the byte."""
+
+    @pytest.mark.parametrize("command", ["eval-gt", "eval-results", "simulate-config",
+                                         "track-config", "track-scene"])
+    def test_is_one_located_error(self, workdir, scene_path, command):
+        bad = b"\xc3\xa9"
+        if command.startswith("eval"):
+            (workdir / "bad.txt").write_bytes(
+                b"1,1,10,10,5,5,1,-1,-1,-1\n2,1," + bad + b",10,5,5,1,-1,-1,-1\n")
+            gt, results = (("bad.txt", "scene.gt.txt") if command == "eval-gt"
+                           else ("scene.gt.txt", "bad.txt"))
+            args = ["eval", "--gt", gt, "--results", results, "-o", "report.json"]
+            message = "error: bad.txt: line 2: non-ASCII byte 0xc3"
+        elif command == "track-scene":
+            (workdir / "bad.txt").write_bytes(scene_path.read_bytes() + bad)
+            args = ["track", "--scene", "bad.txt", "-o", "out.txt"]
+            lines = scene_path.read_bytes().count(b"\n")
+            message = f"error: bad.txt: line {lines + 1}: non-ASCII byte 0xc3"
+        else:
+            (workdir / "bad.txt").write_bytes(b"seed = 1\r\n# " + bad + b"\n")
+            args = (["simulate", "--config", "bad.txt", "-o", "s.json"]
+                    if command == "simulate-config" else
+                    ["track", "--scene", "scene.json", "--config", "bad.txt", "-o", "out.txt"])
+            message = "error: bad.txt: line 2: non-ASCII byte 0xc3"
+        proc = run_cli(*args, cwd=workdir)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [message]
 
 
 class TestAblate:

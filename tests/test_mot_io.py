@@ -140,6 +140,18 @@ class TestReadMot:
         assert str(info.value) == f"{path}: line 2: box component cx must be finite, got inf"
 
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_non_ascii_byte_is_a_located_error(self, tmp_path, newline):
+        path = tmp_path / "r.txt"
+        good = "1,3,0.0,0.0,10.0,10.0,1.0,-1,-1,-1"
+        path.write_bytes(
+            (good + newline + newline + "2,3,").encode() + b"\xff" + b",0,1,1,1,-1,-1,-1\n"
+        )
+        with pytest.raises(MotFormatError) as info:
+            read_mot(str(path))
+        assert str(info.value) == f"{path}: line 3: non-ASCII byte 0xff"
+
+
 class TestWriteReadCycle:
     def test_write_then_read_pixel_tracklets(self, tmp_path):
         rng = np.random.default_rng(3)

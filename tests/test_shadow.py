@@ -17,8 +17,9 @@ from shadowmot import (
     ShadowSet,
     init_query_bank,
     reduce_values,
-    select_output,
 )
+
+from helpers import select_output
 
 scores = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 

@@ -25,9 +25,15 @@ from shadowmot import (
     oracle_decode,
     track_scene,
 )
-from shadowmot.simulator import _FALLBACK_HI, _FALLBACK_LO, _frame_draws, _render_layer
+from shadowmot.geometry import _rows
+from shadowmot.simulator import _FALLBACK_HI, _FALLBACK_LO, _frame_draws, _set_arrays
 
-from helpers import frame_draws_reference
+from helpers import (
+    frame_draws_reference,
+    render_layer_reference,
+    track_scene_reference,
+    tracklet_bits,
+)
 
 
 def _tracking_set(identity, box, ns=1):
@@ -603,10 +609,27 @@ def _branches(live, draws, oracle):
     return seen
 
 
+def _assert_draws_equal(got, ref):
+    """The arrays of ``_frame_draws`` against the reference's per-set
+    draws stacked along the set and the flat shadow axes, bit for bit."""
+    has = [r.target is not None for r in ref]
+    assert got.has_target.tolist() == has
+    assert got.owner.tolist() == [i for i, r in enumerate(ref) for _ in r.scores]
+    served = _rows([r.target for r in ref if r.target is not None])
+    assert got.target[got.has_target].tobytes() == served.tobytes()
+    unserved = _rows([r.fallback for r in ref if r.target is None])
+    assert got.fallback[~got.has_target].tobytes() == unserved.tobytes()
+    assert got.eps.tobytes() == np.concatenate([r.eps for r in ref]).tobytes()
+    scores = np.where(got.corrupted, 0.0, got.base[got.owner])
+    assert scores.tobytes() == np.array([s for r in ref for s in r.scores]).tobytes()
+
+
 class TestBatchedDraws:
     """``_frame_draws`` draws with one call where the reference in
-    tests/helpers.py makes one per value group; every field must match
-    exactly, frame by frame along whole tracked runs."""
+    tests/helpers.py makes one per value group, and returns arrays where
+    the reference returns one record per set; every array must equal the
+    stacked reference bit for bit, frame by frame along whole tracked
+    runs."""
 
     @staticmethod
     def _run(scene, cfg, oracle):
@@ -616,16 +639,11 @@ class TestBatchedDraws:
         seen = set()
         for frame in range(1, scene.n_frames + 1):
             live = tracker.live_sets()
-            got = _frame_draws(scene, frame, live, oracle)
+            got = _frame_draws(scene, frame, *_set_arrays(live), oracle)
             ref = frame_draws_reference(scene, frame, live, oracle)
-            assert len(got) == len(ref)
-            for g, r in zip(got, ref):
-                assert g.target == r.target
-                assert np.array_equal(g.eps, r.eps)
-                assert g.scores == r.scores
-                assert g.fallback == r.fallback
+            _assert_draws_equal(got, ref)
             seen |= _branches(live, ref, oracle)
-            result = tracker.step(_render_layer(ref, scale))
+            result = tracker.step(render_layer_reference(ref, scale))
             for identity, box, score in result.outputs:
                 want.add(identity, result.frame, box, score)
         assert track_scene(scene, cfg, oracle) == want
@@ -694,3 +712,90 @@ class TestBatchedDraws:
             want = a.uniform(lo, hi, size=10_000)
             got = [lo + (hi - lo) * v for v in b.random(10_000).tolist()]
             assert want.tolist() == got
+
+
+def _layer_bits(layers) -> bytes:
+    """Every box component and score of ``[layer][set][shadow]``
+    predictions as float64 bytes, signed zeros told apart."""
+    return np.array(
+        [(b.cx, b.cy, b.w, b.h, *scores)
+         for layer in layers for per_set in layer for b, scores in per_set],
+        dtype=float,
+    ).tobytes()
+
+
+class TestArrayPath:
+    """The oracle and the tracker run on arrays; the object path in
+    tests/helpers.py (reference draws, one box per shadow, the per-set
+    lifecycle loop) must give the same bits along whole runs."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        ns=st.integers(1, 6),
+        phi=st.sampled_from(["min", "mean", "max"]),
+        box_noise=st.sampled_from([0.0, 0.01]),
+        p_corrupt=st.sampled_from([0.0, 0.1, 0.5]),
+        fp_rate=st.sampled_from([0.0, 0.1, 0.5]),
+        fp_score=st.sampled_from([0.1, 0.8]),
+        patience=st.integers(0, 3),
+        schedule=st.sampled_from(["all-at-start", "uniform"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_track_scene_equals_object_path(
+        self, seed, ns, phi, box_noise, p_corrupt, fp_rate, fp_score, patience, schedule
+    ):
+        scene = generate_scene(SceneConfig(
+            n_frames=10, n_objects=4, schedule=schedule,
+            occlusions=((1, 3, 5), (2, 6, 8)), seed=seed,
+        ))
+        cfg = TrackerConfig(
+            shadow=ShadowConfig(n_shadows=ns, score_reduction=phi, embed_dim=8),
+            n_detection_sets=6, patience=patience,
+        )
+        oracle = OracleConfig(
+            seed=seed, box_noise_std=box_noise, p_corrupt=p_corrupt,
+            fp_rate=fp_rate, fp_score=fp_score,
+        )
+        got = track_scene(scene, cfg, oracle)
+        want = track_scene_reference(scene, cfg, oracle)
+        assert got == want
+        assert tracklet_bits(got) == tracklet_bits(want)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_oracle_decode_equals_object_path_with_mixed_shadow_counts(self, seed):
+        # the flat shadow axis lets sets of one frame differ in shadow count
+        scene = generate_scene(SceneConfig(n_frames=6, n_objects=4, schedule="uniform", seed=seed))
+        oracle = OracleConfig(seed=seed, box_noise_std=0.02, p_corrupt=0.3, fp_rate=0.5)
+        for frame in range(1, 7):
+            states = scene.states_at(frame)
+            live = [_tracking_set(i, s.box, ns=i) for i, s in sorted(states.items())]
+            live += [_detection_set(10 + k, ns=k % 3 + 1, at=(0.1 * k, 0.5, 0.1, 0.1))
+                     for k in range(1, 6)]
+            got = oracle_decode(scene, frame, live, oracle, 6)
+            draws = frame_draws_reference(scene, frame, live, oracle)
+            want = [render_layer_reference(draws, oracle.refinement ** l) for l in range(6)]
+            assert got == want
+            assert _layer_bits(got) == _layer_bits(want)
+
+    def test_negative_zero_extent_is_kept(self):
+        # a scene document may give a box the width -0.0; a zero refinement
+        # scales later layers' noise to signed zeros, and the extent clamp
+        # must keep -0.0 as max(-0.0, 0.0) does, where np.maximum gives 0.0
+        doc = generate_scene(SceneConfig(n_frames=8, n_objects=3, seed=4)).to_json()
+        for f in doc["tracks"][0]["frames"]:
+            f["box"][2] = -0.0
+        scene = Scene.from_json(json.loads(json.dumps(doc)))
+        assert math.copysign(1.0, scene.tracks[1][0].box.w) < 0
+        cfg = TrackerConfig(shadow=ShadowConfig(n_shadows=3, embed_dim=8), n_detection_sets=6)
+        oracle = OracleConfig(seed=4, box_noise_std=0.01, refinement=0.0)
+
+        tracker = ShadowTracker(cfg, seed=4)
+        got = oracle_decode(scene, 1, tracker.live_sets(), oracle, 6)
+        draws = frame_draws_reference(scene, 1, tracker.live_sets(), oracle)
+        want = [render_layer_reference(draws, oracle.refinement ** l) for l in range(6)]
+        assert _layer_bits(got) == _layer_bits(want)
+        assert any(math.copysign(1.0, b.w) < 0 for per_set in got[-1] for b, _ in per_set)
+
+        tracklets = track_scene(scene, cfg, oracle)
+        assert tracklet_bits(tracklets) == tracklet_bits(track_scene_reference(scene, cfg, oracle))
+        assert any(math.copysign(1.0, o.box.w) < 0 for _, track in tracklets for o in track)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import statistics
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from shadowmot import (
     TrackerConfig,
 )
 
-from helpers import random_box
+from helpers import TrackerReference, random_box
 
 
 def _cfg(n_sets=2, ns=1, phi="min", tau=0.5, patience=0):
@@ -296,3 +298,49 @@ class TestSingleShadowEquivalence:
             want = ref.step(scores[:n_tracks], scores[n_tracks:])
             assert [i for i, _, _ in result.outputs] == want
             assert list(tracker.track_identities) == ref.tracks
+
+
+class TestArrayLifecycle:
+    """The tracker's array core against the per-set object loop in
+    tests/helpers.py, fed the same object predictions."""
+
+    @pytest.mark.parametrize("row", [(0.9, 0.1, 0.9), (0.9, 0.9, 0.9, 0.7)])
+    def test_mean_gate_is_fmean(self, row):
+        # fmean rounds once where np.mean need not; with tau between the
+        # two, only fmean gives the reference's decision
+        exact, numpy_mean = statistics.fmean(row), float(np.mean(row))
+        assert exact != numpy_mean
+        tau = min(exact, numpy_mean)
+        cfg = _cfg(n_sets=1, ns=len(row), phi="mean", tau=tau)
+        b = BoundingBox(cx=0.5, cy=0.5, w=0.1, h=0.1)
+        preds = [[(b, (s,)) for s in row]]
+        got = ShadowTracker(cfg, seed=0).step(preds)
+        assert got == TrackerReference(cfg, seed=0).step(preds)
+        assert got.births == ((1,) if exact > tau else ())
+
+    @pytest.mark.parametrize("phi", ["min", "mean", "max"])
+    def test_equal_scores_emit_shadow_zero(self, phi):
+        boxes = [BoundingBox(cx=c, cy=0.5, w=0.1, h=0.1) for c in (0.2, 0.4, 0.6)]
+        preds = [[(b, (0.8,)) for b in boxes]]
+        cfg = _cfg(n_sets=1, ns=3, phi=phi)
+        got = ShadowTracker(cfg, seed=0).step(preds)
+        assert got == TrackerReference(cfg, seed=0).step(preds)
+        assert got.outputs[0][1] == boxes[0]
+
+    @pytest.mark.parametrize("phi", ["min", "mean", "max"])
+    @pytest.mark.parametrize("patience", [0, 2])
+    def test_equals_reference_on_random_streams(self, phi, patience):
+        # scores on a coarse grid make ties between shadows common
+        rng = np.random.default_rng(7 + patience)
+        cfg = _cfg(n_sets=4, ns=3, phi=phi, patience=patience)
+        tracker = ShadowTracker(cfg, seed=0)
+        ref = TrackerReference(cfg, seed=0)
+        for _ in range(40):
+            live = tracker.live_sets()
+            assert live == ref.live_sets()
+            preds = [
+                [(random_box(rng), (float(rng.integers(0, 5)) / 4,)) for _ in range(3)]
+                for _ in live
+            ]
+            assert tracker.step(preds) == ref.step(preds)
+            assert tracker.track_identities == ref.track_identities
