@@ -116,7 +116,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     run = _run_config(args)
     scene = generate_scene(run.scene)
     out = Path(args.output)
-    _write_text(str(out), _dump_json(scene.to_json()))
+    _write_text(str(out), scene.to_json_text())
     gt_path = out.with_suffix(".gt.txt") if out.suffix else out.parent / (out.name + ".gt.txt")
     size = (scene.config.image_width, scene.config.image_height)
     write_mot(scene.gt_tracklets(), str(gt_path), image_size=size)

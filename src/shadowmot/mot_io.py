@@ -6,16 +6,20 @@ Boxes on disk are pixel top-left format; in memory they become center-format
 boxes in pixel units.  Reals are serialized with shortest round-trip
 precision, so reading back what was written recovers the exact values.
 
-Parsing is strict: a non-ASCII byte, wrong field count, non-numeric fields,
-frames below 1, duplicate (frame, id) pairs and boxes whose center
-overflows all raise with the file path and the 1-based line number.
+Each file is read and written in one pass: ``read_mot`` parses every line
+into a tuple of numbers and checks them all in one loop; ``format_mot``
+sorts one tuple per row and formats each row with one string.  Parsing is
+strict: a non-ASCII byte, wrong field count, non-numeric fields, frames
+below 1, duplicate (frame, id) pairs and boxes whose center overflows all
+raise with the file path and the 1-based line number, which the per-line
+parser ``parse_mot_line`` finds when the one-pass read fails.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .geometry import BoundingBox, to_pixel
 from .tracker import Tracklets
@@ -24,13 +28,16 @@ __all__ = [
     "MotLine",
     "MotFormatError",
     "parse_mot_line",
-    "format_mot_line",
     "read_mot",
     "format_mot",
     "write_mot",
 ]
 
 _FIELDS = ("frame", "id", "bb_left", "bb_top", "bb_width", "bb_height", "conf", "x", "y", "z")
+
+# one written row: frame, id, bb_left, bb_top, bb_width, bb_height, conf,
+# then x, y, z, which this package always writes as -1
+_ROW = "%s,%s,%s,%s,%s,%s,%s,-1.0,-1.0,-1.0\n"
 
 
 class MotLine(NamedTuple):
@@ -79,27 +86,6 @@ def parse_mot_line(text: str, line_no: int) -> MotLine:
     return line
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
-def format_mot_line(line: MotLine) -> str:
-    return ",".join(
-        [
-            str(line.frame),
-            str(line.id),
-            _fmt(line.bb_left),
-            _fmt(line.bb_top),
-            _fmt(line.bb_width),
-            _fmt(line.bb_height),
-            _fmt(line.conf),
-            _fmt(line.x),
-            _fmt(line.y),
-            _fmt(line.z),
-        ]
-    )
-
-
 def _read_ascii(path: str) -> str:
     """The text of an ASCII file.  A non-ASCII byte is a ValueError that
     names the file, the line and the byte, e.g. ``bad.txt: line 1:
@@ -123,12 +109,37 @@ def read_mot(path: str) -> Tracklets:
     tracklets.
     """
     try:
-        raw_lines = _read_ascii(path).splitlines()
+        lines = _read_ascii(path).splitlines()
     except ValueError as exc:
         raise MotFormatError(str(exc)) from None
+    # int() and float() skip the whitespace around a field themselves
+    try:
+        rows = [
+            (int(f), int(i), float(l), float(t), float(w), float(h),
+             float(c), float(x), float(y), float(z))
+            for f, i, l, t, w, h, c, x, y, z in (text.split(",") for text in lines if text.strip())
+        ]
+        entries = []
+        for f, i, l, t, w, h, c, x, y, z in rows:
+            # a sum is finite only when every term is (one that overflows
+            # only sends the file through the per-line pass); the box
+            # checks its own fields, its extent and its center
+            if f < 1 or not math.isfinite(c + x + y + z):
+                raise ValueError
+            entries.append((i, f, BoundingBox(l + w / 2, t + h / 2, w, h), c))
+        if len({(f, i) for i, f, _, _ in entries}) != len(entries):
+            raise ValueError
+    except ValueError:
+        return _read_lines(path, lines)
+    return Tracklets.from_entries(entries)
+
+
+def _read_lines(path: str, lines: list[str]) -> Tracklets:
+    """``read_mot`` one line at a time: the first bad line raises, with its
+    number and what is wrong with it."""
     entries = []
     seen: set[tuple[int, int]] = set()
-    for line_no, text in enumerate(raw_lines, start=1):
+    for line_no, text in enumerate(lines, start=1):
         if not text.strip():
             continue
         try:
@@ -163,20 +174,21 @@ def format_mot(
     pixels; without it they are written in whatever units they carry, which
     is the mode that makes write-after-read value-preserving.
     """
-    rows: list[MotLine] = []
-    for identity, track in tracklets:
-        for obs in track:
-            if image_size is not None:
-                left, top, width, height = to_pixel(obs.box, image_size[0], image_size[1])
-            else:
-                left = obs.box.cx - obs.box.w / 2
-                top = obs.box.cy - obs.box.h / 2
-                width, height = obs.box.w, obs.box.h
-            rows.append(
-                MotLine(obs.frame, identity, left, top, width, height, obs.score)
-            )
-    rows.sort(key=lambda r: (r.frame, r.id))
-    return "".join(format_mot_line(r) + "\n" for r in rows)
+    # a scale of 1 keeps every value's bits
+    img_w, img_h = image_size if image_size is not None else (1, 1)
+    rows = [
+        (frame, identity, *to_pixel(box, img_w, img_h), score)
+        for identity, track in tracklets
+        for frame, box, score in track
+    ]
+    # (frame, id) is unique within tracklets, so the sort never compares
+    # the floats
+    rows.sort()
+    # float() because scores may be numpy floats; %s of a float is its repr
+    return "".join([
+        _ROW % (frame, identity, float(left), float(top), float(width), float(height), float(score))
+        for frame, identity, left, top, width, height, score in rows
+    ])
 
 
 def write_mot(

@@ -12,8 +12,7 @@ single highest-scoring shadow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from statistics import fmean
+from dataclasses import dataclass
 from typing import Iterable, Literal, Optional
 
 import numpy as np
@@ -41,8 +40,9 @@ INIT_METHODS: tuple[str, ...] = ("rand", "copy", "noise")
 
 
 def reduce_values(values: Iterable[float], how: str) -> float:
-    """Scalar min/mean/max reduction of one value list; ``mean`` is
-    ``statistics.fmean``, which rounds once.  The tracker's ``mean`` gate
+    """Scalar min/mean/max reduction of one value list; ``mean`` is the
+    correctly rounded sum over the count, which is what
+    ``statistics.fmean`` computes for a list.  The tracker's ``mean`` gate
     reduces each distinct score row with it."""
     vals = list(values)
     if not vals:
@@ -52,7 +52,7 @@ def reduce_values(values: Iterable[float], how: str) -> float:
     if how == "max":
         return float(max(vals))
     if how == "mean":
-        return float(fmean(vals))
+        return math.fsum(vals) / len(vals)
     raise ValueError(f"unknown reduction {how!r}, expected one of {REDUCTIONS}")
 
 
@@ -78,10 +78,6 @@ class ShadowSet:
             raise ValueError("tracking sets carry an identity")
         if self.role == "detection" and self.identity is not None:
             raise ValueError("detection sets carry no identity")
-
-    def promoted(self, identity: int) -> "ShadowSet":
-        """The same set re-rooted as a tracking set for ``identity``."""
-        return replace(self, set_id=identity, role="tracking", identity=identity)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ every output is reproducible draw for draw.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Literal, NamedTuple, Sequence
@@ -115,7 +116,8 @@ class SceneConfig:
     @classmethod
     def from_json(cls, doc: dict) -> "SceneConfig":
         """Parse the ``config`` object of a scene document; a value of the
-        wrong type or out of range is a ValueError that names its key, e.g.
+        wrong type (checked exactly, as json.loads makes them) or out of
+        range is a ValueError that names its key, e.g.
         ``config.n_frames: expected an integer, got 'x'`` or
         ``config.n_frames: must be >= 1, got 0``."""
         if not isinstance(doc, dict):
@@ -133,21 +135,21 @@ class SceneConfig:
         for key, value in doc.items():
             path = f"config.{key}"
             if key == "schedule":
-                if not isinstance(value, str):
+                if type(value) is not str:
                     raise ValueError(f"{path}: expected a string, got {value!r}")
             elif key == "jitter":
-                if not _is_number(value):
+                if type(value) not in _NUMBER_TYPES:
                     raise ValueError(f"{path}: expected a number, got {value!r}")
             elif key == "occlusions":
                 for n, window in enumerate(_list(value, path)):
-                    if not (isinstance(window, list) and len(window) == 3
-                            and all(_is_integer(v) for v in window)):
+                    if not (type(window) is list and len(window) == 3
+                            and all(type(v) is int for v in window)):
                         raise ValueError(
                             f"{path}[{n}]: expected a list of 3 integers, got {window!r}"
                         )
                 kwargs[key] = tuple(tuple(w) for w in value)
-            else:
-                _integer(value, path)
+            elif type(value) is not int:
+                raise ValueError(f"{path}: expected an integer, got {value!r}")
         try:
             return cls(**kwargs)
         except ValueError as exc:
@@ -254,44 +256,80 @@ class Scene:
             ],
         }
 
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json(), indent=2) + "\\n"``, one template per
+        frame.  Box components are floats, as ``generate_scene`` and
+        ``from_json`` build them, and ``json`` writes each with
+        ``float.__repr__``, also numpy's, which ``%r`` would not."""
+        r = float.__repr__
+        tracks = [
+            _TRACK_JSON % (identity, _json_list([
+                _FRAME_JSON % (t, r(box.cx), r(box.cy), r(box.w), r(box.h),
+                               "true" if visible else "false")
+                for t, box, visible in self.tracks[identity]
+            ], "      "))
+            for identity in self.identities
+        ]
+        # the document up to its "tracks" key is this dump without its
+        # closing brace
+        head = json.dumps(
+            {"version": SCENE_JSON_VERSION, "config": self.config.to_json()}, indent=2
+        )[:-2]
+        return head + ',\n  "tracks": ' + _json_list(tracks, "  ") + "\n}\n"
+
     @classmethod
     def from_json(cls, doc: dict) -> "Scene":
         """Parse a scene document; any defect is a ValueError that names its
-        path, e.g. ``tracks[0].frames[3].box: expected 4 numbers, got 3``."""
+        path, e.g. ``tracks[0].frames[3].box: expected 4 numbers, got 3``
+        or ``tracks[0]: unknown keys ['junk']``."""
         if not isinstance(doc, dict):
             raise ValueError(f"scene document: expected an object, got {type(doc).__name__}")
         version = doc.get("version")
-        if version != SCENE_JSON_VERSION:
+        if type(version) is not int or version != SCENE_JSON_VERSION:
             raise ValueError(f"unsupported scene document version {version!r}")
         unknown = set(doc) - {"version", "config", "tracks"}
         if unknown:
             raise ValueError(f"unknown scene document keys: {sorted(unknown)}")
         config = SceneConfig.from_json(_key(doc, "config", "scene document"))
         tracks: dict[int, tuple[SceneFrame, ...]] = {}
+        # every frame is checked inline, by exact type: json.loads makes
+        # exactly dict, list, str, int, float and bool
         for n, entry in enumerate(_list(_key(doc, "tracks", "scene document"), "tracks")):
-            path = f"tracks[{n}]"
-            identity = _integer(_key(entry, "id", path), f"{path}.id")
+            if type(entry) is not dict or entry.keys() != _TRACK_KEYS:
+                _check_keys(entry, ("id", "frames"), f"tracks[{n}]")
+            identity, frames = entry["id"], entry["frames"]
+            if type(identity) is not int:
+                raise ValueError(f"tracks[{n}].id: expected an integer, got {identity!r}")
             if identity < 1:
-                raise ValueError(f"{path}.id: must be >= 1, got {identity}")
+                raise ValueError(f"tracks[{n}].id: must be >= 1, got {identity}")
             if identity in tracks:
-                raise ValueError(f"{path}.id: duplicate id {identity}")
+                raise ValueError(f"tracks[{n}].id: duplicate id {identity}")
+            if type(frames) is not list:
+                raise ValueError(f"tracks[{n}].frames: expected a list")
             states = []
-            for m, f in enumerate(_list(_key(entry, "frames", path), f"{path}.frames")):
-                fpath = f"{path}.frames[{m}]"
-                t = _integer(_key(f, "t", fpath), f"{fpath}.t")
-                box = _key(f, "box", fpath)
-                if not isinstance(box, list) or not all(_is_number(v) for v in box):
-                    raise ValueError(f"{fpath}.box: expected a list of 4 numbers, got {box!r}")
+            for m, f in enumerate(frames):
+                if type(f) is not dict or f.keys() != _FRAME_KEYS:
+                    _check_keys(f, ("t", "box", "visible"), f"tracks[{n}].frames[{m}]")
+                t, box, visible = f["t"], f["box"], f["visible"]
+                if type(t) is not int:
+                    raise ValueError(f"tracks[{n}].frames[{m}].t: expected an integer, got {t!r}")
+                if type(box) is not list or not _NUMBER_TYPES.issuperset(map(type, box)):
+                    raise ValueError(
+                        f"tracks[{n}].frames[{m}].box: expected a list of 4 numbers, got {box!r}"
+                    )
                 if len(box) != 4:
-                    raise ValueError(f"{fpath}.box: expected 4 numbers, got {len(box)}")
+                    raise ValueError(
+                        f"tracks[{n}].frames[{m}].box: expected 4 numbers, got {len(box)}"
+                    )
                 try:
-                    bbox = BoundingBox(*(float(v) for v in box))
-                except ValueError as exc:
-                    raise ValueError(f"{fpath}.box: {exc}") from None
-                visible = _key(f, "visible", fpath)
-                if not isinstance(visible, bool):
-                    raise ValueError(f"{fpath}.visible: expected true or false, got {visible!r}")
-                states.append(SceneFrame(t=t, box=bbox, visible=visible))
+                    bbox = BoundingBox(*map(float, box))
+                except (ValueError, OverflowError) as exc:
+                    raise ValueError(f"tracks[{n}].frames[{m}].box: {exc}") from None
+                if type(visible) is not bool:
+                    raise ValueError(
+                        f"tracks[{n}].frames[{m}].visible: expected true or false, got {visible!r}"
+                    )
+                states.append(SceneFrame(t, bbox, visible))
             tracks[identity] = tuple(states)
         try:
             return cls(config=config, tracks=tracks)
@@ -301,6 +339,35 @@ class Scene:
             where, _, problem = str(exc).partition(": ")
             n = list(tracks).index(int(where.removeprefix("identity ")))
             raise ValueError(f"tracks[{n}]: {problem}") from None
+
+
+# one frame and one track of a scene document, as json.dumps(indent=2)
+# lays them out at their depth
+_FRAME_JSON = ('        {\n          "t": %d,\n          "box": [\n            %s,\n'
+               '            %s,\n            %s,\n            %s\n          ],\n'
+               '          "visible": %s\n        }')
+_TRACK_JSON = '    {\n      "id": %d,\n      "frames": %s\n    }'
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """Rendered ``items`` as the list json.dumps(indent=2) lays out, with
+    the closing bracket at ``indent``."""
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+
+
+_TRACK_KEYS = {"id", "frames"}
+_FRAME_KEYS = {"t", "box", "visible"}
+_NUMBER_TYPES = {int, float}
+
+
+def _check_keys(obj: object, keys: tuple[str, ...], path: str) -> None:
+    """Raise the located error of an ``obj`` that is not an object with
+    exactly ``keys``."""
+    for key in keys:
+        _key(obj, key, path)
+    unknown = set(obj) - set(keys)
+    if unknown:
+        raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
 
 
 def _key(obj: object, key: str, path: str) -> object:
@@ -314,20 +381,6 @@ def _key(obj: object, key: str, path: str) -> object:
 def _list(value: object, path: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{path}: expected a list")
-    return value
-
-
-def _is_integer(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _integer(value: object, path: str) -> int:
-    if not _is_integer(value):
-        raise ValueError(f"{path}: expected an integer, got {value!r}")
     return value
 
 

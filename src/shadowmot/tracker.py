@@ -223,7 +223,7 @@ class ShadowTracker:
         cfg = self.config
         phi, tau = cfg.shadow.score_reduction, cfg.shadow.tau
         if phi == "mean":
-            # fmean rounds once where np.mean need not; shadow scores take
+            # fsum rounds the sum once where np.mean need not; shadow scores take
             # few values, so each distinct row is reduced once
             rows = [tuple(row) for row in scores.tolist()]
             means = {row: reduce_values(row, phi) for row in set(rows)}

@@ -19,6 +19,8 @@ from shadowmot import (
     CostMatrix,
     CostWeights,
     FrameResult,
+    MotLine,
+    ShadowSet,
     Tracklets,
     focal_cost,
     init_query_bank,
@@ -306,6 +308,11 @@ def select_output(
     return predictions[best]
 
 
+def promoted(set_: ShadowSet, identity: int) -> ShadowSet:
+    """The same set re-rooted as a tracking set for ``identity``."""
+    return replace(set_, set_id=identity, role="tracking", identity=identity)
+
+
 class TrackerReference:
     """The tracker lifecycle over ``ShadowSet`` objects: one loop over the
     live sets per frame, the gate through ``reduce_values`` per set and the
@@ -338,7 +345,7 @@ class TrackerReference:
             shadow_scores = [float(max(scores)) for _, scores in per_shadow]
             if reduce_values(shadow_scores, phi) > tau:
                 if set_.role == "detection":
-                    set_ = set_.promoted(self._next_identity)
+                    set_ = promoted(set_, self._next_identity)
                     self._next_identity += 1
                     births.append(set_.identity)
                 box, score = select_output(
@@ -383,6 +390,14 @@ def tracklet_bits(tracklets: Tracklets) -> bytes:
          for identity, track in tracklets for obs in track],
         dtype=float,
     ).tobytes()
+
+
+def format_mot_line(line: MotLine) -> str:
+    """One MOT row, field by field: the row-format oracle of ``format_mot``,
+    which writes every row with one format string."""
+    return ",".join(
+        [str(line.frame), str(line.id)] + [repr(float(v)) for v in line[2:]]
+    )
 
 
 def random_box(rng: np.random.Generator) -> BoundingBox:

@@ -194,9 +194,13 @@ class TestTrack:
          "error: config.occlusions[0]: identity must be in [1, n_objects = 3], got 9"),
         ("missing-n-frames", "error: config: missing key 'n_frames'"),
         ("missing-n-objects", "error: config: missing key 'n_objects'"),
+        ("unknown-track-key", "error: tracks[0]: unknown keys ['junk']"),
+        ("unknown-frame-key", "error: tracks[0].frames[0]: unknown keys ['colour']"),
+        ("huge-int-box", "error: tracks[0].frames[2].box: int too large to convert to float"),
     ], ids=["duplicate-id", "short-box", "scalar-box", "tracks-object", "top-level-list",
             "missing-frames", "string-frame", "zero-id", "string-n-frames", "string-occlusion",
-            "zero-n-frames", "unknown-occlusion-id", "missing-n-frames", "missing-n-objects"])
+            "zero-n-frames", "unknown-occlusion-id", "missing-n-frames", "missing-n-objects",
+            "unknown-track-key", "unknown-frame-key", "huge-int-box"])
     def test_malformed_scene_is_one_located_error(self, workdir, scene_path, defect, message):
         doc = json.loads(scene_path.read_text())
         tracks = doc["tracks"]
@@ -226,6 +230,12 @@ class TestTrack:
             del doc["config"]["n_frames"]
         elif defect == "missing-n-objects":
             del doc["config"]["n_objects"]
+        elif defect == "unknown-track-key":
+            tracks[0]["junk"] = 1
+        elif defect == "unknown-frame-key":
+            tracks[0]["frames"][0]["colour"] = "red"
+        elif defect == "huge-int-box":
+            tracks[0]["frames"][2]["box"][0] = 10 ** 400
         else:
             doc["config"]["occlusions"] = [[9, 1, 2]]
         (workdir / "bad.json").write_text(json.dumps(doc))
@@ -297,6 +307,17 @@ class TestScipyImport:
 
     def test_import_does_not_load_scipy(self, workdir):
         assert not self._loads_scipy(workdir)
+
+    def test_import_loads_neither_statistics_nor_scipy(self, tmp_path):
+        # every command pays for what importing the CLI loads
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, shadowmot.cli\n"
+             "print([m for m in ('statistics', 'scipy') if m in sys.modules])"],
+            cwd=tmp_path, capture_output=True, text=True, env=cli_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_simulate_and_track_do_not_load_scipy(self, workdir):
         assert not self._loads_scipy(workdir, "simulate", "--config", "run.cfg", "-o", "scene.json")

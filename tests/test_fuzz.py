@@ -1,0 +1,244 @@
+"""Fuzz tests of the input boundary.
+
+Scene documents, config text, MOT files and flag values are mutated from
+small valid inputs.  Every command must then exit 0, or exit 1 with exactly
+one ``error:`` line on stderr; nothing may end in a traceback.  The inputs
+stay small, and every integer a mutation can write is small, so that no
+mutated input asks for a long run.
+
+The commands run in-process through ``cli.main``, so an exception that
+escapes it fails the test with its traceback.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import hypothesis.strategies as st
+from hypothesis import HealthCheck, event, given, settings
+
+from shadowmot import MotFormatError, SceneConfig, cli, generate_scene, read_mot
+from shadowmot.mot_io import _read_ascii, _read_lines
+
+_CONFIG = """\
+seed = 3
+scene.n_frames = 4
+scene.n_objects = 2
+scene.occlusions = 1:2:3
+oracle.box_noise_std = 0.01
+oracle.p_corrupt = 0.2
+tracker.n_detection_sets = 4
+shadow.ns = 2
+shadow.embed_dim = 4
+"""
+
+_SCENE = generate_scene(
+    SceneConfig(n_frames=4, n_objects=2, occlusions=((1, 2, 3),), schedule="uniform", seed=3)
+).to_json()
+
+_GT = """\
+1,1,10.0,20.0,30.0,40.0,1.0,-1,-1,-1
+1,2,100.0,20.0,30.0,40.0,1.0,-1,-1,-1
+2,1,12.0,21.0,30.0,40.0,1.0,-1,-1,-1
+2,2,98.0,22.0,30.0,40.0,1.0,-1,-1,-1
+3,2,97.5,23.0,31.0,39.0,1.0,-1,-1,-1
+"""
+
+_RESULTS = """\
+1,5,11.0,20.0,30.0,40.0,0.9,-1.0,-1.0,-1.0
+2,5,12.5,21.0,29.0,40.0,0.8,-1.0,-1.0,-1.0
+2,6,99.0,22.0,30.0,41.0,0.7,-1.0,-1.0,-1.0
+3,6,97.0,23.5,31.0,39.0,0.6,-1.0,-1.0,-1.0
+"""
+
+# characters a text mutation inserts: field syntax, the letters of nan,
+# inf and exponents, line breaks, and one non-ASCII character
+_CHARS = st.sampled_from(list("0123456789.,-+e =#\n\tnaifx_") + ["é"])
+
+_JSON_LEAF = (
+    st.none() | st.booleans() | st.integers(-2, 9)
+    | st.floats() | st.text(st.sampled_from("tboxidvsa1"), max_size=3)
+)
+_JSON_VALUE = st.recursive(
+    _JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["t", "box", "visible", "id", "frames", "x"]),
+                      inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _mutated_text(draw, base: str, max_edits: int = 3) -> str:
+    """``base`` after up to ``max_edits`` single-character inserts,
+    deletions and replacements."""
+    text = base
+    for _ in range(draw(st.integers(1, max_edits))):
+        at = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        char = draw(_CHARS)
+        if op == "insert":
+            text = text[:at] + char + text[at:]
+        elif op == "delete":
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + char + text[at + 1:]
+    return text
+
+
+def _containers(doc, path=()):
+    """The path of every dict and list inside ``doc``, ``doc`` first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _containers(value, path + (key,))
+
+
+@st.composite
+def _mutated_scene(draw) -> str:
+    """The scene document's text after one to three structural edits
+    (replace, delete or add a value), and sometimes one text edit."""
+    doc = json.loads(json.dumps(_SCENE))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_containers(doc))
+        target = doc
+        for key in draw(st.sampled_from(paths)):
+            target = target[key]
+        keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+        op = draw(st.sampled_from(["replace", "delete", "add"]))
+        if op == "add" or not keys:
+            value = draw(_JSON_VALUE)
+            if isinstance(target, dict):
+                target[draw(st.sampled_from(["t", "box", "visible", "id", "frames", "junk"]))] = value
+            else:
+                target.append(value)
+            continue
+        key = draw(st.sampled_from(keys))
+        if op == "delete":
+            del target[key]
+        else:
+            target[key] = draw(_JSON_VALUE)
+    text = json.dumps(doc, indent=2)
+    if draw(st.booleans()):
+        text = draw(_mutated_text(text, max_edits=1))
+    return text
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def _assert_clean_exit(code: int, stderr: str) -> None:
+    event(f"exit {code}")
+    if code == 0:
+        assert stderr == ""
+    else:
+        assert code == 1
+        lines = stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), stderr
+
+
+def _write(path: Path, text: str) -> str:
+    path.write_bytes(text.encode("utf-8"))
+    return str(path)
+
+
+_FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestCliBoundary:
+    @_FUZZ
+    @given(scene=_mutated_scene(), command=st.sampled_from(["track", "assign-debug"]))
+    def test_mutated_scene_document(self, scene, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            argv = [command, "--scene", _write(d / "scene.json", scene),
+                    "--config", _write(d / "run.cfg", _CONFIG)]
+            argv += ["--frame", "2", "--layer", "1"] if command == "assign-debug" else [
+                "-o", str(d / "out.txt")]
+            _assert_clean_exit(*_run(argv))
+
+    @_FUZZ
+    @given(config=_mutated_text(_CONFIG), command=st.sampled_from(["simulate", "track"]))
+    def test_mutated_config_text(self, config, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            argv = [command, "--config", _write(d / "run.cfg", config), "-o", str(d / "out")]
+            if command == "track":
+                argv += ["--scene", _write(d / "scene.json", json.dumps(_SCENE))]
+            _assert_clean_exit(*_run(argv))
+
+    @_FUZZ
+    @given(gt=_mutated_text(_GT), results=_mutated_text(_RESULTS), which=st.integers(0, 2))
+    def test_mutated_mot_files(self, gt, results, which):
+        # mutate the ground truth, the results or both
+        gt = gt if which != 1 else _GT
+        results = results if which != 0 else _RESULTS
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            _assert_clean_exit(*_run([
+                "eval", "--gt", _write(d / "gt.txt", gt),
+                "--results", _write(d / "res.txt", results), "-o", str(d / "report.json"),
+            ]))
+
+    @_FUZZ
+    @given(
+        flags=st.lists(
+            st.one_of(
+                st.tuples(st.sampled_from(["--ns", "--patience", "--seed"]),
+                          st.integers(-2, 4).map(str)),
+                st.tuples(st.just("--tau"),
+                          st.floats(allow_subnormal=False).map(repr)
+                          | st.sampled_from(["nan", "inf", "-inf", "-0.0", "1"])),
+            ),
+            min_size=1, max_size=3, unique_by=lambda f: f[0],
+        ),
+        command=st.sampled_from(["track", "assign-debug", "ablate"]),
+        frame=st.integers(-1, 6),
+        layer=st.integers(-1, 7),
+    )
+    def test_out_of_range_flag_values(self, flags, command, frame, layer):
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            argv = [command, "--scene", _write(d / "scene.json", json.dumps(_SCENE)),
+                    "--config", _write(d / "run.cfg", _CONFIG)]
+            for flag, value in flags:
+                # ablate takes no tracking flags
+                if command != "ablate" or flag == "--seed":
+                    argv.append(f"{flag}={value}")
+            if command == "assign-debug":
+                argv += ["--frame", str(frame), "--layer", str(layer)]
+            else:
+                argv += ["-o", str(d / "out")]
+            if command == "ablate":
+                argv += ["--grid", "phi", "--trials", str(layer)]
+            _assert_clean_exit(*_run(argv))
+
+
+class TestBulkReadMot:
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(_mutated_text(_GT), _mutated_text(_RESULTS, max_edits=6)))
+    def test_equals_the_per_line_pass(self, text):
+        # the one-pass read must accept exactly what the per-line parser
+        # accepts, with equal tracklets, and fail with its message
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _write(Path(tmp) / "m.txt", text)
+            try:
+                expected = _read_lines(path, _read_ascii(path).splitlines())
+            except ValueError as exc:
+                expected = exc
+            try:
+                got = read_mot(path)
+            except MotFormatError as exc:
+                assert isinstance(expected, ValueError)
+                assert str(exc) == str(expected)
+            else:
+                assert got == expected

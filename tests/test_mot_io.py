@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from shadowmot import (
     BoundingBox,
@@ -15,12 +17,13 @@ from shadowmot import (
     format_mot,
     generate_scene,
     read_mot,
+    to_pixel,
     track_scene,
     write_mot,
 )
-from shadowmot.mot_io import format_mot_line, parse_mot_line
+from shadowmot.mot_io import parse_mot_line
 
-from helpers import random_box, tracklets_from_rows
+from helpers import format_mot_line, random_box, tracklets_from_rows
 
 
 class TestParseMotLine:
@@ -196,6 +199,38 @@ class TestWriteReadCycle:
         tracklets = tracklets_from_rows([(1, 1, b, 1.0)])
         text = format_mot(tracklets, image_size=(100, 200))
         assert text == "1,1,25.0,50.0,50.0,100.0,1.0,-1.0,-1.0,-1.0\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(1, 6), st.integers(1, 6),
+                st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+                st.floats(0.0, 2.0) | st.just(-0.0), st.floats(0.0, 2.0),
+                st.floats(0.0, 1.0) | st.sampled_from([1e-07, 5e-324, 1e16]),
+            ),
+            max_size=12, unique_by=lambda r: (r[0], r[1]),
+        ),
+        image_size=st.none() | st.tuples(st.integers(1, 4000), st.integers(1, 4000)),
+    )
+    def test_equals_the_per_row_helper(self, rows, image_size):
+        # numpy-float scores, as the tracker emits them
+        tracklets = tracklets_from_rows([
+            (identity, frame, BoundingBox(cx, cy, w, h), np.float64(score))
+            for identity, frame, cx, cy, w, h, score in rows
+        ])
+        lines = []
+        for identity, track in tracklets:
+            for obs in track:
+                if image_size is None:
+                    b = obs.box
+                    left, top, width, height = b.cx - b.w / 2, b.cy - b.h / 2, b.w, b.h
+                else:
+                    left, top, width, height = to_pixel(obs.box, *image_size)
+                lines.append(MotLine(obs.frame, identity, left, top, width, height, obs.score))
+        lines.sort(key=lambda r: (r.frame, r.id))
+        expected = "".join(format_mot_line(line) + "\n" for line in lines)
+        assert format_mot(tracklets, image_size) == expected
 
     def test_trailing_newline(self):
         b = BoundingBox(cx=10.0, cy=10.0, w=4.0, h=4.0)

@@ -19,7 +19,7 @@ from shadowmot import (
     reduce_values,
 )
 
-from helpers import select_output
+from helpers import promoted, select_output
 
 scores = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -89,7 +89,7 @@ class TestShadowSet:
 
     def test_promoted(self):
         s = ShadowSet(set_id=3, role="detection", anchor=self._anchor, n_shadows=2)
-        t = s.promoted(identity=9)
+        t = promoted(s, identity=9)
         assert t.role == "tracking"
         assert t.identity == 9
         assert t.set_id == 9

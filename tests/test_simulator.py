@@ -14,6 +14,7 @@ from shadowmot import (
     OracleConfig,
     Scene,
     SceneConfig,
+    SceneFrame,
     ShadowConfig,
     ShadowSet,
     ShadowTracker,
@@ -230,6 +231,10 @@ class TestSceneViews:
         ("frame-past-end", "tracks[0]: frames outside [1, 3]"),
         ("repeated-frame", "tracks[0]: frame indices must strictly increase"),
         ("second-track-past-end", "tracks[1]: frames outside [1, 3]"),
+        ("unknown-track-key", "tracks[0]: unknown keys ['junk']"),
+        ("unknown-frame-key", "tracks[0].frames[0]: unknown keys ['colour']"),
+        ("huge-int-box", "tracks[0].frames[1].box: int too large to convert to float"),
+        ("bool-version", "unsupported scene document version True"),
     ])
     def test_scene_json_defect_names_its_path(self, defect, message):
         doc = generate_scene(SceneConfig(n_frames=3, n_objects=1)).to_json()
@@ -295,11 +300,92 @@ class TestSceneViews:
             frame["t"] = 1
         elif defect == "second-track-past-end":
             doc["tracks"].append({"id": 7, "frames": [dict(frame, t=4)]})
+        elif defect == "unknown-track-key":
+            track["junk"] = 1
+        elif defect == "unknown-frame-key":
+            track["frames"][0]["colour"] = "red"
+        elif defect == "huge-int-box":
+            frame["box"] = [10 ** 400, 0.5, 0.1, 0.1]
+        elif defect == "bool-version":
+            doc["version"] = True
         else:
             doc["config"]["occlusions"] = [[1, 3, 2]]
         with pytest.raises(ValueError) as info:
             Scene.from_json(doc)
         assert str(info.value) == message
+
+
+# box components a scene document may hold: signed zeros, subnormals and
+# values that json writes in exponent form
+_COMPONENT = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 1e-300, 5e-324, 1e16, 1.5e300, 0.1, 1e-07]
+)
+_EXTENT = _COMPONENT.map(abs) | st.just(-0.0)
+
+
+@st.composite
+def _scene_documents(draw) -> dict:
+    """A valid scene document: any finite centers, non-negative extents,
+    visible flags, tracks with no frames, occlusions and an integer or
+    float jitter."""
+    n_frames = draw(st.integers(1, 5))
+    n_objects = draw(st.integers(0, 4))
+    tracks = []
+    for identity in draw(st.sets(st.integers(1, 50), max_size=4)):
+        frames = sorted(draw(st.sets(st.integers(1, n_frames), max_size=n_frames)))
+        tracks.append({"id": identity, "frames": [
+            {"t": t,
+             "box": [draw(_COMPONENT), draw(_COMPONENT),
+                     draw(_EXTENT), draw(_EXTENT)],
+             "visible": draw(st.booleans())}
+            for t in frames
+        ]})
+    occlusions = [[i, 1, n_frames] for i in range(1, n_objects + 1) if draw(st.booleans())]
+    config = {
+        "n_frames": n_frames, "n_objects": n_objects,
+        "schedule": draw(st.sampled_from(["all-at-start", "uniform"])),
+        "jitter": draw(st.integers(0, 3) | st.floats(0.0, 0.5)),
+        "occlusions": occlusions, "seed": draw(st.integers(0, 9)),
+    }
+    return {"version": 1, "config": config, "tracks": tracks}
+
+
+class TestSceneWriter:
+    """``Scene.to_json_text`` renders each frame with one template and must
+    give the bytes of ``json.dumps(scene.to_json(), indent=2)``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_scene_documents())
+    def test_loaded_scene_equals_json_dumps(self, doc):
+        scene = Scene.from_json(json.loads(json.dumps(doc)))
+        assert scene.to_json_text() == json.dumps(scene.to_json(), indent=2) + "\n"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_frames=st.integers(1, 8),
+        n_objects=st.integers(0, 5),
+        schedule=st.sampled_from(["all-at-start", "uniform"]),
+        jitter=st.integers(0, 1) | st.floats(0.0, 0.05),
+        occluded=st.booleans(),
+        seed=st.integers(0, 2**32),
+    )
+    def test_generated_scene_equals_json_dumps(
+        self, n_frames, n_objects, schedule, jitter, occluded, seed
+    ):
+        occlusions = ((1, 1, n_frames),) if occluded and n_objects else ()
+        scene = generate_scene(SceneConfig(
+            n_frames=n_frames, n_objects=n_objects, schedule=schedule, jitter=jitter,
+            occlusions=occlusions, seed=seed,
+        ))
+        assert scene.to_json_text() == json.dumps(scene.to_json(), indent=2) + "\n"
+
+    def test_numpy_float_components_are_written_as_floats(self):
+        # under numpy 2, '%r' % np.float64(0.5) is 'np.float64(0.5)'
+        box = BoundingBox(np.float64(0.5), np.float64(-0.0), np.float64(1e-07), np.float64(0.25))
+        scene = Scene(SceneConfig(n_frames=1, n_objects=1), {1: (SceneFrame(1, box, True),)})
+        text = scene.to_json_text()
+        assert text == json.dumps(scene.to_json(), indent=2) + "\n"
+        assert Scene.from_json(json.loads(text)).tracks[1][0].box == box
 
 
 class TestEmitTrainingTargets:
