@@ -3,7 +3,8 @@
 Every command is deterministic for a fixed (config, seed): floats are
 serialized with shortest round-trip precision, JSON keys are sorted, and
 grid rows follow grid order.  Failures exit nonzero with a single
-diagnostic line on stderr.
+diagnostic line on stderr.  Each command imports the modules it runs
+when it runs, so that no command pays for another's.
 """
 
 from __future__ import annotations
@@ -14,22 +15,15 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .assignment import (
-    assign_detection_sets,
-    assign_tracking_sets,
-    build_set_cost_tensor,
-    cola_targets,
-    reduce_set_costs,
-    tala_targets,
-)
 from .config import ConfigError, RunConfig, describe_defaults, load_run_config, parse_config_text
-from .metrics import evaluate
-from .mot_io import _read_ascii as _read_text, read_mot, write_mot
-from .simulator import Scene, generate_scene, emit_training_targets, oracle_decode, track_scene
-from .tracker import ShadowTracker, TrackerConfig, Tracklets
+from .mot_io import _read_ascii as _read_text
 from .shadow import REDUCTIONS
+
+if TYPE_CHECKING:
+    from .simulator import Scene
+    from .tracker import TrackerConfig, Tracklets
 
 __all__ = ["main"]
 
@@ -50,6 +44,8 @@ def _dump_json(doc: dict) -> str:
 
 
 def _load_scene(path: str) -> Scene:
+    from .simulator import Scene
+
     return Scene.from_json(json.loads(_read_text(path)))
 
 
@@ -113,6 +109,9 @@ def _scene_manifest(run: RunConfig, scene: Scene) -> dict:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .mot_io import write_mot
+    from .simulator import generate_scene
+
     run = _run_config(args)
     scene = generate_scene(run.scene)
     out = Path(args.output)
@@ -126,6 +125,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_track(args: argparse.Namespace) -> int:
+    from .mot_io import write_mot
+    from .simulator import track_scene
+
     run = _run_config(args)
     scene = _load_scene(args.scene)
     tracklets = track_scene(scene, run.tracker, run.oracle)
@@ -139,9 +141,10 @@ def _cmd_track(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    gt = read_mot(args.gt)
-    pred = read_mot(args.results)
-    report = evaluate(gt, pred)
+    from .metrics import _evaluate
+    from .mot_io import _read_rows
+
+    report = _evaluate(_read_rows(args.gt), _read_rows(args.results))
     _write_text(args.output, _dump_json(report.to_json_dict()))
     print(report.text_table())
     return 0
@@ -164,6 +167,9 @@ def _mean_metric_columns(
 ) -> list[str]:
     """The CSV metric columns of one grid cell: each metric's mean over
     ``trials`` oracle seeds, with mota left empty when any trial lacks it."""
+    from .metrics import evaluate
+    from .simulator import track_scene
+
     sums = {"hota": 0.0, "deta": 0.0, "assa": 0.0, "mota": 0.0,
             "idf1": 0.0, "ids": 0.0, "fp": 0.0, "fn": 0.0}
     mota_defined = True
@@ -217,6 +223,17 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def _cmd_assign_debug(args: argparse.Namespace) -> int:
+    from .assignment import (
+        assign_detection_sets,
+        assign_tracking_sets,
+        build_set_cost_tensor,
+        cola_targets,
+        reduce_set_costs,
+        tala_targets,
+    )
+    from .simulator import emit_training_targets, oracle_decode
+    from .tracker import ShadowTracker
+
     run = _run_config(args)
     scene = _load_scene(args.scene)
     n_layers = run.tracker.n_layers
@@ -337,7 +354,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
+    # ConfigError, MotFormatError and json.JSONDecodeError are ValueErrors
+    except (ValueError, OSError) as exc:
         detail = str(exc) or exc.__class__.__name__
         print(f"error: {detail}", file=sys.stderr)
         return 1

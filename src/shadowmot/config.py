@@ -10,12 +10,12 @@ reproducible run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from .matching import CostWeights
-from .shadow import ShadowConfig
-from .simulator import OracleConfig, SceneConfig
-from .tracker import TrackerConfig
+if TYPE_CHECKING:
+    from .matching import CostWeights
+    from .simulator import OracleConfig, SceneConfig
+    from .tracker import TrackerConfig
 
 __all__ = [
     "ConfigError",
@@ -162,6 +162,12 @@ def load_run_config(
                     raise ConfigError(f"key {key!r}: bad value {value!r} ({exc})") from None
             else:
                 resolved[key] = value
+
+    # the section classes load only here: describing the schema needs none
+    from .matching import CostWeights
+    from .shadow import ShadowConfig
+    from .simulator import OracleConfig, SceneConfig
+    from .tracker import TrackerConfig
 
     seed = int(resolved["seed"])
     if seed < 0:

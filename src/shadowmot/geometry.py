@@ -80,26 +80,43 @@ def pairwise(
 
 def _pairwise(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``pairwise`` on ``[n, 4]`` and ``[m, 4]`` arrays of box rows."""
+    corners_a, corners_b = _corners(a), _corners(b)
+    iou, union = _iou(corners_a, corners_b)
+    ax1, ay1, ax2, ay2 = corners_a[:, :, np.newaxis]
+    bx1, by1, bx2, by2 = corners_b[:, np.newaxis, :]
+    hull = (np.maximum(ax2, bx2) - np.minimum(ax1, bx1)) * (
+        np.maximum(ay2, by2) - np.minimum(ay1, by1)
+    )
+    spill = np.divide(
+        np.maximum(hull - union, 0.0), hull, out=np.zeros_like(hull), where=hull > 0.0
+    )
+    giou = np.where(hull > 0.0, iou - spill, 0.0)
     acx, acy, aw, ah = a.T[:, :, np.newaxis]
     bcx, bcy, bw, bh = b.T[:, np.newaxis, :]
-    ax1, ay1, ax2, ay2 = acx - aw / 2.0, acy - ah / 2.0, acx + aw / 2.0, acy + ah / 2.0
-    bx1, by1, bx2, by2 = bcx - bw / 2.0, bcy - bh / 2.0, bcx + bw / 2.0, bcy + bh / 2.0
+    l1 = np.abs(acx - bcx) + np.abs(acy - bcy) + np.abs(aw - bw) + np.abs(ah - bh)
+    return iou, giou, l1
+
+
+def _corners(rows: np.ndarray) -> np.ndarray:
+    """``[4, n]``: the ``(x1, y1, x2, y2)`` column of each of ``n`` box rows."""
+    cx, cy, w, h = rows.T
+    return np.array((cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0))
+
+
+def _iou(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """IoU and union of every corner column of ``a`` (``[4, n]``) against
+    every one of ``b`` (``[4, m]``), each ``[n, m]``: the part of
+    ``_pairwise`` that the metrics read."""
+    ax1, ay1, ax2, ay2 = a[:, :, np.newaxis]
+    bx1, by1, bx2, by2 = b[:, np.newaxis, :]
     area_a = (ax2 - ax1) * (ay2 - ay1)
     area_b = (bx2 - bx1) * (by2 - by1)
     iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
     ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
     inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
     union = area_a + area_b - inter
-    hull = (np.maximum(ax2, bx2) - np.minimum(ax1, bx1)) * (
-        np.maximum(ay2, by2) - np.minimum(ay1, by1)
-    )
     iou = np.minimum(np.divide(inter, union, out=np.zeros_like(union), where=union > 0.0), 1.0)
-    spill = np.divide(
-        np.maximum(hull - union, 0.0), hull, out=np.zeros_like(hull), where=hull > 0.0
-    )
-    giou = np.where(hull > 0.0, iou - spill, 0.0)
-    l1 = np.abs(acx - bcx) + np.abs(acy - bcy) + np.abs(aw - bw) + np.abs(ah - bh)
-    return iou, giou, l1
+    return iou, union
 
 
 def to_pixel(

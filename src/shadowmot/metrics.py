@@ -1,9 +1,11 @@
 """Tracking metrics: CLEAR accuracy, trajectory identity F1, and the
 higher-order score with its detection/association decomposition.
 
-All three run on identity-keyed tracklets.  Overlap is IoU, which is
-invariant under axis-wise rescaling, so normalized and pixel inputs give
-identical numbers as long as both sides live in the same space.
+All three take identity-keyed tracklets, turn each side into the rows of
+a MOT file once, and read one shared overlap pass over those rows; ``eval``
+hands in the rows it read, so it never builds a box object.  Overlap is
+IoU, which is invariant under axis-wise rescaling, so normalized and pixel
+inputs give identical numbers as long as both sides live in the same space.
 
 When the ground truth contains no boxes the CLEAR ratio divides by zero;
 that case is reported as None rather than NaN.
@@ -12,14 +14,18 @@ that case is reported as None rather than NaN.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .geometry import pairwise
+from .geometry import _corners, _iou
 from .matching import hungarian
-from .tracker import Tracklets
+from .mot_io import MotRows, _rows_of
+
+if TYPE_CHECKING:
+    from .tracker import Tracklets
 
 __all__ = [
     "ClearMotResult",
@@ -59,24 +65,45 @@ class HotaResult(NamedTuple):
     per_alpha: tuple[AlphaScores, ...]
 
 
-# Per frame in which either side has a box, in frame order:
-# (sorted gt ids, sorted pred ids, gt x pred IoU).
-_FrameOverlaps = list[tuple[list[int], list[int], np.ndarray]]
+class _Overlaps(NamedTuple):
+    """The one overlap pass every metric reads.  Each side numbers its
+    identities 0, 1, ... in sorted order."""
+
+    # how many boxes and how many identities each side has
+    gt_boxes: int
+    pred_boxes: int
+    gt_identities: int
+    pred_identities: int
+    # per frame in which either side has a box, in frame order: the gt
+    # and pred identity numbers there, ascending, and their gt x pred IoU
+    frames: list[tuple[list[int], list[int], np.ndarray]]
 
 
-def _frame_overlaps(gt: Tracklets, pred: Tracklets) -> _FrameOverlaps:
-    """The one overlap pass every metric reads."""
-    gt_by_frame = gt.by_frame()
-    pred_by_frame = pred.by_frame()
-    out: _FrameOverlaps = []
-    for frame in sorted(gt_by_frame.keys() | pred_by_frame.keys()):
-        gts = gt_by_frame.get(frame, {})
-        preds = pred_by_frame.get(frame, {})
-        gt_ids = sorted(gts)
-        pred_ids = sorted(preds)
-        sim, _, _ = pairwise([gts[g][0] for g in gt_ids], [preds[p][0] for p in pred_ids])
-        out.append((gt_ids, pred_ids, sim))
-    return out
+def _numbers(ids: Sequence[int]) -> tuple[list[int], int]:
+    """The number of each row's identity, and how many identities there are."""
+    index = {identity: k for k, identity in enumerate(sorted(set(ids)))}
+    return [index[identity] for identity in ids], len(index)
+
+
+def _spans(frames: Sequence[int]) -> dict[int, tuple[int, int]]:
+    """Frame -> the (start, stop) slice of its rows in ``frames``, which is sorted."""
+    return {f: (bisect_left(frames, f), bisect_right(frames, f)) for f in set(frames)}
+
+
+def _overlaps(gt: MotRows, pred: MotRows) -> _Overlaps:
+    gt_numbers, n_gt = _numbers(gt.ids)
+    pred_numbers, n_pred = _numbers(pred.ids)
+    gt_spans = _spans(gt.frames)
+    pred_spans = _spans(pred.frames)
+    gt_corners = _corners(gt.boxes)
+    pred_corners = _corners(pred.boxes)
+    frames = []
+    for frame in sorted(gt_spans.keys() | pred_spans.keys()):
+        a, b = gt_spans.get(frame, (0, 0))
+        c, d = pred_spans.get(frame, (0, 0))
+        iou, _ = _iou(gt_corners[:, a:b], pred_corners[:, c:d])
+        frames.append((gt_numbers[a:b], pred_numbers[c:d], iou))
+    return _Overlaps(len(gt.ids), len(pred.ids), n_gt, n_pred, frames)
 
 
 def clear_mot(gt: Tracklets, pred: Tracklets, iou_threshold: float = 0.5) -> ClearMotResult:
@@ -89,17 +116,17 @@ def clear_mot(gt: Tracklets, pred: Tracklets, iou_threshold: float = 0.5) -> Cle
     1 - (FN + FP + IDS) / total ground-truth boxes, None when that total is
     zero.
     """
-    return _clear_mot(gt, _frame_overlaps(gt, pred), iou_threshold)
+    return _clear_mot(_overlaps(_rows_of(gt), _rows_of(pred)), iou_threshold)
 
 
-def _clear_mot(gt: Tracklets, frames: _FrameOverlaps, iou_threshold: float) -> ClearMotResult:
-    total_gt = gt.n_boxes()
+def _clear_mot(overlaps: _Overlaps, iou_threshold: float) -> ClearMotResult:
+    total_gt = overlaps.gt_boxes
 
     fp = fn = ids = 0
     active: dict[int, int] = {}  # gt id -> pred id carried from previous frame
     last_match: dict[int, int] = {}  # gt id -> last pred id ever matched
 
-    for gt_ids, pred_ids, sim in frames:
+    for gt_ids, pred_ids, sim in overlaps.frames:
         row = {g: r for r, g in enumerate(gt_ids)}
         col = {p: c for c, p in enumerate(pred_ids)}
 
@@ -139,23 +166,19 @@ def idf1(gt: Tracklets, pred: Tracklets, iou_threshold: float = 0.5) -> float:
     2*IDTP / (total gt boxes + total pred boxes) follows from the standard
     definition.  Both sides empty scores 1 by convention.
     """
-    return _idf1(gt, pred, _frame_overlaps(gt, pred), iou_threshold)
+    return _idf1(_overlaps(_rows_of(gt), _rows_of(pred)), iou_threshold)
 
 
-def _idf1(gt: Tracklets, pred: Tracklets, frames: _FrameOverlaps, iou_threshold: float) -> float:
-    total_gt = gt.n_boxes()
-    total_pred = pred.n_boxes()
+def _idf1(overlaps: _Overlaps, iou_threshold: float) -> float:
+    total_gt = overlaps.gt_boxes
+    total_pred = overlaps.pred_boxes
     if total_gt == 0 and total_pred == 0:
         return 1.0
     if total_gt == 0 or total_pred == 0:
         return 0.0
 
-    gt_row = {g: a for a, g in enumerate(gt.identities)}
-    pred_col = {p: b for b, p in enumerate(pred.identities)}
-    overlap = np.zeros((len(gt_row), len(pred_col)))
-    for gt_ids, pred_ids, sim in frames:
-        rows = [gt_row[g] for g in gt_ids]
-        cols = [pred_col[p] for p in pred_ids]
+    overlap = np.zeros((overlaps.gt_identities, overlaps.pred_identities))
+    for rows, cols, sim in overlaps.frames:
         overlap[np.ix_(rows, cols)] += sim >= iou_threshold
 
     # a sum of the matched counts, not a negated total cost, which would
@@ -174,10 +197,10 @@ def hota(gt: Tracklets, pred: Tracklets) -> HotaResult:
     association accuracies per alpha; the headline number is the mean over
     alphas of the geometric mean of the two.
     """
-    return _hota(gt, pred, _frame_overlaps(gt, pred))
+    return _hota(_overlaps(_rows_of(gt), _rows_of(pred)))
 
 
-def _hota(gt: Tracklets, pred: Tracklets, frames: _FrameOverlaps) -> HotaResult:
+def _hota(overlaps: _Overlaps) -> HotaResult:
     """:func:`hota` on the shared overlap pass.
 
     Pass two solves one matrix per frame.  The matched pairs of all
@@ -187,24 +210,16 @@ def _hota(gt: Tracklets, pred: Tracklets, frames: _FrameOverlaps) -> HotaResult:
     because summing only its nonzero entries changes numpy's summation
     tree and so can move the last bit.
     """
-    gt_ids = gt.identities
-    pred_ids = pred.identities
-    n_gt, n_pred = len(gt_ids), len(pred_ids)
+    n_gt, n_pred = overlaps.gt_identities, overlaps.pred_identities
     if n_gt == 0 and n_pred == 0:
         per = tuple(AlphaScores(a, 1.0, 1.0, 1.0) for a in ALPHA_GRID)
         return HotaResult(1.0, 1.0, 1.0, per)
-
-    gt_row = {g: a for a, g in enumerate(gt_ids)}
-    pred_col = {p: b for b, p in enumerate(pred_ids)}
 
     # pass one: global alignment from potential matches and presence counts
     potential = np.zeros((n_gt, n_pred))
     gt_count = np.zeros(n_gt)
     pred_count = np.zeros(n_pred)
-    per_frame: list[tuple[list[int], list[int], np.ndarray]] = []
-    for g_here, p_here, sim in frames:
-        rows = [gt_row[g] for g in g_here]
-        cols = [pred_col[p] for p in p_here]
+    for rows, cols, sim in overlaps.frames:
         if rows and cols:
             denom = sim.sum(axis=0)[np.newaxis, :] + sim.sum(axis=1)[:, np.newaxis] - sim
             weighted = np.zeros_like(sim)
@@ -213,7 +228,6 @@ def _hota(gt: Tracklets, pred: Tracklets, frames: _FrameOverlaps) -> HotaResult:
             potential[np.ix_(rows, cols)] += weighted
         gt_count[rows] += 1
         pred_count[cols] += 1
-        per_frame.append((rows, cols, sim))
 
     alignment = potential / (
         gt_count[:, np.newaxis] + pred_count[np.newaxis, :] - potential
@@ -224,7 +238,7 @@ def _hota(gt: Tracklets, pred: Tracklets, frames: _FrameOverlaps) -> HotaResult:
     pair_gt: list[int] = []
     pair_pred: list[int] = []
     pair_sim: list[float] = []
-    for rows, cols, sim in per_frame:
+    for rows, cols, sim in overlaps.frames:
         if rows and cols:
             score = alignment[np.ix_(rows, cols)] * sim
             for r, c in hungarian(-score).pairs:
@@ -317,15 +331,20 @@ def evaluate(gt: Tracklets, pred: Tracklets, iou_threshold: float = 0.5) -> Metr
     """All metrics in one report; the CLEAR gate applies to the CLEAR and
     identity-F1 scores, the higher-order score keeps its own alpha grid.
     The per-frame overlaps are computed once and shared by all three."""
-    frames = _frame_overlaps(gt, pred)
-    clear = _clear_mot(gt, frames, iou_threshold)
-    h = _hota(gt, pred, frames)
+    return _evaluate(_rows_of(gt), _rows_of(pred), iou_threshold)
+
+
+def _evaluate(gt: MotRows, pred: MotRows, iou_threshold: float = 0.5) -> MetricsReport:
+    """:func:`evaluate` on the rows of each side."""
+    overlaps = _overlaps(gt, pred)
+    clear = _clear_mot(overlaps, iou_threshold)
+    h = _hota(overlaps)
     return MetricsReport(
         hota=h.hota,
         deta=h.deta,
         assa=h.assa,
         mota=clear.mota,
-        idf1=_idf1(gt, pred, frames, iou_threshold),
+        idf1=_idf1(overlaps, iou_threshold),
         ids=clear.ids,
         fp=clear.fp,
         fn=clear.fn,

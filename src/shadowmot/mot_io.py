@@ -6,23 +6,30 @@ Boxes on disk are pixel top-left format; in memory they become center-format
 boxes in pixel units.  Reals are serialized with shortest round-trip
 precision, so reading back what was written recovers the exact values.
 
-Each file is read and written in one pass: ``read_mot`` parses every line
-into a tuple of numbers and checks them all in one loop; ``format_mot``
-sorts one tuple per row and formats each row with one string.  Parsing is
-strict: a non-ASCII byte, wrong field count, non-numeric fields, frames
-below 1, duplicate (frame, id) pairs and boxes whose center overflows all
-raise with the file path and the 1-based line number, which the per-line
-parser ``parse_mot_line`` finds when the one-pass read fails.
+Each file is read and written in one pass.  The read parses every line
+into a tuple of numbers and checks them all as arrays, giving the
+:class:`MotRows` the metrics run on; ``read_mot`` builds its tracklets
+from those rows.  ``format_mot`` sorts one tuple per row and formats each
+row with one string.  Parsing is strict: a non-ASCII byte, wrong field
+count, non-numeric fields, frames below 1, duplicate (frame, id) pairs,
+boxes whose center overflows and boxes with a corner beyond
+``MAX_CORNER`` all raise with the file path and the 1-based line number,
+which the per-line parser ``parse_mot_line`` finds when the one-pass read
+fails.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .geometry import BoundingBox, to_pixel
-from .tracker import Tracklets
+import numpy as np
+
+from .geometry import BoundingBox, _rows, to_pixel
+
+if TYPE_CHECKING:
+    from .tracker import Tracklets
 
 __all__ = [
     "MotLine",
@@ -38,6 +45,10 @@ _FIELDS = ("frame", "id", "bb_left", "bb_top", "bb_width", "bb_height", "conf", 
 # one written row: frame, id, bb_left, bb_top, bb_width, bb_height, conf,
 # then x, y, z, which this package always writes as -1
 _ROW = "%s,%s,%s,%s,%s,%s,%s,-1.0,-1.0,-1.0\n"
+
+# the largest corner coordinate a box read may have: every area, union and
+# hull that geometry._pairwise forms from two such boxes is finite
+MAX_CORNER = 1e150
 
 
 class MotLine(NamedTuple):
@@ -101,6 +112,57 @@ def _read_ascii(path: str) -> str:
         ) from None
 
 
+class MotRows(NamedTuple):
+    """The boxes of a MOT file, one row each, sorted by (frame, id)."""
+
+    frames: Sequence[int]
+    ids: Sequence[int]
+    boxes: np.ndarray  # [n, 4]: (cx, cy, w, h) of each row
+    scores: Sequence[float]
+
+
+def _read_rows(path: str) -> MotRows:
+    """Parse a results or ground-truth file into rows; a defect raises
+    the per-line pass's located error."""
+    try:
+        lines = _read_ascii(path).splitlines()
+    except ValueError as exc:
+        raise MotFormatError(str(exc)) from None
+    # int() and float() skip the whitespace around a field themselves
+    try:
+        rows = sorted(
+            (int(f), int(i), float(l), float(t), float(w), float(h),
+             float(c), float(x), float(y), float(z))
+            for f, i, l, t, w, h, c, x, y, z in (text.split(",") for text in lines if text.strip())
+        )
+    except ValueError:
+        return _rows_of(_read_lines(path, lines))
+    frames, ids, *columns = zip(*rows) if rows else [()] * 10
+    left, top, w, h, *rest = np.array(columns)
+    # an overflow or a nan fails a test below, which sends the file
+    # through the per-line pass; the box checks its own fields, its
+    # extent, its center and its corners as BoundingBox.corners makes them
+    with np.errstate(all="ignore"):
+        cx = left + w / 2
+        cy = top + h / 2
+        corners = np.array((cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2))
+        if (min(frames, default=1) < 1 or len(set(zip(frames, ids))) < len(rows)
+                or not np.isfinite(rest).all() or not ((w >= 0) & (h >= 0)).all()
+                or not (np.abs(corners) <= MAX_CORNER).all()):
+            return _rows_of(_read_lines(path, lines))
+    return MotRows(frames, ids, np.column_stack((cx, cy, w, h)), columns[4])
+
+
+def _rows_of(tracklets: Tracklets) -> MotRows:
+    """The rows of ``tracklets``."""
+    # (frame, id) is unique within tracklets, so the sort never compares boxes
+    entries = sorted(
+        (obs.frame, identity, obs.box, obs.score) for identity, track in tracklets for obs in track
+    )
+    frames, ids, boxes, scores = zip(*entries) if entries else [()] * 4
+    return MotRows(frames, ids, _rows(boxes), scores)
+
+
 def read_mot(path: str) -> Tracklets:
     """Parse a results or ground-truth file into pixel-space tracklets.
 
@@ -108,35 +170,20 @@ def read_mot(path: str) -> Tracklets:
     which rules out detection files full of id -1 rows; those are not
     tracklets.
     """
-    try:
-        lines = _read_ascii(path).splitlines()
-    except ValueError as exc:
-        raise MotFormatError(str(exc)) from None
-    # int() and float() skip the whitespace around a field themselves
-    try:
-        rows = [
-            (int(f), int(i), float(l), float(t), float(w), float(h),
-             float(c), float(x), float(y), float(z))
-            for f, i, l, t, w, h, c, x, y, z in (text.split(",") for text in lines if text.strip())
-        ]
-        entries = []
-        for f, i, l, t, w, h, c, x, y, z in rows:
-            # a sum is finite only when every term is (one that overflows
-            # only sends the file through the per-line pass); the box
-            # checks its own fields, its extent and its center
-            if f < 1 or not math.isfinite(c + x + y + z):
-                raise ValueError
-            entries.append((i, f, BoundingBox(l + w / 2, t + h / 2, w, h), c))
-        if len({(f, i) for i, f, _, _ in entries}) != len(entries):
-            raise ValueError
-    except ValueError:
-        return _read_lines(path, lines)
-    return Tracklets.from_entries(entries)
+    from .tracker import Tracklets
+
+    rows = _read_rows(path)
+    return Tracklets.from_entries([
+        (identity, frame, BoundingBox(*box), score)
+        for frame, identity, box, score in zip(rows.frames, rows.ids, rows.boxes.tolist(), rows.scores)
+    ])
 
 
 def _read_lines(path: str, lines: list[str]) -> Tracklets:
     """``read_mot`` one line at a time: the first bad line raises, with its
     number and what is wrong with it."""
+    from .tracker import Tracklets
+
     entries = []
     seen: set[tuple[int, int]] = set()
     for line_no, text in enumerate(lines, start=1):
@@ -157,6 +204,11 @@ def _read_lines(path: str, lines: list[str]) -> Tracklets:
                 w=line.bb_width,
                 h=line.bb_height,
             )
+            for corner in box.corners():
+                if abs(corner) > MAX_CORNER:
+                    raise MotFormatError(
+                        f"line {line_no}: box corner {corner!r} outside [-1e150, 1e150]"
+                    )
         except MotFormatError as exc:
             raise MotFormatError(f"{path}: {exc}") from None
         except ValueError as exc:

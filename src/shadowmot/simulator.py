@@ -18,16 +18,19 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Literal, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .assignment import FrameGroundTruth, GroundTruthObject
 from .geometry import BoundingBox, _pairwise, _rows
 from .matching import ClassScores
 from .shadow import ShadowSet
 from .tracker import ShadowTracker, Tracklets, TrackerConfig
+
+if TYPE_CHECKING:
+    from .assignment import FrameGroundTruth, GroundTruthObject
 
 __all__ = [
     "Schedule",
@@ -82,7 +85,9 @@ class SceneConfig:
             raise ValueError(
                 f"schedule: must be 'all-at-start' or 'uniform', got {self.schedule!r}"
             )
-        if not (math.isfinite(self.jitter) and self.jitter >= 0):
+        # compared, not converted: an integer too large for a float is out
+        # of range, not an OverflowError
+        if not 0 <= self.jitter <= sys.float_info.max:
             raise ValueError(f"jitter: must be finite and >= 0, got {self.jitter!r}")
         for name in ("image_width", "image_height"):
             if getattr(self, name) < 1:
@@ -224,6 +229,9 @@ class Scene:
         return dict(self._states.get(frame, {}))
 
     def visible_objects(self, frame: int) -> tuple[GroundTruthObject, ...]:
+        # training targets load the assignment module only when asked for
+        from .assignment import GroundTruthObject
+
         return tuple(
             GroundTruthObject(identity=i, box=s.box)
             for i, s in sorted(self.states_at(frame).items())
@@ -448,6 +456,8 @@ def emit_training_targets(
 ) -> FrameGroundTruth:
     """This frame's visible objects split into tracked vs newborn against
     the live track list."""
+    from .assignment import FrameGroundTruth
+
     if not 1 <= frame <= scene.n_frames:
         raise ValueError(f"frame {frame} outside [1, {scene.n_frames}]")
     return FrameGroundTruth.partition(scene.visible_objects(frame), track_ids)

@@ -28,7 +28,7 @@ from shadowmot import (
 )
 from shadowmot.geometry import pairwise
 from shadowmot.matching import hungarian
-from shadowmot.metrics import ALPHA_GRID, AlphaScores, HotaResult, _frame_overlaps
+from shadowmot.metrics import ALPHA_GRID, AlphaScores, HotaResult
 from shadowmot.simulator import _STREAM_CORRUPT, _STREAM_ORACLE
 
 
@@ -437,6 +437,27 @@ def longest_run(frames: list[int]) -> int:
         cur = cur + 1 if this == prev + 1 else 1
         best = max(best, cur)
     return best
+
+
+# Per frame in which either side has a box, in frame order:
+# (sorted gt ids, sorted pred ids, gt x pred IoU).
+_FrameOverlaps = list[tuple[list[int], list[int], np.ndarray]]
+
+
+def _frame_overlaps(gt: Tracklets, pred: Tracklets) -> _FrameOverlaps:
+    """The overlap pass on box objects, the reference for the metrics'
+    array pass over MOT rows."""
+    gt_by_frame = gt.by_frame()
+    pred_by_frame = pred.by_frame()
+    out: _FrameOverlaps = []
+    for frame in sorted(gt_by_frame.keys() | pred_by_frame.keys()):
+        gts = gt_by_frame.get(frame, {})
+        preds = pred_by_frame.get(frame, {})
+        gt_ids = sorted(gts)
+        pred_ids = sorted(preds)
+        sim, _, _ = pairwise([gts[g][0] for g in gt_ids], [preds[p][0] for p in pred_ids])
+        out.append((gt_ids, pred_ids, sim))
+    return out
 
 
 def hota_reference(gt: Tracklets, pred: Tracklets) -> HotaResult:

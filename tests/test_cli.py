@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import shadowmot
 from shadowmot import ShadowTracker, cli, read_mot
 
 from helpers import cli_env
@@ -197,10 +198,11 @@ class TestTrack:
         ("unknown-track-key", "error: tracks[0]: unknown keys ['junk']"),
         ("unknown-frame-key", "error: tracks[0].frames[0]: unknown keys ['colour']"),
         ("huge-int-box", "error: tracks[0].frames[2].box: int too large to convert to float"),
+        ("huge-jitter", f"error: config.jitter: must be finite and >= 0, got {10 ** 400}"),
     ], ids=["duplicate-id", "short-box", "scalar-box", "tracks-object", "top-level-list",
             "missing-frames", "string-frame", "zero-id", "string-n-frames", "string-occlusion",
             "zero-n-frames", "unknown-occlusion-id", "missing-n-frames", "missing-n-objects",
-            "unknown-track-key", "unknown-frame-key", "huge-int-box"])
+            "unknown-track-key", "unknown-frame-key", "huge-int-box", "huge-jitter"])
     def test_malformed_scene_is_one_located_error(self, workdir, scene_path, defect, message):
         doc = json.loads(scene_path.read_text())
         tracks = doc["tracks"]
@@ -236,6 +238,8 @@ class TestTrack:
             tracks[0]["frames"][0]["colour"] = "red"
         elif defect == "huge-int-box":
             tracks[0]["frames"][2]["box"][0] = 10 ** 400
+        elif defect == "huge-jitter":
+            doc["config"]["jitter"] = 10 ** 400
         else:
             doc["config"]["occlusions"] = [[9, 1, 2]]
         (workdir / "bad.json").write_text(json.dumps(doc))
@@ -362,6 +366,71 @@ class TestScipyImport:
         assert outputs["blocked"] == outputs["free"]
 
 
+class TestImportFootprint:
+    """Each command loads only the modules it runs, and importing the
+    package loads none of them.  Every check starts a fresh interpreter."""
+
+    # runs cli.main on the arguments given, then prints the shadowmot
+    # submodules loaded
+    _SCRIPT = (
+        "import json, sys\n"
+        "from shadowmot import cli\n"
+        "status = cli.main(sys.argv[1:])\n"
+        "print(status, json.dumps([m for m in sys.modules if m.startswith('shadowmot.')]))\n"
+    )
+
+    def _loaded(self, workdir: Path, *args: str) -> set[str]:
+        proc = subprocess.run(
+            [sys.executable, "-c", self._SCRIPT, *args],
+            cwd=workdir, capture_output=True, text=True, env=cli_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        status, _, loaded = proc.stdout.splitlines()[-1].partition(" ")
+        assert status == "0"
+        return {name.removeprefix("shadowmot.") for name in json.loads(loaded)}
+
+    def test_package_import_loads_no_submodule(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, shadowmot\n"
+             "print([m for m in sys.modules if m.startswith('shadowmot.')])"],
+            cwd=tmp_path, capture_output=True, text=True, env=cli_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_eval_loads_neither_simulator_nor_assignment(self, workdir, scene_path):
+        loaded = self._loaded(workdir, "eval", "--gt", "scene.gt.txt",
+                              "--results", "scene.gt.txt", "-o", "report.json")
+        assert "metrics" in loaded
+        assert not loaded & {"simulator", "assignment"}
+
+    def test_simulate_and_track_do_not_load_metrics(self, workdir):
+        for args in (("simulate", "--config", "run.cfg", "-o", "scene.json"),
+                     ("track", "--scene", "scene.json", "--config", "run.cfg", "-o", "out.txt")):
+            loaded = self._loaded(workdir, *args)
+            assert "simulator" in loaded
+            assert "metrics" not in loaded
+
+    @pytest.mark.parametrize("module", sorted(shadowmot._MODULES))
+    def test_every_public_name_resolves(self, tmp_path, module):
+        # the first name asked for comes from ``module``, so each module is
+        # once the first to load, then every other name resolves after it
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, shadowmot\n"
+             "first = shadowmot._MODULES[sys.argv[1]]\n"
+             "for name in [*first, *shadowmot.__all__]:\n"
+             "    getattr(shadowmot, name)\n"
+             "assert set(shadowmot.__all__) <= set(dir(shadowmot))\n"
+             "exec('from shadowmot import *')\n"
+             "print(len(shadowmot.__all__))", module],
+            cwd=tmp_path, capture_output=True, text=True, env=cli_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{len(shadowmot.__all__)}\n"
+
+
 class TestEval:
     def test_ground_truth_against_itself_is_perfect(self, workdir, scene_path):
         proc = run_cli("eval", "--gt", "scene.gt.txt", "--results", "scene.gt.txt",
@@ -408,6 +477,22 @@ class TestEval:
         assert proc.stderr.splitlines() == [
             "error: bad.gt.txt: line 2: duplicate (frame, id) = (1, 1)"
         ]
+
+
+    @pytest.mark.parametrize("fields,problem", [
+        # finite fields, but the areas of such boxes overflow the overlap kernel
+        ("0.0,0.0,1e300,1e300", "box corner 1e+300 outside [-1e150, 1e150]"),
+        # finite fields whose center overflows
+        ("1.7e308,0.0,1.7e308,1.0", "box component cx must be finite, got inf"),
+    ], ids=["corner", "center"])
+    def test_huge_box_is_one_error(self, workdir, fields, problem):
+        (workdir / "big.txt").write_text(
+            f"1,1,{fields},1.0,-1,-1,-1\n2,1,0.0,0.0,1.0,1.0,1.0,-1,-1,-1\n")
+        proc = run_cli("eval", "--gt", "big.txt", "--results", "big.txt",
+                       "-o", "report.json", cwd=workdir)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: big.txt: line 1: {problem}\n"
+        assert not (workdir / "report.json").exists()
 
 
 class TestNonAsciiInput:

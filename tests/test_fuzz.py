@@ -15,14 +15,18 @@ from __future__ import annotations
 import io
 import json
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, event, given, settings
 
-from shadowmot import MotFormatError, SceneConfig, cli, generate_scene, read_mot
-from shadowmot.mot_io import _read_ascii, _read_lines
+from shadowmot import MotFormatError, SceneConfig, cli, evaluate, generate_scene, read_mot
+from shadowmot.metrics import _overlaps
+from shadowmot.mot_io import _read_ascii, _read_lines, _read_rows
+
+from helpers import _frame_overlaps
 
 _CONFIG = """\
 seed = 3
@@ -242,3 +246,67 @@ class TestBulkReadMot:
                 assert str(exc) == str(expected)
             else:
                 assert got == expected
+
+
+# box fields: exact ties, signed zeros and empty extents, besides any
+# moderate float; some files also hold values near the corner bound and
+# values whose sums overflow
+_COORD = st.sampled_from([0.0, -0.0, 1.0, 2.5, 10.0]) | st.floats(-100, 100)
+_EXTENT = st.sampled_from([0.0, 1.0, 5.0, 10.0]) | st.floats(0, 100)
+_HUGE_COORD = _COORD | st.sampled_from([4e149, -4e149, 1.7e308, -1.7e308])
+_HUGE_EXTENT = _EXTENT | st.sampled_from([6e149, 1.7e308])
+
+
+@st.composite
+def _mot_file(draw) -> str:
+    """MOT text over frames 1-6 and ids 1-5, so that frames appear on one
+    side only and ids recur over frames and across files; the lines come
+    in any order, the file may be empty, and some files are mutated so
+    that the read takes the per-line pass."""
+    keys = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 5)), unique=True,
+                         max_size=16))
+    huge = draw(st.integers(0, 3)) == 0
+    coord, extent = (_HUGE_COORD, _HUGE_EXTENT) if huge else (_COORD, _EXTENT)
+    text = "".join(
+        f"{f},{i},{draw(coord)!r},{draw(coord)!r},{draw(extent)!r},{draw(extent)!r},"
+        f"{draw(st.floats(0, 1))!r},-1,-1,-1\n"
+        for f, i in keys
+    )
+    return draw(_mutated_text(text, max_edits=2)) if draw(st.booleans()) else text
+
+
+class TestArrayCore:
+    @settings(max_examples=300, deadline=None)
+    @given(gt=_mot_file(), results=_mot_file())
+    def test_equals_the_object_path(self, gt, results):
+        # eval reads rows and never builds a box; its report must equal
+        # evaluate on the tracklets of the per-line pass, which read_mot
+        # must return too, and each overlap matrix must equal the object
+        # reference's, bit for bit
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            g, r = _write(d / "gt.txt", gt), _write(d / "res.txt", results)
+            report = d / "report.json"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, err = _run(["eval", "--gt", g, "--results", r, "-o", str(report)])
+            try:
+                gt_tracklets, pred_tracklets = (
+                    _read_lines(path, _read_ascii(path).splitlines()) for path in (g, r))
+            except ValueError as exc:
+                event("malformed")
+                assert (code, err) == (1, f"error: {exc}\n")
+                return
+            assert (code, err) == (0, "")
+            assert (read_mot(g), read_mot(r)) == (gt_tracklets, pred_tracklets)
+            expected = evaluate(gt_tracklets, pred_tracklets).to_json_dict()
+            assert report.read_text() == cli._dump_json(expected)
+
+            frames = _overlaps(_read_rows(g), _read_rows(r)).frames
+            reference = _frame_overlaps(gt_tracklets, pred_tracklets)
+            assert len(frames) == len(reference)
+            for (rows, cols, sim), (gt_ids, pred_ids, expected_sim) in zip(frames, reference):
+                assert [gt_tracklets.identities[k] for k in rows] == gt_ids
+                assert [pred_tracklets.identities[k] for k in cols] == pred_ids
+                assert sim.shape == expected_sim.shape
+                assert sim.tobytes() == expected_sim.tobytes()

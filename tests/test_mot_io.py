@@ -16,6 +16,7 @@ from shadowmot import (
     TrackerConfig,
     format_mot,
     generate_scene,
+    pairwise,
     read_mot,
     to_pixel,
     track_scene,
@@ -141,6 +142,32 @@ class TestReadMot:
         with pytest.raises(MotFormatError) as info:
             read_mot(str(path))
         assert str(info.value) == f"{path}: line 2: box component cx must be finite, got inf"
+
+    @pytest.mark.parametrize("fields,corner", [
+        ("0.0,0.0,1e300,10.0", "1e+300"),
+        ("-2e150,0.0,1.0,10.0", "-2e+150"),
+        ("0.0,1e151,1.0,1.0", "1e+151"),
+    ], ids=["wide", "far-left", "low"])
+    def test_box_beyond_the_corner_bound_is_a_located_error(self, tmp_path, fields, corner):
+        path = tmp_path / "r.txt"
+        path.write_text(f"1,3,0.0,0.0,10.0,10.0,1.0,-1,-1,-1\n2,3,{fields},1.0,-1,-1,-1\n")
+        with pytest.raises(MotFormatError) as info:
+            read_mot(str(path))
+        assert str(info.value) == f"{path}: line 2: box corner {corner} outside [-1e150, 1e150]"
+
+    def test_boxes_at_the_corner_bound_have_finite_overlaps(self, tmp_path):
+        # the largest box a read accepts, a point at its corner, and a box
+        # from the opposite corner: every overlap is finite
+        path = tmp_path / "r.txt"
+        path.write_text(
+            "1,1,-1e150,-1e150,2e150,2e150,1.0,-1,-1,-1\n"
+            "1,2,1e150,1e150,0.0,0.0,1.0,-1,-1,-1\n"
+            "1,3,-1e150,-1e150,1e150,2e150,1.0,-1,-1,-1\n"
+        )
+        boxes = [obs.box for _, track in read_mot(str(path)) for obs in track]
+        with np.errstate(all="raise"):
+            for values in pairwise(boxes, boxes):
+                assert np.isfinite(values).all()
 
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])

@@ -218,6 +218,8 @@ class TestSceneViews:
         ("negative-n-objects", "config.n_objects: must be >= 0, got -1"),
         ("unknown-schedule", "config.schedule: must be 'all-at-start' or 'uniform', got 'burst'"),
         ("negative-jitter", "config.jitter: must be finite and >= 0, got -0.5"),
+        pytest.param("huge-jitter", f"config.jitter: must be finite and >= 0, got {10 ** 400}",
+                     id="huge-jitter"),
         ("zero-width", "config.image_width: must be >= 1, got 0"),
         ("zero-height", "config.image_height: must be >= 1, got 0"),
         ("occlusion-id-zero", "config.occlusions[0]: identity must be in [1, n_objects = 1], got 0"),
@@ -278,6 +280,8 @@ class TestSceneViews:
             doc["config"]["schedule"] = "burst"
         elif defect == "negative-jitter":
             doc["config"]["jitter"] = -0.5
+        elif defect == "huge-jitter":
+            doc["config"]["jitter"] = 10 ** 400
         elif defect == "zero-width":
             doc["config"]["image_width"] = 0
         elif defect == "zero-height":
