@@ -231,7 +231,7 @@ def _cmd_assign_debug(args: argparse.Namespace) -> int:
         reduce_set_costs,
         tala_targets,
     )
-    from .simulator import emit_training_targets, oracle_decode
+    from .simulator import _tracked_frames, emit_training_targets, oracle_decode
     from .tracker import ShadowTracker
 
     run = _run_config(args)
@@ -242,10 +242,11 @@ def _cmd_assign_debug(args: argparse.Namespace) -> int:
     if not 1 <= args.frame <= scene.n_frames:
         raise ConfigError(f"--frame must lie in [1, {scene.n_frames}], got {args.frame}")
 
+    # replay the frames before the one shown on the array loop of track
     tracker = ShadowTracker(run.tracker, seed=run.oracle.seed)
-    for frame in range(1, args.frame):
-        preds = oracle_decode(scene, frame, tracker.live_sets(), run.oracle, n_layers)
-        tracker.step(preds[-1])
+    replay = _tracked_frames(scene, tracker, run.oracle)
+    for _ in range(args.frame - 1):
+        next(replay)
 
     track_ids = tracker.track_identities
     gt = emit_training_targets(scene, args.frame, track_ids)

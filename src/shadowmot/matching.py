@@ -32,8 +32,7 @@ ClassScores = Sequence[float]
 class CostWeights:
     """Coefficients of the matching cost and focal-cost parameters.
 
-    Defaults follow the DETR/MOTR-family convention (2, 5, 2).  The
-    unweighted preset is available as :meth:`unit`.
+    Defaults follow the DETR/MOTR-family convention (2, 5, 2).
     """
 
     w_class: float = 2.0
@@ -54,11 +53,6 @@ class CostWeights:
             raise ValueError(f"gamma: must be finite and non-negative, got {self.gamma!r}")
         if not self.eps > 0:
             raise ValueError(f"eps: must be positive, got {self.eps!r}")
-
-    @classmethod
-    def unit(cls) -> "CostWeights":
-        """Unweighted preset: all three components enter with weight 1."""
-        return cls(w_class=1.0, w_l1=1.0, w_giou=1.0)
 
 
 @dataclass(frozen=True)

@@ -20,14 +20,14 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Literal, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import BoundingBox, _pairwise, _rows
+from .geometry import BoundingBox, _corners, _iou, _rows
 from .matching import ClassScores
 from .shadow import ShadowSet
-from .tracker import ShadowTracker, Tracklets, TrackerConfig
+from .tracker import FrameResult, ShadowTracker, Tracklets, TrackerConfig
 
 if TYPE_CHECKING:
     from .assignment import FrameGroundTruth, GroundTruthObject
@@ -222,9 +222,6 @@ class Scene:
     def identities(self) -> tuple[int, ...]:
         return tuple(sorted(self.tracks))
 
-    def first_frame(self, identity: int) -> int:
-        return self.tracks[identity][0].t
-
     def states_at(self, frame: int) -> dict[int, SceneFrame]:
         return dict(self._states.get(frame, {}))
 
@@ -238,13 +235,13 @@ class Scene:
             if s.visible
         )
 
-    def gt_tracklets(self, include_occluded: bool = False) -> Tracklets:
-        """Ground truth as tracklets; occluded frames are skipped unless
-        asked for, since an occluded object is not an evaluation target."""
+    def gt_tracklets(self) -> Tracklets:
+        """Ground truth as tracklets; occluded frames are skipped, since an
+        occluded object is not an evaluation target."""
         out = Tracklets()
         for identity in self.identities:
             for s in self.tracks[identity]:
-                if s.visible or include_occluded:
+                if s.visible:
                     out.add(identity, s.t, s.box, 1.0)
         return out
 
@@ -472,7 +469,7 @@ def _claim(
     rows, as anchor index -> box index: best overlap first, ties to the
     lower anchor and then the lower box, among the pairs whose overlap
     passes ``gate``."""
-    overlaps, _, _ = _pairwise(anchors, boxes)
+    overlaps, _ = _iou(_corners(anchors), _corners(boxes))
     claims: dict[int, int] = {}
     taken: set[int] = set()
     for _, r, k in sorted(
@@ -672,28 +669,35 @@ def oracle_decode(
     return layers
 
 
-def track_scene(
-    scene: Scene,
-    tracker_cfg: TrackerConfig,
-    oracle_cfg: OracleConfig,
-) -> Tracklets:
-    """Run the oracle-fed tracker over a whole scene.  The oracle seed also
-    seeds the tracker's query bank, so one seed pins the entire run.  The
-    oracle's arrays go straight into the tracker's lifecycle core; boxes
-    are built only for the emitted outputs."""
-    tracker = ShadowTracker(tracker_cfg, seed=oracle_cfg.seed)
-    # only the final layer reaches the tracker, so only it is rendered
-    scale = oracle_cfg.refinement ** (tracker_cfg.n_layers - 1)
-    ns = tracker_cfg.shadow.n_shadows
-    tracklets = Tracklets()
-    for frame in range(1, scene.n_frames + 1):
+def _tracked_frames(
+    scene: Scene, tracker: ShadowTracker, oracle_cfg: OracleConfig
+) -> Iterator[FrameResult]:
+    """Step ``tracker`` over ``scene`` from its next frame on, yielding each
+    frame's result.  The oracle's arrays go straight into the tracker's
+    lifecycle core; only the final layer reaches the tracker, so only it is
+    rendered, and boxes are built only for the emitted outputs."""
+    scale = oracle_cfg.refinement ** (tracker.config.n_layers - 1)
+    ns = tracker.config.shadow.n_shadows
+    for frame in range(tracker.frame + 1, scene.n_frames + 1):
         anchors, n_tracks = tracker._live_anchors()
         n_sets = len(anchors)
         tracking = [True] * n_tracks + [False] * (n_sets - n_tracks)
         draws = _frame_draws(scene, frame, anchors, tracking, [ns] * n_sets, oracle_cfg)
         boxes, scores = _render_layer(draws, scale)
         boxes = boxes.reshape(n_sets, ns, 4)
-        result = tracker._advance(scores.reshape(n_sets, ns), lambda sets: boxes[sets])
+        yield tracker._advance(scores.reshape(n_sets, ns), lambda sets: boxes[sets])
+
+
+def track_scene(
+    scene: Scene,
+    tracker_cfg: TrackerConfig,
+    oracle_cfg: OracleConfig,
+) -> Tracklets:
+    """Run the oracle-fed tracker over a whole scene.  The oracle seed also
+    seeds the tracker's query bank, so one seed pins the entire run."""
+    tracker = ShadowTracker(tracker_cfg, seed=oracle_cfg.seed)
+    tracklets = Tracklets()
+    for result in _tracked_frames(scene, tracker, oracle_cfg):
         for identity, box, score in result.outputs:
             tracklets.add(identity, result.frame, box, score)
     return tracklets

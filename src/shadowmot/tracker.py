@@ -114,14 +114,6 @@ class Tracklets:
     def track(self, identity: int) -> tuple[Observation, ...]:
         return tuple(self._tracks[identity])
 
-    def by_frame(self) -> dict[int, dict[int, tuple[BoundingBox, float]]]:
-        """Frame-major view, built once for per-frame consumers."""
-        out: dict[int, dict[int, tuple[BoundingBox, float]]] = {}
-        for identity, track in self._tracks.items():
-            for obs in track:
-                out.setdefault(obs.frame, {})[identity] = (obs.box, obs.score)
-        return out
-
     def __iter__(self) -> Iterator[tuple[int, tuple[Observation, ...]]]:
         for identity in self.identities:
             yield identity, tuple(self._tracks[identity])
@@ -149,9 +141,10 @@ class ShadowTracker:
     ``[T, 4]``, with its identity and miss count.  The fixed detection bank
     is one ``[D, 4]`` anchor array.  Each frame the lifecycle core reads the
     final-layer shadow scores ``[T + D, ns]`` of the tracks, then the bank,
-    and the boxes ``[ns, 4]`` of the sets that pass the gate.  ``step``
-    turns object predictions into those arrays, and ``live_sets`` builds
-    the sets only when asked.
+    and the boxes ``[ns, 4]`` of the sets that pass the gate.  The
+    commands feed it arrays through ``simulator``; ``step`` turns object
+    predictions into those arrays for library callers, and ``live_sets``
+    builds the sets only when asked.
     """
 
     def __init__(self, config: TrackerConfig, seed: int) -> None:
@@ -276,22 +269,3 @@ class ShadowTracker:
             births=tuple(births),
             deaths=tuple(deaths),
         )
-
-    def run(
-        self,
-        n_frames: int,
-        provider: Callable[[int, list[ShadowSet]], SetPredictions],
-    ) -> Tracklets:
-        """Fold ``step`` over ``n_frames`` frames.
-
-        Predictions depend on which sets are alive, so they are requested
-        per frame from ``provider(frame, live_sets)`` rather than taken as a
-        precomputed sequence.
-        """
-        tracklets = Tracklets()
-        for _ in range(n_frames):
-            frame = self._frame + 1
-            result = self.step(provider(frame, self.live_sets()))
-            for identity, box, score in result.outputs:
-                tracklets.add(identity, result.frame, box, score)
-        return tracklets

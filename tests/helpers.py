@@ -31,6 +31,9 @@ from shadowmot.matching import hungarian
 from shadowmot.metrics import ALPHA_GRID, AlphaScores, HotaResult
 from shadowmot.simulator import _STREAM_CORRUPT, _STREAM_ORACLE
 
+# the matching cost with all three components at weight 1
+UNIT_WEIGHTS = CostWeights(w_class=1.0, w_l1=1.0, w_giou=1.0)
+
 
 def cli_env() -> dict[str, str]:
     """This environment with the absolute directory holding the imported
@@ -427,6 +430,32 @@ def tracklets_from_rows(rows: list[tuple[int, int, BoundingBox, float]]) -> Trac
     return Tracklets.from_entries(rows)
 
 
+def by_frame(tracklets: Tracklets) -> dict[int, dict[int, tuple[BoundingBox, float]]]:
+    """Frame-major view of ``tracklets``: frame -> identity -> (box, score)."""
+    out: dict[int, dict[int, tuple[BoundingBox, float]]] = {}
+    for identity, track in tracklets:
+        for obs in track:
+            out.setdefault(obs.frame, {})[identity] = (obs.box, obs.score)
+    return out
+
+
+def first_frame(scene, identity: int) -> int:
+    """The frame in which ``identity`` enters ``scene``."""
+    return scene.tracks[identity][0].t
+
+
+def run_tracker(tracker, n_frames: int, provider) -> Tracklets:
+    """Fold ``tracker.step`` over ``n_frames`` frames.  Predictions depend
+    on which sets are alive, so they are asked of ``provider(frame,
+    live_sets)`` per frame rather than taken as a precomputed sequence."""
+    tracklets = Tracklets()
+    for _ in range(n_frames):
+        result = tracker.step(provider(tracker.frame + 1, tracker.live_sets()))
+        for identity, box, score in result.outputs:
+            tracklets.add(identity, result.frame, box, score)
+    return tracklets
+
+
 def longest_run(frames: list[int]) -> int:
     """Length of the longest consecutive-integer run."""
     if not frames:
@@ -447,8 +476,8 @@ _FrameOverlaps = list[tuple[list[int], list[int], np.ndarray]]
 def _frame_overlaps(gt: Tracklets, pred: Tracklets) -> _FrameOverlaps:
     """The overlap pass on box objects, the reference for the metrics'
     array pass over MOT rows."""
-    gt_by_frame = gt.by_frame()
-    pred_by_frame = pred.by_frame()
+    gt_by_frame = by_frame(gt)
+    pred_by_frame = by_frame(pred)
     out: _FrameOverlaps = []
     for frame in sorted(gt_by_frame.keys() | pred_by_frame.keys()):
         gts = gt_by_frame.get(frame, {})

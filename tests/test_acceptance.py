@@ -27,7 +27,6 @@ import pytest
 from shadowmot import (
     ALPHA_GRID,
     BoundingBox,
-    CostWeights,
     FrameGroundTruth,
     GroundTruthObject,
     MotFormatError,
@@ -56,6 +55,7 @@ from shadowmot import (
 from shadowmot.mot_io import parse_mot_line
 
 from helpers import (
+    UNIT_WEIGHTS,
     assignment_total,
     build_cost_matrix,
     cli_env,
@@ -64,8 +64,6 @@ from helpers import (
     longest_run,
     random_box,
 )
-
-UNIT = CostWeights.unit()
 
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -191,7 +189,7 @@ def test_criterion_3_shadow_set_laws():
         cands = [GroundTruthObject(identity=100 + k, box=random_box(rng))
                  for k in range(m)]
         out = assign_detection_sets(preds, list(range(n_sets)), cands,
-                                    UNIT, "max", layer=2)
+                                    UNIT_WEIGHTS, "max", layer=2)
         for sid in range(n_sets):
             view = out.shadow_targets("detection", sid)
             if len(view) != ns or len(set(view)) != 1:
@@ -208,7 +206,7 @@ def test_criterion_3_shadow_set_laws():
         ]
         cands = [GroundTruthObject(identity=k + 1, box=random_box(rng))
                  for k in range(m)]
-        tensor = build_set_cost_tensor(preds, list(range(n_sets)), cands, UNIT)
+        tensor = build_set_cost_tensor(preds, list(range(n_sets)), cands, UNIT_WEIGHTS)
         for how in REDUCTIONS:
             reduced = reduce_set_costs(tensor, how)
             for i in range(n_sets):
@@ -227,15 +225,15 @@ def test_criterion_3_shadow_set_laws():
                  for _ in range(n_sets)]
         cands = [GroundTruthObject(identity=40 + k, box=random_box(inst))
                  for k in range(m)]
-        tensor = build_set_cost_tensor(preds, list(range(n_sets)), cands, UNIT)
+        tensor = build_set_cost_tensor(preds, list(range(n_sets)), cands, UNIT_WEIGHTS)
         plain = build_cost_matrix([p[0] for p in preds],
-                                  [(c.box, c.class_index) for c in cands], UNIT)
+                                  [(c.box, c.class_index) for c in cands], UNIT_WEIGHTS)
         for how in REDUCTIONS:
             reduced = reduce_set_costs(tensor, how)
             if not np.array_equal(reduced.costs, plain.costs):
                 problems.append("single-shadow-matrix")
             out = assign_detection_sets(preds, list(range(n_sets)), cands,
-                                        UNIT, how, layer=1)
+                                        UNIT_WEIGHTS, how, layer=1)
             want = {sid: None for sid in range(n_sets)}
             for row, col in hungarian(plain).pairs:
                 want[row] = cands[col].identity

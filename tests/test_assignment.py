@@ -21,9 +21,7 @@ from shadowmot import (
     tala_targets,
 )
 
-from helpers import build_cost_matrix, disjoint_boxes, random_box
-
-UNIT = CostWeights.unit()
+from helpers import UNIT_WEIGHTS, build_cost_matrix, disjoint_boxes, random_box
 
 
 def _gt(tracked_ids, newborn_ids, boxes=None):
@@ -226,7 +224,7 @@ class TestSetCostTensor:
             [(random_box(rng), (0.2,)), (random_box(rng), (0.9,))],
         ]
         cands = [GroundTruthObject(identity=3, box=random_box(rng))]
-        t = build_set_cost_tensor(preds, [0, 1], cands, UNIT)
+        t = build_set_cost_tensor(preds, [0, 1], cands, UNIT_WEIGHTS)
         assert t.shape == (2, 2, 1)
         assert t.target_ids == (3,)
 
@@ -234,7 +232,7 @@ class TestSetCostTensor:
         b = BoundingBox(cx=0.5, cy=0.5, w=0.1, h=0.1)
         preds = [[(b, (0.5,))], [(b, (0.5,)), (b, (0.5,))]]
         with pytest.raises(ValueError):
-            build_set_cost_tensor(preds, [0, 1], [], UNIT)
+            build_set_cost_tensor(preds, [0, 1], [], UNIT_WEIGHTS)
 
     @pytest.mark.parametrize("ns", [1, 2, 3])
     def test_every_shadow_slice_equals_reference(self, ns):
@@ -264,13 +262,13 @@ class TestAssignDetectionSets:
         far_box = BoundingBox(cx=0.8, cy=0.8, w=0.1, h=0.1)
         preds = [[(target_box, (0.9,))], [(far_box, (0.9,))]]
         cands = [GroundTruthObject(identity=5, box=target_box)]
-        out = assign_detection_sets(preds, [0, 1], cands, UNIT, "mean", layer=1)
+        out = assign_detection_sets(preds, [0, 1], cands, UNIT_WEIGHTS, "mean", layer=1)
         assert out.detection == {0: 5, 1: None}
 
     def test_no_candidates_all_background(self):
         b = BoundingBox(cx=0.5, cy=0.5, w=0.1, h=0.1)
         preds = [[(b, (0.9,))], [(b, (0.1,))]]
-        out = assign_detection_sets(preds, [0, 1], [], UNIT, "max", layer=2)
+        out = assign_detection_sets(preds, [0, 1], [], UNIT_WEIGHTS, "max", layer=2)
         assert out.detection == {0: None, 1: None}
 
     def test_broadcast_constant_within_set(self):
@@ -288,7 +286,7 @@ class TestAssignDetectionSets:
                 for k in range(m)
             ]
             out = assign_detection_sets(
-                preds, list(range(n_sets)), cands, UNIT, "max", layer=3
+                preds, list(range(n_sets)), cands, UNIT_WEIGHTS, "max", layer=3
             )
             for sid in range(n_sets):
                 shadow_view = out.shadow_targets("detection", sid)
@@ -306,10 +304,10 @@ class TestAssignDetectionSets:
             ]
             for how in REDUCTIONS:
                 out = assign_detection_sets(
-                    preds, list(range(n_sets)), cands, UNIT, how, layer=1
+                    preds, list(range(n_sets)), cands, UNIT_WEIGHTS, how, layer=1
                 )
                 matrix = build_cost_matrix(
-                    [p[0] for p in preds], [(c.box, c.class_index) for c in cands], UNIT
+                    [p[0] for p in preds], [(c.box, c.class_index) for c in cands], UNIT_WEIGHTS
                 )
                 plain = {sid: None for sid in range(n_sets)}
                 for row, col in hungarian(matrix).pairs:
@@ -329,7 +327,7 @@ class TestAssignDetectionSets:
                 GroundTruthObject(identity=k, box=random_box(rng)) for k in range(m)
             ]
             out = assign_detection_sets(
-                preds, list(range(n_sets)), cands, UNIT, "min", layer=1
+                preds, list(range(n_sets)), cands, UNIT_WEIGHTS, "min", layer=1
             )
             assigned = [t for t in out.detection.values() if t is not None]
             assert len(assigned) == len(set(assigned))

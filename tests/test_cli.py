@@ -5,6 +5,7 @@ tests exercise the real entry point: argument parsing, file I/O, exit codes,
 and the exact bytes written to disk.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import pytest
 import shadowmot
 from shadowmot import ShadowTracker, cli, read_mot
 
-from helpers import cli_env
+from helpers import by_frame, cli_env
 
 _CONFIG = """\
 # small scene so the suite stays fast
@@ -78,7 +79,7 @@ class TestSimulate:
 
         gt = read_mot(str(workdir / "scene.gt.txt"))
         assert gt.identities == (1, 2, 3)
-        assert sorted(gt.by_frame()) == list(range(1, 13))
+        assert sorted(by_frame(gt)) == list(range(1, 13))
 
     def test_reruns_are_byte_identical(self, workdir):
         for name in ("a.json", "b.json"):
@@ -120,7 +121,7 @@ class TestTrack:
 
         pred = read_mot(str(workdir / "out.txt"))
         assert len(pred) == 3
-        assert sorted(pred.by_frame()) == list(range(1, 13))
+        assert sorted(by_frame(pred)) == list(range(1, 13))
 
         manifest = json.loads((workdir / "out.txt.manifest.json").read_text())
         assert manifest["scene_path"] == "scene.json"
@@ -412,6 +413,13 @@ class TestImportFootprint:
             assert "simulator" in loaded
             assert "metrics" not in loaded
 
+    def test_assign_debug_does_not_load_metrics(self, workdir, scene_path):
+        loaded = self._loaded(workdir, "assign-debug", "--scene", "scene.json",
+                              "--config", "run.cfg", "--frame", "5", "--layer", "3")
+        assert "metrics" not in loaded
+        assert loaded <= {"assignment", "cli", "config", "geometry", "matching",
+                          "mot_io", "shadow", "simulator", "tracker"}
+
     @pytest.mark.parametrize("module", sorted(shadowmot._MODULES))
     def test_every_public_name_resolves(self, tmp_path, module):
         # the first name asked for comes from ``module``, so each module is
@@ -624,6 +632,66 @@ class TestAssignDebug:
                        "--frame", "13", "--layer", "1", cwd=workdir)
         assert proc.returncode == 1
         assert "--frame" in proc.stderr
+
+
+# uniform arrivals, two occlusion windows, corrupted shadows and false
+# positives scored above tau, with patience 1: tracks die and new
+# identities are born while assign-debug replays the frames before the one
+# it shows
+_PIN_CONFIG = """\
+seed = 3
+scene.n_frames = 30
+scene.n_objects = 6
+scene.schedule = uniform
+scene.occlusions = 2:4:9,5:12:20
+oracle.box_noise_std = 0.02
+oracle.p_corrupt = 0.2
+oracle.fp_rate = 0.3
+oracle.fp_score = 0.6
+tracker.n_detection_sets = 8
+tracker.patience = 1
+"""
+
+# sha256 of the assign-debug stdout per (mode, frame, layer)
+_ASSIGN_DEBUG_DIGESTS = {
+    ("--tala", 1, 1): "c2357375216d0b066e1555f9783b23400f7f2548c8d554cdae981a7d259b3711",
+    ("--tala", 1, 6): "e674dbeb627e2d680c1c1b215a0d8ce1baedb873e5019e803e766b8981fdd6bc",
+    ("--tala", 2, 3): "cd898ff5be319c13e34a4d97c025208a1ed0b34cde0fa48faa376121f61f7e10",
+    ("--tala", 9, 6): "52f82997849e13a562e7bd834f2792547d68b200cace161a18c7ade2c903a80f",
+    ("--tala", 17, 1): "ba941ea9f580490f6e8972f125ae2fa1f3dd6142dee75c5c0939f047dc6d8126",
+    ("--tala", 25, 3): "2dfdafad0cb0da5bd3f8308f48c183c38c83d0f0e584f31d98b1dbfdcbf510a3",
+    ("--tala", 30, 6): "4225bbe22eca3f855c64909e3cc6ac9a49d2c458459d41cdfb242263da31130c",
+    ("--cola", 1, 1): "683589edebbf5aeedf271f0a38c8432da96155142d4c0362ca63618d32b3c8e4",
+    ("--cola", 1, 6): "269a1e61dee169332c3619b009659c4ee01e5585e80036e2c927cbc7c2ffb026",
+    ("--cola", 2, 3): "8921283e53761af063a27199076b13efea9b2d1e682dfa47ae8ddb7e099cd490",
+    ("--cola", 9, 6): "b6ae3590f2d40d291985c5bd521ac121b65814cd2da13a3972d5dc6fbe2cc652",
+    ("--cola", 17, 1): "55a3c66173c790515e1b9eb2b25290b07395b6d008c051f5a553c33f2bd92900",
+    ("--cola", 25, 3): "377e6ecc91322a9010cd3d9417b377815d1992145802b88d0cf54d8e9ec24fd2",
+    ("--cola", 30, 6): "c77d31ec4a5093275f21f8d1702c13eacc054e5ab6e0f1eb94a5a8390c3a1157",
+}
+
+
+class TestAssignDebugPins:
+    """The exact stdout of assign-debug, after the tracker has replayed
+    every frame before the one shown."""
+
+    @pytest.fixture(scope="class")
+    def pin_dir(self, tmp_path_factory) -> Path:
+        out = tmp_path_factory.mktemp("pins")
+        (out / "run.cfg").write_text(_PIN_CONFIG, encoding="ascii")
+        proc = run_cli("simulate", "--config", "run.cfg", "-o", "scene.json", cwd=out)
+        assert proc.returncode == 0, proc.stderr
+        return out
+
+    @pytest.mark.parametrize("mode, frame, layer", sorted(_ASSIGN_DEBUG_DIGESTS))
+    def test_stdout_digest(self, pin_dir, capsys, mode, frame, layer):
+        capsys.readouterr()
+        assert cli.main(["assign-debug", "--scene", str(pin_dir / "scene.json"),
+                         "--config", str(pin_dir / "run.cfg"), mode,
+                         "--frame", str(frame), "--layer", str(layer)]) == 0
+        stdout = capsys.readouterr().out
+        digest = hashlib.sha256(stdout.encode("ascii")).hexdigest()
+        assert digest == _ASSIGN_DEBUG_DIGESTS[mode, frame, layer], stdout
 
 
 class TestConfigErrors:

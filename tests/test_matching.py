@@ -19,9 +19,14 @@ from shadowmot import (
     hungarian,
 )
 
-from helpers import assignment_total, brute_force_min_cost, giou, pair_cost, random_box
-
-UNIT = CostWeights.unit()
+from helpers import (
+    UNIT_WEIGHTS,
+    assignment_total,
+    brute_force_min_cost,
+    giou,
+    pair_cost,
+    random_box,
+)
 
 
 class TestCostWeights:
@@ -31,7 +36,7 @@ class TestCostWeights:
         assert (w.alpha, w.gamma, w.eps) == (0.25, 2.0, 1e-8)
 
     def test_unit_preset(self):
-        assert (UNIT.w_class, UNIT.w_l1, UNIT.w_giou) == (1.0, 1.0, 1.0)
+        assert (UNIT_WEIGHTS.w_class, UNIT_WEIGHTS.w_l1, UNIT_WEIGHTS.w_giou) == (1.0, 1.0, 1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -50,50 +55,50 @@ class TestCostWeights:
 
 class TestFocalCost:
     def test_half_probability(self):
-        assert focal_cost((0.5,), 0, UNIT) == pytest.approx(
+        assert focal_cost((0.5,), 0, UNIT_WEIGHTS) == pytest.approx(
             -0.08664339506999316, abs=1e-12
         )
 
     def test_high_probability(self):
-        assert focal_cost((0.9,), 0, UNIT) == pytest.approx(
+        assert focal_cost((0.9,), 0, UNIT_WEIGHTS) == pytest.approx(
             -1.3985569819825194, abs=1e-12
         )
 
     def test_low_probability(self):
-        assert focal_cost((0.1,), 0, UNIT) == pytest.approx(
+        assert focal_cost((0.1,), 0, UNIT_WEIGHTS) == pytest.approx(
             0.46548325729719486, abs=1e-12
         )
 
     def test_certain_probability(self):
-        assert focal_cost((1.0,), 0, UNIT) == pytest.approx(
+        assert focal_cost((1.0,), 0, UNIT_WEIGHTS) == pytest.approx(
             -13.815510557964275, abs=1e-12
         )
 
     def test_monotone_decreasing(self):
         grid = [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99]
-        costs = [focal_cost((p,), 0, UNIT) for p in grid]
+        costs = [focal_cost((p,), 0, UNIT_WEIGHTS) for p in grid]
         assert all(a > b for a, b in zip(costs, costs[1:]))
 
     def test_picks_target_class(self):
         scores = (0.1, 0.9, 0.3)
-        assert focal_cost(scores, 1, UNIT) == focal_cost((0.9,), 0, UNIT)
+        assert focal_cost(scores, 1, UNIT_WEIGHTS) == focal_cost((0.9,), 0, UNIT_WEIGHTS)
 
     def test_invalid_class_rejected(self):
         with pytest.raises(IndexError):
-            focal_cost((0.5, 0.5), 2, UNIT)
+            focal_cost((0.5, 0.5), 2, UNIT_WEIGHTS)
         with pytest.raises(IndexError):
-            focal_cost((0.5,), -2, UNIT)
+            focal_cost((0.5,), -2, UNIT_WEIGHTS)
 
 
 class TestPairCost:
     def test_perfect_prediction(self):
         b = BoundingBox(cx=0.5, cy=0.5, w=0.2, h=0.2)
-        got = pair_cost(b, (1.0,), b, 0, UNIT)
+        got = pair_cost(b, (1.0,), b, 0, UNIT_WEIGHTS)
         assert got == pytest.approx(-14.815510557964275, abs=1e-9)
 
     def test_half_confidence(self):
         b = BoundingBox(cx=0.5, cy=0.5, w=0.2, h=0.2)
-        got = pair_cost(b, (0.5,), b, 0, UNIT)
+        got = pair_cost(b, (0.5,), b, 0, UNIT_WEIGHTS)
         assert got == pytest.approx(-1.0866433950699932, abs=1e-12)
 
     def test_overlap_term_only(self):
@@ -126,22 +131,22 @@ class TestCostMatrix:
         rng = np.random.default_rng(3)
         preds = [(random_box(rng), (0.7,)) for _ in range(4)]
         gts = [GroundTruthObject(identity=10 + k, box=random_box(rng)) for k in range(2)]
-        t = build_set_cost_tensor([[p] for p in preds], [5, 6, 7, 8], gts, UNIT)
+        t = build_set_cost_tensor([[p] for p in preds], [5, 6, 7, 8], gts, UNIT_WEIGHTS)
         assert t.shape == (4, 1, 2)
         assert t.set_ids == (5, 6, 7, 8)
         assert t.target_ids == (10, 11)
         for i in range(4):
             for j in range(2):
                 assert t.costs[i, 0, j] == pytest.approx(
-                    pair_cost(preds[i][0], preds[i][1], gts[j].box, gts[j].class_index, UNIT),
+                    pair_cost(preds[i][0], preds[i][1], gts[j].box, gts[j].class_index, UNIT_WEIGHTS),
                     abs=1e-12,
                 )
 
     def test_empty_sides(self):
         b = BoundingBox(cx=0.5, cy=0.5, w=0.2, h=0.2)
         gts = [GroundTruthObject(identity=k, box=b) for k in range(3)]
-        assert build_set_cost_tensor([], [], gts, UNIT).shape == (0, 1, 3)
-        assert build_set_cost_tensor([[(b, (0.5,))]] * 2, [0, 1], [], UNIT).shape == (2, 1, 0)
+        assert build_set_cost_tensor([], [], gts, UNIT_WEIGHTS).shape == (0, 1, 3)
+        assert build_set_cost_tensor([[(b, (0.5,))]] * 2, [0, 1], [], UNIT_WEIGHTS).shape == (2, 1, 0)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,7 @@ from shadowmot import (
     track_scene,
 )
 
-from helpers import disjoint_boxes, hota_reference, iou, tracklets_from_rows
+from helpers import by_frame, disjoint_boxes, hota_reference, iou, tracklets_from_rows
 
 
 def _shift(box: BoundingBox, dx: float) -> BoundingBox:
@@ -208,7 +208,7 @@ def _overlap_counts(gt, pred, threshold=0.5):
     gt_ids = gt.identities
     pred_ids = pred.identities
     counts = np.zeros((len(gt_ids), len(pred_ids)))
-    pred_by_frame = pred.by_frame()
+    pred_by_frame = by_frame(pred)
     for gi, g in enumerate(gt_ids):
         for obs in gt.track(g):
             frame_preds = pred_by_frame.get(obs.frame, {})

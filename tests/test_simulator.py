@@ -30,6 +30,8 @@ from shadowmot.geometry import _rows
 from shadowmot.simulator import _FALLBACK_HI, _FALLBACK_LO, _frame_draws, _set_arrays
 
 from helpers import (
+    by_frame,
+    first_frame,
     frame_draws_reference,
     render_layer_reference,
     track_scene_reference,
@@ -118,7 +120,7 @@ class TestGenerateScene:
         scene = generate_scene(
             SceneConfig(n_frames=50, n_objects=12, schedule="uniform", seed=2)
         )
-        firsts = [scene.first_frame(i) for i in scene.identities]
+        firsts = [first_frame(scene, i) for i in scene.identities]
         assert all(1 <= f <= 50 for f in firsts)
         assert len(set(firsts)) > 1
         for identity in scene.identities:
@@ -173,8 +175,8 @@ class TestSceneViews:
         scene = generate_scene(cfg)
         gt = scene.gt_tracklets()
         assert [o.frame for o in gt.track(1)] == [1, 2, 6, 7, 8, 9, 10]
-        full = scene.gt_tracklets(include_occluded=True)
-        assert [o.frame for o in full.track(1)] == list(range(1, 11))
+        full = scene.tracks[1]
+        assert [s.t for s in full] == list(range(1, 11))
 
     def test_scene_json_round_trip(self):
         cfg = SceneConfig(
@@ -468,8 +470,8 @@ class TestOracleDecode:
         scene = generate_scene(
             SceneConfig(n_frames=30, n_objects=2, schedule="uniform", seed=14)
         )
-        late = max(scene.identities, key=scene.first_frame)
-        first = scene.first_frame(late)
+        late = max(scene.identities, key=lambda i: first_frame(scene, i))
+        first = first_frame(scene, late)
         assert first > 1
         anchor = scene.tracks[late][0].box
         live = [_tracking_set(late, anchor)]
@@ -629,10 +631,10 @@ class TestTrackScene:
         gt = scene.gt_tracklets()
         assert len(tracklets) == 5
         assert tracklets.n_boxes() == gt.n_boxes()
-        by_frame = tracklets.by_frame()
-        gt_frames = gt.by_frame()
+        pred_frames = by_frame(tracklets)
+        gt_frames = by_frame(gt)
         for frame, objs in gt_frames.items():
-            got = {box for box, _ in by_frame[frame].values()}
+            got = {box for box, _ in pred_frames[frame].values()}
             want = {box for box, _ in objs.values()}
             assert got == want
 

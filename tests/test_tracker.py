@@ -14,7 +14,7 @@ from shadowmot import (
     TrackerConfig,
 )
 
-from helpers import TrackerReference, random_box
+from helpers import TrackerReference, by_frame, random_box, run_tracker
 
 
 def _cfg(n_sets=2, ns=1, phi="min", tau=0.5, patience=0):
@@ -73,8 +73,8 @@ class TestTracklets:
         t.add(5, 2, b2, 0.8)
         t.add(7, 2, b1, 0.7)
         assert t.identities == (5, 7)
-        assert sorted(t.by_frame()) == [1, 2]
-        assert t.by_frame() == {1: {5: (b1, 0.9)}, 2: {5: (b2, 0.8), 7: (b1, 0.7)}}
+        assert sorted(by_frame(t)) == [1, 2]
+        assert by_frame(t) == {1: {5: (b1, 0.9)}, 2: {5: (b2, 0.8), 7: (b1, 0.7)}}
         assert len(t) == 2
         assert t.n_boxes() == 3
 
@@ -211,7 +211,7 @@ class TestLifecycle:
 class TestRun:
     def test_zero_frames(self):
         tracker = ShadowTracker(_cfg(), seed=0)
-        result = tracker.run(0, lambda f, live: [])
+        result = run_tracker(tracker, 0, lambda f, live: [])
         assert result == Tracklets()
 
     def test_steady_object(self):
@@ -220,7 +220,7 @@ class TestRun:
         def provider(frame, live):
             return _preds_for(live, [0.9] + [0.2] * (len(live) - 1))
 
-        tracklets = tracker.run(10, provider)
+        tracklets = run_tracker(tracker, 10, provider)
         assert tracklets.identities == (1,)
         assert [o.frame for o in tracklets.track(1)] == list(range(1, 11))
 
@@ -238,7 +238,7 @@ class TestRun:
                 [s if v.role == "tracking" or not has_track else 0.2 for v in live],
             )
 
-        tracklets = tracker.run(6, provider)
+        tracklets = run_tracker(tracker, 6, provider)
         assert tracklets.identities == (1, 2)
         assert [o.frame for o in tracklets.track(1)] == [1, 2]
         assert [o.frame for o in tracklets.track(2)] == [5, 6]
