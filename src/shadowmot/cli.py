@@ -165,35 +165,36 @@ def _parse_grid(spec: str) -> list[str]:
 def _mean_metric_columns(
     scene: Scene, gt: Tracklets, run: RunConfig, tracker_cfg: TrackerConfig, trials: int
 ) -> list[str]:
-    """The CSV metric columns of one grid cell: each metric's mean over
-    ``trials`` oracle seeds, with mota left empty when any trial lacks it."""
-    from .metrics import evaluate
+    """The CSV metric columns of one grid cell: each score's mean over
+    ``trials`` oracle seeds, left empty when any trial leaves it undefined,
+    as mota is without ground-truth boxes."""
+    from .metrics import SCORES, evaluate
     from .simulator import track_scene
 
-    sums = {"hota": 0.0, "deta": 0.0, "assa": 0.0, "mota": 0.0,
-            "idf1": 0.0, "ids": 0.0, "fp": 0.0, "fn": 0.0}
-    mota_defined = True
+    sums = dict.fromkeys(SCORES, 0.0)
+    undefined: set[str] = set()
     for trial in range(trials):
         oracle = replace(run.oracle, seed=run.seed + trial)
         report = evaluate(gt, track_scene(scene, tracker_cfg, oracle))
-        for name in sums:
+        for name in SCORES:
             value = getattr(report, name)
-            if name == "mota" and value is None:
-                mota_defined = False
-                value = 0.0
-            sums[name] += float(value)
-    means = {name: total / trials for name, total in sums.items()}
-    return [repr(means[name]) if name != "mota" or mota_defined else "" for name in sums]
+            if value is None:
+                undefined.add(name)
+            else:
+                sums[name] += float(value)
+    return ["" if name in undefined else repr(sums[name] / trials) for name in SCORES]
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
+    from .metrics import SCORES
+
     run = _run_config(args)
     scene = _load_scene(args.scene)
     axes = _parse_grid(args.grid)
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
 
-    rows = ["lambda,phi,ns,trials,hota,deta,assa,mota,idf1,ids,fp,fn"]
+    rows = [",".join(("lambda", "phi", "ns", "trials", *SCORES))]
     gt = scene.gt_tracklets()
     # lambda (the training cost reduction) reaches neither tracking nor
     # evaluation, so cells that differ only in lambda share one run
@@ -254,7 +255,8 @@ def _cmd_assign_debug(args: argparse.Namespace) -> int:
     _, cola_cand = cola_targets(track_ids, gt, args.layer, n_layers)
 
     live = tracker.live_sets()
-    layer_preds = oracle_decode(scene, args.frame, live, run.oracle, n_layers)[args.layer - 1]
+    # the draws do not depend on the layer count, so render only up to the shown layer
+    layer_preds = oracle_decode(scene, args.frame, live, run.oracle, args.layer)[-1]
     track_sets = [s for s in live if s.role == "tracking"]
     det = [(s, p) for s, p in zip(live, layer_preds) if s.role == "detection"]
     det_preds = [p for _, p in det]

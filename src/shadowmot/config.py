@@ -65,14 +65,14 @@ _SCHEMA: dict[str, tuple] = {
     "oracle.refinement": (float, 0.5, "per-layer noise shrink factor in [0,1)"),
     "oracle.fp_rate": (float, 0.0, "false-positive rate for idle detection sets"),
     "oracle.fp_score": (float, 0.1, "score of a false-positive box"),
-    "shadow.ns": (int, 3, "shadows per set"),
+    "shadow.ns": (int, 3, "shadows per set, 1 to 64"),
     "shadow.init": (str, "noise", "bank anchor initialization: rand, copy, or noise; rand and copy give the same anchors"),
     "shadow.sigma_pos": (float, 1e-6, "position noise std for noisy init"),
     "shadow.sigma_emb": (float, 1e-6, "unread (queries carry no embedding); validated >= 0 and kept in manifests"),
     "shadow.lambda": (str, "max", "training cost reduction: min, mean, or max"),
     "shadow.phi": (str, "min", "inference score reduction: min, mean, or max"),
     "shadow.tau": (float, 0.5, "confidence threshold for births and survival"),
-    "shadow.embed_dim": (int, 256, "length of a discarded per-set draw in copy/noise init; shifts noise-init positions"),
+    "shadow.embed_dim": (int, 256, "length of a discarded per-set draw in copy/noise init, 1 to 4096; shifts noise-init positions"),
     "tracker.n_layers": (int, 6, "decoder layer count"),
     "tracker.n_detection_sets": (int, 60, "detection sets per frame"),
     "tracker.patience": (int, 0, "sub-threshold frames before a track dies"),

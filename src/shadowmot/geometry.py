@@ -75,12 +75,8 @@ def pairwise(
     corners, so identical boxes give IoU and GIoU exactly 1.  IoU is 0
     where the union is empty, GIoU is 0 where the hull is empty.
     """
-    return _pairwise(_rows(a), _rows(b))
-
-
-def _pairwise(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``pairwise`` on ``[n, 4]`` and ``[m, 4]`` arrays of box rows."""
-    corners_a, corners_b = _corners(a), _corners(b)
+    rows_a, rows_b = _rows(a), _rows(b)
+    corners_a, corners_b = _corners(rows_a), _corners(rows_b)
     iou, union = _iou(corners_a, corners_b)
     ax1, ay1, ax2, ay2 = corners_a[:, :, np.newaxis]
     bx1, by1, bx2, by2 = corners_b[:, np.newaxis, :]
@@ -91,8 +87,8 @@ def _pairwise(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
         np.maximum(hull - union, 0.0), hull, out=np.zeros_like(hull), where=hull > 0.0
     )
     giou = np.where(hull > 0.0, iou - spill, 0.0)
-    acx, acy, aw, ah = a.T[:, :, np.newaxis]
-    bcx, bcy, bw, bh = b.T[:, np.newaxis, :]
+    acx, acy, aw, ah = rows_a.T[:, :, np.newaxis]
+    bcx, bcy, bw, bh = rows_b.T[:, np.newaxis, :]
     l1 = np.abs(acx - bcx) + np.abs(acy - bcy) + np.abs(aw - bw) + np.abs(ah - bh)
     return iou, giou, l1
 
@@ -106,7 +102,7 @@ def _corners(rows: np.ndarray) -> np.ndarray:
 def _iou(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """IoU and union of every corner column of ``a`` (``[4, n]``) against
     every one of ``b`` (``[4, m]``), each ``[n, m]``: the part of
-    ``_pairwise`` that the metrics read."""
+    ``pairwise`` that the metrics and the oracle read."""
     ax1, ay1, ax2, ay2 = a[:, :, np.newaxis]
     bx1, by1, bx2, by2 = b[:, np.newaxis, :]
     area_a = (ax2 - ax1) * (ay2 - ay1)

@@ -41,6 +41,10 @@ __all__ = [
 # IoU thresholds for the higher-order score: 0.05, 0.10, ..., 0.95.
 ALPHA_GRID: tuple[float, ...] = tuple(k / 20 for k in range(1, 20))
 
+# the scores of every metrics output, in the order they are written: the
+# report's JSON keys and text rows, and the ablate CSV columns
+SCORES: tuple[str, ...] = ("hota", "deta", "assa", "mota", "idf1", "ids", "fp", "fn")
+
 _FORBIDDEN = 1e9
 
 
@@ -292,39 +296,20 @@ class MetricsReport:
     per_alpha: tuple[AlphaScores, ...] = ()
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "hota": self.hota,
-            "deta": self.deta,
-            "assa": self.assa,
-            "mota": self.mota,
-            "idf1": self.idf1,
-            "ids": self.ids,
-            "fp": self.fp,
-            "fn": self.fn,
-        }
+        doc = {name: getattr(self, name) for name in SCORES}
         if self.per_alpha:
-            doc["per_alpha"] = [
-                {"alpha": s.alpha, "hota": s.hota, "deta": s.deta, "assa": s.assa}
-                for s in self.per_alpha
-            ]
+            doc["per_alpha"] = [s._asdict() for s in self.per_alpha]
         return doc
 
     def text_table(self) -> str:
+        """One row per score: counts as integers, ratios to four places."""
         def fmt(v: Optional[float]) -> str:
-            return "undefined" if v is None else f"{v:.4f}"
+            if v is None:
+                return "undefined"
+            return str(v) if isinstance(v, int) else f"{v:.4f}"
 
-        rows = [
-            ("hota", fmt(self.hota)),
-            ("deta", fmt(self.deta)),
-            ("assa", fmt(self.assa)),
-            ("mota", fmt(self.mota)),
-            ("idf1", fmt(self.idf1)),
-            ("ids", str(self.ids)),
-            ("fp", str(self.fp)),
-            ("fn", str(self.fn)),
-        ]
-        width = max(len(name) for name, _ in rows)
-        return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)
+        width = max(map(len, SCORES))
+        return "\n".join(f"{name:<{width}}  {fmt(getattr(self, name))}" for name in SCORES)
 
 
 def evaluate(gt: Tracklets, pred: Tracklets, iou_threshold: float = 0.5) -> MetricsReport:

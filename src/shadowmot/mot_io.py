@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .geometry import BoundingBox, _rows, to_pixel
+from .geometry import BoundingBox, _corners, _rows, to_pixel
 
 if TYPE_CHECKING:
     from .tracker import Tracklets
@@ -47,7 +47,7 @@ _FIELDS = ("frame", "id", "bb_left", "bb_top", "bb_width", "bb_height", "conf", 
 _ROW = "%s,%s,%s,%s,%s,%s,%s,-1.0,-1.0,-1.0\n"
 
 # the largest corner coordinate a box read may have: every area, union and
-# hull that geometry._pairwise forms from two such boxes is finite
+# hull that geometry.pairwise forms from two such boxes is finite
 MAX_CORNER = 1e150
 
 
@@ -143,14 +143,12 @@ def _read_rows(path: str) -> MotRows:
     # through the per-line pass; the box checks its own fields, its
     # extent, its center and its corners as BoundingBox.corners makes them
     with np.errstate(all="ignore"):
-        cx = left + w / 2
-        cy = top + h / 2
-        corners = np.array((cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2))
+        boxes = np.column_stack((left + w / 2, top + h / 2, w, h))
         if (min(frames, default=1) < 1 or len(set(zip(frames, ids))) < len(rows)
                 or not np.isfinite(rest).all() or not ((w >= 0) & (h >= 0)).all()
-                or not (np.abs(corners) <= MAX_CORNER).all()):
+                or not (np.abs(_corners(boxes)) <= MAX_CORNER).all()):
             return _rows_of(_read_lines(path, lines))
-    return MotRows(frames, ids, np.column_stack((cx, cy, w, h)), columns[4])
+    return MotRows(frames, ids, boxes, columns[4])
 
 
 def _rows_of(tracklets: Tracklets) -> MotRows:

@@ -109,6 +109,9 @@ class ShadowConfig:
     def __post_init__(self) -> None:
         if self.n_shadows < 1:
             raise ValueError(f"n_shadows: must be >= 1, got {self.n_shadows}")
+        # the upper bounds keep every accepted size's arrays small
+        if self.n_shadows > 64:
+            raise ValueError(f"n_shadows: must be <= 64, got {self.n_shadows}")
         if self.init not in INIT_METHODS:
             raise ValueError(f"init: must be one of {INIT_METHODS}, got {self.init!r}")
         if not (math.isfinite(self.sigma_pos) and self.sigma_pos >= 0):
@@ -123,6 +126,8 @@ class ShadowConfig:
             raise ValueError(f"tau: must lie in [0, 1], got {self.tau!r}")
         if self.embed_dim < 1:
             raise ValueError(f"embed_dim: must be >= 1, got {self.embed_dim}")
+        if self.embed_dim > 4096:
+            raise ValueError(f"embed_dim: must be <= 4096, got {self.embed_dim}")
 
 
 def init_query_bank(n_sets: int, cfg: ShadowConfig, seed: int) -> list[ShadowSet]:

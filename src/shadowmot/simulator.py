@@ -482,12 +482,11 @@ def _claim(
 
 
 class _FrameDraws(NamedTuple):
-    """One frame's draws for ``S`` sets holding ``N = sum(ns)`` shadows.
-    Per set: the box it is served (``target[S, 4]``, valid where
-    ``has_target``), its base score and the box it emits without a target
-    (``fallback[S, 4]``).  Per shadow, flat in set order: the corruption
-    flag and the unscaled box noise ``eps[N, 4]``.  ``owner[N]`` is the
-    set of each shadow."""
+    """One frame's draws for ``S`` sets of ``ns`` shadows each.  Per set:
+    the box it is served (``target[S, 4]``, valid where ``has_target``),
+    its base score and the box it emits without a target
+    (``fallback[S, 4]``).  Per shadow: the corruption flag ``[S, ns]`` and
+    the unscaled box noise ``eps[S, ns, 4]``."""
 
     target: np.ndarray
     has_target: np.ndarray
@@ -495,15 +494,17 @@ class _FrameDraws(NamedTuple):
     corrupted: np.ndarray
     eps: np.ndarray
     fallback: np.ndarray
-    owner: np.ndarray
 
 
-def _set_arrays(live_sets: Sequence[ShadowSet]) -> tuple[np.ndarray, list[bool], list[int]]:
-    """The anchors ``[S, 4]``, tracking flags and shadow counts of sets."""
+def _set_arrays(live_sets: Sequence[ShadowSet]) -> tuple[np.ndarray, list[bool], int]:
+    """The anchors ``[S, 4]``, tracking flags and shared shadow count of sets."""
+    counts = {s.n_shadows for s in live_sets}
+    if len(counts) > 1:
+        raise ValueError(f"sets disagree on shadow count: {sorted(counts)}")
     return (
         _rows([s.anchor for s in live_sets]),
         [s.role == "tracking" for s in live_sets],
-        [s.n_shadows for s in live_sets],
+        counts.pop() if counts else 1,
     )
 
 
@@ -512,7 +513,7 @@ def _frame_draws(
     frame: int,
     anchors: np.ndarray,
     tracking: Sequence[bool],
-    ns: Sequence[int],
+    ns: int,
     cfg: OracleConfig,
 ) -> _FrameDraws:
     """Everything random about one frame for the sets with ``anchors[S, 4]``,
@@ -529,7 +530,7 @@ def _frame_draws(
     corrupt_rng = np.random.default_rng([cfg.seed, _STREAM_CORRUPT, frame])
 
     present = sorted(scene.states_at(frame).items())
-    n_sets = len(ns)
+    n_sets = len(tracking)
     base = np.zeros(n_sets)
     served: dict[int, BoundingBox] = {}
 
@@ -564,7 +565,7 @@ def _frame_draws(
 
     # every shadow's corruption flag, in set order, in one call: no other
     # draw reads this stream
-    corrupted = corrupt_rng.uniform(size=sum(ns)) < cfg.p_corrupt
+    corrupted = corrupt_rng.uniform(size=(n_sets, ns)) < cfg.p_corrupt
 
     # the box noise is one normal call per set, and a set without a target
     # draws right after its noise, so these calls stay one per set; the
@@ -574,9 +575,9 @@ def _frame_draws(
     lost: list[int] = []
     free: list[int] = []
     fallback_draws: list[np.ndarray] = []
-    for i, n in enumerate(ns):
+    for i in range(n_sets):
         if std > 0:
-            noise.append(frame_rng.normal(0.0, std, size=(n, 4)))
+            noise.append(frame_rng.normal(0.0, std, size=(ns, 4)))
         if i in served:
             continue
         if tracking[i]:
@@ -600,22 +601,21 @@ def _frame_draws(
         u = np.concatenate(fallback_draws).reshape(-1, 5)
         base[free] = np.where(u[:, 0] < cfg.fp_rate, cfg.fp_score, 0.0)
         fallback[free] = _FALLBACK_LO + (_FALLBACK_HI - _FALLBACK_LO) * u[:, 1:]
-    eps = np.concatenate(noise) if noise else np.zeros((sum(ns), 4))
-    owner = np.repeat(np.arange(n_sets), ns)
-    return _FrameDraws(target, has_target, base, corrupted, eps, fallback, owner)
+    eps = np.array(noise) if noise else np.zeros((n_sets, ns, 4))
+    return _FrameDraws(target, has_target, base, corrupted, eps, fallback)
 
 
 def _render_layer(draws: _FrameDraws, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """One decoder layer's per-shadow boxes ``[N, 4]`` and scores ``[N]``,
-    box noise scaled by ``scale``.  Makes no draws.  The extent clamp is
-    ``np.where(v < 0.0, 0.0, v)``, which keeps ``-0.0`` as ``max(v, 0.0)``
-    does and ``np.maximum`` does not."""
-    owner = draws.owner
-    boxes = draws.target[owner] + draws.eps * scale
-    extent = boxes[:, 2:]
-    boxes[:, 2:] = np.where(extent < 0.0, 0.0, extent)
-    boxes = np.where(draws.has_target[owner, np.newaxis], boxes, draws.fallback[owner])
-    scores = np.where(draws.corrupted, 0.0, draws.base[owner])
+    """One decoder layer's per-shadow boxes ``[S, ns, 4]`` and scores
+    ``[S, ns]``, box noise scaled by ``scale``.  Makes no draws.  The
+    extent clamp is ``np.where(v < 0.0, 0.0, v)``, which keeps ``-0.0`` as
+    ``max(v, 0.0)`` does and ``np.maximum`` does not."""
+    boxes = draws.target[:, np.newaxis] + draws.eps * scale
+    extent = boxes[..., 2:]
+    boxes[..., 2:] = np.where(extent < 0.0, 0.0, extent)
+    boxes = np.where(draws.has_target[:, np.newaxis, np.newaxis], boxes,
+                     draws.fallback[:, np.newaxis])
+    scores = np.where(draws.corrupted, 0.0, draws.base[:, np.newaxis])
     return boxes, scores
 
 
@@ -643,28 +643,24 @@ def oracle_decode(
 
     Output is indexed [layer][set][shadow]; layer noise shrinks by
     refinement**(layer-1) around a single per-frame draw, and per-shadow
-    score corruption is shared across layers.  The draws and each layer
-    are arrays over the flat shadow axis (sets may differ in shadow
-    count); the boxes and score tuples are built from them here.
+    score corruption is shared across layers.  Every set must have the
+    same shadow count.  The draws and each layer are ``[set, shadow]``
+    arrays; the boxes and score tuples are built from them here.
     """
     if n_layers < 1:
         raise ValueError(f"n_layers must be >= 1, got {n_layers}")
-    anchors, tracking, ns = _set_arrays(live_sets)
-    draws = _frame_draws(scene, frame, anchors, tracking, ns, cfg)
+    draws = _frame_draws(scene, frame, *_set_arrays(live_sets), cfg)
     # a set without a target emits one box at every shadow and layer
     served = draws.has_target.tolist()
     fallback = [None if hit else BoundingBox(*row)
                 for hit, row in zip(served, draws.fallback.tolist())]
-    ends = np.cumsum(ns).tolist()
     layers = []
     for l in range(n_layers):
         boxes, scores = _render_layer(draws, cfg.refinement ** l)
-        rendered = iter(boxes[draws.has_target[draws.owner]].tolist())
-        scores = scores.tolist()
+        rendered = iter(boxes[draws.has_target].reshape(-1, 4).tolist())
         layers.append([
-            [(BoundingBox(*next(rendered)) if served[i] else fallback[i], (score,))
-             for score in scores[end - n:end]]
-            for i, (end, n) in enumerate(zip(ends, ns))
+            [(BoundingBox(*next(rendered)) if hit else miss, (score,)) for score in row]
+            for hit, miss, row in zip(served, fallback, scores.tolist())
         ])
     return layers
 
@@ -680,12 +676,10 @@ def _tracked_frames(
     ns = tracker.config.shadow.n_shadows
     for frame in range(tracker.frame + 1, scene.n_frames + 1):
         anchors, n_tracks = tracker._live_anchors()
-        n_sets = len(anchors)
-        tracking = [True] * n_tracks + [False] * (n_sets - n_tracks)
-        draws = _frame_draws(scene, frame, anchors, tracking, [ns] * n_sets, oracle_cfg)
+        tracking = [True] * n_tracks + [False] * (len(anchors) - n_tracks)
+        draws = _frame_draws(scene, frame, anchors, tracking, ns, oracle_cfg)
         boxes, scores = _render_layer(draws, scale)
-        boxes = boxes.reshape(n_sets, ns, 4)
-        yield tracker._advance(scores.reshape(n_sets, ns), lambda sets: boxes[sets])
+        yield tracker._advance(scores, lambda sets: boxes[sets])
 
 
 def track_scene(

@@ -121,9 +121,6 @@ class Tracklets:
     def __len__(self) -> int:
         return len(self._tracks)
 
-    def __bool__(self) -> bool:
-        return bool(self._tracks)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tracklets):
             return NotImplemented
@@ -149,7 +146,6 @@ class ShadowTracker:
 
     def __init__(self, config: TrackerConfig, seed: int) -> None:
         self.config = config
-        self.seed = seed
         self._detection_bank = init_query_bank(config.n_detection_sets, config.shadow, seed)
         self._bank_anchors = _rows([s.anchor for s in self._detection_bank])
         self._anchors = np.zeros((0, 4))

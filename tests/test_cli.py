@@ -151,6 +151,7 @@ class TestTrack:
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--ns", "0", "error: --ns: must be >= 1, got 0"),
+        ("--ns", "1000000000000", "error: --ns: must be <= 64, got 1000000000000"),
         ("--tau", "2", "error: --tau: must lie in [0, 1], got 2.0"),
         ("--patience", "-1", "error: --patience: must be >= 0, got -1"),
         ("--seed", "-1", "error: --seed: must be >= 0, got -1"),

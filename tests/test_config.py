@@ -115,6 +115,9 @@ class TestLoadRunConfig:
         ("tracker.patience", "-1", "tracker.patience: must be >= 0, got -1"),
         ("tracker.mode", "hybrid", "tracker.mode: must be 'tala' or 'cola', got 'hybrid'"),
         ("shadow.ns", "0", "shadow.ns: must be >= 1, got 0"),
+        ("shadow.ns", "65", "shadow.ns: must be <= 64, got 65"),
+        ("shadow.embed_dim", "1000000000000",
+         "shadow.embed_dim: must be <= 4096, got 1000000000000"),
         ("shadow.lambda", "sum",
          "shadow.lambda: must be one of ('min', 'mean', 'max'), got 'sum'"),
         ("shadow.phi", "median",

@@ -703,17 +703,19 @@ def _branches(live, draws, oracle):
 
 def _assert_draws_equal(got, ref):
     """The arrays of ``_frame_draws`` against the reference's per-set
-    draws stacked along the set and the flat shadow axes, bit for bit."""
+    draws stacked along the set and shadow axes, bit for bit."""
     has = [r.target is not None for r in ref]
     assert got.has_target.tolist() == has
-    assert got.owner.tolist() == [i for i, r in enumerate(ref) for _ in r.scores]
+    eps = np.array([r.eps for r in ref])
+    assert got.eps.shape == eps.shape
+    assert got.corrupted.shape == eps.shape[:2]
     served = _rows([r.target for r in ref if r.target is not None])
     assert got.target[got.has_target].tobytes() == served.tobytes()
     unserved = _rows([r.fallback for r in ref if r.target is None])
     assert got.fallback[~got.has_target].tobytes() == unserved.tobytes()
-    assert got.eps.tobytes() == np.concatenate([r.eps for r in ref]).tobytes()
-    scores = np.where(got.corrupted, 0.0, got.base[got.owner])
-    assert scores.tobytes() == np.array([s for r in ref for s in r.scores]).tobytes()
+    assert got.eps.tobytes() == eps.tobytes()
+    scores = np.where(got.corrupted, 0.0, got.base[:, np.newaxis])
+    assert scores.tobytes() == np.array([r.scores for r in ref]).tobytes()
 
 
 class TestBatchedDraws:
@@ -853,21 +855,14 @@ class TestArrayPath:
         assert got == want
         assert tracklet_bits(got) == tracklet_bits(want)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_oracle_decode_equals_object_path_with_mixed_shadow_counts(self, seed):
-        # the flat shadow axis lets sets of one frame differ in shadow count
-        scene = generate_scene(SceneConfig(n_frames=6, n_objects=4, schedule="uniform", seed=seed))
-        oracle = OracleConfig(seed=seed, box_noise_std=0.02, p_corrupt=0.3, fp_rate=0.5)
-        for frame in range(1, 7):
-            states = scene.states_at(frame)
-            live = [_tracking_set(i, s.box, ns=i) for i, s in sorted(states.items())]
-            live += [_detection_set(10 + k, ns=k % 3 + 1, at=(0.1 * k, 0.5, 0.1, 0.1))
-                     for k in range(1, 6)]
-            got = oracle_decode(scene, frame, live, oracle, 6)
-            draws = frame_draws_reference(scene, frame, live, oracle)
-            want = [render_layer_reference(draws, oracle.refinement ** l) for l in range(6)]
-            assert got == want
-            assert _layer_bits(got) == _layer_bits(want)
+    def test_oracle_decode_rejects_mixed_shadow_counts(self):
+        # the draws are [set, shadow] arrays, so every set has one count
+        scene = generate_scene(SceneConfig(n_frames=6, n_objects=4, seed=0))
+        live = [_tracking_set(1, scene.tracks[1][0].box, ns=2)]
+        live += [_detection_set(10 + k, ns=k % 3 + 1) for k in range(1, 6)]
+        with pytest.raises(ValueError) as info:
+            oracle_decode(scene, 1, live, OracleConfig(), 6)
+        assert str(info.value) == "sets disagree on shadow count: [1, 2, 3]"
 
     def test_negative_zero_extent_is_kept(self):
         # a scene document may give a box the width -0.0; a zero refinement
