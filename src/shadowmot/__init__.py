@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines
 _MODULES = {
-    "geometry": ("BoundingBox", "pairwise", "to_pixel"),
+    "geometry": ("BoundingBox", "pairwise"),
     "matching": (
         "ClassScores", "CostWeights", "CostMatrix", "Assignment", "focal_cost", "hungarian",
     ),
@@ -23,7 +23,7 @@ _MODULES = {
         "ShadowSet", "ShadowConfig", "REDUCTIONS", "INIT_METHODS",
         "init_query_bank", "reduce_values",
     ),
-    "tracker": ("TrackerConfig", "FrameResult", "Observation", "Tracklets", "ShadowTracker"),
+    "tracker": ("TrackerConfig", "FrameResult", "ShadowTracker"),
     "simulator": (
         "SceneConfig", "OracleConfig", "SceneFrame", "Scene",
         "generate_scene", "oracle_decode", "emit_training_targets", "track_scene",
@@ -32,7 +32,9 @@ _MODULES = {
         "ClearMotResult", "AlphaScores", "HotaResult", "MetricsReport", "ALPHA_GRID",
         "clear_mot", "idf1", "hota", "evaluate",
     ),
-    "mot_io": ("MotLine", "MotFormatError", "read_mot", "write_mot", "format_mot"),
+    "mot_io": (
+        "Observation", "Tracklets", "MotLine", "MotFormatError", "read_mot", "write_mot", "format_mot",
+    ),
     "config": ("RunConfig", "ConfigError", "parse_config_text", "load_run_config"),
 }
 _HOME = {name: module for module, names in _MODULES.items() for name in names}

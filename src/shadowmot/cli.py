@@ -18,20 +18,15 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .config import ConfigError, RunConfig, describe_defaults, load_run_config, parse_config_text
-from .mot_io import _read_ascii as _read_text
-from .shadow import REDUCTIONS
+from .mot_io import Tracklets, _read_ascii as _read_text
 
 if TYPE_CHECKING:
     from .simulator import Scene
-    from .tracker import TrackerConfig, Tracklets
+    from .tracker import TrackerConfig
 
 __all__ = ["main"]
 
-_GRID_AXES = {
-    "lambda": ("shadow.lambda", list(REDUCTIONS)),
-    "phi": ("shadow.phi", list(REDUCTIONS)),
-    "ns": ("shadow.ns", [1, 2, 3, 4, 5, 6]),
-}
+_GRID_AXES = ("lambda", "phi", "ns")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -90,10 +85,9 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 
 def _add_tracking_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ns", type=int, default=None, help="shadows per set")
-    p.add_argument("--lambda", dest="lam", default=None, choices=REDUCTIONS,
-                   help="training cost reduction")
-    p.add_argument("--phi", default=None, choices=REDUCTIONS,
-                   help="inference score reduction")
+    p.add_argument("--lambda", dest="lam", default=None,
+                   help="training cost reduction: min, mean, or max")
+    p.add_argument("--phi", default=None, help="inference score reduction: min, mean, or max")
     p.add_argument("--tau", type=float, default=None, help="confidence threshold")
     p.add_argument("--patience", type=int, default=None,
                    help="sub-threshold frames before track removal")
@@ -187,6 +181,7 @@ def _mean_metric_columns(
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
     from .metrics import SCORES
+    from .shadow import REDUCTIONS
 
     run = _run_config(args)
     scene = _load_scene(args.scene)
@@ -199,7 +194,8 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     # lambda (the training cost reduction) reaches neither tracking nor
     # evaluation, so cells that differ only in lambda share one run
     metric_columns: dict[tuple[str, int], list[str]] = {}
-    for combo in itertools.product(*(_GRID_AXES[a][1] for a in axes)):
+    values = {"lambda": REDUCTIONS, "phi": REDUCTIONS, "ns": (1, 2, 3, 4, 5, 6)}
+    for combo in itertools.product(*(values[a] for a in axes)):
         cell = dict(zip(axes, combo))
         shadow = replace(
             run.tracker.shadow,

@@ -56,8 +56,8 @@ _SCHEMA: dict[str, tuple] = {
     "scene.schedule": (str, "all-at-start", "newborn schedule: all-at-start or uniform"),
     "scene.jitter": (float, 0.0, "per-frame position jitter std (normalized units)"),
     "scene.occlusions": (_parse_occlusions, (), "comma list of id:start:end windows"),
-    "scene.image_width": (int, 1920, "image width in pixels"),
-    "scene.image_height": (int, 1080, "image height in pixels"),
+    "scene.image_width": (int, 1920, "image width in pixels, 1 to 100000"),
+    "scene.image_height": (int, 1080, "image height in pixels, 1 to 100000"),
     "oracle.box_noise_std": (float, 0.0, "per-shadow box noise std at layer 1"),
     "oracle.base_score": (float, 0.9, "score served for a captured object"),
     "oracle.occ_drop": (float, 0.6, "score drop while the object is occluded"),
@@ -73,7 +73,7 @@ _SCHEMA: dict[str, tuple] = {
     "shadow.phi": (str, "min", "inference score reduction: min, mean, or max"),
     "shadow.tau": (float, 0.5, "confidence threshold for births and survival"),
     "shadow.embed_dim": (int, 256, "length of a discarded per-set draw in copy/noise init, 1 to 4096; shifts noise-init positions"),
-    "tracker.n_layers": (int, 6, "decoder layer count"),
+    "tracker.n_layers": (int, 6, "decoder layer count, 1 to 64"),
     "tracker.n_detection_sets": (int, 60, "detection sets per frame"),
     "tracker.patience": (int, 0, "sub-threshold frames before a track dies"),
     "tracker.mode": (str, "cola", "training-target mode: tala or cola"),

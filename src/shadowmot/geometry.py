@@ -1,10 +1,10 @@
 """Box representation and the geometric primitives all matching costs build on.
 
 The canonical box format everywhere in this package is normalized
-center-format ``(cx, cy, w, h)``; corner format exists only transiently
-inside the pairwise overlap kernel.  Boxes are deliberately never clamped to
-``[0, 1]``: the oracle decoder may emit slightly out-of-range boxes and all
-costs must remain well-defined on them.
+center-format ``(cx, cy, w, h)``; corner format exists only transiently,
+made by ``_corners``, the one place that writes the corner formula.  Boxes
+are deliberately never clamped to ``[0, 1]``: the oracle decoder may emit
+slightly out-of-range boxes and all costs must remain well-defined on them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "BoundingBox",
     "pairwise",
-    "to_pixel",
 ]
 
 
@@ -43,19 +42,6 @@ class BoundingBox:
                 raise ValueError(f"box component {name} must be finite, got {v!r}")
         if self.w < 0 or self.h < 0:
             raise ValueError(f"box extent must be non-negative, got w={self.w}, h={self.h}")
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
-    def corners(self) -> tuple[float, float, float, float]:
-        """Return ``(x1, y1, x2, y2)`` corner coordinates."""
-        return (
-            self.cx - self.w / 2.0,
-            self.cy - self.h / 2.0,
-            self.cx + self.w / 2.0,
-            self.cy + self.h / 2.0,
-        )
 
 
 def _rows(boxes: Sequence[BoundingBox]) -> np.ndarray:
@@ -114,17 +100,3 @@ def _iou(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     iou = np.minimum(np.divide(inter, union, out=np.zeros_like(union), where=union > 0.0), 1.0)
     return iou, union
 
-
-def to_pixel(
-    box: BoundingBox, img_w: float, img_h: float
-) -> tuple[float, float, float, float]:
-    """Convert a normalized center-format box to pixel top-left format,
-    the MOTChallenge file convention: ``(left, top, width, height)``."""
-    if img_w <= 0 or img_h <= 0:
-        raise ValueError(f"image dimensions must be positive, got {img_w}x{img_h}")
-    return (
-        (box.cx - box.w / 2.0) * img_w,
-        (box.cy - box.h / 2.0) * img_h,
-        box.w * img_w,
-        box.h * img_h,
-    )

@@ -16,22 +16,20 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .geometry import _corners, _iou
 from .matching import hungarian
-from .mot_io import MotRows, _rows_of
-
-if TYPE_CHECKING:
-    from .tracker import Tracklets
+from .mot_io import MotRows, Tracklets, _rows_of
 
 __all__ = [
     "ClearMotResult",
     "AlphaScores",
     "HotaResult",
     "MetricsReport",
+    "ALPHA_GRID",
     "clear_mot",
     "idf1",
     "hota",

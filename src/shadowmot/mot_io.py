@@ -6,12 +6,12 @@ Boxes on disk are pixel top-left format; in memory they become center-format
 boxes in pixel units.  Reals are serialized with shortest round-trip
 precision, so reading back what was written recovers the exact values.
 
-Each file is read and written in one pass.  The read parses every line
-into a tuple of numbers and checks them all as arrays, giving the
-:class:`MotRows` the metrics run on; ``read_mot`` builds its tracklets
-from those rows.  ``format_mot`` sorts one tuple per row and formats each
-row with one string.  Parsing is strict: a non-ASCII byte, wrong field
-count, non-numeric fields, frames below 1, duplicate (frame, id) pairs,
+:class:`Tracklets` reach the metrics and the writer as one row form,
+:class:`MotRows` sorted by (frame, id).  Each file is read and written in
+one pass: the read checks every parsed line as arrays, giving the rows;
+``format_mot`` scales the rows as one array and formats each with one
+string.  Parsing is strict: a non-ASCII byte, wrong field count,
+non-numeric fields, frames below 1, duplicate (frame, id) pairs,
 boxes whose center overflows and boxes with a corner beyond
 ``MAX_CORNER`` all raise with the file path and the 1-based line number,
 which the per-line parser ``parse_mot_line`` finds when the one-pass read
@@ -22,16 +22,15 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .geometry import BoundingBox, _corners, _rows, to_pixel
-
-if TYPE_CHECKING:
-    from .tracker import Tracklets
+from .geometry import BoundingBox, _corners, _rows
 
 __all__ = [
+    "Observation",
+    "Tracklets",
     "MotLine",
     "MotFormatError",
     "parse_mot_line",
@@ -49,6 +48,60 @@ _ROW = "%s,%s,%s,%s,%s,%s,%s,-1.0,-1.0,-1.0\n"
 # the largest corner coordinate a box read may have: every area, union and
 # hull that geometry.pairwise forms from two such boxes is finite
 MAX_CORNER = 1e150
+
+
+class Observation(NamedTuple):
+    frame: int
+    box: BoundingBox
+    score: float
+
+
+class Tracklets:
+    """Identity-keyed trajectories: ordered (frame, box, score) triples.
+
+    Frames must be appended in strictly increasing order per identity.
+    """
+
+    def __init__(self) -> None:
+        self._tracks: dict[int, list[Observation]] = {}
+
+    def add(self, identity: int, frame: int, box: BoundingBox, score: float = 1.0) -> None:
+        track = self._tracks.setdefault(identity, [])
+        if track and frame <= track[-1].frame:
+            raise ValueError(
+                f"frame {frame} not after frame {track[-1].frame} for identity {identity}"
+            )
+        track.append(Observation(frame, box, score))
+
+    @classmethod
+    def from_entries(cls, entries: Sequence[tuple[int, int, BoundingBox, float]]) -> "Tracklets":
+        """Build from (identity, frame, box, score) rows in any order."""
+        out = cls()
+        for identity, frame, box, score in sorted(entries, key=lambda e: (e[0], e[1])):
+            out.add(identity, frame, box, score)
+        return out
+
+    @property
+    def identities(self) -> tuple[int, ...]:
+        return tuple(sorted(self._tracks))
+
+    def track(self, identity: int) -> tuple[Observation, ...]:
+        return tuple(self._tracks[identity])
+
+    def __iter__(self) -> Iterator[tuple[int, tuple[Observation, ...]]]:
+        for identity in self.identities:
+            yield identity, tuple(self._tracks[identity])
+
+    def __len__(self) -> int:
+        return len(self._tracks)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Tracklets):
+            return NotImplemented
+        return self._tracks == other._tracks
+
+    def n_boxes(self) -> int:
+        return sum(len(t) for t in self._tracks.values())
 
 
 class MotLine(NamedTuple):
@@ -141,7 +194,7 @@ def _read_rows(path: str) -> MotRows:
     left, top, w, h, *rest = np.array(columns)
     # an overflow or a nan fails a test below, which sends the file
     # through the per-line pass; the box checks its own fields, its
-    # extent, its center and its corners as BoundingBox.corners makes them
+    # extent, its center and its corners
     with np.errstate(all="ignore"):
         boxes = np.column_stack((left + w / 2, top + h / 2, w, h))
         if (min(frames, default=1) < 1 or len(set(zip(frames, ids))) < len(rows)
@@ -168,8 +221,6 @@ def read_mot(path: str) -> Tracklets:
     which rules out detection files full of id -1 rows; those are not
     tracklets.
     """
-    from .tracker import Tracklets
-
     rows = _read_rows(path)
     return Tracklets.from_entries([
         (identity, frame, BoundingBox(*box), score)
@@ -180,8 +231,6 @@ def read_mot(path: str) -> Tracklets:
 def _read_lines(path: str, lines: list[str]) -> Tracklets:
     """``read_mot`` one line at a time: the first bad line raises, with its
     number and what is wrong with it."""
-    from .tracker import Tracklets
-
     entries = []
     seen: set[tuple[int, int]] = set()
     for line_no, text in enumerate(lines, start=1):
@@ -195,14 +244,16 @@ def _read_lines(path: str, lines: list[str]) -> Tracklets:
                     f"line {line_no}: duplicate (frame, id) = ({line.frame}, {line.id})"
                 )
             seen.add(key)
-            # finite fields can still sum to an infinite center
+            # finite fields can still sum to an infinite center or corner
             box = BoundingBox(
                 cx=line.bb_left + line.bb_width / 2,
                 cy=line.bb_top + line.bb_height / 2,
                 w=line.bb_width,
                 h=line.bb_height,
             )
-            for corner in box.corners():
+            with np.errstate(over="ignore"):
+                corners = _corners(_rows([box]))[:, 0].tolist()
+            for corner in corners:
                 if abs(corner) > MAX_CORNER:
                     raise MotFormatError(
                         f"line {line_no}: box corner {corner!r} outside [-1e150, 1e150]"
@@ -226,18 +277,19 @@ def format_mot(
     """
     # a scale of 1 keeps every value's bits
     img_w, img_h = image_size if image_size is not None else (1, 1)
-    rows = [
-        (frame, identity, *to_pixel(box, img_w, img_h), score)
-        for identity, track in tracklets
-        for frame, box, score in track
-    ]
-    # (frame, id) is unique within tracklets, so the sort never compares
-    # the floats
-    rows.sort()
+    if img_w <= 0 or img_h <= 0:
+        raise ValueError(f"image dimensions must be positive, got {img_w}x{img_h}")
+    rows = _rows_of(tracklets)
+    x1, y1, _, _ = _corners(rows.boxes)
+    # pixel top-left (left, top, width, height), the MOTChallenge convention
+    pixels = np.column_stack((x1, y1, rows.boxes[:, 2:])) * np.array(
+        (img_w, img_h, img_w, img_h), dtype=float
+    )
     # float() because scores may be numpy floats; %s of a float is its repr
     return "".join([
-        _ROW % (frame, identity, float(left), float(top), float(width), float(height), float(score))
-        for frame, identity, left, top, width, height, score in rows
+        _ROW % (frame, identity, left, top, width, height, float(score))
+        for frame, identity, (left, top, width, height), score
+        in zip(rows.frames, rows.ids, pixels.tolist(), rows.scores)
     ])
 
 

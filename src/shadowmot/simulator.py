@@ -26,8 +26,9 @@ import numpy as np
 
 from .geometry import BoundingBox, _corners, _iou, _rows
 from .matching import ClassScores
+from .mot_io import Tracklets
 from .shadow import ShadowSet
-from .tracker import FrameResult, ShadowTracker, Tracklets, TrackerConfig
+from .tracker import FrameResult, ShadowTracker, TrackerConfig
 
 if TYPE_CHECKING:
     from .assignment import FrameGroundTruth, GroundTruthObject
@@ -92,6 +93,8 @@ class SceneConfig:
         for name in ("image_width", "image_height"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)}")
+            if getattr(self, name) > 100000:
+                raise ValueError(f"{name}: must be <= 100000, got {getattr(self, name)}")
         occs = tuple((int(i), int(a), int(b)) for i, a, b in self.occlusions)
         object.__setattr__(self, "occlusions", occs)
         for n, (identity, start, end) in enumerate(occs):

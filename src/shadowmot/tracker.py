@@ -11,7 +11,7 @@ best member.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Literal, NamedTuple, Sequence
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
@@ -23,8 +23,6 @@ __all__ = [
     "AssignmentMode",
     "TrackerConfig",
     "FrameResult",
-    "Observation",
-    "Tracklets",
     "ShadowTracker",
     "SetPredictions",
 ]
@@ -51,6 +49,8 @@ class TrackerConfig:
     def __post_init__(self) -> None:
         if self.n_layers < 1:
             raise ValueError(f"n_layers: must be >= 1, got {self.n_layers}")
+        if self.n_layers > 64:
+            raise ValueError(f"n_layers: must be <= 64, got {self.n_layers}")
         if self.n_detection_sets < 1:
             raise ValueError(f"n_detection_sets: must be >= 1, got {self.n_detection_sets}")
         if self.patience < 0:
@@ -74,60 +74,6 @@ class FrameResult:
             raise ValueError("output identities must be unique within a frame")
         if not set(self.births) <= set(ids):
             raise ValueError("every birth must emit an output this frame")
-
-
-class Observation(NamedTuple):
-    frame: int
-    box: BoundingBox
-    score: float
-
-
-class Tracklets:
-    """Identity-keyed trajectories: ordered (frame, box, score) triples.
-
-    Frames must be appended in strictly increasing order per identity.
-    """
-
-    def __init__(self) -> None:
-        self._tracks: dict[int, list[Observation]] = {}
-
-    def add(self, identity: int, frame: int, box: BoundingBox, score: float = 1.0) -> None:
-        track = self._tracks.setdefault(identity, [])
-        if track and frame <= track[-1].frame:
-            raise ValueError(
-                f"frame {frame} not after frame {track[-1].frame} for identity {identity}"
-            )
-        track.append(Observation(frame, box, score))
-
-    @classmethod
-    def from_entries(cls, entries: Sequence[tuple[int, int, BoundingBox, float]]) -> "Tracklets":
-        """Build from (identity, frame, box, score) rows in any order."""
-        out = cls()
-        for identity, frame, box, score in sorted(entries, key=lambda e: (e[0], e[1])):
-            out.add(identity, frame, box, score)
-        return out
-
-    @property
-    def identities(self) -> tuple[int, ...]:
-        return tuple(sorted(self._tracks))
-
-    def track(self, identity: int) -> tuple[Observation, ...]:
-        return tuple(self._tracks[identity])
-
-    def __iter__(self) -> Iterator[tuple[int, tuple[Observation, ...]]]:
-        for identity in self.identities:
-            yield identity, tuple(self._tracks[identity])
-
-    def __len__(self) -> int:
-        return len(self._tracks)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Tracklets):
-            return NotImplemented
-        return self._tracks == other._tracks
-
-    def n_boxes(self) -> int:
-        return sum(len(t) for t in self._tracks.values())
 
 
 class ShadowTracker:

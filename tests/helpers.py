@@ -87,11 +87,34 @@ def assignment_total(costs: np.ndarray, pairs) -> float:
 # the cost tensor.  Plain Python floats, one pair at a time.
 
 
+def corners(box: BoundingBox) -> tuple[float, float, float, float]:
+    """The ``(x1, y1, x2, y2)`` corners of ``box``: the reference for
+    ``geometry._corners``."""
+    return (
+        box.cx - box.w / 2.0,
+        box.cy - box.h / 2.0,
+        box.cx + box.w / 2.0,
+        box.cy + box.h / 2.0,
+    )
+
+
+def to_pixel(box: BoundingBox, img_w: float, img_h: float) -> tuple[float, float, float, float]:
+    """A normalized center-format box in pixel top-left format, the
+    MOTChallenge file convention ``(left, top, width, height)``: the
+    reference for the scaling in ``format_mot``."""
+    return (
+        (box.cx - box.w / 2.0) * img_w,
+        (box.cy - box.h / 2.0) * img_h,
+        box.w * img_w,
+        box.h * img_h,
+    )
+
+
 def _overlap_terms(a: BoundingBox, b: BoundingBox) -> tuple[float, float, float]:
     """Intersection, union, and enclosing-hull areas, all from the same
     corner coordinates."""
-    ax1, ay1, ax2, ay2 = a.corners()
-    bx1, by1, bx2, by2 = b.corners()
+    ax1, ay1, ax2, ay2 = corners(a)
+    bx1, by1, bx2, by2 = corners(b)
     area_a = (ax2 - ax1) * (ay2 - ay1)
     area_b = (bx2 - bx1) * (by2 - by1)
     iw = min(ax2, bx2) - max(ax1, bx1)

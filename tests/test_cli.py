@@ -6,6 +6,7 @@ and the exact bytes written to disk.
 """
 
 import hashlib
+import importlib
 import json
 import subprocess
 import sys
@@ -155,6 +156,8 @@ class TestTrack:
         ("--tau", "2", "error: --tau: must lie in [0, 1], got 2.0"),
         ("--patience", "-1", "error: --patience: must be >= 0, got -1"),
         ("--seed", "-1", "error: --seed: must be >= 0, got -1"),
+        ("--phi", "bogus", "error: --phi: must be one of ('min', 'mean', 'max'), got 'bogus'"),
+        ("--lambda", "bogus", "error: --lambda: must be one of ('min', 'mean', 'max'), got 'bogus'"),
     ])
     def test_bad_flag_value_names_the_flag(self, workdir, scene_path, flag, value, message):
         proc = run_cli("track", "--scene", "scene.json", "--config", "run.cfg",
@@ -405,7 +408,7 @@ class TestImportFootprint:
         loaded = self._loaded(workdir, "eval", "--gt", "scene.gt.txt",
                               "--results", "scene.gt.txt", "-o", "report.json")
         assert "metrics" in loaded
-        assert not loaded & {"simulator", "assignment"}
+        assert not loaded & {"simulator", "assignment", "shadow", "tracker"}
 
     def test_simulate_and_track_do_not_load_metrics(self, workdir):
         for args in (("simulate", "--config", "run.cfg", "-o", "scene.json"),
@@ -438,6 +441,11 @@ class TestImportFootprint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"{len(shadowmot.__all__)}\n"
+
+    @pytest.mark.parametrize("module", sorted(shadowmot._MODULES))
+    def test_every_public_name_is_in_its_module_all(self, module):
+        names = importlib.import_module(f"shadowmot.{module}").__all__
+        assert set(shadowmot._MODULES[module]) <= set(names)
 
 
 class TestEval:

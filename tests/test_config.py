@@ -96,6 +96,10 @@ class TestLoadRunConfig:
         ("scene.n_objects", "-2", "scene.n_objects: must be >= 0, got -2"),
         ("scene.jitter", "-1", "scene.jitter: must be finite and >= 0, got -1.0"),
         ("scene.image_height", "0", "scene.image_height: must be >= 1, got 0"),
+        ("scene.image_width", "100001", "scene.image_width: must be <= 100000, got 100001"),
+        pytest.param("scene.image_width", "1" + "0" * 400,
+                     f"scene.image_width: must be <= 100000, got {10 ** 400}", id="huge-width"),
+        ("scene.image_height", "100001", "scene.image_height: must be <= 100000, got 100001"),
         ("scene.occlusions", "3:10:20, 11:1:2",
          "scene.occlusions[1]: identity must be in [1, n_objects = 10], got 11"),
         ("scene.occlusions", "3:90:120", "scene.occlusions[0]: window [90, 120] outside frames [1, 100]"),
@@ -112,6 +116,8 @@ class TestLoadRunConfig:
         ("cost.w_l1", "-1", "cost.w_l1: must be finite and non-negative, got -1.0"),
         ("cost.alpha", "0", "cost.alpha: must lie in (0, 1), got 0.0"),
         ("tracker.n_layers", "0", "tracker.n_layers: must be >= 1, got 0"),
+        ("tracker.n_layers", "65", "tracker.n_layers: must be <= 64, got 65"),
+        ("tracker.n_layers", "1000000000000", "tracker.n_layers: must be <= 64, got 1000000000000"),
         ("tracker.patience", "-1", "tracker.patience: must be >= 0, got -1"),
         ("tracker.mode", "hybrid", "tracker.mode: must be 'tala' or 'cola', got 'hybrid'"),
         ("shadow.ns", "0", "shadow.ns: must be >= 1, got 0"),

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from shadowmot import BoundingBox, pairwise, to_pixel
+from shadowmot import BoundingBox, format_mot, pairwise
 
-from helpers import giou, iou, l1_distance
+from helpers import corners, giou, iou, l1_distance, to_pixel, tracklets_from_rows
 
 coords = st.floats(min_value=-0.5, max_value=1.5, allow_nan=False, allow_infinity=False)
 sizes = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False)
@@ -32,8 +32,8 @@ L1S = (l1_distance, _kernel(2))
 class TestBoundingBox:
     def test_fields_and_area(self):
         b = BoundingBox(cx=0.5, cy=0.5, w=0.2, h=0.4)
-        assert b.area == pytest.approx(0.08)
-        assert b.corners() == (
+        assert b.w * b.h == pytest.approx(0.08)
+        assert corners(b) == (
             pytest.approx(0.4),
             pytest.approx(0.3),
             pytest.approx(0.6),
@@ -55,7 +55,7 @@ class TestBoundingBox:
 
     def test_zero_extent_allowed(self):
         b = BoundingBox(cx=0.5, cy=0.5, w=0.0, h=0.0)
-        assert b.area == 0.0
+        assert b.w * b.h == 0.0
 
     def test_out_of_range_centers_allowed(self):
         BoundingBox(cx=-0.2, cy=1.3, w=0.1, h=0.1)
@@ -228,8 +228,9 @@ class TestPixelConversion:
     def test_non_positive_image_rejected(self):
         b = BoundingBox(cx=0.5, cy=0.5, w=0.5, h=0.5)
         for w, h in ((0, 100), (100, 0), (-5, 100)):
-            with pytest.raises(ValueError):
-                to_pixel(b, w, h)
+            for tracklets in (tracklets_from_rows([(1, 1, b, 1.0)]), tracklets_from_rows([])):
+                with pytest.raises(ValueError, match=f"image dimensions must be positive, got {w}x{h}"):
+                    format_mot(tracklets, (w, h))
 
     @given(b=st.builds(
         BoundingBox,

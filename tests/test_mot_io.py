@@ -18,13 +18,17 @@ from shadowmot import (
     generate_scene,
     pairwise,
     read_mot,
-    to_pixel,
     track_scene,
     write_mot,
 )
-from shadowmot.mot_io import parse_mot_line
+from shadowmot.mot_io import MAX_CORNER, parse_mot_line
 
-from helpers import format_mot_line, random_box, tracklets_from_rows
+from helpers import format_mot_line, random_box, to_pixel, tracklets_from_rows
+
+# signed zeros, subnormals and magnitudes near the corner bound, drawn as
+# box extents and, with either sign, as centers
+_EDGE_SIZES = st.sampled_from([-0.0, 5e-324, 1e-310, MAX_CORNER / 3, MAX_CORNER])
+_EDGE_COORDS = _EDGE_SIZES | _EDGE_SIZES.map(lambda v: -v)
 
 
 class TestParseMotLine:
@@ -232,13 +236,13 @@ class TestWriteReadCycle:
         rows=st.lists(
             st.tuples(
                 st.integers(1, 6), st.integers(1, 6),
-                st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
-                st.floats(0.0, 2.0) | st.just(-0.0), st.floats(0.0, 2.0),
+                st.floats(-2.0, 2.0) | _EDGE_COORDS, st.floats(-2.0, 2.0) | _EDGE_COORDS,
+                st.floats(0.0, 2.0) | _EDGE_SIZES, st.floats(0.0, 2.0) | _EDGE_SIZES,
                 st.floats(0.0, 1.0) | st.sampled_from([1e-07, 5e-324, 1e16]),
             ),
             max_size=12, unique_by=lambda r: (r[0], r[1]),
         ),
-        image_size=st.none() | st.tuples(st.integers(1, 4000), st.integers(1, 4000)),
+        image_size=st.none() | st.tuples(st.integers(1, 100000), st.integers(1, 100000)),
     )
     def test_equals_the_per_row_helper(self, rows, image_size):
         # numpy-float scores, as the tracker emits them

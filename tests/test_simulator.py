@@ -31,6 +31,7 @@ from shadowmot.simulator import _FALLBACK_HI, _FALLBACK_LO, _frame_draws, _set_a
 
 from helpers import (
     by_frame,
+    corners,
     first_frame,
     frame_draws_reference,
     render_layer_reference,
@@ -132,7 +133,7 @@ class TestGenerateScene:
             scene = generate_scene(cfg)
             for states in scene.tracks.values():
                 for s in states:
-                    x1, y1, x2, y2 = s.box.corners()
+                    x1, y1, x2, y2 = corners(s.box)
                     assert -1e-9 <= x1 and x2 <= 1 + 1e-9
                     assert -1e-9 <= y1 and y2 <= 1 + 1e-9
 
@@ -224,6 +225,10 @@ class TestSceneViews:
                      id="huge-jitter"),
         ("zero-width", "config.image_width: must be >= 1, got 0"),
         ("zero-height", "config.image_height: must be >= 1, got 0"),
+        ("wide-image", "config.image_width: must be <= 100000, got 100001"),
+        pytest.param("huge-width", f"config.image_width: must be <= 100000, got {10 ** 400}",
+                     id="huge-width"),
+        ("tall-image", "config.image_height: must be <= 100000, got 100001"),
         ("occlusion-id-zero", "config.occlusions[0]: identity must be in [1, n_objects = 1], got 0"),
         ("occlusion-id-unknown",
          "config.occlusions[1]: identity must be in [1, n_objects = 1], got 2"),
@@ -288,6 +293,12 @@ class TestSceneViews:
             doc["config"]["image_width"] = 0
         elif defect == "zero-height":
             doc["config"]["image_height"] = 0
+        elif defect == "wide-image":
+            doc["config"]["image_width"] = 100001
+        elif defect == "huge-width":
+            doc["config"]["image_width"] = 10 ** 400
+        elif defect == "tall-image":
+            doc["config"]["image_height"] = 100001
         elif defect == "occlusion-id-zero":
             doc["config"]["occlusions"] = [[0, 1, 2]]
         elif defect == "occlusion-id-unknown":
