@@ -187,7 +187,9 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     scene = _load_scene(args.scene)
     axes = _parse_grid(args.grid)
     if args.trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+        raise ConfigError(f"--trials: must be >= 1, got {args.trials}")
+    if args.trials > 10000:
+        raise ConfigError(f"--trials: must be <= 10000, got {args.trials}")
 
     rows = [",".join(("lambda", "phi", "ns", "trials", *SCORES))]
     gt = scene.gt_tracklets()
@@ -331,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_abl.add_argument("--seed", type=int, default=None, help="master seed override")
     p_abl.add_argument("--grid", default="lambda x phi",
                        help="axes joined by 'x': lambda, phi, ns")
-    p_abl.add_argument("--trials", type=int, default=1, help="trials per configuration")
+    p_abl.add_argument("--trials", type=int, default=1, help="trials per configuration, 1 to 10000")
     p_abl.add_argument("-o", "--output", required=True, help="CSV output path")
     p_abl.set_defaults(func=_cmd_ablate)
 

@@ -51,8 +51,8 @@ def _fmt_occlusions(occs: tuple[tuple[int, int, int], ...]) -> str:
 # field of that section's constructor: the same name, or the one in _FIELDS.
 _SCHEMA: dict[str, tuple] = {
     "seed": (int, 0, "master seed for scene, oracle, and query bank"),
-    "scene.n_frames": (int, 100, "frames per sequence"),
-    "scene.n_objects": (int, 10, "number of objects"),
+    "scene.n_frames": (int, 100, "frames per sequence, 1 to 100000"),
+    "scene.n_objects": (int, 10, "number of objects, 0 to 10000"),
     "scene.schedule": (str, "all-at-start", "newborn schedule: all-at-start or uniform"),
     "scene.jitter": (float, 0.0, "per-frame position jitter std (normalized units)"),
     "scene.occlusions": (_parse_occlusions, (), "comma list of id:start:end windows"),
@@ -74,7 +74,7 @@ _SCHEMA: dict[str, tuple] = {
     "shadow.tau": (float, 0.5, "confidence threshold for births and survival"),
     "shadow.embed_dim": (int, 256, "length of a discarded per-set draw in copy/noise init, 1 to 4096; shifts noise-init positions"),
     "tracker.n_layers": (int, 6, "decoder layer count, 1 to 64"),
-    "tracker.n_detection_sets": (int, 60, "detection sets per frame"),
+    "tracker.n_detection_sets": (int, 60, "detection sets per frame, 1 to 10000"),
     "tracker.patience": (int, 0, "sub-threshold frames before a track dies"),
     "tracker.mode": (str, "cola", "training-target mode: tala or cola"),
     "cost.w_class": (float, 2.0, "classification cost weight"),

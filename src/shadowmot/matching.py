@@ -124,24 +124,56 @@ def _shortest_augmenting_path(costs: np.ndarray) -> tuple[list[int], list[int]]:
     every tie, so both return the same pairs.  A tall matrix is solved
     transposed and mapped back through a stable sort, as there.
 
-    The scan over the remaining columns runs over Python lists.  Nearly
-    every matrix the commands solve is at most 60 columns wide, where
-    numpy's per-call overhead would outweigh the work.  A numpy scan is
-    faster only above about 150 columns, and on the one such matrix a
+    A greedy prefix settles the leading rows first, from whole-matrix numpy
+    minima: each row in order takes the lowest-index unassigned column among
+    its least entries, and the first row with no such column, or with only
+    ``+inf`` entries, ends the prefix.  The search then goes on from that
+    row.  This is exact.  While every dual ``v`` is zero, the first scan of
+    a fresh row computes ``((0.0 + c) - 0.0) - 0.0``, which is ``c`` but for
+    the sign of a zero, which no comparison sees.  SciPy's tie rule takes
+    the lowest-index unassigned column among the minima, and when that
+    column is free the path ends there: ``u[i]`` becomes ``0.0 + low``,
+    ``v`` loses ``low - low`` and stays zero, and the ``path`` entries the
+    scan would have written are set again by any later search before it
+    reads them.  On the metric matrices a benchmark ``eval`` solves, the
+    prefix settles every row.  The tests keep the search without the prefix
+    as their oracle, ``lsap_reference``.
+
+    The search's scan over the remaining columns runs over Python lists.
+    Nearly every matrix the commands solve is at most 60 columns wide,
+    where numpy's per-call overhead would outweigh the work.  A numpy scan
+    is faster only above about 150 columns, and on the one such matrix a
     benchmark ``eval`` solves, IDF1's 40x324, it saved no measurable time.
     Every reduced cost is the same double as in the C++, and SciPy's tie
     rule is one test per column: a strictly lower cost wins, and so does
     an equal one whose column is unassigned.
     """
     transpose = costs.shape[1] < costs.shape[0]
-    c = (costs.T if transpose else costs).tolist()
-    nr, nc = len(c), len(c[0])
+    m = costs.T if transpose else costs
+    nr, nc = m.shape
     inf = math.inf
     u = [0.0] * nr
-    v = [0.0] * nc
-    path = [-1] * nc
     col4row = [-1] * nr
     row4col = [-1] * nc
+
+    first = 0
+    for low, j in zip(m.min(axis=1).tolist(), m.argmin(axis=1).tolist()):
+        if low == inf:
+            break
+        if row4col[j] != -1:
+            # argmin is the first minimum; a later one may still be free
+            free = [k for k in np.flatnonzero(m[first] == low).tolist() if row4col[k] == -1]
+            if not free:
+                break
+            j = free[0]
+        u[first] = 0.0 + low
+        col4row[first] = j
+        row4col[j] = first
+        first += 1
+
+    c = m.tolist() if first < nr else []
+    v = [0.0] * nc
+    path = [-1] * nc
     all_inf = [inf] * nc
     # filled in reverse, so that a constant matrix gives the identity
     all_cols = list(range(nc - 1, -1, -1))
@@ -151,7 +183,7 @@ def _shortest_augmenting_path(costs: np.ndarray) -> tuple[list[int], list[int]]:
     visited_rows: list[int] = []
     visited_cols: list[int] = []
 
-    for cur_row in range(nr):
+    for cur_row in range(first, nr):
         shortest[:] = all_inf
         remaining[:] = all_cols
         visited_rows.clear()
@@ -222,7 +254,11 @@ def hungarian(cost: CostMatrix | np.ndarray) -> Assignment:
     still to visit in a list filled from the last column to the first,
     from which a visited column is swap-removed; and among the listed
     columns at the least reduced cost the last unassigned one is taken,
-    or the first one if all of them are assigned.
+    or the first one if all of them are assigned.  The leading rows whose
+    least entry lies in a column no earlier row took are settled first,
+    without a search, on the lowest-index such column: that is the column
+    the search would take for them, so the pairs, the ties and the
+    ``infeasible`` error stay the same.
     """
     costs = cost.costs if isinstance(cost, CostMatrix) else np.asarray(cost, dtype=float)
     if costs.ndim != 2:

@@ -80,8 +80,12 @@ class SceneConfig:
         # document or a config file can put their own prefix on it
         if self.n_frames < 1:
             raise ValueError(f"n_frames: must be >= 1, got {self.n_frames}")
+        if self.n_frames > 100000:
+            raise ValueError(f"n_frames: must be <= 100000, got {self.n_frames}")
         if self.n_objects < 0:
             raise ValueError(f"n_objects: must be >= 0, got {self.n_objects}")
+        if self.n_objects > 10000:
+            raise ValueError(f"n_objects: must be <= 10000, got {self.n_objects}")
         if self.schedule not in ("all-at-start", "uniform"):
             raise ValueError(
                 f"schedule: must be 'all-at-start' or 'uniform', got {self.schedule!r}"

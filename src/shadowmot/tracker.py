@@ -53,6 +53,8 @@ class TrackerConfig:
             raise ValueError(f"n_layers: must be <= 64, got {self.n_layers}")
         if self.n_detection_sets < 1:
             raise ValueError(f"n_detection_sets: must be >= 1, got {self.n_detection_sets}")
+        if self.n_detection_sets > 10000:
+            raise ValueError(f"n_detection_sets: must be <= 10000, got {self.n_detection_sets}")
         if self.patience < 0:
             raise ValueError(f"patience: must be >= 0, got {self.patience}")
         if self.assignment_mode not in ("tala", "cola"):

@@ -83,6 +83,106 @@ def assignment_total(costs: np.ndarray, pairs) -> float:
     return math.fsum(float(costs[r, c]) for r, c in pairs)
 
 
+# The row-by-row LSAP search, with no greedy prefix: the reference
+# oracle for ``matching._shortest_augmenting_path``.
+
+
+def lsap_reference(costs: np.ndarray) -> tuple[list[int], list[int]]:
+    """Row and column indices of a minimum-cost assignment of a non-empty
+    matrix with no NaN or -inf entry.
+
+    A port of ``rectangular_lsap.cpp``, the solver behind SciPy's
+    ``linear_sum_assignment`` (D. F. Crouse, "On implementing 2D rectangular
+    assignment algorithms", IEEE TAES 2016).  It makes the same choice at
+    every tie, so both return the same pairs.  A tall matrix is solved
+    transposed and mapped back through a stable sort, as there.
+
+    The scan over the remaining columns runs over Python lists.  Nearly
+    every matrix the commands solve is at most 60 columns wide, where
+    numpy's per-call overhead would outweigh the work.  A numpy scan is
+    faster only above about 150 columns, and on the one such matrix a
+    benchmark ``eval`` solves, IDF1's 40x324, it saved no measurable time.
+    Every reduced cost is the same double as in the C++, and SciPy's tie
+    rule is one test per column: a strictly lower cost wins, and so does
+    an equal one whose column is unassigned.
+    """
+    transpose = costs.shape[1] < costs.shape[0]
+    c = (costs.T if transpose else costs).tolist()
+    nr, nc = len(c), len(c[0])
+    inf = math.inf
+    u = [0.0] * nr
+    v = [0.0] * nc
+    path = [-1] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    all_inf = [inf] * nc
+    # filled in reverse, so that a constant matrix gives the identity
+    all_cols = list(range(nc - 1, -1, -1))
+    # per-row buffers, refilled for each row
+    shortest = all_inf[:]
+    remaining: list[int] = []
+    visited_rows: list[int] = []
+    visited_cols: list[int] = []
+
+    for cur_row in range(nr):
+        shortest[:] = all_inf
+        remaining[:] = all_cols
+        visited_rows.clear()
+        visited_cols.clear()
+        min_val = 0.0
+        i = cur_row
+        sink = -1
+        while sink == -1:
+            visited_rows.append(i)
+            ci = c[i]
+            ui = u[i]
+            lowest = inf
+            j_low = -1
+            for j in remaining:
+                s = shortest[j]
+                r = min_val + ci[j] - ui - v[j]
+                if r < s:
+                    path[j] = i
+                    shortest[j] = s = r
+                # among the columns at the minimum the last unassigned one
+                # wins; if none is unassigned, the first one does
+                if s < lowest or (s == lowest and row4col[j] == -1):
+                    lowest = s
+                    j_low = j
+            min_val = lowest
+            if min_val == inf:
+                raise ValueError("cost matrix is infeasible")
+            j = j_low
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            visited_cols.append(j)
+            # a visited column is swap-removed
+            index = remaining.index(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+
+        u[cur_row] += min_val
+        for i in visited_rows[1:]:  # the first one is cur_row
+            u[i] += min_val - shortest[col4row[i]]
+        for j in visited_cols:
+            v[j] -= min_val - shortest[j]
+
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+
+    if transpose:
+        order = sorted(range(nr), key=col4row.__getitem__)
+        return [col4row[k] for k in order], order
+    return list(range(nr)), col4row
+
+
 # One-pair scalar geometry: the reference oracles for ``pairwise`` and
 # the cost tensor.  Plain Python floats, one pair at a time.
 

@@ -158,9 +158,12 @@ class TestTrack:
         ("--seed", "-1", "error: --seed: must be >= 0, got -1"),
         ("--phi", "bogus", "error: --phi: must be one of ('min', 'mean', 'max'), got 'bogus'"),
         ("--lambda", "bogus", "error: --lambda: must be one of ('min', 'mean', 'max'), got 'bogus'"),
+        ("--trials", "0", "error: --trials: must be >= 1, got 0"),
+        ("--trials", "10001", "error: --trials: must be <= 10000, got 10001"),
     ])
     def test_bad_flag_value_names_the_flag(self, workdir, scene_path, flag, value, message):
-        proc = run_cli("track", "--scene", "scene.json", "--config", "run.cfg",
+        command = "ablate" if flag == "--trials" else "track"
+        proc = run_cli(command, "--scene", "scene.json", "--config", "run.cfg",
                        flag, value, "-o", "out.txt", cwd=workdir)
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [message]

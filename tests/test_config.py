@@ -93,7 +93,11 @@ class TestLoadRunConfig:
 
     @pytest.mark.parametrize("key,value,message", [
         ("scene.n_frames", "0", "scene.n_frames: must be >= 1, got 0"),
+        ("scene.n_frames", "100001", "scene.n_frames: must be <= 100000, got 100001"),
+        ("scene.n_frames", "1000000000000", "scene.n_frames: must be <= 100000, got 1000000000000"),
         ("scene.n_objects", "-2", "scene.n_objects: must be >= 0, got -2"),
+        ("scene.n_objects", "10001", "scene.n_objects: must be <= 10000, got 10001"),
+        ("scene.n_objects", "1000000000000", "scene.n_objects: must be <= 10000, got 1000000000000"),
         ("scene.jitter", "-1", "scene.jitter: must be finite and >= 0, got -1.0"),
         ("scene.image_height", "0", "scene.image_height: must be >= 1, got 0"),
         ("scene.image_width", "100001", "scene.image_width: must be <= 100000, got 100001"),
@@ -118,6 +122,9 @@ class TestLoadRunConfig:
         ("tracker.n_layers", "0", "tracker.n_layers: must be >= 1, got 0"),
         ("tracker.n_layers", "65", "tracker.n_layers: must be <= 64, got 65"),
         ("tracker.n_layers", "1000000000000", "tracker.n_layers: must be <= 64, got 1000000000000"),
+        ("tracker.n_detection_sets", "10001", "tracker.n_detection_sets: must be <= 10000, got 10001"),
+        ("tracker.n_detection_sets", "1000000000000",
+         "tracker.n_detection_sets: must be <= 10000, got 1000000000000"),
         ("tracker.patience", "-1", "tracker.patience: must be >= 0, got -1"),
         ("tracker.mode", "hybrid", "tracker.mode: must be 'tala' or 'cola', got 'hybrid'"),
         ("shadow.ns", "0", "shadow.ns: must be >= 1, got 0"),

@@ -24,6 +24,7 @@ from helpers import (
     assignment_total,
     brute_force_min_cost,
     giou,
+    lsap_reference,
     pair_cost,
     random_box,
 )
@@ -242,6 +243,24 @@ def _tie_heavy_costs(kind: str, shape: tuple[int, int], rng: np.random.Generator
         # tenths are not exact doubles, so the order in which a reduced cost
         # is summed decides which of two equal costs is the lower
         return -rng.integers(0, 10, size=shape) / 10.0
+    if kind == "signed-zeros":
+        # a zero of either sign is a tie that only the order of a sum breaks
+        return rng.choice([-0.0, 0.0, -1.0, 1.0], size=shape)
+    if kind in ("distinct-minima", "prefix-then-collision", "inf-row"):
+        # built as the solver sees it, short side as rows: each row's least
+        # entry sits in a column of its own, so the greedy prefix settles
+        # every row until the one that the kind then spoils
+        short, long = sorted(shape)
+        cols = rng.permutation(long)[:short]
+        costs = rng.uniform(1.0, 2.0, size=(short, long))
+        costs[np.arange(short), cols] = rng.uniform(0.0, 1.0, size=short)
+        row = int(rng.integers(1, short)) if short > 1 else 0
+        if kind == "prefix-then-collision" and row:
+            # this row's least entry sits in an earlier row's column
+            costs[row, cols[rng.integers(row)]] = -rng.uniform(0.0, 1.0)
+        elif kind == "inf-row":
+            costs[row] = np.inf
+        return costs if shape[0] <= shape[1] else costs.T
     assert kind == "feasible-inf"
     costs = rng.integers(0, 3, size=shape).astype(float)
     costs[rng.random(shape) < 0.5] = np.inf
@@ -258,20 +277,21 @@ _SHAPES = {
     "square": st.integers(1, 10).map(lambda n: (n, n)),
     "1xn": st.integers(1, 16).map(lambda n: (1, n)),
     "nx1": st.integers(1, 16).map(lambda n: (n, 1)),
-    # the largest matrices the benchmark workloads solve
-    "bench": st.sampled_from([(60, 60), (40, 324), (324, 40)]),
+    # the largest matrices the benchmark workloads solve, and the replay's
+    "bench": st.sampled_from([(60, 60), (40, 324), (324, 40), (22, 60), (60, 22)]),
 }
 
 
 class TestSameTiesAsScipy:
     """scipy's ``linear_sum_assignment`` is the oracle: the in-tree solver
     must return its pairs exactly, which pins every tie that a metric digest
-    depends on."""
+    depends on.  ``lsap_reference``, the search without the greedy prefix,
+    must return them too."""
 
     @pytest.mark.parametrize("shape_kind", sorted(_SHAPES))
     @pytest.mark.parametrize("kind", [
         "float", "all-equal", "small-int", "gated-iou", "negated-counts", "negated-tenths",
-        "feasible-inf",
+        "feasible-inf", "distinct-minima", "prefix-then-collision", "signed-zeros", "inf-row",
     ])
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
@@ -279,8 +299,15 @@ class TestSameTiesAsScipy:
         shape = data.draw(_SHAPES[shape_kind], label="shape")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         costs = _tie_heavy_costs(kind, shape, np.random.default_rng(seed))
+        if kind == "inf-row":
+            for solve in (linear_sum_assignment, hungarian, lsap_reference):
+                with pytest.raises(ValueError, match=r"^cost matrix is infeasible$"):
+                    solve(costs)
+            return
         rows, cols = linear_sum_assignment(costs)
-        assert hungarian(costs).pairs == tuple(sorted(zip(rows.tolist(), cols.tolist())))
+        want = tuple(sorted(zip(rows.tolist(), cols.tolist())))
+        assert hungarian(costs).pairs == want
+        assert tuple(sorted(zip(*lsap_reference(costs)))) == want
 
     @pytest.mark.parametrize("costs", [
         [[1.0, math.nan], [2.0, 3.0]],

@@ -218,7 +218,11 @@ class TestSceneViews:
         ("occlusions-object", "config.occlusions: expected a list"),
         ("short-occlusion", "config.occlusions[0]: expected a list of 3 integers, got [1, 2]"),
         ("zero-n-frames", "config.n_frames: must be >= 1, got 0"),
+        ("long-scene", "config.n_frames: must be <= 100000, got 100001"),
+        ("huge-n-frames", "config.n_frames: must be <= 100000, got 1000000000000"),
         ("negative-n-objects", "config.n_objects: must be >= 0, got -1"),
+        ("crowded-scene", "config.n_objects: must be <= 10000, got 10001"),
+        ("huge-n-objects", "config.n_objects: must be <= 10000, got 1000000000000"),
         ("unknown-schedule", "config.schedule: must be 'all-at-start' or 'uniform', got 'burst'"),
         ("negative-jitter", "config.jitter: must be finite and >= 0, got -0.5"),
         pytest.param("huge-jitter", f"config.jitter: must be finite and >= 0, got {10 ** 400}",
@@ -281,8 +285,16 @@ class TestSceneViews:
             doc["config"]["occlusions"] = [[1, 2]]
         elif defect == "zero-n-frames":
             doc["config"]["n_frames"] = 0
+        elif defect == "long-scene":
+            doc["config"]["n_frames"] = 100001
+        elif defect == "huge-n-frames":
+            doc["config"]["n_frames"] = 10 ** 12
         elif defect == "negative-n-objects":
             doc["config"]["n_objects"] = -1
+        elif defect == "crowded-scene":
+            doc["config"]["n_objects"] = 10001
+        elif defect == "huge-n-objects":
+            doc["config"]["n_objects"] = 10 ** 12
         elif defect == "unknown-schedule":
             doc["config"]["schedule"] = "burst"
         elif defect == "negative-jitter":
