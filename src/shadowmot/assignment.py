@@ -275,9 +275,5 @@ def assign_tracking_sets(
     if len(set(identities)) != len(identities):
         raise ValueError("duplicate identities in the track bank")
     n_shadows = track_sets[0].n_shadows if track_sets else 1
-    present = gt.identities
-    targets: dict[int, Target] = {}
-    for s in track_sets:
-        assert s.identity is not None
-        targets[s.set_id] = s.identity if s.identity in present else None
+    targets = dict(zip((s.set_id for s in track_sets), _track_targets(identities, gt).values()))
     return LabelAssignment(layer=layer, n_shadows=n_shadows, tracking=targets)

@@ -51,8 +51,8 @@ def _fmt_occlusions(occs: tuple[tuple[int, int, int], ...]) -> str:
 # field of that section's constructor: the same name, or the one in _FIELDS.
 _SCHEMA: dict[str, tuple] = {
     "seed": (int, 0, "master seed for scene, oracle, and query bank"),
-    "scene.n_frames": (int, 100, "frames per sequence, 1 to 100000"),
-    "scene.n_objects": (int, 10, "number of objects, 0 to 10000"),
+    "scene.n_frames": (int, 100, "frames per sequence, 1 to 100000; n_frames * n_objects at most 1000000"),
+    "scene.n_objects": (int, 10, "number of objects, 0 to 10000; n_frames * n_objects at most 1000000"),
     "scene.schedule": (str, "all-at-start", "newborn schedule: all-at-start or uniform"),
     "scene.jitter": (float, 0.0, "per-frame position jitter std (normalized units)"),
     "scene.occlusions": (_parse_occlusions, (), "comma list of id:start:end windows"),
@@ -195,7 +195,8 @@ def _build(cls, section: str, resolved: Mapping[str, object], **extra):
     except ValueError as exc:
         where, _, problem = str(exc).partition(": ")
         field = where.partition("[")[0]  # occlusions[1] -> occlusions
-        key = _KEYS.get(field, prefix + field)
+        # a bound on a product names each factor: n_frames * n_objects
+        key = " * ".join(_KEYS.get(name, prefix + name) for name in field.split(" * "))
         raise ConfigError(f"{key}{where[len(field):]}: {problem}") from None
 
 

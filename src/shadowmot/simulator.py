@@ -112,6 +112,10 @@ class SceneConfig:
                     f"occlusions[{n}]: window [{start}, {end}] outside frames "
                     f"[1, {self.n_frames}]"
                 )
+        # the bound on the work of a scene: one box per object and frame
+        if self.n_frames * self.n_objects > 1000000:
+            raise ValueError(f"n_frames * n_objects: must be <= 1000000, "
+                             f"got {self.n_frames} * {self.n_objects}")
 
     def to_json(self) -> dict:
         return {
@@ -165,7 +169,9 @@ class SceneConfig:
         try:
             return cls(**kwargs)
         except ValueError as exc:
-            raise ValueError(f"config.{exc}") from None
+            where, _, problem = str(exc).partition(": ")
+            keys = " * ".join("config." + key for key in where.split(" * "))
+            raise ValueError(f"{keys}: {problem}") from None
 
 
 @dataclass(frozen=True)
@@ -672,20 +678,25 @@ def oracle_decode(
     return layers
 
 
+def _live_layer(
+    scene: Scene, tracker: ShadowTracker, frame: int, cfg: OracleConfig, layer: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decoder layer ``layer`` (1-based) at ``frame`` of the live sets of
+    ``tracker``, tracks then bank: boxes ``[S, ns, 4]``, scores ``[S, ns]``."""
+    anchors, n_tracks = tracker._live_anchors()
+    tracking = [True] * n_tracks + [False] * (len(anchors) - n_tracks)
+    draws = _frame_draws(scene, frame, anchors, tracking, tracker.config.shadow.n_shadows, cfg)
+    return _render_layer(draws, cfg.refinement ** (layer - 1))
+
+
 def _tracked_frames(
     scene: Scene, tracker: ShadowTracker, oracle_cfg: OracleConfig
 ) -> Iterator[FrameResult]:
     """Step ``tracker`` over ``scene`` from its next frame on, yielding each
-    frame's result.  The oracle's arrays go straight into the tracker's
-    lifecycle core; only the final layer reaches the tracker, so only it is
-    rendered, and boxes are built only for the emitted outputs."""
-    scale = oracle_cfg.refinement ** (tracker.config.n_layers - 1)
-    ns = tracker.config.shadow.n_shadows
+    frame's result.  The final layer's arrays go straight into the
+    tracker's lifecycle core; boxes are built only for emitted outputs."""
     for frame in range(tracker.frame + 1, scene.n_frames + 1):
-        anchors, n_tracks = tracker._live_anchors()
-        tracking = [True] * n_tracks + [False] * (len(anchors) - n_tracks)
-        draws = _frame_draws(scene, frame, anchors, tracking, ns, oracle_cfg)
-        boxes, scores = _render_layer(draws, scale)
+        boxes, scores = _live_layer(scene, tracker, frame, oracle_cfg, tracker.config.n_layers)
         yield tracker._advance(scores, lambda sets: boxes[sets])
 
 

@@ -10,6 +10,7 @@ import importlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -602,6 +603,30 @@ class TestAblate:
         assert [rows[i][0] for i in (0, 3, 6)] == ["min", "mean", "max"]
         assert blocks[0] == blocks[1] == blocks[2]
 
+        # nor does phi with one shadow, so the phi x ns grid tracks its
+        # three ns = 1 cells once per trial, and each of their rows is what
+        # a run of its own phi gives
+        noisy = workdir / "noisy.cfg"
+        noisy.write_text(_CONFIG + "oracle.p_corrupt = 0.3\noracle.box_noise_std = 0.02\n"
+                         "oracle.fp_rate = 0.3\noracle.fp_score = 0.6\n", encoding="ascii")
+        built.clear()
+        code = cli.main(["ablate", "--scene", str(scene_path), "--config", str(noisy),
+                         "--grid", "phi x ns", "--trials", "2", "-o", str(out)])
+        assert code == 0
+        assert len(built) == 2 * 16
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        ones = [row for row in rows if row[2] == "1"]
+        assert [row[1] for row in ones] == ["min", "mean", "max"]
+        args = cli.build_parser().parse_args(
+            ["ablate", "--scene", str(scene_path), "--config", str(noisy), "-o", str(out)])
+        run = cli._run_config(args)
+        scene = cli._load_scene(str(scene_path))
+        for row in ones:
+            shadow = replace(run.tracker.shadow, score_reduction=row[1], n_shadows=1)
+            alone = cli._mean_metric_columns(scene, scene.gt_tracklets(), run,
+                                             replace(run.tracker, shadow=shadow), 2)
+            assert row[4:] == alone
+
     def test_unknown_axis(self, workdir, scene_path):
         proc = run_cli("ablate", "--scene", "scene.json", "--grid", "lambda x bogus",
                        "-o", "sweep.csv", cwd=workdir)
@@ -682,6 +707,19 @@ _ASSIGN_DEBUG_DIGESTS = {
     ("--cola", 30, 6): "c77d31ec4a5093275f21f8d1702c13eacc054e5ab6e0f1eb94a5a8390c3a1157",
 }
 
+# sha256 of the assign-debug stdout at frame 13 per (flag, value, layer):
+# the other cost reductions and shadow counts, under the default mode
+_ASSIGN_DEBUG_FLAG_DIGESTS = {
+    ("--lambda", "min", 1): "d0f8c82691828807d206a0ae32a2c514ba5ca5571dd0f57c0ebed839b976a83d",
+    ("--lambda", "min", 6): "148de9608607c5caf9a0a643961f5102b97273102855a2dcae16f3f434f0c0cf",
+    ("--lambda", "mean", 1): "dd358989bd377be2a653227c26885e60bacd50611b10002677cd2291ed32cd51",
+    ("--lambda", "mean", 6): "c859ccefb669312f8154d3a9efc9ef5631e107f0a35a6bf62b03abf0bfb96908",
+    ("--ns", "1", 1): "1eee3e2db3dcfdf63a384e6ca217f056c18e0a3a5babc73718d13b087bae4fb0",
+    ("--ns", "1", 6): "def80834c5f2641fb5b04a349a635e317f700e9671311333b8dd81ee6b7f53ee",
+    ("--ns", "5", 1): "3fad7846a3d44caaddc797a54f0afbcc823c3130431f6bc474cf270e7d30c9b4",
+    ("--ns", "5", 6): "9152d9ac9f7670f3a2d32d65f135e707e5b576676d12a57cc4d4ee7e739781e4",
+}
+
 
 class TestAssignDebugPins:
     """The exact stdout of assign-debug, after the tracker has replayed
@@ -704,6 +742,66 @@ class TestAssignDebugPins:
         stdout = capsys.readouterr().out
         digest = hashlib.sha256(stdout.encode("ascii")).hexdigest()
         assert digest == _ASSIGN_DEBUG_DIGESTS[mode, frame, layer], stdout
+
+    @pytest.mark.parametrize("flag, value, layer", sorted(_ASSIGN_DEBUG_FLAG_DIGESTS))
+    def test_flag_stdout_digest(self, pin_dir, capsys, flag, value, layer):
+        capsys.readouterr()
+        assert cli.main(["assign-debug", "--scene", str(pin_dir / "scene.json"),
+                         "--config", str(pin_dir / "run.cfg"), flag, value,
+                         "--frame", "13", "--layer", str(layer)]) == 0
+        stdout = capsys.readouterr().out
+        digest = hashlib.sha256(stdout.encode("ascii")).hexdigest()
+        assert digest == _ASSIGN_DEBUG_FLAG_DIGESTS[flag, value, layer], stdout
+
+
+class TestObjectBoundary:
+    """No command reaches the object forms of the oracle, the tracker or
+    the assignment: each renders, steps and assigns on arrays."""
+
+    def test_commands_run_without_the_object_path(self, workdir, monkeypatch, capsys):
+        from shadowmot import assignment, simulator
+
+        def unreachable(*args, **kwargs):
+            raise RuntimeError("a command reached the object path")
+
+        for owner, name in ((simulator, "oracle_decode"), (simulator, "_set_arrays"),
+                            (ShadowTracker, "step"), (ShadowTracker, "live_sets"),
+                            (assignment, "assign_detection_sets"),
+                            (assignment, "assign_tracking_sets")):
+            monkeypatch.setattr(owner, name, unreachable)
+        cfg, scene = str(workdir / "run.cfg"), str(workdir / "scene.json")
+        for argv in (
+            ["simulate", "--config", cfg, "-o", scene],
+            ["track", "--scene", scene, "--config", cfg, "-o", str(workdir / "results.txt")],
+            ["eval", "--gt", str(workdir / "scene.gt.txt"), "--results",
+             str(workdir / "results.txt"), "-o", str(workdir / "report.json")],
+            ["ablate", "--scene", scene, "--config", cfg, "--grid", "phi x ns",
+             "-o", str(workdir / "sweep.csv")],
+            ["assign-debug", "--scene", scene, "--config", cfg, "--frame", "6", "--layer", "3"],
+            ["assign-debug", "--scene", scene, "--config", cfg, "--tala",
+             "--frame", "6", "--layer", "6"],
+        ):
+            assert cli.main(argv) == 0, argv
+        assert "tracking targets:" in capsys.readouterr().out
+
+
+class TestWriteErrors:
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["simulate", "track", "eval", "ablate"])
+    def test_full_device_is_one_error_naming_the_file(self, workdir, scene_path, command):
+        run_cli("track", "--scene", "scene.json", "--config", "run.cfg",
+                "-o", "results.txt", cwd=workdir)
+        args = {
+            "simulate": ["simulate", "--config", "run.cfg"],
+            "track": ["track", "--scene", "scene.json", "--config", "run.cfg"],
+            "eval": ["eval", "--gt", "scene.gt.txt", "--results", "results.txt"],
+            "ablate": ["ablate", "--scene", "scene.json", "--config", "run.cfg"],
+        }[command]
+        proc = run_cli(*args, "-o", "/dev/full", cwd=workdir)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: ") and "'/dev/full'" in lines[0]
 
 
 class TestConfigErrors:

@@ -107,10 +107,18 @@ class TestLoadRunConfig:
         ("scene.occlusions", "3:10:20, 11:1:2",
          "scene.occlusions[1]: identity must be in [1, n_objects = 10], got 11"),
         ("scene.occlusions", "3:90:120", "scene.occlusions[0]: window [90, 120] outside frames [1, 100]"),
+        pytest.param(("scene.n_frames", "scene.n_objects"), ("1000", "1001"),
+                     "scene.n_frames * scene.n_objects: must be <= 1000000, got 1000 * 1001",
+                     id="large-scene"),
+        pytest.param(("scene.n_frames", "scene.n_objects"), ("100000", "10000"),
+                     "scene.n_frames * scene.n_objects: must be <= 1000000, got 100000 * 10000",
+                     id="largest-sizes"),
     ])
     def test_scene_range_error_names_its_key(self, key, value, message):
+        # a tuple of keys sets each to its value: the bound on their product
+        pairs = dict(zip(key, value)) if isinstance(key, tuple) else {key: value}
         with pytest.raises(ConfigError) as info:
-            load_run_config({key: value})
+            load_run_config(pairs)
         assert str(info.value) == message
 
     @pytest.mark.parametrize("key,value,message", [

@@ -223,6 +223,8 @@ class TestSceneViews:
         ("negative-n-objects", "config.n_objects: must be >= 0, got -1"),
         ("crowded-scene", "config.n_objects: must be <= 10000, got 10001"),
         ("huge-n-objects", "config.n_objects: must be <= 10000, got 1000000000000"),
+        ("large-scene", "config.n_frames * config.n_objects: must be <= 1000000, "
+                        "got 100000 * 10000"),
         ("unknown-schedule", "config.schedule: must be 'all-at-start' or 'uniform', got 'burst'"),
         ("negative-jitter", "config.jitter: must be finite and >= 0, got -0.5"),
         pytest.param("huge-jitter", f"config.jitter: must be finite and >= 0, got {10 ** 400}",
@@ -295,6 +297,9 @@ class TestSceneViews:
             doc["config"]["n_objects"] = 10001
         elif defect == "huge-n-objects":
             doc["config"]["n_objects"] = 10 ** 12
+        elif defect == "large-scene":
+            doc["config"]["n_frames"] = 100000
+            doc["config"]["n_objects"] = 10000
         elif defect == "unknown-schedule":
             doc["config"]["schedule"] = "burst"
         elif defect == "negative-jitter":
