@@ -275,5 +275,6 @@ def assign_tracking_sets(
     if len(set(identities)) != len(identities):
         raise ValueError("duplicate identities in the track bank")
     n_shadows = track_sets[0].n_shadows if track_sets else 1
-    targets = dict(zip((s.set_id for s in track_sets), _track_targets(identities, gt).values()))
+    by_identity = _track_targets(identities, gt)
+    targets = {s.set_id: by_identity[s.identity] for s in track_sets}
     return LabelAssignment(layer=layer, n_shadows=n_shadows, tracking=targets)

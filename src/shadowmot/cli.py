@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .config import ConfigError, RunConfig, describe_defaults, load_run_config, parse_config_text
-from .mot_io import Tracklets, _read_ascii as _read_text
+from .mot_io import Tracklets, _read_ascii as _read_text, _write_ascii as _write_text
 
 if TYPE_CHECKING:
     from .simulator import Scene
@@ -27,20 +27,6 @@ if TYPE_CHECKING:
 __all__ = ["main"]
 
 _GRID_AXES = ("lambda", "phi", "ns")
-
-
-def _write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` as ASCII; an OSError names the file, also
-    one raised on the final flush (``/dev/full``), which carries no name.
-    The text is encoded once and written in binary: a text-mode write of
-    a 600 kB MOT file peaked about 0.3 MB higher in resident memory."""
-    data = text.encode("ascii")
-    try:
-        Path(path).write_bytes(data)
-    except OSError as exc:
-        if exc.filename is not None:
-            raise
-        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _dump_json(doc: dict) -> str:
@@ -113,7 +99,7 @@ def _scene_manifest(run: RunConfig, scene: Scene) -> dict:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .mot_io import format_mot
+    from .mot_io import write_mot
     from .simulator import generate_scene
 
     run = _run_config(args)
@@ -122,21 +108,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _write_text(str(out), scene.to_json_text())
     gt_path = out.with_suffix(".gt.txt") if out.suffix else out.parent / (out.name + ".gt.txt")
     size = (scene.config.image_width, scene.config.image_height)
-    _write_text(str(gt_path), format_mot(scene.gt_tracklets(), image_size=size))
+    write_mot(scene.gt_tracklets(), str(gt_path), image_size=size)
     print(f"wrote {out} and {gt_path}: {scene.config.n_objects} objects, "
           f"{scene.config.n_frames} frames")
     return 0
 
 
 def _cmd_track(args: argparse.Namespace) -> int:
-    from .mot_io import format_mot
+    from .mot_io import write_mot
     from .simulator import track_scene
 
     run = _run_config(args)
     scene = _load_scene(args.scene)
     tracklets = track_scene(scene, run.tracker, run.oracle)
     size = (scene.config.image_width, scene.config.image_height)
-    _write_text(args.output, format_mot(tracklets, image_size=size))
+    write_mot(tracklets, args.output, image_size=size)
     manifest = {"scene_path": args.scene, "config": _scene_manifest(run, scene)}
     _write_text(args.output + ".manifest.json", _dump_json(manifest))
     print(f"wrote {args.output}: {len(tracklets)} tracks, "
@@ -203,11 +189,8 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
     rows = [",".join(("lambda", "phi", "ns", "trials", *SCORES))]
     gt = scene.gt_tracklets()
-    # lambda (the training cost reduction) reaches neither tracking nor
-    # evaluation, and phi cannot change a one-shadow run (the min, max and
-    # fsum mean of one score are that score, and argmax emits shadow 0), so
-    # cells that differ only there share one run
-    metric_columns: dict[tuple[Optional[str], int], list[str]] = {}
+    # cells whose tracker configs have one TrackerConfig.run_key share a run
+    metric_columns: dict[TrackerConfig, list[str]] = {}
     values = {"lambda": REDUCTIONS, "phi": REDUCTIONS, "ns": (1, 2, 3, 4, 5, 6)}
     for combo in itertools.product(*(values[a] for a in axes)):
         cell = dict(zip(axes, combo))
@@ -217,9 +200,9 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
             score_reduction=cell.get("phi", run.tracker.shadow.score_reduction),
             n_shadows=cell.get("ns", run.tracker.shadow.n_shadows),
         )
-        key = (shadow.score_reduction if shadow.n_shadows > 1 else None, shadow.n_shadows)
+        tracker_cfg = replace(run.tracker, shadow=shadow)
+        key = tracker_cfg.run_key()
         if key not in metric_columns:
-            tracker_cfg = replace(run.tracker, shadow=shadow)
             metric_columns[key] = _mean_metric_columns(scene, gt, run, tracker_cfg, args.trials)
         rows.append(",".join([
             shadow.cost_reduction,

@@ -10,7 +10,7 @@ reproducible run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 if TYPE_CHECKING:
     from .matching import CostWeights
@@ -193,11 +193,17 @@ def _build(cls, section: str, resolved: Mapping[str, object], **extra):
     try:
         return cls(**kwargs, **extra)
     except ValueError as exc:
-        where, _, problem = str(exc).partition(": ")
-        field = where.partition("[")[0]  # occlusions[1] -> occlusions
-        # a bound on a product names each factor: n_frames * n_objects
-        key = " * ".join(_KEYS.get(name, prefix + name) for name in field.split(" * "))
-        raise ConfigError(f"{key}{where[len(field):]}: {problem}") from None
+        raise ConfigError(_name_keys(str(exc), lambda name: _KEYS.get(name, prefix + name))) from None
+
+
+def _name_keys(message: str, key_of: Callable[[str], str]) -> str:
+    """A range error ``field: problem`` with its field named by
+    ``key_of(field)``.  An index stays (``occlusions[1]``), and a bound on
+    a product names each factor (``n_frames * n_objects``)."""
+    where, _, problem = message.partition(": ")
+    field = where.partition("[")[0]  # occlusions[1] -> occlusions
+    key = " * ".join(key_of(name) for name in field.split(" * "))
+    return f"{key}{where[len(field):]}: {problem}"
 
 
 def describe_defaults() -> str:

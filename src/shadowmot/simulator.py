@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Literal, NamedTuple, Seque
 
 import numpy as np
 
+from .config import _name_keys
 from .geometry import BoundingBox, _corners, _iou, _rows
 from .matching import ClassScores
 from .mot_io import Tracklets
@@ -169,9 +170,7 @@ class SceneConfig:
         try:
             return cls(**kwargs)
         except ValueError as exc:
-            where, _, problem = str(exc).partition(": ")
-            keys = " * ".join("config." + key for key in where.split(" * "))
-            raise ValueError(f"{keys}: {problem}") from None
+            raise ValueError(_name_keys(str(exc), lambda name: "config." + name)) from None
 
 
 @dataclass(frozen=True)
@@ -678,9 +677,8 @@ def oracle_decode(
     return layers
 
 
-def _live_layer(
-    scene: Scene, tracker: ShadowTracker, frame: int, cfg: OracleConfig, layer: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _live_layer(scene: Scene, tracker: ShadowTracker, frame: int, cfg: OracleConfig,
+                layer: int) -> tuple[np.ndarray, np.ndarray]:
     """Decoder layer ``layer`` (1-based) at ``frame`` of the live sets of
     ``tracker``, tracks then bank: boxes ``[S, ns, 4]``, scores ``[S, ns]``."""
     anchors, n_tracks = tracker._live_anchors()

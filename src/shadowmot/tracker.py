@@ -10,7 +10,7 @@ best member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -59,6 +59,15 @@ class TrackerConfig:
             raise ValueError(f"patience: must be >= 0, got {self.patience}")
         if self.assignment_mode not in ("tala", "cola"):
             raise ValueError(f"assignment_mode: must be 'tala' or 'cola', got {self.assignment_mode!r}")
+
+    def run_key(self) -> TrackerConfig:
+        """This config with the reductions a tracking run cannot see set to
+        one value: the training cost reduction and, with one shadow, the
+        gate's (the min, max and fsum mean of one score are that score)."""
+        shadow = replace(self.shadow, cost_reduction="max")
+        if shadow.n_shadows == 1:
+            shadow = replace(shadow, score_reduction="min")
+        return replace(self, shadow=shadow)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -215,6 +217,15 @@ class TestWriteReadCycle:
         write_mot(loaded, str(second))
         assert read_mot(str(second)) == loaded
         assert (tmp_path / "b.txt").read_text() == format_mot(loaded)
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_write_error_names_the_file(self):
+        # the final flush of a full device raises an OSError with no name
+        b = BoundingBox(cx=10.0, cy=10.0, w=4.0, h=4.0)
+        with pytest.raises(OSError) as info:
+            write_mot(tracklets_from_rows([(1, 1, b, 0.9)]), "/dev/full")
+        assert info.value.filename == "/dev/full"
+        assert "'/dev/full'" in str(info.value)
 
     def test_output_sorted_by_frame_then_id(self, tmp_path):
         b = BoundingBox(cx=10.0, cy=10.0, w=4.0, h=4.0)
