@@ -21,6 +21,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from .config import _check_range
 from .geometry import BoundingBox, pairwise
 from .matching import ClassScores, CostMatrix, CostWeights, focal_cost, hungarian
 from .shadow import REDUCTIONS, ShadowSet
@@ -52,8 +53,7 @@ class GroundTruthObject:
     class_index: int = 0
 
     def __post_init__(self) -> None:
-        if self.class_index < 0:
-            raise ValueError(f"class_index must be >= 0, got {self.class_index}")
+        _check_range("class_index", self.class_index, 0)
 
 
 @dataclass(frozen=True)
@@ -110,10 +110,8 @@ class LabelAssignment:
     detection: Mapping[int, Target] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.layer < 1:
-            raise ValueError(f"layer index is 1-based, got {self.layer}")
-        if self.n_shadows < 1:
-            raise ValueError(f"n_shadows must be >= 1, got {self.n_shadows}")
+        _check_range("layer", self.layer, 1)
+        _check_range("n_shadows", self.n_shadows, 1)
         _check_competition(self.tracking, "tracking")
         _check_competition(self.detection, "detection")
 
@@ -148,11 +146,6 @@ class SetCostTensor:
         return self.costs.shape
 
 
-def _check_layer(layer: int, n_layers: int) -> None:
-    if not 1 <= layer <= n_layers:
-        raise ValueError(f"layer must lie in [1, {n_layers}], got {layer}")
-
-
 def _track_targets(track_ids: Sequence[int], gt: FrameGroundTruth) -> dict[int, Target]:
     present = gt.identities
     return {tid: (tid if tid in present else None) for tid in track_ids}
@@ -172,7 +165,7 @@ def tala_targets(
     vanished this frame appears nowhere in ``gt`` yet still needs its
     background target.
     """
-    _check_layer(layer, n_layers)
+    _check_range("layer", layer, 1, n_layers)
     if len(set(track_ids)) != len(track_ids):
         raise ValueError("track_ids must be unique")
     return _track_targets(track_ids, gt), gt.newborn
@@ -219,8 +212,7 @@ def build_set_cost_tensor(
     if len(n_shadows) > 1:
         raise ValueError(f"sets disagree on shadow count: {sorted(n_shadows)}")
     ns = n_shadows.pop() if n_shadows else 1
-    if ns < 1:
-        raise ValueError("every set needs at least one shadow prediction")
+    _check_range("n_shadows", ns, 1)
     shadows = [pred for per_shadow in predictions for pred in per_shadow]
     _, giou, l1 = pairwise([box for box, _ in shadows], [c.box for c in candidates])
     # the scalar focal cost once per shadow and class present: vectorised

@@ -17,7 +17,8 @@ from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .config import ConfigError, RunConfig, describe_defaults, load_run_config, parse_config_text
+from .config import (_FIELDS, ConfigError, RunConfig, _check_range, describe_defaults,
+                     load_run_config, parse_config_text)
 from .mot_io import Tracklets, _read_ascii as _read_text, _write_ascii as _write_text
 
 if TYPE_CHECKING:
@@ -182,10 +183,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     run = _run_config(args)
     scene = _load_scene(args.scene)
     axes = _parse_grid(args.grid)
-    if args.trials < 1:
-        raise ConfigError(f"--trials: must be >= 1, got {args.trials}")
-    if args.trials > 10000:
-        raise ConfigError(f"--trials: must be <= 10000, got {args.trials}")
+    _check_range("--trials", args.trials, 1, 10000)
 
     rows = [",".join(("lambda", "phi", "ns", "trials", *SCORES))]
     gt = scene.gt_tracklets()
@@ -193,13 +191,9 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     metric_columns: dict[TrackerConfig, list[str]] = {}
     values = {"lambda": REDUCTIONS, "phi": REDUCTIONS, "ns": (1, 2, 3, 4, 5, 6)}
     for combo in itertools.product(*(values[a] for a in axes)):
-        cell = dict(zip(axes, combo))
-        shadow = replace(
-            run.tracker.shadow,
-            cost_reduction=cell.get("lambda", run.tracker.shadow.cost_reduction),
-            score_reduction=cell.get("phi", run.tracker.shadow.score_reduction),
-            n_shadows=cell.get("ns", run.tracker.shadow.n_shadows),
-        )
+        # each axis sets the ShadowConfig field of its config key
+        shadow = replace(run.tracker.shadow,
+                         **{_FIELDS["shadow." + a]: v for a, v in zip(axes, combo)})
         tracker_cfg = replace(run.tracker, shadow=shadow)
         key = tracker_cfg.run_key()
         if key not in metric_columns:
@@ -226,10 +220,8 @@ def _cmd_assign_debug(args: argparse.Namespace) -> int:
     run = _run_config(args)
     scene = _load_scene(args.scene)
     n_layers = run.tracker.n_layers
-    if not 1 <= args.layer <= n_layers:
-        raise ConfigError(f"--layer must lie in [1, {n_layers}], got {args.layer}")
-    if not 1 <= args.frame <= scene.n_frames:
-        raise ConfigError(f"--frame must lie in [1, {scene.n_frames}], got {args.frame}")
+    _check_range("--layer", args.layer, 1, n_layers)
+    _check_range("--frame", args.frame, 1, scene.n_frames)
 
     # replay the frames before the one shown on the array loop of track
     tracker = ShadowTracker(run.tracker, seed=run.oracle.seed)

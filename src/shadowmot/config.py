@@ -9,6 +9,7 @@ reproducible run.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping
 
@@ -58,7 +59,7 @@ _SCHEMA: dict[str, tuple] = {
     "scene.occlusions": (_parse_occlusions, (), "comma list of id:start:end windows"),
     "scene.image_width": (int, 1920, "image width in pixels, 1 to 100000"),
     "scene.image_height": (int, 1080, "image height in pixels, 1 to 100000"),
-    "oracle.box_noise_std": (float, 0.0, "per-shadow box noise std at layer 1"),
+    "oracle.box_noise_std": (float, 0.0, "per-shadow box noise std at layer 1, 0 to 1000000"),
     "oracle.base_score": (float, 0.9, "score served for a captured object"),
     "oracle.occ_drop": (float, 0.6, "score drop while the object is occluded"),
     "oracle.p_corrupt": (float, 0.0, "per-shadow probability of a zeroed score"),
@@ -67,7 +68,7 @@ _SCHEMA: dict[str, tuple] = {
     "oracle.fp_score": (float, 0.1, "score of a false-positive box"),
     "shadow.ns": (int, 3, "shadows per set, 1 to 64"),
     "shadow.init": (str, "noise", "bank anchor initialization: rand, copy, or noise; rand and copy give the same anchors"),
-    "shadow.sigma_pos": (float, 1e-6, "position noise std for noisy init"),
+    "shadow.sigma_pos": (float, 1e-6, "position noise std for noisy init, 0 to 1000000"),
     "shadow.sigma_emb": (float, 1e-6, "unread (queries carry no embedding); validated >= 0 and kept in manifests"),
     "shadow.lambda": (str, "max", "training cost reduction: min, mean, or max"),
     "shadow.phi": (str, "min", "inference score reduction: min, mean, or max"),
@@ -77,13 +78,18 @@ _SCHEMA: dict[str, tuple] = {
     "tracker.n_detection_sets": (int, 60, "detection sets per frame, 1 to 10000"),
     "tracker.patience": (int, 0, "sub-threshold frames before a track dies"),
     "tracker.mode": (str, "cola", "training-target mode: tala or cola"),
-    "cost.w_class": (float, 2.0, "classification cost weight"),
-    "cost.w_l1": (float, 5.0, "L1 box cost weight"),
-    "cost.w_giou": (float, 2.0, "overlap cost weight"),
+    "cost.w_class": (float, 2.0, "classification cost weight, 0 to 1000000"),
+    "cost.w_l1": (float, 5.0, "L1 box cost weight, 0 to 1000000"),
+    "cost.w_giou": (float, 2.0, "overlap cost weight, 0 to 1000000"),
     "cost.alpha": (float, 0.25, "focal cost alpha"),
     "cost.gamma": (float, 2.0, "focal cost gamma"),
 }
 
+
+# the largest box noise, anchor noise, cost weight and scene box component:
+# boxes and costs scaled by it stay far below float overflow, and every
+# box that track writes is one that eval reads
+_MAX_SCALE = 10**6
 
 # config keys whose constructor field has another name
 _FIELDS = {
@@ -194,6 +200,27 @@ def _build(cls, section: str, resolved: Mapping[str, object], **extra):
         return cls(**kwargs, **extra)
     except ValueError as exc:
         raise ConfigError(_name_keys(str(exc), lambda name: _KEYS.get(name, prefix + name))) from None
+
+
+def _check_range(name: str, value: float, least: float, most: float | None = None) -> None:
+    """The range rule of every bounded integer, and of the bounds of a
+    finite float: ``name: must be >= least, got v``, and ``name: must be
+    <= most, got v`` above an upper bound."""
+    if value < least:
+        raise ValueError(f"{name}: must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"{name}: must be <= {most}, got {value}")
+
+
+def _check_spread(name: str, value: float, most: float | None = None) -> None:
+    """The rule of every spread: ``name: must be finite and >= 0, got v``,
+    and the range rule's message above an upper bound.  Compared, not
+    converted: an integer too large for a float is out of range, not an
+    OverflowError."""
+    if not 0 <= value <= sys.float_info.max:
+        raise ValueError(f"{name}: must be finite and >= 0, got {value!r}")
+    if most is not None:
+        _check_range(name, value, 0, most)
 
 
 def _name_keys(message: str, key_of: Callable[[str], str]) -> str:

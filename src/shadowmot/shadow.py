@@ -17,6 +17,7 @@ from typing import Iterable, Literal, Optional
 
 import numpy as np
 
+from .config import _MAX_SCALE, _check_range, _check_spread
 from .geometry import BoundingBox
 
 __all__ = [
@@ -72,8 +73,7 @@ class ShadowSet:
     def __post_init__(self) -> None:
         if self.role not in ("detection", "tracking"):
             raise ValueError(f"role must be 'detection' or 'tracking', got {self.role!r}")
-        if self.n_shadows < 1:
-            raise ValueError("a shadow set needs at least one shadow")
+        _check_range("n_shadows", self.n_shadows, 1)
         if self.role == "tracking" and self.identity is None:
             raise ValueError("tracking sets carry an identity")
         if self.role == "detection" and self.identity is not None:
@@ -107,27 +107,19 @@ class ShadowConfig:
     embed_dim: int = 256
 
     def __post_init__(self) -> None:
-        if self.n_shadows < 1:
-            raise ValueError(f"n_shadows: must be >= 1, got {self.n_shadows}")
         # the upper bounds keep every accepted size's arrays small
-        if self.n_shadows > 64:
-            raise ValueError(f"n_shadows: must be <= 64, got {self.n_shadows}")
+        _check_range("n_shadows", self.n_shadows, 1, 64)
         if self.init not in INIT_METHODS:
             raise ValueError(f"init: must be one of {INIT_METHODS}, got {self.init!r}")
-        if not (math.isfinite(self.sigma_pos) and self.sigma_pos >= 0):
-            raise ValueError(f"sigma_pos: must be finite and >= 0, got {self.sigma_pos!r}")
-        if not (math.isfinite(self.sigma_emb) and self.sigma_emb >= 0):
-            raise ValueError(f"sigma_emb: must be finite and >= 0, got {self.sigma_emb!r}")
+        _check_spread("sigma_pos", self.sigma_pos, _MAX_SCALE)
+        _check_spread("sigma_emb", self.sigma_emb)
         if self.cost_reduction not in REDUCTIONS:
             raise ValueError(f"cost_reduction: must be one of {REDUCTIONS}, got {self.cost_reduction!r}")
         if self.score_reduction not in REDUCTIONS:
             raise ValueError(f"score_reduction: must be one of {REDUCTIONS}, got {self.score_reduction!r}")
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"tau: must lie in [0, 1], got {self.tau!r}")
-        if self.embed_dim < 1:
-            raise ValueError(f"embed_dim: must be >= 1, got {self.embed_dim}")
-        if self.embed_dim > 4096:
-            raise ValueError(f"embed_dim: must be <= 4096, got {self.embed_dim}")
+        _check_range("embed_dim", self.embed_dim, 1, 4096)
 
 
 def init_query_bank(n_sets: int, cfg: ShadowConfig, seed: int) -> list[ShadowSet]:
@@ -140,8 +132,7 @@ def init_query_bank(n_sets: int, cfg: ShadowConfig, seed: int) -> list[ShadowSet
     Each set uses its own generator derived from (seed, set_id), so banks
     are reproducible and order-independent.
     """
-    if n_sets < 1:
-        raise ValueError(f"n_sets must be >= 1, got {n_sets}")
+    _check_range("n_sets", n_sets, 1)
     bank: list[ShadowSet] = []
     for set_id in range(n_sets):
         rng = np.random.default_rng([seed, set_id])

@@ -17,14 +17,12 @@ every output is reproducible draw for draw.
 from __future__ import annotations
 
 import json
-import math
-import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import _name_keys
+from .config import _MAX_SCALE, _check_range, _check_spread, _name_keys
 from .geometry import BoundingBox, _corners, _iou, _rows
 from .matching import ClassScores
 from .mot_io import Tracklets
@@ -79,27 +77,15 @@ class SceneConfig:
         # each message starts with the field it is about, e.g.
         # "n_frames: must be >= 1, got 0", so that readers of a scene
         # document or a config file can put their own prefix on it
-        if self.n_frames < 1:
-            raise ValueError(f"n_frames: must be >= 1, got {self.n_frames}")
-        if self.n_frames > 100000:
-            raise ValueError(f"n_frames: must be <= 100000, got {self.n_frames}")
-        if self.n_objects < 0:
-            raise ValueError(f"n_objects: must be >= 0, got {self.n_objects}")
-        if self.n_objects > 10000:
-            raise ValueError(f"n_objects: must be <= 10000, got {self.n_objects}")
+        _check_range("n_frames", self.n_frames, 1, 100000)
+        _check_range("n_objects", self.n_objects, 0, 10000)
         if self.schedule not in ("all-at-start", "uniform"):
             raise ValueError(
                 f"schedule: must be 'all-at-start' or 'uniform', got {self.schedule!r}"
             )
-        # compared, not converted: an integer too large for a float is out
-        # of range, not an OverflowError
-        if not 0 <= self.jitter <= sys.float_info.max:
-            raise ValueError(f"jitter: must be finite and >= 0, got {self.jitter!r}")
-        for name in ("image_width", "image_height"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)}")
-            if getattr(self, name) > 100000:
-                raise ValueError(f"{name}: must be <= 100000, got {getattr(self, name)}")
+        _check_spread("jitter", self.jitter)
+        _check_range("image_width", self.image_width, 1, 100000)
+        _check_range("image_height", self.image_height, 1, 100000)
         occs = tuple((int(i), int(a), int(b)) for i, a, b in self.occlusions)
         object.__setattr__(self, "occlusions", occs)
         for n, (identity, start, end) in enumerate(occs):
@@ -192,8 +178,7 @@ class OracleConfig:
     fp_score: float = 0.1
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.box_noise_std) and self.box_noise_std >= 0):
-            raise ValueError(f"box_noise_std: must be finite and >= 0, got {self.box_noise_std!r}")
+        _check_spread("box_noise_std", self.box_noise_std, _MAX_SCALE)
         for name in ("base_score", "occ_drop", "p_corrupt", "fp_rate", "fp_score"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -317,8 +302,7 @@ class Scene:
             identity, frames = entry["id"], entry["frames"]
             if type(identity) is not int:
                 raise ValueError(f"tracks[{n}].id: expected an integer, got {identity!r}")
-            if identity < 1:
-                raise ValueError(f"tracks[{n}].id: must be >= 1, got {identity}")
+            _check_range(f"tracks[{n}].id", identity, 1)
             if identity in tracks:
                 raise ValueError(f"tracks[{n}].id: duplicate id {identity}")
             if type(frames) is not list:
@@ -342,6 +326,10 @@ class Scene:
                     bbox = BoundingBox(*map(float, box))
                 except (ValueError, OverflowError) as exc:
                     raise ValueError(f"tracks[{n}].frames[{m}].box: {exc}") from None
+                # checked per frame, so the message is built only when out of range
+                far = max(box, key=abs)
+                if abs(far) > _MAX_SCALE:
+                    _check_range(f"tracks[{n}].frames[{m}].box", far, -_MAX_SCALE, _MAX_SCALE)
                 if type(visible) is not bool:
                     raise ValueError(
                         f"tracks[{n}].frames[{m}].visible: expected true or false, got {visible!r}"
@@ -467,8 +455,7 @@ def emit_training_targets(
     the live track list."""
     from .assignment import FrameGroundTruth
 
-    if not 1 <= frame <= scene.n_frames:
-        raise ValueError(f"frame {frame} outside [1, {scene.n_frames}]")
+    _check_range("frame", frame, 1, scene.n_frames)
     return FrameGroundTruth.partition(scene.visible_objects(frame), track_ids)
 
 
@@ -535,8 +522,7 @@ def _frame_draws(
     and, when it has no target, a false-positive coin and a fallback box
     (detection sets) or four discarded doubles (tracking sets, which fall
     back to their anchor)."""
-    if not 1 <= frame <= scene.n_frames:
-        raise ValueError(f"frame {frame} outside [1, {scene.n_frames}]")
+    _check_range("frame", frame, 1, scene.n_frames)
 
     frame_rng = np.random.default_rng([cfg.seed, _STREAM_ORACLE, frame])
     corrupt_rng = np.random.default_rng([cfg.seed, _STREAM_CORRUPT, frame])
@@ -659,8 +645,7 @@ def oracle_decode(
     same shadow count.  The draws and each layer are ``[set, shadow]``
     arrays; the boxes and score tuples are built from them here.
     """
-    if n_layers < 1:
-        raise ValueError(f"n_layers must be >= 1, got {n_layers}")
+    _check_range("n_layers", n_layers, 1)
     draws = _frame_draws(scene, frame, *_set_arrays(live_sets), cfg)
     # a set without a target emits one box at every shadow and layer
     served = draws.has_target.tolist()

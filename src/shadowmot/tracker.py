@@ -15,6 +15,7 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
+from .config import _check_range
 from .geometry import BoundingBox, _rows
 from .matching import ClassScores
 from .shadow import ShadowConfig, ShadowSet, init_query_bank, reduce_values
@@ -47,16 +48,9 @@ class TrackerConfig:
     assignment_mode: AssignmentMode = "cola"
 
     def __post_init__(self) -> None:
-        if self.n_layers < 1:
-            raise ValueError(f"n_layers: must be >= 1, got {self.n_layers}")
-        if self.n_layers > 64:
-            raise ValueError(f"n_layers: must be <= 64, got {self.n_layers}")
-        if self.n_detection_sets < 1:
-            raise ValueError(f"n_detection_sets: must be >= 1, got {self.n_detection_sets}")
-        if self.n_detection_sets > 10000:
-            raise ValueError(f"n_detection_sets: must be <= 10000, got {self.n_detection_sets}")
-        if self.patience < 0:
-            raise ValueError(f"patience: must be >= 0, got {self.patience}")
+        _check_range("n_layers", self.n_layers, 1, 64)
+        _check_range("n_detection_sets", self.n_detection_sets, 1, 10000)
+        _check_range("patience", self.patience, 0)
         if self.assignment_mode not in ("tala", "cola"):
             raise ValueError(f"assignment_mode: must be 'tala' or 'cola', got {self.assignment_mode!r}")
 

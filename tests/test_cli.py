@@ -10,6 +10,7 @@ import importlib
 import json
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -669,6 +670,80 @@ class TestAssignDebug:
                        "--frame", "13", "--layer", "1", cwd=workdir)
         assert proc.returncode == 1
         assert "--frame" in proc.stderr
+
+
+class TestRangeMessages:
+    """A value out of range ends in one ``error: name: problem`` line, and
+    a run at the bound of a scale knob is clean: exit 0 and no warning,
+    with warnings as errors."""
+
+    @pytest.fixture(scope="class")
+    def scene_dir(self, tmp_path_factory) -> Path:
+        out = tmp_path_factory.mktemp("range")
+        (out / "run.cfg").write_text(_CONFIG, encoding="ascii")
+        assert cli.main(["simulate", "--config", str(out / "run.cfg"),
+                         "-o", str(out / "scene.json")]) == 0
+        return out
+
+    @staticmethod
+    def _main(capsys, argv: list[str]) -> tuple[int, list[str]]:
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+        return code, capsys.readouterr().err.splitlines()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--layer", "7", "error: --layer: must be <= 6, got 7"),
+        ("--layer", "0", "error: --layer: must be >= 1, got 0"),
+        ("--frame", "13", "error: --frame: must be <= 12, got 13"),
+        ("--frame", "-1", "error: --frame: must be >= 1, got -1"),
+    ])
+    def test_assign_debug_flag(self, scene_dir, capsys, flag, value, message):
+        given = {"--frame": "2", "--layer": "1", flag: value}
+        argv = ["assign-debug", "--scene", str(scene_dir / "scene.json"),
+                "--config", str(scene_dir / "run.cfg")]
+        for name, v in given.items():
+            argv += [name, v]
+        assert self._main(capsys, argv) == (1, [message])
+
+    @pytest.mark.parametrize("command,line,message", [
+        ("track", "oracle.box_noise_std = 1e148",
+         "error: oracle.box_noise_std: must be <= 1000000, got 1e+148"),
+        ("track", "oracle.box_noise_std = 1e160",
+         "error: oracle.box_noise_std: must be <= 1000000, got 1e+160"),
+        ("track", "oracle.box_noise_std = 1e308",
+         "error: oracle.box_noise_std: must be <= 1000000, got 1e+308"),
+        ("track", "shadow.sigma_pos = 1e200", "error: shadow.sigma_pos: must be <= 1000000, got 1e+200"),
+        ("track", "shadow.sigma_pos = 1e308", "error: shadow.sigma_pos: must be <= 1000000, got 1e+308"),
+        ("assign-debug", "cost.w_class = 1e308", "error: cost.w_class: must be <= 1000000, got 1e+308"),
+        ("track", "cost.w_l1 = 1000000.5", "error: cost.w_l1: must be <= 1000000, got 1000000.5"),
+    ])
+    def test_scale_above_its_bound(self, scene_dir, capsys, command, line, message):
+        (scene_dir / "big.cfg").write_text(_CONFIG + line + "\n", encoding="ascii")
+        argv = [command, "--scene", str(scene_dir / "scene.json"),
+                "--config", str(scene_dir / "big.cfg")]
+        argv += (["--frame", "2", "--layer", "1"] if command == "assign-debug"
+                 else ["-o", str(scene_dir / "big.txt")])
+        assert self._main(capsys, argv) == (1, [message])
+
+    def test_scales_at_their_bound_run_clean(self, scene_dir, capsys):
+        # the boxes that track writes are ones eval reads back
+        cfg = scene_dir / "bound.cfg"
+        cfg.write_text(_CONFIG + "".join(
+            f"{key} = 1e6\n" for key in ("oracle.box_noise_std", "shadow.sigma_pos",
+                                          "cost.w_class", "cost.w_l1", "cost.w_giou")),
+            encoding="ascii")
+        scene, results = str(scene_dir / "scene.json"), str(scene_dir / "bound.txt")
+        for argv in (
+            ["track", "--scene", scene, "--config", str(cfg), "-o", results],
+            ["eval", "--gt", str(scene_dir / "scene.gt.txt"), "--results", results,
+             "-o", str(scene_dir / "bound.json")],
+            ["assign-debug", "--scene", scene, "--config", str(cfg), "--frame", "5", "--layer", "1"],
+            ["ablate", "--scene", scene, "--config", str(cfg), "--grid", "ns",
+             "-o", str(scene_dir / "bound.csv")],
+        ):
+            assert self._main(capsys, argv) == (0, []), argv
 
 
 # uniform arrivals, two occlusion windows, corrupted shadows and false

@@ -2,7 +2,12 @@ from __future__ import annotations
 
 import pytest
 
-from shadowmot import ConfigError, load_run_config, parse_config_text
+from shadowmot import (
+    BoundingBox, ConfigError, CostWeights, FrameGroundTruth, GroundTruthObject, LabelAssignment,
+    OracleConfig, SceneConfig, ShadowConfig, ShadowSet, build_set_cost_tensor, cola_targets,
+    emit_training_targets, generate_scene, init_query_bank, load_run_config, oracle_decode,
+    parse_config_text, tala_targets,
+)
 from shadowmot.config import _SCHEMA, describe_defaults
 
 
@@ -143,11 +148,71 @@ class TestLoadRunConfig:
          "shadow.lambda: must be one of ('min', 'mean', 'max'), got 'sum'"),
         ("shadow.phi", "median",
          "shadow.phi: must be one of ('min', 'mean', 'max'), got 'median'"),
+        ("shadow.sigma_pos", "-1", "shadow.sigma_pos: must be finite and >= 0, got -1.0"),
+        ("shadow.sigma_emb", "nan", "shadow.sigma_emb: must be finite and >= 0, got nan"),
+        ("oracle.box_noise_std", "-0.5", "oracle.box_noise_std: must be finite and >= 0, got -0.5"),
+        ("shadow.embed_dim", "0", "shadow.embed_dim: must be >= 1, got 0"),
+        ("tracker.n_detection_sets", "0", "tracker.n_detection_sets: must be >= 1, got 0"),
+        ("oracle.box_noise_std", "1e148", "oracle.box_noise_std: must be <= 1000000, got 1e+148"),
+        ("shadow.sigma_pos", "1000001", "shadow.sigma_pos: must be <= 1000000, got 1000001.0"),
+        ("cost.w_class", "1e308", "cost.w_class: must be <= 1000000, got 1e+308"),
+        ("cost.w_giou", "inf", "cost.w_giou: must be finite and non-negative, got inf"),
     ])
     def test_range_error_names_its_key(self, key, value, message):
         with pytest.raises(ConfigError) as info:
             load_run_config({key: value})
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("build,message", [
+        pytest.param(lambda: ShadowConfig(n_shadows=0), "n_shadows: must be >= 1, got 0",
+                     id="shadow-n_shadows"),
+        pytest.param(lambda: GroundTruthObject(1, BoundingBox(0.5, 0.5, 0.1, 0.1), class_index=-1),
+                     "class_index: must be >= 0, got -1", id="class_index"),
+        pytest.param(lambda: LabelAssignment(layer=0, n_shadows=1), "layer: must be >= 1, got 0",
+                     id="assignment-layer"),
+        pytest.param(lambda: LabelAssignment(layer=1, n_shadows=0), "n_shadows: must be >= 1, got 0",
+                     id="assignment-n_shadows"),
+        pytest.param(lambda: tala_targets([], FrameGroundTruth((), ()), layer=7, n_layers=6),
+                     "layer: must be <= 6, got 7", id="tala-layer"),
+        pytest.param(lambda: cola_targets([], FrameGroundTruth((), ()), layer=0, n_layers=6),
+                     "layer: must be >= 1, got 0", id="cola-layer"),
+        pytest.param(lambda: init_query_bank(0, ShadowConfig(), seed=0), "n_sets: must be >= 1, got 0",
+                     id="n_sets"),
+        pytest.param(lambda: oracle_decode(generate_scene(SceneConfig(n_frames=2, n_objects=1)), 1, [],
+                                           OracleConfig(), n_layers=0),
+                     "n_layers: must be >= 1, got 0", id="oracle-n_layers"),
+        pytest.param(lambda: ShadowSet(0, "detection", BoundingBox(0.5, 0.5, 0.1, 0.1), n_shadows=0),
+                     "n_shadows: must be >= 1, got 0", id="shadow-set-n_shadows"),
+        pytest.param(lambda: build_set_cost_tensor([[]], [0], [], CostWeights()),
+                     "n_shadows: must be >= 1, got 0", id="cost-tensor-n_shadows"),
+        pytest.param(lambda: emit_training_targets(generate_scene(SceneConfig(n_frames=2, n_objects=1)),
+                                                   3, []),
+                     "frame: must be <= 2, got 3", id="targets-frame"),
+        pytest.param(lambda: oracle_decode(generate_scene(SceneConfig(n_frames=2, n_objects=1)), 0, [],
+                                           OracleConfig(), n_layers=6),
+                     "frame: must be >= 1, got 0", id="oracle-frame"),
+        # 10**400 is compared, not converted to a float
+        pytest.param(lambda: OracleConfig(box_noise_std=10**400),
+                     f"box_noise_std: must be finite and >= 0, got {10**400}", id="huge-box-noise"),
+        pytest.param(lambda: ShadowConfig(sigma_pos=10**400),
+                     f"sigma_pos: must be finite and >= 0, got {10**400}", id="huge-sigma-pos"),
+        pytest.param(lambda: CostWeights(w_l1=10**400),
+                     f"w_l1: must be finite and non-negative, got {10**400}", id="huge-w-l1"),
+        pytest.param(lambda: CostWeights(gamma=10**400),
+                     f"gamma: must be finite and non-negative, got {10**400}", id="huge-gamma"),
+    ])
+    def test_library_range_error_names_its_field(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_scale_bound_is_inclusive_and_in_the_help(self):
+        keys = ("oracle.box_noise_std", "shadow.sigma_pos", "cost.w_class", "cost.w_l1", "cost.w_giou")
+        run = load_run_config({key: "1000000" for key in keys})
+        assert run.oracle.box_noise_std == run.tracker.shadow.sigma_pos == 1e6
+        assert (run.weights.w_class, run.weights.w_l1, run.weights.w_giou) == (1e6, 1e6, 1e6)
+        for key in keys:
+            assert _SCHEMA[key][2].endswith(", 0 to 1000000")
 
     def test_overrides_beat_file_pairs(self):
         run = load_run_config({"shadow.ns": "2"}, overrides={"shadow.ns": 5})

@@ -1,13 +1,17 @@
 """Fuzz tests of the input boundary.
 
 Scene documents, config text, MOT files and flag values are mutated from
-small valid inputs.  Every command must then exit 0, or exit 1 with exactly
-one ``error:`` line on stderr; nothing may end in a traceback.  The inputs
-stay small, and every integer a mutation can write is small, so that no
+small valid inputs.  Every command must then exit 0 with nothing on
+stderr, or exit 1 with exactly one ``error:`` line; nothing may end in a
+traceback or a warning, and each run has a deadline.  The inputs stay
+small.  Besides small values, the scene document, config text and flag
+fuzz write huge numbers: integers from 10**6 to 10**400, floats up to
+1e308 and subnormals.  Every size key's bound is below 10**6, so no
 mutated input asks for a long run.
 
-The commands run in-process through ``cli.main``, so an exception that
-escapes it fails the test with its traceback.
+The commands run in-process through ``cli.main`` with warnings as errors,
+so a warning or an exception that escapes it fails the test with its
+traceback.
 """
 
 from __future__ import annotations
@@ -17,12 +21,14 @@ import json
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 from pathlib import Path
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, event, given, settings
 
 from shadowmot import MotFormatError, SceneConfig, cli, evaluate, generate_scene, read_mot
+from shadowmot.config import _SCHEMA
 from shadowmot.metrics import _overlaps
 from shadowmot.mot_io import _read_ascii, _read_lines, _read_rows
 
@@ -63,8 +69,14 @@ _RESULTS = """\
 # inf and exponents, line breaks, and one non-ASCII character
 _CHARS = st.sampled_from(list("0123456789.,-+e =#\n\tnaifx_") + ["é"])
 
+# huge numbers of either sign, and subnormals
+_HUGE = (
+    st.integers(10**6, 10**400) | st.integers(-10**400, -10**6)
+    | st.floats(-1e308, 1e308) | st.sampled_from([1e308, -1e308, 5e-324, 2.2e-308, -5e-324])
+)
+
 _JSON_LEAF = (
-    st.none() | st.booleans() | st.integers(-2, 9)
+    st.none() | st.booleans() | st.integers(-2, 9) | _HUGE
     | st.floats() | st.text(st.sampled_from("tboxidvsa1"), max_size=3)
 )
 _JSON_VALUE = st.recursive(
@@ -103,12 +115,31 @@ def _containers(doc, path=()):
             yield from _containers(value, path + (key,))
 
 
+def _numbers(doc, path=()):
+    """The path of every number inside ``doc``."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _numbers(value, path + (key,))
+        elif type(value) in (int, float):
+            yield path + (key,)
+
+
 @st.composite
 def _mutated_scene(draw) -> str:
     """The scene document's text after one to three structural edits
-    (replace, delete or add a value), and sometimes one text edit."""
+    (replace, delete or add a value, or make a number huge), and sometimes
+    one text edit."""
     doc = json.loads(json.dumps(_SCENE))
     for _ in range(draw(st.integers(1, 3))):
+        numbers = list(_numbers(doc))
+        if numbers and draw(st.integers(0, 3)) == 0:
+            *where, key = draw(st.sampled_from(numbers))
+            target = doc
+            for step in where:
+                target = target[step]
+            target[key] = draw(_HUGE)
+            continue
         paths = list(_containers(doc))
         target = doc
         for key in draw(st.sampled_from(paths)):
@@ -133,9 +164,20 @@ def _mutated_scene(draw) -> str:
     return text
 
 
+@st.composite
+def _huge_config(draw) -> str:
+    """The config text with one numeric key, set in it or not, given a
+    huge value."""
+    key = draw(st.sampled_from([k for k, (convert, _, _) in _SCHEMA.items()
+                                if convert in (int, float)]))
+    lines = [line for line in _CONFIG.splitlines() if not line.startswith(key + " ")]
+    return "\n".join(lines + [f"{key} = {draw(_HUGE)!r}"]) + "\n"
+
+
 def _run(argv: list[str]) -> tuple[int, str]:
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = cli.main(argv)
     return code, err.getvalue()
 
@@ -155,7 +197,9 @@ def _write(path: Path, text: str) -> str:
     return str(path)
 
 
-_FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# the deadline of one example, a few commands on a four-frame scene
+_FUZZ = settings(max_examples=150, deadline=timedelta(seconds=5),
+                 suppress_health_check=[HealthCheck.too_slow])
 
 
 class TestCliBoundary:
@@ -171,7 +215,8 @@ class TestCliBoundary:
             _assert_clean_exit(*_run(argv))
 
     @_FUZZ
-    @given(config=_mutated_text(_CONFIG), command=st.sampled_from(["simulate", "track"]))
+    @given(config=_mutated_text(_CONFIG) | _huge_config(),
+           command=st.sampled_from(["simulate", "track"]))
     def test_mutated_config_text(self, config, command):
         with tempfile.TemporaryDirectory() as tmp:
             d = Path(tmp)
@@ -198,7 +243,7 @@ class TestCliBoundary:
         flags=st.lists(
             st.one_of(
                 st.tuples(st.sampled_from(["--ns", "--patience", "--seed"]),
-                          st.integers(-2, 4).map(str)),
+                          (st.integers(-2, 4) | st.integers(10**6, 10**400)).map(str)),
                 st.tuples(st.just("--tau"),
                           st.floats(allow_subnormal=False).map(repr)
                           | st.sampled_from(["nan", "inf", "-inf", "-0.0", "1"])),

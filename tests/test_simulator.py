@@ -249,6 +249,9 @@ class TestSceneViews:
         ("unknown-track-key", "tracks[0]: unknown keys ['junk']"),
         ("unknown-frame-key", "tracks[0].frames[0]: unknown keys ['colour']"),
         ("huge-int-box", "tracks[0].frames[1].box: int too large to convert to float"),
+        ("far-box", "tracks[0].frames[1].box: must be <= 1000000, got 1e+308"),
+        ("far-negative-box", "tracks[0].frames[1].box: must be >= -1000000, got -1000000.5"),
+        ("huge-int-extent", "tracks[0].frames[1].box: must be <= 1000000, got 1000001"),
         ("bool-version", "unsupported scene document version True"),
     ])
     def test_scene_json_defect_names_its_path(self, defect, message):
@@ -340,6 +343,12 @@ class TestSceneViews:
             track["frames"][0]["colour"] = "red"
         elif defect == "huge-int-box":
             frame["box"] = [10 ** 400, 0.5, 0.1, 0.1]
+        elif defect == "far-box":
+            frame["box"] = [0.5, 1e308, 0.1, 0.1]
+        elif defect == "far-negative-box":
+            frame["box"] = [-1000000.5, 0.5, 0.1, 0.1]
+        elif defect == "huge-int-extent":
+            frame["box"] = [0.5, 0.5, 1000001, 0.1]
         elif defect == "bool-version":
             doc["version"] = True
         else:
@@ -349,19 +358,23 @@ class TestSceneViews:
         assert str(info.value) == message
 
 
-# box components a scene document may hold: signed zeros, subnormals and
-# values that json writes in exponent form
-_COMPONENT = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+# box components a scene document may hold, at most 10**6 from 0: signed
+# zeros, subnormals, the bound and values that json writes in exponent form
+_COMPONENT = st.floats(-1e6, 1e6) | st.sampled_from(
+    [0.0, -0.0, 1e-300, 5e-324, 1e6, -1e6, 0.1, 1e-07]
+)
+# any finite component, which a scene built in memory may hold
+_ANY_COMPONENT = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [0.0, -0.0, 1e-300, 5e-324, 1e16, 1.5e300, 0.1, 1e-07]
 )
-_EXTENT = _COMPONENT.map(abs) | st.just(-0.0)
 
 
 @st.composite
-def _scene_documents(draw) -> dict:
-    """A valid scene document: any finite centers, non-negative extents,
-    visible flags, tracks with no frames, occlusions and an integer or
-    float jitter."""
+def _scene_documents(draw, component=_COMPONENT) -> dict:
+    """A scene document: centers drawn from ``component`` (valid with the
+    default), non-negative extents, visible flags, tracks with no frames,
+    occlusions and an integer or float jitter."""
+    extent = component.map(abs) | st.just(-0.0)
     n_frames = draw(st.integers(1, 5))
     n_objects = draw(st.integers(0, 4))
     tracks = []
@@ -369,8 +382,7 @@ def _scene_documents(draw) -> dict:
         frames = sorted(draw(st.sets(st.integers(1, n_frames), max_size=n_frames)))
         tracks.append({"id": identity, "frames": [
             {"t": t,
-             "box": [draw(_COMPONENT), draw(_COMPONENT),
-                     draw(_EXTENT), draw(_EXTENT)],
+             "box": [draw(component), draw(component), draw(extent), draw(extent)],
              "visible": draw(st.booleans())}
             for t in frames
         ]})
@@ -392,6 +404,17 @@ class TestSceneWriter:
     @given(doc=_scene_documents())
     def test_loaded_scene_equals_json_dumps(self, doc):
         scene = Scene.from_json(json.loads(json.dumps(doc)))
+        assert scene.to_json_text() == json.dumps(scene.to_json(), indent=2) + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_scene_documents(_ANY_COMPONENT))
+    def test_scene_of_any_finite_boxes_equals_json_dumps(self, doc):
+        # built in memory, past the bound of a scene document's boxes
+        scene = Scene(SceneConfig.from_json(doc["config"]), {
+            track["id"]: tuple(SceneFrame(f["t"], BoundingBox(*f["box"]), f["visible"])
+                               for f in track["frames"])
+            for track in doc["tracks"]
+        })
         assert scene.to_json_text() == json.dumps(scene.to_json(), indent=2) + "\n"
 
     @settings(max_examples=40, deadline=None)
