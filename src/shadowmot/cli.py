@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .config import (_FIELDS, ConfigError, RunConfig, _check_range, describe_defaults,
+from .config import (_FIELDS, _SCHEMA, ConfigError, RunConfig, _check_range, describe_defaults,
                      load_run_config, parse_config_text)
 from .mot_io import Tracklets, _read_ascii as _read_text, _write_ascii as _write_text
 
@@ -26,8 +26,6 @@ if TYPE_CHECKING:
     from .tracker import TrackerConfig
 
 __all__ = ["main"]
-
-_GRID_AXES = ("lambda", "phi", "ns")
 
 
 def _dump_json(doc: dict) -> str:
@@ -53,6 +51,8 @@ _OVERRIDE_FLAGS = {
     "--phi": ("phi", "shadow.phi"),
     "--tau": ("tau", "shadow.tau"),
     "--patience": ("patience", "tracker.patience"),
+    "--tala": ("mode", "tracker.mode"),
+    "--cola": ("mode", "tracker.mode"),
 }
 
 
@@ -67,10 +67,6 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             overrides[key] = value
             flags[key] = flag
-    if getattr(args, "tala", False):
-        overrides["tracker.mode"] = "tala"
-    if getattr(args, "cola", False):
-        overrides["tracker.mode"] = "cola"
     try:
         return load_run_config(_config_pairs(args.config), overrides)
     except ConfigError as exc:
@@ -80,17 +76,20 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"{flags[key]}: {problem}") from None
 
 
+def _add_override_flags(p: argparse.ArgumentParser, *flags: str) -> None:
+    """``flags``, each typed and described as the config key it sets."""
+    for flag in flags:
+        dest, key = _OVERRIDE_FLAGS[flag]
+        convert, _, help_text = _SCHEMA[key]
+        p.add_argument(flag, dest=dest, type=convert, default=None, help=help_text)
+
+
 def _add_tracking_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ns", type=int, default=None, help="shadows per set")
-    p.add_argument("--lambda", dest="lam", default=None,
-                   help="training cost reduction: min, mean, or max")
-    p.add_argument("--phi", default=None, help="inference score reduction: min, mean, or max")
-    p.add_argument("--tau", type=float, default=None, help="confidence threshold")
-    p.add_argument("--patience", type=int, default=None,
-                   help="sub-threshold frames before track removal")
+    _add_override_flags(p, "--ns", "--lambda", "--phi", "--tau", "--patience")
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--tala", action="store_true", help="competition-only training targets")
-    mode.add_argument("--cola", action="store_true",
+    mode.add_argument("--tala", dest="mode", action="store_const", const="tala",
+                      help="competition-only training targets")
+    mode.add_argument("--cola", dest="mode", action="store_const", const="cola",
                       help="coopetition training targets at intermediate layers")
 
 
@@ -141,13 +140,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_grid(spec: str) -> list[str]:
+def _parse_grid(spec: str, known: Sequence[str]) -> list[str]:
     axes = [a.strip() for a in spec.replace("×", "x").split("x") if a.strip()]
     if not axes:
         raise ConfigError(f"empty grid spec {spec!r}")
     for axis in axes:
-        if axis not in _GRID_AXES:
-            raise ConfigError(f"unknown grid axis {axis!r}, expected one of {sorted(_GRID_AXES)}")
+        if axis not in known:
+            raise ConfigError(f"unknown grid axis {axis!r}, expected one of {sorted(known)}")
     if len(set(axes)) != len(axes):
         raise ConfigError(f"repeated grid axis in {spec!r}")
     return axes
@@ -182,14 +181,14 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
     run = _run_config(args)
     scene = _load_scene(args.scene)
-    axes = _parse_grid(args.grid)
+    values = {"lambda": REDUCTIONS, "phi": REDUCTIONS, "ns": (1, 2, 3, 4, 5, 6)}
+    axes = _parse_grid(args.grid, values)
     _check_range("--trials", args.trials, 1, 10000)
 
     rows = [",".join(("lambda", "phi", "ns", "trials", *SCORES))]
     gt = scene.gt_tracklets()
     # cells whose tracker configs have one TrackerConfig.run_key share a run
     metric_columns: dict[TrackerConfig, list[str]] = {}
-    values = {"lambda": REDUCTIONS, "phi": REDUCTIONS, "ns": (1, 2, 3, 4, 5, 6)}
     for combo in itertools.product(*(values[a] for a in axes)):
         # each axis sets the ShadowConfig field of its config key
         shadow = replace(run.tracker.shadow,
@@ -282,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="config keys and defaults:\n" + describe_defaults(),
     )
     p_sim.add_argument("--config", default=None, help="config file path")
-    p_sim.add_argument("--seed", type=int, default=None, help="master seed override")
+    _add_override_flags(p_sim, "--seed")
     p_sim.add_argument("-o", "--output", required=True, help="scene JSON output path")
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -293,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_track.add_argument("--scene", required=True, help="scene JSON path")
     p_track.add_argument("--config", default=None, help="config file path")
-    p_track.add_argument("--seed", type=int, default=None, help="master seed override")
+    _add_override_flags(p_track, "--seed")
     _add_tracking_flags(p_track)
     p_track.add_argument("-o", "--output", required=True, help="MOT results output path")
     p_track.set_defaults(func=_cmd_track)
@@ -307,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_abl = sub.add_parser("ablate", help="sweep shadow configurations over a scene")
     p_abl.add_argument("--scene", required=True, help="scene JSON path")
     p_abl.add_argument("--config", default=None, help="config file path")
-    p_abl.add_argument("--seed", type=int, default=None, help="master seed override")
+    _add_override_flags(p_abl, "--seed")
     p_abl.add_argument("--grid", default="lambda x phi",
                        help="axes joined by 'x': lambda, phi, ns")
     p_abl.add_argument("--trials", type=int, default=1, help="trials per configuration, 1 to 10000")
@@ -318,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="inspect candidates, costs, and assignment at one frame/layer")
     p_dbg.add_argument("--scene", required=True, help="scene JSON path")
     p_dbg.add_argument("--config", default=None, help="config file path")
-    p_dbg.add_argument("--seed", type=int, default=None, help="master seed override")
+    _add_override_flags(p_dbg, "--seed")
     p_dbg.add_argument("--frame", type=int, required=True, help="1-based frame index")
     p_dbg.add_argument("--layer", type=int, required=True, help="1-based decoder layer")
     _add_tracking_flags(p_dbg)

@@ -10,13 +10,12 @@ unmatched.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .config import _MAX_SCALE, _check_range
+from .config import _MAX_SCALE, _check_spread
 
 __all__ = [
     "ClassScores",
@@ -47,16 +46,10 @@ class CostWeights:
 
     def __post_init__(self) -> None:
         for name in ("w_class", "w_l1", "w_giou"):
-            v = getattr(self, name)
-            # compared, not converted: 10**400 is out of range, not an
-            # OverflowError
-            if not 0 <= v <= sys.float_info.max:
-                raise ValueError(f"{name}: must be finite and non-negative, got {v!r}")
-            _check_range(name, v, 0, _MAX_SCALE)
+            _check_spread(name, getattr(self, name), _MAX_SCALE)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha: must lie in (0, 1), got {self.alpha!r}")
-        if not 0 <= self.gamma <= sys.float_info.max:
-            raise ValueError(f"gamma: must be finite and non-negative, got {self.gamma!r}")
+        _check_spread("gamma", self.gamma)
         if not self.eps > 0:
             raise ValueError(f"eps: must be positive, got {self.eps!r}")
 

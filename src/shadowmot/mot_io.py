@@ -287,18 +287,32 @@ def format_mot(
 
     With ``image_size`` the boxes are treated as normalized and scaled to
     pixels; without it they are written in whatever units they carry, which
-    is the mode that makes write-after-read value-preserving.
+    is the mode that makes write-after-read value-preserving.  A box with a
+    corner beyond ``MAX_CORNER``, as ``read_mot`` computes it from the
+    written fields, is a ValueError that names its identity and frame.
     """
     # a scale of 1 keeps every value's bits
     img_w, img_h = image_size if image_size is not None else (1, 1)
     if img_w <= 0 or img_h <= 0:
         raise ValueError(f"image dimensions must be positive, got {img_w}x{img_h}")
     rows = _rows_of(tracklets)
-    x1, y1, _, _ = _corners(rows.boxes)
-    # pixel top-left (left, top, width, height), the MOTChallenge convention
-    pixels = np.column_stack((x1, y1, rows.boxes[:, 2:])) * np.array(
-        (img_w, img_h, img_w, img_h), dtype=float
-    )
+    # an overflow or a nan fails the corner test below
+    with np.errstate(over="ignore", invalid="ignore"):
+        x1, y1, _, _ = _corners(rows.boxes)
+        # pixel top-left (left, top, width, height), the MOTChallenge convention
+        pixels = np.column_stack((x1, y1, rows.boxes[:, 2:])) * np.array(
+            (img_w, img_h, img_w, img_h), dtype=float
+        )
+        # the corners that the reader computes from the written fields
+        left, top, width, height = pixels.T
+        corners = _corners(np.column_stack((left + width / 2, top + height / 2, width, height)))
+        far = ~(np.abs(corners) <= MAX_CORNER)
+    if far.any():
+        n, side = np.argwhere(far.T)[0]
+        raise ValueError(
+            f"identity {rows.ids[n]}, frame {rows.frames[n]}: box corner "
+            f"{corners[side, n].item()!r} outside [-1e150, 1e150]"
+        )
     # float() because scores may be numpy floats; %s of a float is its repr
     return "".join([
         _ROW % (frame, identity, left, top, width, height, float(score))

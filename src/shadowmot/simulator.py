@@ -17,12 +17,12 @@ every output is reproducible draw for draw.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING, Callable, Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import _MAX_SCALE, _check_range, _check_spread, _name_keys
+from .config import _MAX_SCALE, _SCHEMA, _check_range, _check_spread, _name_keys, _parse_occlusions
 from .geometry import BoundingBox, _corners, _iou, _rows
 from .matching import ClassScores
 from .mot_io import Tracklets
@@ -86,6 +86,7 @@ class SceneConfig:
         _check_spread("jitter", self.jitter)
         _check_range("image_width", self.image_width, 1, 100000)
         _check_range("image_height", self.image_height, 1, 100000)
+        _check_range("seed", self.seed, 0)
         occs = tuple((int(i), int(a), int(b)) for i, a, b in self.occlusions)
         object.__setattr__(self, "occlusions", occs)
         for n, (identity, start, end) in enumerate(occs):
@@ -105,16 +106,7 @@ class SceneConfig:
                              f"got {self.n_frames} * {self.n_objects}")
 
     def to_json(self) -> dict:
-        return {
-            "n_frames": self.n_frames,
-            "n_objects": self.n_objects,
-            "schedule": self.schedule,
-            "jitter": self.jitter,
-            "occlusions": [list(o) for o in self.occlusions],
-            "image_width": self.image_width,
-            "image_height": self.image_height,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "occlusions": [list(o) for o in self.occlusions]}
 
     @classmethod
     def from_json(cls, doc: dict) -> "SceneConfig":
@@ -125,11 +117,10 @@ class SceneConfig:
         ``config.n_frames: must be >= 1, got 0``."""
         if not isinstance(doc, dict):
             raise ValueError("config: expected an object")
-        known = {
-            "n_frames", "n_objects", "schedule", "jitter", "occlusions",
-            "image_width", "image_height", "seed",
-        }
-        unknown = set(doc) - known
+        # each key's JSON type follows its converter in the config schema
+        converters = {f.name: (_SCHEMA.get("scene." + f.name) or _SCHEMA[f.name])[0]
+                      for f in fields(cls)}
+        unknown = set(doc) - converters.keys()
         if unknown:
             raise ValueError(f"config: unknown keys {sorted(unknown)}")
         for key in ("n_frames", "n_objects"):
@@ -137,13 +128,8 @@ class SceneConfig:
         kwargs = dict(doc)
         for key, value in doc.items():
             path = f"config.{key}"
-            if key == "schedule":
-                if type(value) is not str:
-                    raise ValueError(f"{path}: expected a string, got {value!r}")
-            elif key == "jitter":
-                if type(value) not in _NUMBER_TYPES:
-                    raise ValueError(f"{path}: expected a number, got {value!r}")
-            elif key == "occlusions":
+            convert = converters[key]
+            if convert is _parse_occlusions:
                 for n, window in enumerate(_list(value, path)):
                     if not (type(window) is list and len(window) == 3
                             and all(type(v) is int for v in window)):
@@ -151,8 +137,8 @@ class SceneConfig:
                             f"{path}[{n}]: expected a list of 3 integers, got {window!r}"
                         )
                 kwargs[key] = tuple(tuple(w) for w in value)
-            elif type(value) is not int:
-                raise ValueError(f"{path}: expected an integer, got {value!r}")
+            elif type(value) not in _JSON_TYPES[convert][0]:
+                raise ValueError(f"{path}: expected {_JSON_TYPES[convert][1]}, got {value!r}")
         try:
             return cls(**kwargs)
         except ValueError as exc:
@@ -178,6 +164,7 @@ class OracleConfig:
     fp_score: float = 0.1
 
     def __post_init__(self) -> None:
+        _check_range("seed", self.seed, 0)
         _check_spread("box_noise_std", self.box_noise_std, _MAX_SCALE)
         for name in ("base_score", "occ_drop", "p_corrupt", "fp_rate", "fp_score"):
             v = getattr(self, name)
@@ -363,6 +350,10 @@ def _json_list(items: list[str], indent: str) -> str:
 _TRACK_KEYS = {"id", "frames"}
 _FRAME_KEYS = {"t", "box", "visible"}
 _NUMBER_TYPES = {int, float}
+# converter of a config key -> the exact types json.loads makes of its
+# values, and their name in an error
+_JSON_TYPES = {int: ({int}, "an integer"), float: (_NUMBER_TYPES, "a number"),
+               str: ({str}, "a string")}
 
 
 def _check_keys(obj: object, keys: tuple[str, ...], path: str) -> None:

@@ -136,6 +136,15 @@ class TestTrack:
         assert cfg["tracker.mode"] == "cola"
         assert cfg["tracker.n_detection_sets"] == 6
 
+    @pytest.mark.parametrize("flags,mode", [((), "cola"), (("--tala",), "tala"), (("--cola",), "cola")],
+                             ids=["neither", "tala", "cola"])
+    def test_manifest_names_the_mode(self, workdir, scene_path, flags, mode):
+        proc = run_cli("track", "--scene", "scene.json", "--config", "run.cfg", *flags,
+                       "-o", "out.txt", cwd=workdir)
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((workdir / "out.txt.manifest.json").read_text())
+        assert manifest["config"]["tracker.mode"] == mode
+
     def test_reruns_are_byte_identical(self, workdir, scene_path):
         for name in ("a.txt", "b.txt"):
             proc = run_cli("track", "--scene", "scene.json", "--config", "run.cfg",
@@ -209,10 +218,12 @@ class TestTrack:
         ("unknown-frame-key", "error: tracks[0].frames[0]: unknown keys ['colour']"),
         ("huge-int-box", "error: tracks[0].frames[2].box: int too large to convert to float"),
         ("huge-jitter", f"error: config.jitter: must be finite and >= 0, got {10 ** 400}"),
+        ("negative-seed", "error: config.seed: must be >= 0, got -1"),
     ], ids=["duplicate-id", "short-box", "scalar-box", "tracks-object", "top-level-list",
             "missing-frames", "string-frame", "zero-id", "string-n-frames", "string-occlusion",
             "zero-n-frames", "unknown-occlusion-id", "missing-n-frames", "missing-n-objects",
-            "unknown-track-key", "unknown-frame-key", "huge-int-box", "huge-jitter"])
+            "unknown-track-key", "unknown-frame-key", "huge-int-box", "huge-jitter",
+            "negative-seed"])
     def test_malformed_scene_is_one_located_error(self, workdir, scene_path, defect, message):
         doc = json.loads(scene_path.read_text())
         tracks = doc["tracks"]
@@ -250,6 +261,8 @@ class TestTrack:
             tracks[0]["frames"][2]["box"][0] = 10 ** 400
         elif defect == "huge-jitter":
             doc["config"]["jitter"] = 10 ** 400
+        elif defect == "negative-seed":
+            doc["config"]["seed"] = -1
         else:
             doc["config"]["occlusions"] = [[9, 1, 2]]
         (workdir / "bad.json").write_text(json.dumps(doc))

@@ -130,7 +130,7 @@ class TestLoadRunConfig:
         ("shadow.tau", "nan", "shadow.tau: must lie in [0, 1], got nan"),
         ("oracle.p_corrupt", "inf", "oracle.p_corrupt: must lie in [0, 1], got inf"),
         ("oracle.refinement", "1", "oracle.refinement: must lie in [0, 1), got 1.0"),
-        ("cost.w_l1", "-1", "cost.w_l1: must be finite and non-negative, got -1.0"),
+        ("cost.w_l1", "-1", "cost.w_l1: must be finite and >= 0, got -1.0"),
         ("cost.alpha", "0", "cost.alpha: must lie in (0, 1), got 0.0"),
         ("tracker.n_layers", "0", "tracker.n_layers: must be >= 1, got 0"),
         ("tracker.n_layers", "65", "tracker.n_layers: must be <= 64, got 65"),
@@ -156,7 +156,7 @@ class TestLoadRunConfig:
         ("oracle.box_noise_std", "1e148", "oracle.box_noise_std: must be <= 1000000, got 1e+148"),
         ("shadow.sigma_pos", "1000001", "shadow.sigma_pos: must be <= 1000000, got 1000001.0"),
         ("cost.w_class", "1e308", "cost.w_class: must be <= 1000000, got 1e+308"),
-        ("cost.w_giou", "inf", "cost.w_giou: must be finite and non-negative, got inf"),
+        ("cost.w_giou", "inf", "cost.w_giou: must be finite and >= 0, got inf"),
     ])
     def test_range_error_names_its_key(self, key, value, message):
         with pytest.raises(ConfigError) as info:
@@ -197,9 +197,13 @@ class TestLoadRunConfig:
         pytest.param(lambda: ShadowConfig(sigma_pos=10**400),
                      f"sigma_pos: must be finite and >= 0, got {10**400}", id="huge-sigma-pos"),
         pytest.param(lambda: CostWeights(w_l1=10**400),
-                     f"w_l1: must be finite and non-negative, got {10**400}", id="huge-w-l1"),
+                     f"w_l1: must be finite and >= 0, got {10**400}", id="huge-w-l1"),
         pytest.param(lambda: CostWeights(gamma=10**400),
-                     f"gamma: must be finite and non-negative, got {10**400}", id="huge-gamma"),
+                     f"gamma: must be finite and >= 0, got {10**400}", id="huge-gamma"),
+        # numpy's seeding would fail later without naming the field
+        pytest.param(lambda: SceneConfig(n_frames=3, n_objects=1, seed=-1),
+                     "seed: must be >= 0, got -1", id="scene-seed"),
+        pytest.param(lambda: OracleConfig(seed=-1), "seed: must be >= 0, got -1", id="oracle-seed"),
     ])
     def test_library_range_error_names_its_field(self, build, message):
         with pytest.raises(ValueError) as info:

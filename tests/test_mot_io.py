@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -31,6 +32,13 @@ from helpers import format_mot_line, random_box, to_pixel, tracklets_from_rows
 # box extents and, with either sign, as centers
 _EDGE_SIZES = st.sampled_from([-0.0, 5e-324, 1e-310, MAX_CORNER / 3, MAX_CORNER])
 _EDGE_COORDS = _EDGE_SIZES | _EDGE_SIZES.map(lambda v: -v)
+
+
+def _read_corners(line: MotLine) -> tuple[float, float, float, float]:
+    """The corners that ``read_mot`` computes from a written line."""
+    cx, cy = line.bb_left + line.bb_width / 2, line.bb_top + line.bb_height / 2
+    return (cx - line.bb_width / 2, cy - line.bb_height / 2,
+            cx + line.bb_width / 2, cy + line.bb_height / 2)
 
 
 class TestParseMotLine:
@@ -271,8 +279,59 @@ class TestWriteReadCycle:
                     left, top, width, height = to_pixel(obs.box, *image_size)
                 lines.append(MotLine(obs.frame, identity, left, top, width, height, obs.score))
         lines.sort(key=lambda r: (r.frame, r.id))
+        # the first row whose corner the reader would reject is an error
+        far = [(line, corner) for line in lines for corner in _read_corners(line)
+               if not abs(corner) <= MAX_CORNER]
+        if far:
+            line, corner = far[0]
+            message = (f"identity {line.id}, frame {line.frame}: box corner {corner!r} "
+                       "outside [-1e150, 1e150]")
+            with pytest.raises(ValueError) as info:
+                format_mot(tracklets, image_size)
+            assert str(info.value) == message
+            return
         expected = "".join(format_mot_line(line) + "\n" for line in lines)
         assert format_mot(tracklets, image_size) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        boxes=st.lists(
+            st.tuples(
+                st.floats(-2 * MAX_CORNER, 2 * MAX_CORNER) | _EDGE_COORDS,
+                st.floats(-2 * MAX_CORNER, 2 * MAX_CORNER) | _EDGE_COORDS,
+                st.floats(0.0, 2 * MAX_CORNER) | _EDGE_SIZES,
+                st.floats(0.0, 2 * MAX_CORNER) | _EDGE_SIZES,
+            ),
+            min_size=1, max_size=4,
+        ),
+        image_size=st.none() | st.tuples(st.integers(1, 100000), st.integers(1, 100000)),
+    )
+    def test_every_box_written_near_the_bound_is_read(self, tmp_path_factory, boxes, image_size):
+        tracklets = tracklets_from_rows([
+            (identity, 1, BoundingBox(*box), 0.5) for identity, box in enumerate(boxes, start=1)
+        ])
+        try:
+            text = format_mot(tracklets, image_size)
+        except ValueError as exc:
+            assert "outside [-1e150, 1e150]" in str(exc)
+            return
+        path = tmp_path_factory.getbasetemp() / "near.txt"
+        path.write_text(text, encoding="ascii")
+        assert read_mot(str(path)).identities == tracklets.identities
+
+    @pytest.mark.parametrize("cx,image_size,corner", [
+        (1e160, None, "1e+160"),
+        (1e160, (1920, 1080), "1.92e+163"),
+        (1e308, (1920, 1080), "inf"),
+    ])
+    def test_box_beyond_the_corner_bound_is_not_written(self, cx, image_size, corner):
+        b = BoundingBox(cx=cx, cy=0.5, w=0.1, h=0.1)
+        tracklets = tracklets_from_rows([(2, 1, BoundingBox(0.5, 0.5, 0.1, 0.1), 0.9), (3, 7, b, 0.9)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                format_mot(tracklets, image_size)
+        assert str(info.value) == f"identity 3, frame 7: box corner {corner} outside [-1e150, 1e150]"
 
     def test_trailing_newline(self):
         b = BoundingBox(cx=10.0, cy=10.0, w=4.0, h=4.0)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -48,6 +49,28 @@ def _detection_set(set_id, ns=1, at=(0.5, 0.5, 0.05, 0.05)):
     return ShadowSet(set_id=set_id, role="detection", anchor=BoundingBox(*at), n_shadows=ns)
 
 
+@st.composite
+def _scene_configs(draw) -> SceneConfig:
+    """Any valid scene config: sizes up to their bounds, occlusion windows,
+    an integer or float jitter and a seed past 64 bits."""
+    n_frames = draw(st.integers(1, 100000))
+    n_objects = draw(st.integers(0, min(10000, 1000000 // n_frames)))
+    occlusions = []
+    if n_objects:
+        for _ in range(draw(st.integers(0, 3))):
+            start, end = sorted(draw(st.lists(st.integers(1, n_frames), min_size=2, max_size=2)))
+            occlusions.append((draw(st.integers(1, n_objects)), start, end))
+    return SceneConfig(
+        n_frames=n_frames, n_objects=n_objects,
+        schedule=draw(st.sampled_from(["all-at-start", "uniform"])),
+        jitter=draw(st.integers(0, 3) | st.floats(0.0, allow_infinity=False)),
+        occlusions=tuple(occlusions),
+        image_width=draw(st.integers(1, 100000)),
+        image_height=draw(st.integers(1, 100000)),
+        seed=draw(st.integers(0, 2**70)),
+    )
+
+
 class TestSceneConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -89,6 +112,34 @@ class TestSceneConfig:
         doc["fps"] = 30
         with pytest.raises(ValueError):
             SceneConfig.from_json(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=_scene_configs())
+    def test_json_round_trip_property(self, cfg):
+        doc = cfg.to_json()
+        assert list(doc) == [field.name for field in dataclasses.fields(SceneConfig)]
+        assert SceneConfig.from_json(json.loads(json.dumps(doc))) == cfg
+        scene = Scene(cfg, {})
+        assert scene.to_json_text() == json.dumps(scene.to_json(), indent=2) + "\n"
+
+    # one row per field, so that a new scene key is covered as it is added;
+    # a bool is not an integer and not a number
+    @pytest.mark.parametrize("name,value", [
+        pytest.param(field.name, value, id=f"{field.name}-{value}")
+        for field in dataclasses.fields(SceneConfig) for value in (None, True)
+    ])
+    def test_wrong_json_type_names_its_key(self, name, value):
+        expected = {"int": "an integer", "float": "a number", "Schedule": "a string"}
+        field_type = {field.name: field.type for field in dataclasses.fields(SceneConfig)}[name]
+        if name == "occlusions":
+            message = "config.occlusions: expected a list"
+        else:
+            message = f"config.{name}: expected {expected[field_type]}, got {value!r}"
+        doc = generate_scene(SceneConfig(n_frames=3, n_objects=1)).to_json()
+        doc["config"][name] = value
+        with pytest.raises(ValueError) as info:
+            Scene.from_json(doc)
+        assert str(info.value) == message
 
 
 class TestOracleConfig:
@@ -212,6 +263,7 @@ class TestSceneViews:
         ("config-list", "config: expected an object"),
         ("string-n-frames", "config.n_frames: expected an integer, got 'x'"),
         ("bool-seed", "config.seed: expected an integer, got True"),
+        ("negative-seed", "config.seed: must be >= 0, got -1"),
         ("float-width", "config.image_width: expected an integer, got 1920.0"),
         ("string-jitter", "config.jitter: expected a number, got '0'"),
         ("number-schedule", "config.schedule: expected a string, got 1"),
@@ -278,6 +330,8 @@ class TestSceneViews:
             doc["config"]["n_frames"] = "x"
         elif defect == "bool-seed":
             doc["config"]["seed"] = True
+        elif defect == "negative-seed":
+            doc["config"]["seed"] = -1
         elif defect == "float-width":
             doc["config"]["image_width"] = 1920.0
         elif defect == "string-jitter":
