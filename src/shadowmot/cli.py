@@ -17,8 +17,8 @@ from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .config import (_FIELDS, _SCHEMA, ConfigError, RunConfig, _check_range, describe_defaults,
-                     load_run_config, parse_config_text)
+from .config import (_FIELDS, _SCHEMA, REDUCTIONS, ConfigError, RunConfig, _check_range,
+                     describe_defaults, load_run_config, parse_config_text)
 from .mot_io import Tracklets, _read_ascii as _read_text, _write_ascii as _write_text
 
 if TYPE_CHECKING:
@@ -140,6 +140,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+# the values of each ablate grid axis, in grid order, and the most trials
+# of one grid cell
+_GRID_VALUES = {"lambda": REDUCTIONS, "phi": REDUCTIONS, "ns": (1, 2, 3, 4, 5, 6)}
+_MAX_TRIALS = 10000
+
+
 def _parse_grid(spec: str, known: Sequence[str]) -> list[str]:
     axes = [a.strip() for a in spec.replace("×", "x").split("x") if a.strip()]
     if not axes:
@@ -177,19 +183,17 @@ def _mean_metric_columns(
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
     from .metrics import SCORES
-    from .shadow import REDUCTIONS
 
     run = _run_config(args)
     scene = _load_scene(args.scene)
-    values = {"lambda": REDUCTIONS, "phi": REDUCTIONS, "ns": (1, 2, 3, 4, 5, 6)}
-    axes = _parse_grid(args.grid, values)
-    _check_range("--trials", args.trials, 1, 10000)
+    axes = _parse_grid(args.grid, _GRID_VALUES)
+    _check_range("--trials", args.trials, 1, _MAX_TRIALS)
 
     rows = [",".join(("lambda", "phi", "ns", "trials", *SCORES))]
     gt = scene.gt_tracklets()
     # cells whose tracker configs have one TrackerConfig.run_key share a run
     metric_columns: dict[TrackerConfig, list[str]] = {}
-    for combo in itertools.product(*(values[a] for a in axes)):
+    for combo in itertools.product(*(_GRID_VALUES[a] for a in axes)):
         # each axis sets the ShadowConfig field of its config key
         shadow = replace(run.tracker.shadow,
                          **{_FIELDS["shadow." + a]: v for a, v in zip(axes, combo)})
@@ -308,8 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_abl.add_argument("--config", default=None, help="config file path")
     _add_override_flags(p_abl, "--seed")
     p_abl.add_argument("--grid", default="lambda x phi",
-                       help="axes joined by 'x': lambda, phi, ns")
-    p_abl.add_argument("--trials", type=int, default=1, help="trials per configuration, 1 to 10000")
+                       help="axes joined by 'x': " + ", ".join(_GRID_VALUES))
+    p_abl.add_argument("--trials", type=int, default=1,
+                       help=f"trials per configuration, 1 to {_MAX_TRIALS}")
     p_abl.add_argument("-o", "--output", required=True, help="CSV output path")
     p_abl.set_defaults(func=_cmd_ablate)
 

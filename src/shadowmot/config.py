@@ -48,6 +48,10 @@ def _fmt_occlusions(occs: tuple[tuple[int, int, int], ...]) -> str:
     return ",".join(f"{i}:{a}:{b}" for i, a, b in occs)
 
 
+# the reductions of a shadow set's costs and scores: shadow.lambda and
+# shadow.phi, and the values of those ablate grid axes
+REDUCTIONS: tuple[str, ...] = ("min", "mean", "max")
+
 # key -> (converter, default, help text).  Every ``section.*`` key names a
 # field of that section's constructor: the same name, or the one in _FIELDS.
 _SCHEMA: dict[str, tuple] = {
@@ -75,8 +79,8 @@ _SCHEMA: dict[str, tuple] = {
     "shadow.tau": (float, 0.5, "confidence threshold for births and survival"),
     "shadow.embed_dim": (int, 256, "length of a discarded per-set draw in copy/noise init, 1 to 4096; shifts noise-init positions"),
     "tracker.n_layers": (int, 6, "decoder layer count, 1 to 64"),
-    "tracker.n_detection_sets": (int, 60, "detection sets per frame, 1 to 10000"),
-    "tracker.patience": (int, 0, "sub-threshold frames before a track dies"),
+    "tracker.n_detection_sets": (int, 60, "detection sets per frame, 1 to 10000; n_detection_sets * patience at most 1000000"),
+    "tracker.patience": (int, 0, "sub-threshold frames before a track dies, >= 0; n_detection_sets * patience at most 1000000"),
     "tracker.mode": (str, "cola", "training-target mode: tala or cola"),
     "cost.w_class": (float, 2.0, "classification cost weight, 0 to 1000000"),
     "cost.w_l1": (float, 5.0, "L1 box cost weight, 0 to 1000000"),

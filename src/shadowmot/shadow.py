@@ -17,7 +17,7 @@ from typing import Iterable, Literal, Optional
 
 import numpy as np
 
-from .config import _MAX_SCALE, _check_range, _check_spread
+from .config import _MAX_SCALE, REDUCTIONS, _check_range, _check_spread
 from .geometry import BoundingBox
 
 __all__ = [
@@ -36,7 +36,6 @@ Reduction = Literal["min", "mean", "max"]
 InitMethod = Literal["rand", "copy", "noise"]
 Role = Literal["detection", "tracking"]
 
-REDUCTIONS: tuple[str, ...] = ("min", "mean", "max")
 INIT_METHODS: tuple[str, ...] = ("rand", "copy", "noise")
 
 
@@ -44,7 +43,8 @@ def reduce_values(values: Iterable[float], how: str) -> float:
     """Scalar min/mean/max reduction of one value list; ``mean`` is the
     correctly rounded sum over the count, which is what
     ``statistics.fmean`` computes for a list.  The tracker's ``mean`` gate
-    reduces each distinct score row with it."""
+    decides as it does, and reduces with it each score row whose numpy mean
+    lies near the threshold."""
     vals = list(values)
     if not vals:
         raise ValueError("cannot reduce an empty value list")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
-from typing import TYPE_CHECKING, Callable, Iterator, Literal, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -450,24 +450,24 @@ def emit_training_targets(
     return FrameGroundTruth.partition(scene.visible_objects(frame), track_ids)
 
 
-def _claim(
-    anchors: np.ndarray,
-    boxes: np.ndarray,
-    gate: Callable[[np.ndarray], np.ndarray],
-) -> dict[int, int]:
-    """Greedy one-to-one claim of the ``boxes`` rows by the ``anchors``
-    rows, as anchor index -> box index: best overlap first, ties to the
-    lower anchor and then the lower box, among the pairs whose overlap
-    passes ``gate``."""
-    overlaps, _ = _iou(_corners(anchors), _corners(boxes))
+def _claim(overlaps: np.ndarray, passes: np.ndarray) -> dict[int, int]:
+    """Greedy one-to-one claim of the columns of ``overlaps`` by its rows,
+    as row -> column: best overlap first, ties to the lower row and then
+    the lower column, among the pairs where ``passes``, none of them NaN.
+    ``np.nonzero`` lists the pairs row by row and the stable sort keeps
+    that order among equal overlaps, which is the order of a sort of
+    ``(-overlap, row, column)`` tuples."""
+    rows, cols = np.nonzero(passes)
+    order = np.argsort(-overlaps[rows, cols], kind="stable")
     claims: dict[int, int] = {}
     taken: set[int] = set()
-    for _, r, k in sorted(
-        (-float(overlaps[r, k]), r, k) for r, k in np.argwhere(gate(overlaps)).tolist()
-    ):
+    most = min(overlaps.shape)
+    for r, k in zip(rows[order].tolist(), cols[order].tolist()):
         if r not in claims and k not in taken:
             claims[r] = k
             taken.add(k)
+            if len(claims) == most:
+                break
     return claims
 
 
@@ -531,8 +531,9 @@ def _frame_draws(
     claimed_ids: set[int] = set()
     trk_indices = [i for i in range(n_sets) if tracking[i]]
     if present and trk_indices:
-        boxes = _rows([st.box for _, st in present])
-        claims = _claim(anchors[trk_indices], boxes, lambda ov: ov > 0.0)
+        overlaps, _ = _iou(_corners(anchors[trk_indices]),
+                           _corners(_rows([st.box for _, st in present])))
+        claims = _claim(overlaps, overlaps > 0.0)
         for r, k in claims.items():
             identity, st = present[k]
             served[trk_indices[r]] = st.box
@@ -543,7 +544,8 @@ def _frame_draws(
 
     det_indices = [i for i in range(n_sets) if not tracking[i]]
     if unclaimed and det_indices:
-        claims = _claim(anchors[det_indices], _rows(unclaimed), lambda ov: ov >= 0.5)
+        overlaps, _ = _iou(_corners(anchors[det_indices]), _corners(_rows(unclaimed)))
+        claims = _claim(overlaps, overlaps >= 0.5)
         taken = set(claims.values())
         free_sets = [r for r in range(len(det_indices)) if r not in claims]
         free_objs = [k for k in range(len(unclaimed)) if k not in taken]
@@ -557,26 +559,29 @@ def _frame_draws(
     corrupted = corrupt_rng.uniform(size=(n_sets, ns)) < cfg.p_corrupt
 
     # the box noise is one normal call per set, and a set without a target
-    # draws right after its noise, so these calls stay one per set; the
-    # doubles are mapped after the loop
+    # draws right after its noise, so these calls stay one per set; each
+    # writes into its row, and the doubles are mapped after the loop
+    # (normal(0.0, std) is 0.0 + std * z of the same standard normal z)
     std = cfg.box_noise_std
-    noise: list[np.ndarray] = []
-    lost: list[int] = []
-    free: list[int] = []
-    fallback_draws: list[np.ndarray] = []
+    eps = np.zeros((n_sets, ns, 4))
+    lost = [i for i in trk_indices if i not in served]
+    free = [i for i in det_indices if i not in served]
+    u = np.empty((len(free), 5))
+    n_free = 0
     for i in range(n_sets):
         if std > 0:
-            noise.append(frame_rng.normal(0.0, std, size=(ns, 4)))
+            frame_rng.standard_normal(out=eps[i])
         if i in served:
             continue
         if tracking[i]:
             # a lost track emits its anchor; the stream still advances
             # past the fallback box it does not use
             frame_rng.random(4)
-            lost.append(i)
         else:
-            free.append(i)
-            fallback_draws.append(frame_rng.random(5))
+            frame_rng.random(out=u[n_free])
+            n_free += 1
+    if std > 0:
+        eps = 0.0 + std * eps
 
     target = np.zeros((n_sets, 4))
     has_target = np.zeros(n_sets, dtype=bool)
@@ -586,11 +591,8 @@ def _frame_draws(
         has_target[rows] = True
     fallback = np.zeros((n_sets, 4))
     fallback[lost] = anchors[lost]
-    if free:
-        u = np.concatenate(fallback_draws).reshape(-1, 5)
-        base[free] = np.where(u[:, 0] < cfg.fp_rate, cfg.fp_score, 0.0)
-        fallback[free] = _FALLBACK_LO + (_FALLBACK_HI - _FALLBACK_LO) * u[:, 1:]
-    eps = np.array(noise) if noise else np.zeros((n_sets, ns, 4))
+    base[free] = np.where(u[:, 0] < cfg.fp_rate, cfg.fp_score, 0.0)
+    fallback[free] = _FALLBACK_LO + (_FALLBACK_HI - _FALLBACK_LO) * u[:, 1:]
     return _FrameDraws(target, has_target, base, corrupted, eps, fallback)
 
 

@@ -51,6 +51,12 @@ class TrackerConfig:
         _check_range("n_layers", self.n_layers, 1, 64)
         _check_range("n_detection_sets", self.n_detection_sets, 1, 10000)
         _check_range("patience", self.patience, 0)
+        # the bound on the live tracks of a run: a track nothing serves dies
+        # after patience misses, so false positives born from the bank hold
+        # at most n_detection_sets * (patience + 1) tracks alive
+        if self.n_detection_sets * self.patience > 1000000:
+            raise ValueError(f"n_detection_sets * patience: must be <= 1000000, "
+                             f"got {self.n_detection_sets} * {self.patience}")
         if self.assignment_mode not in ("tala", "cola"):
             raise ValueError(f"assignment_mode: must be 'tala' or 'cola', got {self.assignment_mode!r}")
 
@@ -163,11 +169,7 @@ class ShadowTracker:
         cfg = self.config
         phi, tau = cfg.shadow.score_reduction, cfg.shadow.tau
         if phi == "mean":
-            # fsum rounds the sum once where np.mean need not; shadow scores take
-            # few values, so each distinct row is reduced once
-            rows = [tuple(row) for row in scores.tolist()]
-            means = {row: reduce_values(row, phi) for row in set(rows)}
-            alive = np.array([means[row] > tau for row in rows], dtype=bool)
+            alive = _mean_gate(scores, tau)
         else:
             alive = (scores.min(axis=1) if phi == "min" else scores.max(axis=1)) > tau
 
@@ -216,3 +218,27 @@ class ShadowTracker:
             births=tuple(births),
             deaths=tuple(deaths),
         )
+
+
+# the largest |score| and tau of a row that numpy's mean may gate: a sum of
+# at most 64 such values stays far from overflow, in numpy and in fsum
+_MEAN_GATE_MAX = 2.0 ** 960
+
+
+def _mean_gate(scores: np.ndarray, tau: float) -> np.ndarray:
+    """``reduce_values(row, "mean") > tau`` for every row of ``scores``
+    ``[S, ns]``, raising what it raises.  numpy's mean of at most 64 values
+    differs from the fsum mean by less than ``2**-46`` of the row's largest
+    ``|score|`` plus ``2**-1074``, whatever order numpy sums in, so a row
+    whose numpy mean lies farther than the margin below from ``tau`` takes
+    that side of ``tau``.  Every other row, and every row with a non-finite
+    score or one above ``_MEAN_GATE_MAX``, goes through ``reduce_values``."""
+    with np.errstate(all="ignore"):
+        approx = scores.mean(axis=1)
+        scale = np.maximum(np.abs(scores).max(axis=1), abs(tau))
+        sure = (scale <= _MEAN_GATE_MAX) & (
+            np.abs(approx - tau) > 2.0 ** -40 * scale + 2.0 ** -1000)
+    alive = approx > tau
+    for i in np.flatnonzero(~sure).tolist():
+        alive[i] = reduce_values(scores[i].tolist(), "mean") > tau
+    return alive

@@ -292,6 +292,22 @@ class _SetDraws(NamedTuple):
     fallback: BoundingBox | None
 
 
+def claim_reference(overlaps: np.ndarray, passes: np.ndarray) -> dict[int, int]:
+    """Greedy one-to-one claim of the columns of ``overlaps`` by its rows,
+    as row -> column, over one sorted list of ``(-overlap, row, column)``
+    tuples of the pairs where ``passes``: the reference that
+    ``simulator._claim`` must equal."""
+    claims: dict[int, int] = {}
+    taken: set[int] = set()
+    for _, r, k in sorted(
+        (-float(overlaps[r, k]), r, k) for r, k in np.argwhere(passes).tolist()
+    ):
+        if r not in claims and k not in taken:
+            claims[r] = k
+            taken.add(k)
+    return claims
+
+
 def frame_draws_reference(scene, frame, live_sets, cfg) -> list[_SetDraws]:
     """The oracle's per-frame draws made one numpy call per value group:
     per set its box noise, its corruption flags, then, without a target,
@@ -313,19 +329,10 @@ def frame_draws_reference(scene, frame, live_sets, cfg) -> list[_SetDraws]:
         overlaps, _, _ = pairwise(
             [live_sets[i].anchor for i in trk_indices], [st.box for _, st in present]
         )
-        trk_candidates = [
-            (-float(overlaps[r, k]), trk_indices[r], k)
-            for r, k in np.argwhere(overlaps > 0.0).tolist()
-        ]
-        claimed_sets: set[int] = set()
-        claimed_objs: set[int] = set()
-        for _, i, k in sorted(trk_candidates):
-            if i in claimed_sets or k in claimed_objs:
-                continue
-            recognized[i] = present[k][1]
-            claimed_sets.add(i)
-            claimed_objs.add(k)
-        claimed_ids = {present[k][0] for k in claimed_objs}
+        claims = claim_reference(overlaps, overlaps > 0.0)
+        for r, k in claims.items():
+            recognized[trk_indices[r]] = present[k][1]
+        claimed_ids = {present[k][0] for k in claims.values()}
     else:
         claimed_ids = set()
 
@@ -341,22 +348,12 @@ def frame_draws_reference(scene, frame, live_sets, cfg) -> list[_SetDraws]:
         overlaps, _, _ = pairwise(
             [live_sets[i].anchor for i in det_indices], [box for _, box in unclaimed]
         )
-        candidates = [
-            (-float(overlaps[r, k]), det_indices[r], unclaimed[k][0], k)
-            for r, k in np.argwhere(overlaps >= 0.5).tolist()
-        ]
-        taken_sets: set[int] = set()
-        taken_objs: set[int] = set()
-        for _, i, identity, k in sorted(candidates):
-            if i in taken_sets or k in taken_objs:
-                continue
-            association[i] = unclaimed[k][1]
-            taken_sets.add(i)
-            taken_objs.add(k)
-        free_sets = [i for i in det_indices if i not in taken_sets]
-        free_objs = [k for k in range(len(unclaimed)) if k not in taken_objs]
-        for i, k in zip(free_sets, free_objs):
-            association[i] = unclaimed[k][1]
+        claims = claim_reference(overlaps, overlaps >= 0.5)
+        free_sets = [r for r in range(len(det_indices)) if r not in claims]
+        free_objs = [k for k in range(len(unclaimed)) if k not in claims.values()]
+        claims.update(zip(free_sets, free_objs))
+        for r, k in claims.items():
+            association[det_indices[r]] = unclaimed[k][1]
 
     draws = []
     for i, set_ in enumerate(live_sets):

@@ -157,11 +157,27 @@ class TestLoadRunConfig:
         ("shadow.sigma_pos", "1000001", "shadow.sigma_pos: must be <= 1000000, got 1000001.0"),
         ("cost.w_class", "1e308", "cost.w_class: must be <= 1000000, got 1e+308"),
         ("cost.w_giou", "inf", "cost.w_giou: must be finite and >= 0, got inf"),
+        # false-positive tracks live patience frames past their last hit, so
+        # this product bounds the live tracks of a run
+        pytest.param(("tracker.n_detection_sets", "tracker.patience"), ("300", "1000000"),
+                     "tracker.n_detection_sets * tracker.patience: must be <= 1000000, "
+                     "got 300 * 1000000", id="live-tracks"),
+        pytest.param(("tracker.n_detection_sets", "tracker.patience"), ("1", "1000001"),
+                     "tracker.n_detection_sets * tracker.patience: must be <= 1000000, "
+                     "got 1 * 1000001", id="longest-patience"),
     ])
     def test_range_error_names_its_key(self, key, value, message):
+        # a tuple of keys sets each to its value: the bound on their product
+        pairs = dict(zip(key, value)) if isinstance(key, tuple) else {key: value}
         with pytest.raises(ConfigError) as info:
-            load_run_config({key: value})
+            load_run_config(pairs)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("sets,patience", [("100", "10000"), ("1", "1000000"),
+                                               ("10000", "100"), ("10000", "0")])
+    def test_tracker_work_bound_is_inclusive(self, sets, patience):
+        run = load_run_config({"tracker.n_detection_sets": sets, "tracker.patience": patience})
+        assert run.tracker.n_detection_sets * run.tracker.patience <= 1000000
 
     @pytest.mark.parametrize("build,message", [
         pytest.param(lambda: ShadowConfig(n_shadows=0), "n_shadows: must be >= 1, got 0",
@@ -273,3 +289,9 @@ class TestDescribeDefaults:
             assert key in text
         assert "all-at-start" in text
         assert "60" in text
+
+    def test_each_factor_of_a_product_bound_states_it(self):
+        for key in ("tracker.n_detection_sets", "tracker.patience"):
+            assert "n_detection_sets * patience at most 1000000" in _SCHEMA[key][2]
+        for key in ("scene.n_frames", "scene.n_objects"):
+            assert "n_frames * n_objects at most 1000000" in _SCHEMA[key][2]

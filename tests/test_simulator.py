@@ -27,11 +27,12 @@ from shadowmot import (
     oracle_decode,
     track_scene,
 )
-from shadowmot.geometry import _rows
-from shadowmot.simulator import _FALLBACK_HI, _FALLBACK_LO, _frame_draws, _set_arrays
+from shadowmot.geometry import _corners, _iou, _rows
+from shadowmot.simulator import _FALLBACK_HI, _FALLBACK_LO, _claim, _frame_draws, _set_arrays
 
 from helpers import (
     by_frame,
+    claim_reference,
     corners,
     first_frame,
     frame_draws_reference,
@@ -911,6 +912,75 @@ class TestBatchedDraws:
             want = a.uniform(lo, hi, size=10_000)
             got = [lo + (hi - lo) * v for v in b.random(10_000).tolist()]
             assert want.tolist() == got
+
+    @pytest.mark.parametrize("std", [0.005, 0.01, 1.0, 1e6, 2.2e-308, 5e-324])
+    def test_scaled_standard_normal_equals_normal(self, std):
+        # _frame_draws writes standard normals into one array and scales it
+        # after the loop: normal(0.0, std) is 0.0 + std * z, signed zeros
+        # of subnormal products included
+        a = np.random.default_rng(7)
+        b = np.random.default_rng(7)
+        want = np.array([a.normal(0.0, std, size=(5, 4)) for _ in range(100)])
+        z = np.empty((100, 5, 4))
+        for row in z:
+            b.standard_normal(out=row)
+        assert (0.0 + std * z).tobytes() == want.tobytes()
+
+
+# overlaps with ties: exactly 0 and the smallest positive double (one
+# passes ``> 0``, the other does not), 0.5 and its neighbours (the
+# detection gate is ``>= 0.5``), and a few repeated values
+_TIED_OVERLAPS = (0.0, 5e-324, 1e-300, float(np.nextafter(0.5, 0.0)), 0.5,
+                  float(np.nextafter(0.5, 1.0)), 0.25, 1.0)
+_GATES = (lambda ov: ov > 0.0, lambda ov: ov >= 0.5)
+
+# boxes among which anchors and objects repeat: (0.5, 0.375, 0.5, 0.25)
+# overlaps the first in exactly 0.5, the last overlaps nothing
+_TIED_BOXES = ((0.5, 0.5, 0.5, 0.5), (0.5, 0.375, 0.5, 0.25), (0.5, 0.5, 0.25, 0.25),
+               (0.55, 0.5, 0.5, 0.5), (0.1, 0.1, 0.05, 0.05))
+
+
+class TestClaim:
+    """``_claim`` orders the gated pairs by one stable array sort; it must
+    claim exactly what one sort of ``(-overlap, row, column)`` tuples
+    claims, in the same order, and on empty sides."""
+
+    @given(
+        rows=st.integers(0, 6),
+        cols=st.integers(0, 6),
+        values=st.lists(st.sampled_from(_TIED_OVERLAPS), min_size=36, max_size=36),
+        gate=st.sampled_from(_GATES),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_equals_tuple_sort_on_tied_overlaps(self, rows, cols, values, gate):
+        overlaps = np.array(values[:rows * cols]).reshape(rows, cols)
+        got = _claim(overlaps, gate(overlaps))
+        want = claim_reference(overlaps, gate(overlaps))
+        assert list(got.items()) == list(want.items())
+
+    @given(
+        anchors=st.lists(st.sampled_from(_TIED_BOXES), max_size=6),
+        boxes=st.lists(st.sampled_from(_TIED_BOXES), max_size=6),
+        gate=st.sampled_from(_GATES),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_tuple_sort_on_repeated_boxes(self, anchors, boxes, gate):
+        overlaps, _ = _iou(_corners(_rows([BoundingBox(*a) for a in anchors])),
+                           _corners(_rows([BoundingBox(*b) for b in boxes])))
+        got = _claim(overlaps, gate(overlaps))
+        want = claim_reference(overlaps, gate(overlaps))
+        assert list(got.items()) == list(want.items())
+
+    def test_tied_boxes_hold_an_overlap_of_one_half(self):
+        overlaps, _ = _iou(_corners(_rows([BoundingBox(*_TIED_BOXES[0])])),
+                           _corners(_rows([BoundingBox(*b) for b in _TIED_BOXES])))
+        assert overlaps[0, 1] == 0.5
+        assert overlaps[0, -1] == 0.0
+
+    def test_ties_go_to_the_lower_row_then_column(self):
+        overlaps = np.full((3, 3), 0.5)
+        overlaps[2, 2] = 1.0
+        assert list(_claim(overlaps, overlaps > 0.0).items()) == [(2, 2), (0, 0), (1, 1)]
 
 
 def _layer_bits(layers) -> bytes:

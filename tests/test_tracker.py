@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import math
 import statistics
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from shadowmot import (
     BoundingBox,
@@ -12,6 +15,7 @@ from shadowmot import (
     ShadowTracker,
     Tracklets,
     TrackerConfig,
+    reduce_values,
 )
 
 from helpers import TrackerReference, by_frame, random_box, run_tracker
@@ -52,6 +56,8 @@ class TestTrackerConfig:
             TrackerConfig(patience=-1)
         with pytest.raises(ValueError):
             TrackerConfig(assignment_mode="hybrid")
+        with pytest.raises(ValueError):
+            TrackerConfig(n_detection_sets=300, patience=1000000)
 
 
 class TestFrameResult:
@@ -304,11 +310,16 @@ class TestArrayLifecycle:
     """The tracker's array core against the per-set object loop in
     tests/helpers.py, fed the same object predictions."""
 
-    @pytest.mark.parametrize("row", [(0.9, 0.1, 0.9), (0.9, 0.9, 0.9, 0.7)])
+    @pytest.mark.parametrize("row", [
+        (0.9, 0.1, 0.9), (0.9, 0.9, 0.9, 0.7), (0.9, 0.7, 0.3, 0.2, 0.2),
+        (0.1, 0.1, 0.1, 0.1, 0.9, 0.7, 0.9, 0.3, 0.7),
+        (0.2, 0.7, 0.7, 0.2, 0.3, 0.9, 0.9, 0.9, 0.2, 0.7, 0.9, 0.7, 0.9, 0.7, 0.7, 0.2, 0.9),
+    ])
     def test_mean_gate_is_fmean(self, row):
         # fmean rounds once where np.mean need not; with tau between the
-        # two, only fmean gives the reference's decision
-        exact, numpy_mean = statistics.fmean(row), float(np.mean(row))
+        # two, only fmean gives the reference's decision.  The numpy mean
+        # is taken per row, as the gate takes it
+        exact, numpy_mean = statistics.fmean(row), float(np.mean([row], axis=1)[0])
         assert exact != numpy_mean
         tau = min(exact, numpy_mean)
         cfg = _cfg(n_sets=1, ns=len(row), phi="mean", tau=tau)
@@ -344,3 +355,109 @@ class TestArrayLifecycle:
             ]
             assert tracker.step(preds) == ref.step(preds)
             assert tracker.track_identities == ref.track_identities
+
+
+def _reduce_outcome(row: list[float], tau: float):
+    """``reduce_values(row, "mean") > tau``, or the error it raises."""
+    try:
+        return reduce_values(row, "mean") > tau
+    except (ValueError, OverflowError) as exc:
+        return exc
+
+
+def _assert_gate_is_reduce_values(rows: list[list[float]], tau: float) -> None:
+    """The births of one frame of bank sets with shadow scores ``rows``
+    under the mean gate are the rows that ``reduce_values`` passes, and
+    when it raises on some row the frame raises one of its errors."""
+    ns = len(rows[0])
+    tracker = ShadowTracker(_cfg(n_sets=len(rows), ns=ns, phi="mean", tau=tau), seed=0)
+    want = [_reduce_outcome(row, tau) for row in rows]
+    errors = [(type(w), str(w)) for w in want if isinstance(w, Exception)]
+    asked: list[int] = []
+
+    def boxes_of(sets: list[int]) -> np.ndarray:
+        asked.extend(sets)
+        return np.zeros((len(sets), ns, 4))
+
+    try:
+        result = tracker._advance(np.array(rows), boxes_of)
+    except (ValueError, OverflowError) as exc:
+        assert (type(exc), str(exc)) in errors
+    else:
+        assert not errors
+        assert asked == [r for r, w in enumerate(want) if w]
+        assert result.births == tuple(range(1, len(asked) + 1))
+
+
+def _ulps(x: float, n: int) -> list[float]:
+    """``x`` and its ``n`` neighbours on either side."""
+    out = [x]
+    lo = hi = x
+    for _ in range(n):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return sorted(out)
+
+
+# shadow scores: a coarse grid whose means round, values near the gate's
+# usual tau, huge and tiny magnitudes, and the non-finite
+_GATE_SCORES = st.sampled_from(
+    [0.0, -0.0, 0.1, 0.2, 0.3, 0.7, 0.9, 1.0, *_ulps(0.5, 3), 1e-300, 5e-324,
+     1e308, -1e308, 8.98846567431158e307, math.inf, -math.inf, math.nan]
+) | st.floats(0.0, 1.0)
+
+
+class TestMeanGate:
+    """The mean gate decides every row from numpy's mean unless that mean
+    lies within a margin of tau, and then through ``reduce_values``; every
+    decision, and every error, must be the one ``reduce_values`` gives."""
+
+    @pytest.mark.parametrize("ns", [1, 2, 3, 7, 64])
+    @pytest.mark.parametrize("tau", [0.0, 0.1, 0.5, 0.9, 1.0])
+    def test_rows_at_tau_and_its_neighbours(self, ns, tau):
+        rows = [[v] * ns for v in _ulps(tau, 4)]
+        rows += [[v] + [tau] * (ns - 1) for v in _ulps(tau, 4)]
+        _assert_gate_is_reduce_values(rows, tau)
+
+    @pytest.mark.parametrize("row, error", [
+        ([math.inf, 0.5], None),
+        ([-math.inf, 0.5], None),
+        ([math.nan, 0.5], None),
+        ([math.inf, math.nan], None),
+        ([math.inf, -math.inf], ValueError),
+        ([1e308, 1e308, -1e308], OverflowError),
+        # numpy sums the 16 values in 8 running sums, which stay finite,
+        # and its mean lies far above tau; fsum overflows on the second value
+        ([1e308, 1e308] + [0.0] * 6 + [-1e308, -0.9e308] + [0.0] * 6, OverflowError),
+    ])
+    def test_non_finite_and_overflowing_rows(self, row, error):
+        want = _reduce_outcome(row, 0.5)
+        assert isinstance(want, error) if error else isinstance(want, bool)
+        _assert_gate_is_reduce_values([row], 0.5)
+        _assert_gate_is_reduce_values([[0.9] * len(row), row, [0.1] * len(row)], 0.5)
+
+    def test_numpy_mean_of_the_overflow_row_is_finite(self):
+        row = [1e308, 1e308] + [0.0] * 6 + [-1e308, -0.9e308] + [0.0] * 6
+        assert math.isfinite(float(np.mean(np.array([row]), axis=1)[0]))
+
+    @given(
+        ns=st.integers(1, 64),
+        data=st.data(),
+        tau_from=st.sampled_from(["numpy", "fsum", "grid"]),
+        tau_grid=st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]),
+        shift=st.integers(-2, 2),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reduce_values(self, ns, data, tau_from, tau_grid, shift):
+        rows = data.draw(st.lists(st.lists(_GATE_SCORES, min_size=ns, max_size=ns),
+                                  min_size=1, max_size=5))
+        tau = tau_grid
+        if tau_from != "grid":
+            # a tau a few ulps from the first row's numpy or fsum mean
+            try:
+                with np.errstate(all="ignore"):
+                    mean = float(np.mean(rows[:1], axis=1)[0]) if tau_from == "numpy" else statistics.fmean(rows[0])
+            except (ValueError, OverflowError):
+                mean = 0.5
+            tau = min(max(_ulps(mean if 0.0 <= mean <= 1.0 else 0.5, 2)[2 + shift], 0.0), 1.0)
+        _assert_gate_is_reduce_values(rows, tau)
