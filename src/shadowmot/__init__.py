@@ -8,7 +8,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-# module -> the public names it defines
+# module -> the public names it defines, which are also its __all__
 _MODULES = {
     "geometry": ("BoundingBox", "pairwise"),
     "matching": (

@@ -21,24 +21,13 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from . import _MODULES
 from .config import _check_range
 from .geometry import BoundingBox, pairwise
 from .matching import ClassScores, CostMatrix, CostWeights, focal_cost, hungarian
 from .shadow import REDUCTIONS, ShadowSet
 
-__all__ = [
-    "Target",
-    "GroundTruthObject",
-    "FrameGroundTruth",
-    "LabelAssignment",
-    "SetCostTensor",
-    "tala_targets",
-    "cola_targets",
-    "reduce_set_costs",
-    "build_set_cost_tensor",
-    "assign_detection_sets",
-    "assign_tracking_sets",
-]
+__all__ = _MODULES["assignment"]
 
 # None is the explicit background target; assignments are total functions.
 Target = Optional[int]

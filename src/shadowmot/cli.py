@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .config import (_FIELDS, _SCHEMA, REDUCTIONS, ConfigError, RunConfig, _check_range,
                      describe_defaults, load_run_config, parse_config_text)
-from .mot_io import Tracklets, _read_ascii as _read_text, _write_ascii as _write_text
+from .mot_io import MotRows, _read_ascii as _read_text, _rows_of, _write_ascii as _write_text
 
 if TYPE_CHECKING:
     from .simulator import Scene
@@ -159,19 +159,19 @@ def _parse_grid(spec: str, known: Sequence[str]) -> list[str]:
 
 
 def _mean_metric_columns(
-    scene: Scene, gt: Tracklets, run: RunConfig, tracker_cfg: TrackerConfig, trials: int
+    scene: Scene, gt: MotRows, run: RunConfig, tracker_cfg: TrackerConfig, trials: int
 ) -> list[str]:
     """The CSV metric columns of one grid cell: each score's mean over
-    ``trials`` oracle seeds, left empty when any trial leaves it undefined,
-    as mota is without ground-truth boxes."""
-    from .metrics import SCORES, evaluate
+    ``trials`` oracle seeds against the ground-truth rows ``gt``, left empty
+    when any trial leaves it undefined, as mota is without any gt box."""
+    from .metrics import SCORES, _evaluate
     from .simulator import track_scene
 
     sums = dict.fromkeys(SCORES, 0.0)
     undefined: set[str] = set()
     for trial in range(trials):
         oracle = replace(run.oracle, seed=run.seed + trial)
-        report = evaluate(gt, track_scene(scene, tracker_cfg, oracle))
+        report = _evaluate(gt, _rows_of(track_scene(scene, tracker_cfg, oracle)))
         for name in SCORES:
             value = getattr(report, name)
             if value is None:
@@ -190,7 +190,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     _check_range("--trials", args.trials, 1, _MAX_TRIALS)
 
     rows = [",".join(("lambda", "phi", "ns", "trials", *SCORES))]
-    gt = scene.gt_tracklets()
+    gt = _rows_of(scene.gt_tracklets())
     # cells whose tracker configs have one TrackerConfig.run_key share a run
     metric_columns: dict[TrackerConfig, list[str]] = {}
     for combo in itertools.product(*(_GRID_VALUES[a] for a in axes)):
@@ -340,6 +340,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         detail = str(exc) or exc.__class__.__name__
         print(f"error: {detail}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy names the allocation that failed; CPython's own says nothing
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: {args.command} ran out of memory{detail}", file=sys.stderr)
         return 1
 
 

@@ -13,18 +13,14 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping
 
+from . import _MODULES
+
 if TYPE_CHECKING:
     from .matching import CostWeights
     from .simulator import OracleConfig, SceneConfig
     from .tracker import TrackerConfig
 
-__all__ = [
-    "ConfigError",
-    "RunConfig",
-    "parse_config_text",
-    "load_run_config",
-    "describe_defaults",
-]
+__all__ = _MODULES["config"]
 
 
 class ConfigError(ValueError):

@@ -15,10 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "BoundingBox",
-    "pairwise",
-]
+from . import _MODULES
+
+__all__ = _MODULES["geometry"]
 
 
 @dataclass(frozen=True)

@@ -15,19 +15,16 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _MODULES
 from .config import _MAX_SCALE, _check_spread
 
-__all__ = [
-    "ClassScores",
-    "CostWeights",
-    "CostMatrix",
-    "Assignment",
-    "focal_cost",
-    "hungarian",
-]
+__all__ = _MODULES["matching"]
 
 # Per-class post-activation scores in [0, 1]; not required to sum to 1.
 ClassScores = Sequence[float]
+
+# keeps the focal cost's logarithms finite at scores of exactly 0 and 1
+_FOCAL_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -42,7 +39,6 @@ class CostWeights:
     w_giou: float = 2.0
     alpha: float = 0.25
     gamma: float = 2.0
-    eps: float = 1e-8
 
     def __post_init__(self) -> None:
         for name in ("w_class", "w_l1", "w_giou"):
@@ -50,8 +46,6 @@ class CostWeights:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha: must lie in (0, 1), got {self.alpha!r}")
         _check_spread("gamma", self.gamma)
-        if not self.eps > 0:
-            raise ValueError(f"eps: must be positive, got {self.eps!r}")
 
 
 @dataclass(frozen=True)
@@ -100,16 +94,16 @@ def focal_cost(scores: ClassScores, target_class: int, w: CostWeights) -> float:
     """Focal classification cost of predicting ``target_class``.
 
     With ``p`` the predicted score of the target class this is
-    ``alpha * (1-p)**gamma * (-log(p+eps)) - (1-alpha) * p**gamma * (-log(1-p+eps))``,
-    strictly decreasing in ``p`` on (0, 1).
+    ``alpha * (1-p)**gamma * (-log(p+eps)) - (1-alpha) * p**gamma * (-log(1-p+eps))``
+    with ``eps`` the constant ``_FOCAL_EPS``, strictly decreasing in ``p`` on (0, 1).
     """
     if not 0 <= target_class < len(scores):
         raise IndexError(
             f"target class {target_class} out of range for {len(scores)} class scores"
         )
     p = scores[target_class]
-    pos = w.alpha * (1.0 - p) ** w.gamma * (-math.log(p + w.eps))
-    neg = (1.0 - w.alpha) * p**w.gamma * (-math.log(1.0 - p + w.eps))
+    pos = w.alpha * (1.0 - p) ** w.gamma * (-math.log(p + _FOCAL_EPS))
+    neg = (1.0 - w.alpha) * p**w.gamma * (-math.log(1.0 - p + _FOCAL_EPS))
     return pos - neg
 
 

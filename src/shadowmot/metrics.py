@@ -20,21 +20,12 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import _MODULES
 from .geometry import _corners, _iou
 from .matching import hungarian
 from .mot_io import MotRows, Tracklets, _rows_of
 
-__all__ = [
-    "ClearMotResult",
-    "AlphaScores",
-    "HotaResult",
-    "MetricsReport",
-    "ALPHA_GRID",
-    "clear_mot",
-    "idf1",
-    "hota",
-    "evaluate",
-]
+__all__ = _MODULES["metrics"]
 
 # IoU thresholds for the higher-order score: 0.05, 0.10, ..., 0.95.
 ALPHA_GRID: tuple[float, ...] = tuple(k / 20 for k in range(1, 20))
@@ -43,6 +34,8 @@ ALPHA_GRID: tuple[float, ...] = tuple(k / 20 for k in range(1, 20))
 # report's JSON keys and text rows, and the ablate CSV columns
 SCORES: tuple[str, ...] = ("hota", "deta", "assa", "mota", "idf1", "ids", "fp", "fn")
 
+# the IoU at which CLEAR and identity F1 start to match a pair, and CLEAR's cost below it
+_IOU_GATE = 0.5
 _FORBIDDEN = 1e9
 
 
@@ -108,7 +101,7 @@ def _overlaps(gt: MotRows, pred: MotRows) -> _Overlaps:
     return _Overlaps(len(gt.ids), len(pred.ids), n_gt, n_pred, frames)
 
 
-def clear_mot(gt: Tracklets, pred: Tracklets, iou_threshold: float = 0.5) -> ClearMotResult:
+def clear_mot(gt: Tracklets, pred: Tracklets) -> ClearMotResult:
     """CLEAR bookkeeping with match persistence.
 
     A correspondence from the previous frame is kept while its IoU stays at
@@ -118,10 +111,10 @@ def clear_mot(gt: Tracklets, pred: Tracklets, iou_threshold: float = 0.5) -> Cle
     1 - (FN + FP + IDS) / total ground-truth boxes, None when that total is
     zero.
     """
-    return _clear_mot(_overlaps(_rows_of(gt), _rows_of(pred)), iou_threshold)
+    return _clear_mot(_overlaps(_rows_of(gt), _rows_of(pred)))
 
 
-def _clear_mot(overlaps: _Overlaps, iou_threshold: float) -> ClearMotResult:
+def _clear_mot(overlaps: _Overlaps) -> ClearMotResult:
     total_gt = overlaps.gt_boxes
 
     fp = fn = ids = 0
@@ -134,7 +127,7 @@ def _clear_mot(overlaps: _Overlaps, iou_threshold: float) -> ClearMotResult:
 
         matches: dict[int, int] = {}
         for g, p in active.items():
-            if g in row and p in col and sim[row[g], col[p]] >= iou_threshold:
+            if g in row and p in col and sim[row[g], col[p]] >= _IOU_GATE:
                 matches[g] = p
 
         free_gt = [g for g in gt_ids if g not in matches]
@@ -142,9 +135,9 @@ def _clear_mot(overlaps: _Overlaps, iou_threshold: float) -> ClearMotResult:
         free_pred = [p for p in pred_ids if p not in taken_preds]
         if free_gt and free_pred:
             ious = sim[np.ix_([row[g] for g in free_gt], [col[p] for p in free_pred])]
-            cost = np.where(ious >= iou_threshold, 1.0 - ious, _FORBIDDEN)
+            cost = np.where(ious >= _IOU_GATE, 1.0 - ious, _FORBIDDEN)
             for r, c in hungarian(cost).pairs:
-                if ious[r, c] >= iou_threshold:
+                if ious[r, c] >= _IOU_GATE:
                     matches[free_gt[r]] = free_pred[c]
 
         for g, p in matches.items():
@@ -159,7 +152,7 @@ def _clear_mot(overlaps: _Overlaps, iou_threshold: float) -> ClearMotResult:
     return ClearMotResult(mota=mota, ids=ids, fp=fp, fn=fn)
 
 
-def idf1(gt: Tracklets, pred: Tracklets, iou_threshold: float = 0.5) -> float:
+def idf1(gt: Tracklets, pred: Tracklets) -> float:
     """Trajectory-level identity F1.
 
     One global bipartite matching between ground-truth and predicted
@@ -168,10 +161,10 @@ def idf1(gt: Tracklets, pred: Tracklets, iou_threshold: float = 0.5) -> float:
     2*IDTP / (total gt boxes + total pred boxes) follows from the standard
     definition.  Both sides empty scores 1 by convention.
     """
-    return _idf1(_overlaps(_rows_of(gt), _rows_of(pred)), iou_threshold)
+    return _idf1(_overlaps(_rows_of(gt), _rows_of(pred)))
 
 
-def _idf1(overlaps: _Overlaps, iou_threshold: float) -> float:
+def _idf1(overlaps: _Overlaps) -> float:
     total_gt = overlaps.gt_boxes
     total_pred = overlaps.pred_boxes
     if total_gt == 0 and total_pred == 0:
@@ -181,7 +174,7 @@ def _idf1(overlaps: _Overlaps, iou_threshold: float) -> float:
 
     overlap = np.zeros((overlaps.gt_identities, overlaps.pred_identities))
     for rows, cols, sim in overlaps.frames:
-        overlap[np.ix_(rows, cols)] += sim >= iou_threshold
+        overlap[np.ix_(rows, cols)] += sim >= _IOU_GATE
 
     # a sum of the matched counts, not a negated total cost, which would
     # make a zero IDTP -0.0
@@ -310,24 +303,23 @@ class MetricsReport:
         return "\n".join(f"{name:<{width}}  {fmt(getattr(self, name))}" for name in SCORES)
 
 
-def evaluate(gt: Tracklets, pred: Tracklets, iou_threshold: float = 0.5) -> MetricsReport:
-    """All metrics in one report; the CLEAR gate applies to the CLEAR and
-    identity-F1 scores, the higher-order score keeps its own alpha grid.
-    The per-frame overlaps are computed once and shared by all three."""
-    return _evaluate(_rows_of(gt), _rows_of(pred), iou_threshold)
+def evaluate(gt: Tracklets, pred: Tracklets) -> MetricsReport:
+    """All metrics in one report, from one per-frame overlap pass that all
+    three share; the higher-order score keeps its own alpha grid."""
+    return _evaluate(_rows_of(gt), _rows_of(pred))
 
 
-def _evaluate(gt: MotRows, pred: MotRows, iou_threshold: float = 0.5) -> MetricsReport:
+def _evaluate(gt: MotRows, pred: MotRows) -> MetricsReport:
     """:func:`evaluate` on the rows of each side."""
     overlaps = _overlaps(gt, pred)
-    clear = _clear_mot(overlaps, iou_threshold)
+    clear = _clear_mot(overlaps)
     h = _hota(overlaps)
     return MetricsReport(
         hota=h.hota,
         deta=h.deta,
         assa=h.assa,
         mota=clear.mota,
-        idf1=_idf1(overlaps, iou_threshold),
+        idf1=_idf1(overlaps),
         ids=clear.ids,
         fp=clear.fp,
         fn=clear.fn,

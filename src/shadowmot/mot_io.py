@@ -26,18 +26,10 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import _MODULES
 from .geometry import BoundingBox, _corners, _rows
 
-__all__ = [
-    "Observation",
-    "Tracklets",
-    "MotLine",
-    "MotFormatError",
-    "parse_mot_line",
-    "read_mot",
-    "format_mot",
-    "write_mot",
-]
+__all__ = _MODULES["mot_io"]
 
 _FIELDS = ("frame", "id", "bb_left", "bb_top", "bb_width", "bb_height", "conf", "x", "y", "z")
 

@@ -17,20 +17,11 @@ from typing import Iterable, Literal, Optional
 
 import numpy as np
 
+from . import _MODULES
 from .config import _MAX_SCALE, REDUCTIONS, _check_range, _check_spread
 from .geometry import BoundingBox
 
-__all__ = [
-    "REDUCTIONS",
-    "INIT_METHODS",
-    "Reduction",
-    "InitMethod",
-    "Role",
-    "ShadowSet",
-    "ShadowConfig",
-    "reduce_values",
-    "init_query_bank",
-]
+__all__ = _MODULES["shadow"]
 
 Reduction = Literal["min", "mean", "max"]
 InitMethod = Literal["rand", "copy", "noise"]

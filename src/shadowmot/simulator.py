@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _MODULES
 from .config import _MAX_SCALE, _SCHEMA, _check_range, _check_spread, _name_keys, _parse_occlusions
 from .geometry import BoundingBox, _corners, _iou, _rows
 from .matching import ClassScores
@@ -32,17 +33,7 @@ from .tracker import FrameResult, ShadowTracker, TrackerConfig
 if TYPE_CHECKING:
     from .assignment import FrameGroundTruth, GroundTruthObject
 
-__all__ = [
-    "Schedule",
-    "SceneConfig",
-    "OracleConfig",
-    "SceneFrame",
-    "Scene",
-    "generate_scene",
-    "oracle_decode",
-    "emit_training_targets",
-    "track_scene",
-]
+__all__ = _MODULES["simulator"]
 
 Schedule = Literal["all-at-start", "uniform"]
 

@@ -15,18 +15,13 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
+from . import _MODULES
 from .config import _check_range
 from .geometry import BoundingBox, _rows
 from .matching import ClassScores
 from .shadow import ShadowConfig, ShadowSet, init_query_bank, reduce_values
 
-__all__ = [
-    "AssignmentMode",
-    "TrackerConfig",
-    "FrameResult",
-    "ShadowTracker",
-    "SetPredictions",
-]
+__all__ = _MODULES["tracker"]
 
 AssignmentMode = Literal["tala", "cola"]
 

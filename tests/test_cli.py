@@ -8,6 +8,7 @@ and the exact bytes written to disk.
 import hashlib
 import importlib
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -219,11 +220,15 @@ class TestTrack:
         ("huge-int-box", "error: tracks[0].frames[2].box: int too large to convert to float"),
         ("huge-jitter", f"error: config.jitter: must be finite and >= 0, got {10 ** 400}"),
         ("negative-seed", "error: config.seed: must be >= 0, got -1"),
+        ("nan-box", "error: tracks[0].frames[0].box: box component cx must be finite, got nan"),
+        ("infinite-jitter", "error: config.jitter: must be finite and >= 0, got inf"),
+        ("negative-infinite-width",
+         "error: tracks[1].frames[2].box: box component w must be finite, got -inf"),
     ], ids=["duplicate-id", "short-box", "scalar-box", "tracks-object", "top-level-list",
             "missing-frames", "string-frame", "zero-id", "string-n-frames", "string-occlusion",
             "zero-n-frames", "unknown-occlusion-id", "missing-n-frames", "missing-n-objects",
             "unknown-track-key", "unknown-frame-key", "huge-int-box", "huge-jitter",
-            "negative-seed"])
+            "negative-seed", "nan-box", "infinite-jitter", "negative-infinite-width"])
     def test_malformed_scene_is_one_located_error(self, workdir, scene_path, defect, message):
         doc = json.loads(scene_path.read_text())
         tracks = doc["tracks"]
@@ -263,6 +268,13 @@ class TestTrack:
             doc["config"]["jitter"] = 10 ** 400
         elif defect == "negative-seed":
             doc["config"]["seed"] = -1
+        # json writes these as the NaN, Infinity and -Infinity constants
+        elif defect == "nan-box":
+            tracks[0]["frames"][0]["box"][0] = math.nan
+        elif defect == "infinite-jitter":
+            doc["config"]["jitter"] = math.inf
+        elif defect == "negative-infinite-width":
+            tracks[1]["frames"][2]["box"][2] = -math.inf
         else:
             doc["config"]["occlusions"] = [[9, 1, 2]]
         (workdir / "bad.json").write_text(json.dumps(doc))
@@ -463,7 +475,7 @@ class TestImportFootprint:
     @pytest.mark.parametrize("module", sorted(shadowmot._MODULES))
     def test_every_public_name_is_in_its_module_all(self, module):
         names = importlib.import_module(f"shadowmot.{module}").__all__
-        assert set(shadowmot._MODULES[module]) <= set(names)
+        assert names == shadowmot._MODULES[module]
 
 
 class TestEval:
@@ -637,7 +649,7 @@ class TestAblate:
         scene = cli._load_scene(str(scene_path))
         for row in ones:
             shadow = replace(run.tracker.shadow, score_reduction=row[1], n_shadows=1)
-            alone = cli._mean_metric_columns(scene, scene.gt_tracklets(), run,
+            alone = cli._mean_metric_columns(scene, cli._rows_of(scene.gt_tracklets()), run,
                                              replace(run.tracker, shadow=shadow), 2)
             assert row[4:] == alone
 
@@ -921,3 +933,26 @@ class TestMain:
         monkeypatch.setattr(cli, "_cmd_simulate", broken)
         with pytest.raises(KeyError):
             cli.main(["simulate", "-o", str(tmp_path / "scene.json")])
+
+    @pytest.mark.parametrize("command,module,step,args", [
+        ("simulate", "simulator", "generate_scene", ["--config", "run.cfg", "-o", "s.json"]),
+        ("track", "simulator", "track_scene",
+         ["--scene", "scene.json", "--config", "run.cfg", "-o", "out.txt"]),
+        ("eval", "metrics", "_evaluate",
+         ["--gt", "scene.gt.txt", "--results", "scene.gt.txt", "-o", "report.json"]),
+        ("ablate", "metrics", "_evaluate",
+         ["--scene", "scene.json", "--config", "run.cfg", "-o", "grid.csv"]),
+        ("assign-debug", "simulator", "_live_layer",
+         ["--scene", "scene.json", "--config", "run.cfg", "--frame", "2", "--layer", "1"]),
+    ])
+    def test_out_of_memory_is_one_error_line(self, workdir, scene_path, monkeypatch, capsys,
+                                             command, module, step, args):
+        # CPython's own MemoryError carries no message
+        def exhausted(*_args, **_kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(importlib.import_module(f"shadowmot.{module}"), step, exhausted)
+        monkeypatch.chdir(workdir)
+        capsys.readouterr()
+        assert cli.main([command, *args]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {command} ran out of memory"]

@@ -18,6 +18,7 @@ from shadowmot import (
     focal_cost,
     hungarian,
 )
+from shadowmot.matching import _FOCAL_EPS
 
 from helpers import (
     UNIT_WEIGHTS,
@@ -34,7 +35,7 @@ class TestCostWeights:
     def test_defaults(self):
         w = CostWeights()
         assert (w.w_class, w.w_l1, w.w_giou) == (2.0, 5.0, 2.0)
-        assert (w.alpha, w.gamma, w.eps) == (0.25, 2.0, 1e-8)
+        assert (w.alpha, w.gamma, _FOCAL_EPS) == (0.25, 2.0, 1e-8)
 
     def test_unit_preset(self):
         assert (UNIT_WEIGHTS.w_class, UNIT_WEIGHTS.w_l1, UNIT_WEIGHTS.w_giou) == (1.0, 1.0, 1.0)
@@ -48,8 +49,6 @@ class TestCostWeights:
             CostWeights(alpha=1.0)
         with pytest.raises(ValueError):
             CostWeights(gamma=-0.5)
-        with pytest.raises(ValueError):
-            CostWeights(eps=0.0)
         with pytest.raises(ValueError):
             CostWeights(w_l1=math.nan)
 
