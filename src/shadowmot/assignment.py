@@ -22,7 +22,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import _MODULES
-from .config import _check_range
+from .config import _check_choice, _check_range
 from .geometry import BoundingBox, pairwise
 from .matching import ClassScores, CostMatrix, CostWeights, focal_cost, hungarian
 from .shadow import REDUCTIONS, ShadowSet
@@ -179,8 +179,7 @@ def cola_targets(
 def reduce_set_costs(tensor: SetCostTensor, reduction: str) -> CostMatrix:
     """Collapse the shadow axis with min/mean/max, yielding the set-level
     cost matrix fed to the Hungarian solver."""
-    if reduction not in REDUCTIONS:
-        raise ValueError(f"reduction must be one of {REDUCTIONS}, got {reduction!r}")
+    _check_choice("reduction", reduction, REDUCTIONS)
     op = {"min": np.min, "mean": np.mean, "max": np.max}[reduction]
     reduced = op(tensor.costs, axis=1) if tensor.costs.size else tensor.costs.reshape(
         tensor.costs.shape[0], tensor.costs.shape[2]

@@ -17,8 +17,8 @@ from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .config import (_FIELDS, _SCHEMA, REDUCTIONS, ConfigError, RunConfig, _check_range,
-                     describe_defaults, load_run_config, parse_config_text)
+from .config import (_FIELDS, _SCHEMA, REDUCTIONS, ConfigError, RunConfig, _check_choice,
+                     _check_range, describe_defaults, load_run_config, parse_config_text)
 from .mot_io import MotRows, _read_ascii as _read_text, _rows_of, _write_ascii as _write_text
 
 if TYPE_CHECKING:
@@ -33,10 +33,26 @@ def _dump_json(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object with no key given twice."""
+    doc: dict = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def _load_scene(path: str) -> Scene:
+    """The scene document at ``path``; a JSON defect or a repeated key names the file."""
     from .simulator import Scene
 
-    return Scene.from_json(json.loads(_read_text(path)))
+    text = _read_text(path)
+    try:
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return Scene.from_json(doc)
 
 
 def _config_pairs(path: Optional[str]) -> dict[str, str]:
@@ -146,13 +162,12 @@ _GRID_VALUES = {"lambda": REDUCTIONS, "phi": REDUCTIONS, "ns": (1, 2, 3, 4, 5, 6
 _MAX_TRIALS = 10000
 
 
-def _parse_grid(spec: str, known: Sequence[str]) -> list[str]:
+def _parse_grid(spec: str) -> list[str]:
     axes = [a.strip() for a in spec.replace("×", "x").split("x") if a.strip()]
     if not axes:
         raise ConfigError(f"empty grid spec {spec!r}")
     for axis in axes:
-        if axis not in known:
-            raise ConfigError(f"unknown grid axis {axis!r}, expected one of {sorted(known)}")
+        _check_choice("--grid", axis, tuple(_GRID_VALUES))
     if len(set(axes)) != len(axes):
         raise ConfigError(f"repeated grid axis in {spec!r}")
     return axes
@@ -186,7 +201,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
     run = _run_config(args)
     scene = _load_scene(args.scene)
-    axes = _parse_grid(args.grid, _GRID_VALUES)
+    axes = _parse_grid(args.grid)
     _check_range("--trials", args.trials, 1, _MAX_TRIALS)
 
     rows = [",".join(("lambda", "phi", "ns", "trials", *SCORES))]
@@ -279,27 +294,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser(
-        "simulate", help="generate a scene document and its MOT ground truth",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="config keys and defaults:\n" + describe_defaults(),
-    )
-    p_sim.add_argument("--config", default=None, help="config file path")
-    _add_override_flags(p_sim, "--seed")
-    p_sim.add_argument("-o", "--output", required=True, help="scene JSON output path")
-    p_sim.set_defaults(func=_cmd_simulate)
+    def run_command(name: str, func, help_text: str, **kwargs) -> argparse.ArgumentParser:
+        """A run command's parser with the flags every run takes: ``--scene``
+        (not for simulate, which writes one), ``--config`` and ``--seed``."""
+        p = sub.add_parser(name, help=help_text, **kwargs)
+        if name != "simulate":
+            p.add_argument("--scene", required=True, help="scene JSON path")
+        p.add_argument("--config", default=None, help="config file path")
+        _add_override_flags(p, "--seed")
+        p.set_defaults(func=func)
+        return p
 
-    p_track = sub.add_parser(
-        "track", help="run the oracle-fed tracker over a scene",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="config keys and defaults:\n" + describe_defaults(),
-    )
-    p_track.add_argument("--scene", required=True, help="scene JSON path")
-    p_track.add_argument("--config", default=None, help="config file path")
-    _add_override_flags(p_track, "--seed")
+    with_keys = {"formatter_class": argparse.RawDescriptionHelpFormatter,
+                 "epilog": "config keys and defaults:\n" + describe_defaults()}
+    p_sim = run_command("simulate", _cmd_simulate,
+                        "generate a scene document and its MOT ground truth", **with_keys)
+    p_sim.add_argument("-o", "--output", required=True, help="scene JSON output path")
+
+    p_track = run_command("track", _cmd_track, "run the oracle-fed tracker over a scene",
+                          **with_keys)
     _add_tracking_flags(p_track)
     p_track.add_argument("-o", "--output", required=True, help="MOT results output path")
-    p_track.set_defaults(func=_cmd_track)
 
     p_eval = sub.add_parser("eval", help="score results against ground truth")
     p_eval.add_argument("--gt", required=True, help="ground-truth MOT file")
@@ -307,26 +322,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("-o", "--output", required=True, help="report JSON output path")
     p_eval.set_defaults(func=_cmd_eval)
 
-    p_abl = sub.add_parser("ablate", help="sweep shadow configurations over a scene")
-    p_abl.add_argument("--scene", required=True, help="scene JSON path")
-    p_abl.add_argument("--config", default=None, help="config file path")
-    _add_override_flags(p_abl, "--seed")
+    p_abl = run_command("ablate", _cmd_ablate, "sweep shadow configurations over a scene")
     p_abl.add_argument("--grid", default="lambda x phi",
                        help="axes joined by 'x': " + ", ".join(_GRID_VALUES))
     p_abl.add_argument("--trials", type=int, default=1,
                        help=f"trials per configuration, 1 to {_MAX_TRIALS}")
     p_abl.add_argument("-o", "--output", required=True, help="CSV output path")
-    p_abl.set_defaults(func=_cmd_ablate)
 
-    p_dbg = sub.add_parser("assign-debug",
-                           help="inspect candidates, costs, and assignment at one frame/layer")
-    p_dbg.add_argument("--scene", required=True, help="scene JSON path")
-    p_dbg.add_argument("--config", default=None, help="config file path")
-    _add_override_flags(p_dbg, "--seed")
+    p_dbg = run_command("assign-debug", _cmd_assign_debug,
+                        "inspect candidates, costs, and assignment at one frame/layer")
     p_dbg.add_argument("--frame", type=int, required=True, help="1-based frame index")
     p_dbg.add_argument("--layer", type=int, required=True, help="1-based decoder layer")
     _add_tracking_flags(p_dbg)
-    p_dbg.set_defaults(func=_cmd_assign_debug)
 
     return parser
 

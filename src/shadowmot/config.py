@@ -223,6 +223,12 @@ def _check_spread(name: str, value: float, most: float | None = None) -> None:
         _check_range(name, value, 0, most)
 
 
+def _check_choice(name: str, value: object, choices: tuple) -> None:
+    """The rule of every enumerated value: ``name: must be one of (...), got v``."""
+    if value not in choices:
+        raise ValueError(f"{name}: must be one of {choices}, got {value!r}")
+
+
 def _name_keys(message: str, key_of: Callable[[str], str]) -> str:
     """A range error ``field: problem`` with its field named by
     ``key_of(field)``.  An index stays (``occlusions[1]``), and a bound on
@@ -238,6 +244,5 @@ def describe_defaults() -> str:
     lines = []
     for key, (_, default, help_text) in _SCHEMA.items():
         shown = _fmt_occlusions(default) if key == "scene.occlusions" else default
-        lines.append(f"  {key} = {shown!r}: {help_text}" if isinstance(shown, str)
-                     else f"  {key} = {shown}: {help_text}")
+        lines.append(f"  {key} = {shown!r}: {help_text}")  # an int's or float's repr is its str
     return "\n".join(lines)

@@ -13,19 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from . import _MODULES
-from .config import _MAX_SCALE, REDUCTIONS, _check_range, _check_spread
+from .config import _MAX_SCALE, REDUCTIONS, _check_choice, _check_range, _check_spread
 from .geometry import BoundingBox
 
 __all__ = _MODULES["shadow"]
-
-Reduction = Literal["min", "mean", "max"]
-InitMethod = Literal["rand", "copy", "noise"]
-Role = Literal["detection", "tracking"]
 
 INIT_METHODS: tuple[str, ...] = ("rand", "copy", "noise")
 
@@ -39,13 +35,12 @@ def reduce_values(values: Iterable[float], how: str) -> float:
     vals = list(values)
     if not vals:
         raise ValueError("cannot reduce an empty value list")
+    _check_choice("how", how, REDUCTIONS)
     if how == "min":
         return float(min(vals))
     if how == "max":
         return float(max(vals))
-    if how == "mean":
-        return math.fsum(vals) / len(vals)
-    raise ValueError(f"unknown reduction {how!r}, expected one of {REDUCTIONS}")
+    return math.fsum(vals) / len(vals)
 
 
 @dataclass(frozen=True)
@@ -56,14 +51,13 @@ class ShadowSet:
     present exactly when the set has tracking role."""
 
     set_id: int
-    role: Role
+    role: str
     anchor: BoundingBox
     n_shadows: int
     identity: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.role not in ("detection", "tracking"):
-            raise ValueError(f"role must be 'detection' or 'tracking', got {self.role!r}")
+        _check_choice("role", self.role, ("detection", "tracking"))
         _check_range("n_shadows", self.n_shadows, 1)
         if self.role == "tracking" and self.identity is None:
             raise ValueError("tracking sets carry an identity")
@@ -89,25 +83,22 @@ class ShadowConfig:
     """
 
     n_shadows: int = 3
-    init: InitMethod = "noise"
+    init: str = "noise"
     sigma_pos: float = 1e-6
     sigma_emb: float = 1e-6
-    cost_reduction: Reduction = "max"
-    score_reduction: Reduction = "min"
+    cost_reduction: str = "max"
+    score_reduction: str = "min"
     tau: float = 0.5
     embed_dim: int = 256
 
     def __post_init__(self) -> None:
         # the upper bounds keep every accepted size's arrays small
         _check_range("n_shadows", self.n_shadows, 1, 64)
-        if self.init not in INIT_METHODS:
-            raise ValueError(f"init: must be one of {INIT_METHODS}, got {self.init!r}")
+        _check_choice("init", self.init, INIT_METHODS)
         _check_spread("sigma_pos", self.sigma_pos, _MAX_SCALE)
         _check_spread("sigma_emb", self.sigma_emb)
-        if self.cost_reduction not in REDUCTIONS:
-            raise ValueError(f"cost_reduction: must be one of {REDUCTIONS}, got {self.cost_reduction!r}")
-        if self.score_reduction not in REDUCTIONS:
-            raise ValueError(f"score_reduction: must be one of {REDUCTIONS}, got {self.score_reduction!r}")
+        _check_choice("cost_reduction", self.cost_reduction, REDUCTIONS)
+        _check_choice("score_reduction", self.score_reduction, REDUCTIONS)
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"tau: must lie in [0, 1], got {self.tau!r}")
         _check_range("embed_dim", self.embed_dim, 1, 4096)

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
-from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import _MODULES
-from .config import _MAX_SCALE, _SCHEMA, _check_range, _check_spread, _name_keys, _parse_occlusions
+from .config import (_MAX_SCALE, _SCHEMA, _check_choice, _check_range, _check_spread, _name_keys,
+                     _parse_occlusions)
 from .geometry import BoundingBox, _corners, _iou, _rows
 from .matching import ClassScores
 from .mot_io import Tracklets
@@ -35,7 +36,7 @@ if TYPE_CHECKING:
 
 __all__ = _MODULES["simulator"]
 
-Schedule = Literal["all-at-start", "uniform"]
+_SCHEDULES = ("all-at-start", "uniform")
 
 _STREAM_SCENE = 0
 _STREAM_ORACLE = 1
@@ -57,7 +58,7 @@ class SceneConfig:
 
     n_frames: int
     n_objects: int
-    schedule: Schedule = "all-at-start"
+    schedule: str = "all-at-start"
     jitter: float = 0.0
     occlusions: tuple[tuple[int, int, int], ...] = ()
     image_width: int = 1920
@@ -70,10 +71,7 @@ class SceneConfig:
         # document or a config file can put their own prefix on it
         _check_range("n_frames", self.n_frames, 1, 100000)
         _check_range("n_objects", self.n_objects, 0, 10000)
-        if self.schedule not in ("all-at-start", "uniform"):
-            raise ValueError(
-                f"schedule: must be 'all-at-start' or 'uniform', got {self.schedule!r}"
-            )
+        _check_choice("schedule", self.schedule, _SCHEDULES)
         _check_spread("jitter", self.jitter)
         _check_range("image_width", self.image_width, 1, 100000)
         _check_range("image_height", self.image_height, 1, 100000)

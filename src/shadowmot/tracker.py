@@ -11,19 +11,19 @@ best member.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Literal, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import _MODULES
-from .config import _check_range
+from .config import _check_choice, _check_range
 from .geometry import BoundingBox, _rows
 from .matching import ClassScores
 from .shadow import ShadowConfig, ShadowSet, init_query_bank, reduce_values
 
 __all__ = _MODULES["tracker"]
 
-AssignmentMode = Literal["tala", "cola"]
+_MODES = ("tala", "cola")
 
 # Final-layer predictions for one frame: outer index parallels live_sets(),
 # inner index runs over the shadows of that set.
@@ -40,7 +40,7 @@ class TrackerConfig:
     n_layers: int = 6
     n_detection_sets: int = 60
     patience: int = 0
-    assignment_mode: AssignmentMode = "cola"
+    assignment_mode: str = "cola"
 
     def __post_init__(self) -> None:
         _check_range("n_layers", self.n_layers, 1, 64)
@@ -52,8 +52,7 @@ class TrackerConfig:
         if self.n_detection_sets * self.patience > 1000000:
             raise ValueError(f"n_detection_sets * patience: must be <= 1000000, "
                              f"got {self.n_detection_sets} * {self.patience}")
-        if self.assignment_mode not in ("tala", "cola"):
-            raise ValueError(f"assignment_mode: must be 'tala' or 'cola', got {self.assignment_mode!r}")
+        _check_choice("assignment_mode", self.assignment_mode, _MODES)
 
     def run_key(self) -> TrackerConfig:
         """This config with the reductions a tracking run cannot see set to

@@ -1,14 +1,22 @@
 from __future__ import annotations
 
+import dataclasses
+import math
+import re
+
+import numpy as np
 import pytest
 
 from shadowmot import (
-    BoundingBox, ConfigError, CostWeights, FrameGroundTruth, GroundTruthObject, LabelAssignment,
-    OracleConfig, SceneConfig, ShadowConfig, ShadowSet, build_set_cost_tensor, cola_targets,
-    emit_training_targets, generate_scene, init_query_bank, load_run_config, oracle_decode,
-    parse_config_text, tala_targets,
+    INIT_METHODS, REDUCTIONS, BoundingBox, ConfigError, CostWeights, FrameGroundTruth,
+    GroundTruthObject, LabelAssignment, OracleConfig, SceneConfig, SetCostTensor, ShadowConfig,
+    ShadowSet, TrackerConfig, build_set_cost_tensor, cli, cola_targets, emit_training_targets,
+    generate_scene, init_query_bank, load_run_config, oracle_decode, parse_config_text,
+    reduce_set_costs, reduce_values, tala_targets,
 )
-from shadowmot.config import _SCHEMA, describe_defaults
+from shadowmot.config import _FIELDS, _SCHEMA, describe_defaults
+from shadowmot.simulator import _SCHEDULES
+from shadowmot.tracker import _MODES
 
 
 class TestParseConfigText:
@@ -139,7 +147,7 @@ class TestLoadRunConfig:
         ("tracker.n_detection_sets", "1000000000000",
          "tracker.n_detection_sets: must be <= 10000, got 1000000000000"),
         ("tracker.patience", "-1", "tracker.patience: must be >= 0, got -1"),
-        ("tracker.mode", "hybrid", "tracker.mode: must be 'tala' or 'cola', got 'hybrid'"),
+        ("tracker.mode", "hybrid", "tracker.mode: must be one of ('tala', 'cola'), got 'hybrid'"),
         ("shadow.ns", "0", "shadow.ns: must be >= 1, got 0"),
         ("shadow.ns", "65", "shadow.ns: must be <= 64, got 65"),
         ("shadow.embed_dim", "1000000000000",
@@ -295,3 +303,87 @@ class TestDescribeDefaults:
             assert "n_detection_sets * patience at most 1000000" in _SCHEMA[key][2]
         for key in ("scene.n_frames", "scene.n_objects"):
             assert "n_frames * n_objects at most 1000000" in _SCHEMA[key][2]
+
+
+class TestChoiceRule:
+    # every enumerated value is checked by one rule, with one message form
+    @pytest.mark.parametrize("build,message", [
+        pytest.param(lambda: SceneConfig(n_frames=1, n_objects=1, schedule="burst"),
+                     "schedule: must be one of ('all-at-start', 'uniform'), got 'burst'",
+                     id="schedule"),
+        pytest.param(lambda: ShadowConfig(init="zeros"),
+                     "init: must be one of ('rand', 'copy', 'noise'), got 'zeros'", id="init"),
+        pytest.param(lambda: ShadowConfig(cost_reduction="sum"),
+                     "cost_reduction: must be one of ('min', 'mean', 'max'), got 'sum'",
+                     id="cost_reduction"),
+        pytest.param(lambda: ShadowConfig(score_reduction="median"),
+                     "score_reduction: must be one of ('min', 'mean', 'max'), got 'median'",
+                     id="score_reduction"),
+        pytest.param(lambda: TrackerConfig(assignment_mode="hybrid"),
+                     "assignment_mode: must be one of ('tala', 'cola'), got 'hybrid'",
+                     id="assignment_mode"),
+        pytest.param(lambda: ShadowSet(0, "query", BoundingBox(0.5, 0.5, 0.1, 0.1), n_shadows=1),
+                     "role: must be one of ('detection', 'tracking'), got 'query'", id="role"),
+        pytest.param(lambda: reduce_set_costs(SetCostTensor(np.zeros((1, 1, 1)), (0,), (1,)), "sum"),
+                     "reduction: must be one of ('min', 'mean', 'max'), got 'sum'",
+                     id="reduce_set_costs"),
+        pytest.param(lambda: reduce_values([1.0], "sum"),
+                     "how: must be one of ('min', 'mean', 'max'), got 'sum'", id="reduce_values"),
+        pytest.param(lambda: cli._parse_grid("lambda x bogus"),
+                     "--grid: must be one of ('lambda', 'phi', 'ns'), got 'bogus'", id="grid"),
+    ])
+    def test_message_names_the_choices(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_empty_value_list_is_checked_first(self):
+        with pytest.raises(ValueError) as info:
+            reduce_values([], "sum")
+        assert str(info.value) == "cannot reduce an empty value list"
+
+
+# --help describes the keys without loading the section modules, so
+# _SCHEMA restates the defaults, bounds and choices of their constructors
+_SECTIONS = {"scene": SceneConfig, "oracle": OracleConfig, "shadow": ShadowConfig,
+             "tracker": TrackerConfig, "cost": CostWeights}
+_CHOICES = {"scene.schedule": _SCHEDULES, "shadow.init": INIT_METHODS, "shadow.lambda": REDUCTIONS,
+            "shadow.phi": REDUCTIONS, "tracker.mode": _MODES}
+_HELP_BOUNDS = [(key, least, most) for key, (_, _, text) in _SCHEMA.items()
+                for least, most in re.findall(r"(\d+) to (\d+)", text)]
+
+
+class TestSchemaAgreesWithConstructors:
+    def test_defaults_are_the_field_defaults(self):
+        without_default = set()
+        for key, (_, default, _) in _SCHEMA.items():
+            section, _, name = key.partition(".")
+            if not name:  # seed, which the scene and the oracle both take
+                continue
+            field = next(f for f in dataclasses.fields(_SECTIONS[section])
+                         if f.name == _FIELDS.get(key, name))
+            if field.default is dataclasses.MISSING:
+                without_default.add(key)
+            else:
+                assert default == field.default, key
+        assert without_default == {"scene.n_frames", "scene.n_objects"}
+
+    @pytest.mark.parametrize("key,least,most", _HELP_BOUNDS)
+    def test_help_bounds_are_the_constructor_bounds(self, key, least, most):
+        if _SCHEMA[key][0] is int:
+            below, above = str(int(least) - 1), str(int(most) + 1)
+        else:
+            below = repr(math.nextafter(float(least), -math.inf))
+            above = repr(math.nextafter(float(most), math.inf))
+        for value in (least, most):
+            load_run_config({key: value})
+        for value in (below, above):
+            with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+                load_run_config({key: value})
+
+    @pytest.mark.parametrize("key", [key for key, (convert, _, _) in _SCHEMA.items() if convert is str])
+    def test_help_choices_are_the_constructor_choices(self, key):
+        # "training cost reduction: min, mean, or max" lists ('min', 'mean', 'max')
+        listed = _SCHEMA[key][2].partition(": ")[2].partition(";")[0]
+        assert tuple(re.split(r",? or |, ", listed)) == _CHOICES[key]
+        assert _SCHEMA[key][1] in _CHOICES[key]

@@ -130,7 +130,7 @@ class TestSceneConfig:
         for field in dataclasses.fields(SceneConfig) for value in (None, True)
     ])
     def test_wrong_json_type_names_its_key(self, name, value):
-        expected = {"int": "an integer", "float": "a number", "Schedule": "a string"}
+        expected = {"int": "an integer", "float": "a number", "str": "a string"}
         field_type = {field.name: field.type for field in dataclasses.fields(SceneConfig)}[name]
         if name == "occlusions":
             message = "config.occlusions: expected a list"
@@ -278,7 +278,8 @@ class TestSceneViews:
         ("huge-n-objects", "config.n_objects: must be <= 10000, got 1000000000000"),
         ("large-scene", "config.n_frames * config.n_objects: must be <= 1000000, "
                         "got 100000 * 10000"),
-        ("unknown-schedule", "config.schedule: must be 'all-at-start' or 'uniform', got 'burst'"),
+        ("unknown-schedule",
+         "config.schedule: must be one of ('all-at-start', 'uniform'), got 'burst'"),
         ("negative-jitter", "config.jitter: must be finite and >= 0, got -0.5"),
         pytest.param("huge-jitter", f"config.jitter: must be finite and >= 0, got {10 ** 400}",
                      id="huge-jitter"),
