@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _MODULES
 from .config import _check_choice, _check_range
-from .geometry import BoundingBox, pairwise
+from .geometry import BoundingBox, _pairwise_rows, _rows
 from .matching import ClassScores, CostMatrix, CostWeights, focal_cost, hungarian
 from .shadow import REDUCTIONS, ShadowSet
 
@@ -193,7 +193,8 @@ def build_set_cost_tensor(
     candidates: Sequence[GroundTruthObject],
     weights: CostWeights,
 ) -> SetCostTensor:
-    """Pairwise costs of every shadow of every set against every candidate."""
+    """Pairwise costs of every shadow of every set against every candidate.
+    A class score outside [0, 1] is a ValueError that names its set and shadow."""
     if len(predictions) != len(set_ids):
         raise ValueError("predictions and set_ids disagree on the number of sets")
     n_shadows = {len(p) for p in predictions}
@@ -201,17 +202,33 @@ def build_set_cost_tensor(
         raise ValueError(f"sets disagree on shadow count: {sorted(n_shadows)}")
     ns = n_shadows.pop() if n_shadows else 1
     _check_range("n_shadows", ns, 1)
-    shadows = [pred for per_shadow in predictions for pred in per_shadow]
-    _, giou, l1 = pairwise([box for box, _ in shadows], [c.box for c in candidates])
-    # the scalar focal cost once per shadow and class present: vectorised
-    # log/power need not round like math.log and **
+    boxes = [box for per_shadow in predictions for box, _ in per_shadow]
+    scores = [s for per_shadow in predictions for _, s in per_shadow]
+    _, giou, l1 = _pairwise_rows(_rows(boxes), _rows([c.box for c in candidates]))
+    # the scalar focal cost once per distinct scores and class present, as
+    # vectorised log/power need not round like math.log and **.  Keyed by value
+    # only if all are floats, whose equal values (0.0 and -0.0 too) cost the
+    # same; other numbers may round apart.  slot: key -> its row of focal
+    plain = {type(p) for s in scores for p in s} <= {float}
+    keys = list(map(tuple, scores)) if plain else range(len(scores))
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))  # key -> its first shadow
     classes = sorted({c.class_index for c in candidates})
-    focal = np.array(
-        [[focal_cost(scores, cls, weights) for cls in classes] for _, scores in shadows]
-    ).reshape(len(shadows), len(classes))[:, [classes.index(c.class_index) for c in candidates]]
-    costs = weights.w_class * focal + weights.w_l1 * l1 - weights.w_giou * giou
+    focal, slot = [], {}
+    for k in sorted(first.values()):
+        try:
+            focal.append([focal_cost(scores[k], cls, weights) for cls in classes])
+        except ValueError as exc:
+            raise ValueError(f"set {set_ids[k // ns]} shadow {k % ns}: {exc}") from None
+        slot[keys[k]] = len(slot)
+    cols = [classes.index(c.class_index) for c in candidates]
+    class_costs = np.array(focal).reshape(len(slot), len(classes))[:, cols].take(
+        list(map(slot.__getitem__, keys)), axis=0)
+    # w_class * focal + w_l1 * l1 - w_giou * giou, in place
+    l1 *= weights.w_l1
+    l1 += np.multiply(class_costs, weights.w_class, out=class_costs)
+    l1 -= np.multiply(giou, weights.w_giou, out=giou)
     return SetCostTensor(
-        costs.reshape(len(predictions), ns, len(candidates)),
+        l1.reshape(len(predictions), ns, len(candidates)),
         set_ids=tuple(set_ids),
         target_ids=tuple(c.identity for c in candidates),
     )

@@ -34,12 +34,14 @@ def _dump_json(doc: dict) -> str:
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object with no key given twice."""
-    doc: dict = {}
-    for key, value in pairs:
-        if key in doc:
-            raise ValueError(f"duplicate key {key!r}")
-        doc[key] = value
+    """A JSON object with no key given twice, scanned for one only if its dict is short."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
     return doc
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +36,9 @@ class BoundingBox:
     h: float
 
     def __post_init__(self) -> None:
+        if (math.isfinite(self.cx) and math.isfinite(self.cy) and math.isfinite(self.w)
+                and math.isfinite(self.h) and self.w >= 0 and self.h >= 0):
+            return  # one test of a valid box; only a fault runs the loop that names it
         for name in ("cx", "cy", "w", "h"):
             v = getattr(self, name)
             if not math.isfinite(v):
@@ -45,14 +49,21 @@ class BoundingBox:
 
 def _rows(boxes: Sequence[BoundingBox]) -> np.ndarray:
     """``[n, 4]``: the ``(cx, cy, w, h)`` row of each of ``n`` boxes."""
-    return np.array([(x.cx, x.cy, x.w, x.h) for x in boxes], dtype=float).reshape(-1, 4)
+    flat = chain.from_iterable([(x.cx, x.cy, x.w, x.h) for x in boxes])
+    return np.fromiter(flat, float, 4 * len(boxes)).reshape(-1, 4)
 
 
 def pairwise(
     a: Sequence[BoundingBox], b: Sequence[BoundingBox]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """IoU, GIoU and L1 distance of every box of ``a`` against every box of
-    ``b``, each a ``[len(a), len(b)]`` array.
+    ``b``, each a ``[len(a), len(b)]`` array: ``_pairwise_rows`` on their rows."""
+    return _pairwise_rows(_rows(a), _rows(b))
+
+
+def _pairwise_rows(rows_a: np.ndarray, rows_b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """IoU, GIoU and L1 distance of every box row of ``rows_a`` (``[n, 4]``)
+    against every one of ``rows_b`` (``[m, 4]``), each ``[n, m]``.
 
     Only elementwise ``+ - * /``, ``abs``, ``minimum``/``maximum`` and
     comparisons enter, in one fixed order, so each entry has the bits of
@@ -60,21 +71,25 @@ def pairwise(
     corners, so identical boxes give IoU and GIoU exactly 1.  IoU is 0
     where the union is empty, GIoU is 0 where the hull is empty.
     """
-    rows_a, rows_b = _rows(a), _rows(b)
     corners_a, corners_b = _corners(rows_a), _corners(rows_b)
     iou, union = _iou(corners_a, corners_b)
     ax1, ay1, ax2, ay2 = corners_a[:, :, np.newaxis]
     bx1, by1, bx2, by2 = corners_b[:, np.newaxis, :]
-    hull = (np.maximum(ax2, bx2) - np.minimum(ax1, bx1)) * (
-        np.maximum(ay2, by2) - np.minimum(ay1, by1)
-    )
-    spill = np.divide(
-        np.maximum(hull - union, 0.0), hull, out=np.zeros_like(hull), where=hull > 0.0
-    )
-    giou = np.where(hull > 0.0, iou - spill, 0.0)
-    acx, acy, aw, ah = rows_a.T[:, :, np.newaxis]
-    bcx, bcy, bw, bh = rows_b.T[:, np.newaxis, :]
-    l1 = np.abs(acx - bcx) + np.abs(acy - bcy) + np.abs(aw - bw) + np.abs(ah - bh)
+    # the formula's steps in its op order, each writing into a reused buffer
+    hull = np.maximum(ax2, bx2)
+    scratch = np.minimum(ax1, bx1)
+    hull -= scratch
+    giou = np.maximum(ay2, by2)
+    giou -= np.minimum(ay1, by1, out=scratch)
+    hull *= giou
+    positive = hull > 0.0
+    spill = np.maximum(np.subtract(hull, union, out=giou), 0.0, out=giou)
+    spill = np.divide(spill, hull, out=np.zeros_like(hull), where=positive)
+    giou = np.subtract(iou, spill, out=spill)
+    np.copyto(giou, 0.0, where=~positive)
+    l1 = np.zeros_like(hull)
+    for a, b in zip(rows_a.T[:, :, np.newaxis], rows_b.T[:, np.newaxis, :]):
+        l1 += np.abs(np.subtract(a, b, out=scratch), out=scratch)
     return iou, giou, l1
 
 

@@ -20,7 +20,7 @@ from .config import _MAX_SCALE, _check_spread
 
 __all__ = _MODULES["matching"]
 
-# Per-class post-activation scores in [0, 1]; not required to sum to 1.
+# Per-class post-activation scores in [0, 1], as focal_cost checks; need not sum to 1.
 ClassScores = Sequence[float]
 
 # keeps the focal cost's logarithms finite at scores of exactly 0 and 1
@@ -102,6 +102,8 @@ def focal_cost(scores: ClassScores, target_class: int, w: CostWeights) -> float:
             f"target class {target_class} out of range for {len(scores)} class scores"
         )
     p = scores[target_class]
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"scores[{target_class}]: must lie in [0, 1], got {p!r}")
     pos = w.alpha * (1.0 - p) ** w.gamma * (-math.log(p + _FOCAL_EPS))
     neg = (1.0 - w.alpha) * p**w.gamma * (-math.log(1.0 - p + _FOCAL_EPS))
     return pos - neg
@@ -139,7 +141,8 @@ def _shortest_augmenting_path(costs: np.ndarray) -> tuple[list[int], list[int]]:
     benchmark ``eval`` solves, IDF1's 40x324, it saved no measurable time.
     Every reduced cost is the same double as in the C++, and SciPy's tie
     rule is one test per column: a strictly lower cost wins, and so does
-    an equal one whose column is unassigned.
+    an equal one whose column is unassigned.  A table of each column's
+    slot in the list finds a visited column without a search.
     """
     transpose = costs.shape[1] < costs.shape[0]
     m = costs.T if transpose else costs
@@ -173,12 +176,14 @@ def _shortest_augmenting_path(costs: np.ndarray) -> tuple[list[int], list[int]]:
     # per-row buffers, refilled for each row
     shortest = all_inf[:]
     remaining: list[int] = []
+    slot: list[int] = []
     visited_rows: list[int] = []
     visited_cols: list[int] = []
 
     for cur_row in range(first, nr):
         shortest[:] = all_inf
         remaining[:] = all_cols
+        slot[:] = all_cols  # a reversal is its own inverse: j sits at all_cols[j]
         visited_rows.clear()
         visited_cols.clear()
         min_val = 0.0
@@ -210,9 +215,9 @@ def _shortest_augmenting_path(costs: np.ndarray) -> tuple[list[int], list[int]]:
             else:
                 i = row4col[j]
             visited_cols.append(j)
-            # a visited column is swap-removed
-            index = remaining.index(j)
-            remaining[index] = remaining[-1]
+            # a visited column is swap-removed: the last one takes its slot
+            moved = remaining[slot[j]] = remaining[-1]
+            slot[moved] = slot[j]
             remaining.pop()
 
         u[cur_row] += min_val
@@ -253,14 +258,15 @@ def hungarian(cost: CostMatrix | np.ndarray) -> Assignment:
     the search would take for them, so the pairs, the ties and the
     ``infeasible`` error stay the same.
     """
-    costs = cost.costs if isinstance(cost, CostMatrix) else np.asarray(cost, dtype=float)
+    checked = isinstance(cost, CostMatrix)  # whose constructor rejected NaN and -inf
+    costs = cost.costs if checked else np.asarray(cost, dtype=float)
     if costs.ndim != 2:
         raise ValueError(f"cost matrix must be 2-dimensional, got shape {costs.shape}")
     if costs.shape[0] == 0 or costs.shape[1] == 0:
         return Assignment(pairs=())
-    if np.isnan(costs).any():
+    if not checked and np.isnan(costs).any():
         raise ValueError("cost matrix contains NaN entries")
-    if (costs == -np.inf).any():
+    if not checked and (costs == -np.inf).any():
         raise ValueError("cost matrix contains -inf entries")
     rows, cols = _shortest_augmenting_path(costs)
     return Assignment(pairs=tuple(sorted(zip(rows, cols))))

@@ -26,7 +26,7 @@ from shadowmot import (
     init_query_bank,
     reduce_values,
 )
-from shadowmot.geometry import pairwise
+from shadowmot.geometry import _corners, _iou, pairwise
 from shadowmot.matching import hungarian
 from shadowmot.metrics import ALPHA_GRID, AlphaScores, HotaResult
 from shadowmot.simulator import _STREAM_CORRUPT, _STREAM_ORACLE
@@ -181,6 +181,50 @@ def lsap_reference(costs: np.ndarray) -> tuple[list[int], list[int]]:
         order = sorted(range(nr), key=col4row.__getitem__)
         return [col4row[k] for k in order], order
     return list(range(nr)), col4row
+
+
+# The whole-array GIoU/L1 formula, one numpy expression per term with a
+# fresh array for each step: the reference whose bits and warnings the
+# buffer-reusing kernel ``geometry._pairwise_rows`` must keep.
+
+
+def pairwise_reference(
+    a: Sequence[BoundingBox], b: Sequence[BoundingBox]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """IoU, GIoU and L1 distance of every box of ``a`` against every box
+    of ``b``, each a ``[len(a), len(b)]`` array."""
+    rows_a = np.array([(x.cx, x.cy, x.w, x.h) for x in a], dtype=float).reshape(-1, 4)
+    rows_b = np.array([(x.cx, x.cy, x.w, x.h) for x in b], dtype=float).reshape(-1, 4)
+    corners_a, corners_b = _corners(rows_a), _corners(rows_b)
+    iou, union = _iou(corners_a, corners_b)
+    ax1, ay1, ax2, ay2 = corners_a[:, :, np.newaxis]
+    bx1, by1, bx2, by2 = corners_b[:, np.newaxis, :]
+    hull = (np.maximum(ax2, bx2) - np.minimum(ax1, bx1)) * (
+        np.maximum(ay2, by2) - np.minimum(ay1, by1)
+    )
+    spill = np.divide(
+        np.maximum(hull - union, 0.0), hull, out=np.zeros_like(hull), where=hull > 0.0
+    )
+    giou = np.where(hull > 0.0, iou - spill, 0.0)
+    acx, acy, aw, ah = rows_a.T[:, :, np.newaxis]
+    bcx, bcy, bw, bh = rows_b.T[:, np.newaxis, :]
+    l1 = np.abs(acx - bcx) + np.abs(acy - bcy) + np.abs(aw - bw) + np.abs(ah - bh)
+    return iou, giou, l1
+
+
+def set_cost_tensor_reference(predictions, candidates, w: CostWeights) -> np.ndarray:
+    """``[sets, shadows, candidates]``: the matching cost of every shadow,
+    with one ``focal_cost`` call per shadow and candidate, the geometry of
+    ``pairwise_reference`` and the cost formula on whole arrays, so that
+    the focal costs share one dtype as in ``build_set_cost_tensor``."""
+    shadows = [pred for per_shadow in predictions for pred in per_shadow]
+    focal = np.array(
+        [[focal_cost(scores, c.class_index, w) for c in candidates] for _, scores in shadows]
+    ).reshape(len(shadows), len(candidates))
+    _, giou, l1 = pairwise_reference([box for box, _ in shadows], [c.box for c in candidates])
+    costs = w.w_class * focal + w.w_l1 * l1 - w.w_giou * giou
+    ns = len(predictions[0]) if predictions else 1
+    return costs.reshape(len(predictions), ns, len(candidates))
 
 
 # One-pair scalar geometry: the reference oracles for ``pairwise`` and

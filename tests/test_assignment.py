@@ -21,7 +21,13 @@ from shadowmot import (
     tala_targets,
 )
 
-from helpers import UNIT_WEIGHTS, build_cost_matrix, disjoint_boxes, random_box
+from helpers import (
+    UNIT_WEIGHTS,
+    build_cost_matrix,
+    disjoint_boxes,
+    random_box,
+    set_cost_tensor_reference,
+)
 
 
 def _gt(tracked_ids, newborn_ids, boxes=None):
@@ -254,6 +260,53 @@ class TestSetCostTensor:
         for j in range(ns):
             want = build_cost_matrix([p[j] for p in preds], gts, w).costs
             assert np.array_equal(costs[:, j, :], want)
+
+
+class TestSetCostTensorBits:
+    """One focal cost per distinct scores: the tensor keeps the bytes of
+    one focal cost per shadow, whatever type the scores have."""
+
+    @staticmethod
+    def _problem(seed: int, score_of):
+        rng = np.random.default_rng(seed)
+        # three classes, few distinct scores, so that shadows share them
+        levels = (0.0, -0.0, 0.9, 0.25, 1.0)
+        preds = [
+            [(random_box(rng), score_of([levels[k] for k in rng.integers(0, 5, size=3)], rng))
+             for _ in range(3)]
+            for _ in range(6)
+        ]
+        cands = [GroundTruthObject(identity=k + 1, box=random_box(rng), class_index=k % 3)
+                 for k in range(5)]
+        return preds, cands
+
+    @pytest.mark.parametrize("score_of", [
+        lambda v, rng: tuple(v),
+        lambda v, rng: list(v),
+        lambda v, rng: tuple(np.float64(x) for x in v),
+        lambda v, rng: np.array(v),
+        lambda v, rng: tuple(np.float32(x) for x in v),
+        lambda v, rng: [np.float32(x) if rng.random() < 0.5 else x for x in v],
+        lambda v, rng: tuple(int(x) if x in (0.0, 1.0) and rng.random() < 0.5 else x for x in v),
+    ], ids=["tuple", "list", "numpy-float", "numpy-array", "numpy-float32", "mixed-float32",
+            "mixed-int"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_per_shadow_reference(self, score_of, seed):
+        preds, cands = self._problem(seed, score_of)
+        for w in (CostWeights(), UNIT_WEIGHTS, CostWeights(w_class=0.3, alpha=0.6, gamma=1.0)):
+            got = build_set_cost_tensor(preds, list(range(6)), cands, w).costs
+            assert got.tobytes() == set_cost_tensor_reference(preds, cands, w).tobytes()
+
+    def test_equal_values_of_two_types_are_not_shared(self):
+        # 0.5 and float32 0.5 are equal keys, but the float32 one rounds
+        # its focal cost in float32
+        b = BoundingBox(cx=0.5, cy=0.5, w=0.1, h=0.1)
+        preds = [[(b, (0.5,))], [(b, (np.float32(0.5),))]]
+        cands = [GroundTruthObject(identity=1, box=b)]
+        got = build_set_cost_tensor(preds, [0, 1], cands, CostWeights()).costs
+        want = set_cost_tensor_reference(preds, cands, CostWeights())
+        assert got[0, 0, 0] != got[1, 0, 0]
+        assert got.tobytes() == want.tobytes()
 
 
 class TestAssignDetectionSets:

@@ -284,12 +284,15 @@ class TestTrack:
         assert proc.stderr.splitlines() == [message]
 
     # json.loads would keep the last of two values; the frame key and the
-    # document key are each given twice
-    @pytest.mark.parametrize("key", ["t", "tracks"])
+    # document key are each given twice, and where two keys repeat
+    # (a, b, b, a) the first repeat, b, is named
+    @pytest.mark.parametrize("key", ["t", "tracks", "b"])
     def test_repeated_key_is_one_error_naming_the_file(self, workdir, scene_path, key):
         text = scene_path.read_text()
         if key == "t":
             text = text.replace('"t": ', '"t": 99, "t": ', 1)
+        elif key == "b":
+            text = text.replace('"t": ', '"a": 0, "b": 0, "b": 0, "a": 0, "t": ', 1)
         else:
             text = text.replace('"version"', '"tracks": [], "version"', 1)
         (workdir / "bad.json").write_text(text)

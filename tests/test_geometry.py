@@ -1,15 +1,31 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from shadowmot import BoundingBox, format_mot, pairwise
+from shadowmot import (
+    BoundingBox,
+    CostWeights,
+    GroundTruthObject,
+    build_set_cost_tensor,
+    format_mot,
+    pairwise,
+)
 
-from helpers import corners, giou, iou, l1_distance, to_pixel, tracklets_from_rows
+from helpers import (
+    corners,
+    giou,
+    iou,
+    l1_distance,
+    pairwise_reference,
+    to_pixel,
+    tracklets_from_rows,
+)
 
 coords = st.floats(min_value=-0.5, max_value=1.5, allow_nan=False, allow_infinity=False)
 sizes = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False)
@@ -197,6 +213,72 @@ class TestPairwise:
             for terms in pairwise(a, b):
                 assert terms.shape == (len(a), len(b))
                 assert terms.dtype == float
+
+
+# box components as large as a scene document allows
+scene_coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+scene_sizes = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def scene_box_lists(draw, max_size: int = 8):
+    """Box lists up to the scene bound of 1e6, rich in zero-area,
+    identical, touching, nested and far-apart boxes."""
+    base = draw(st.lists(st.builds(BoundingBox, scene_coords, scene_coords,
+                                   scene_sizes, scene_sizes), max_size=max_size))
+    out = []
+    for b in base:
+        kind = draw(st.sampled_from(["plain", "flat", "point", "repeat", "touch", "nested", "far"]))
+        if kind == "flat":
+            b = BoundingBox(b.cx, b.cy, 0.0, b.h)
+        elif kind == "point":
+            b = BoundingBox(b.cx, b.cy, 0.0, 0.0)
+        elif kind == "repeat" and out:
+            b = draw(st.sampled_from(out))
+        elif kind == "touch" and out:
+            o = draw(st.sampled_from(out))
+            b = BoundingBox(o.cx, o.cy + (o.h + b.h) / 2.0, b.w, b.h)
+        elif kind == "nested" and out:
+            o = draw(st.sampled_from(out))
+            f = draw(st.floats(0.0, 1.0))
+            b = BoundingBox(o.cx, o.cy, o.w * f, o.h * f)
+        elif kind == "far":
+            b = BoundingBox(-1e6 if b.cx > 0 else 1e6, b.cy, b.w, b.h)
+        out.append(b)
+    return out
+
+
+def _bits(f, *args) -> object:
+    """The bytes of every array ``f`` returns, or the warning or error it
+    raises, with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return [np.asarray(t).tobytes() for t in f(*args)]
+        except (ArithmeticError, ValueError, RuntimeWarning) as exc:
+            return repr(exc)
+
+
+class TestKernelBits:
+    """The GIoU/L1 kernel reuses buffers; each entry keeps the bits of the
+    one-expression formula, and any warning it gives."""
+
+    @given(a=scene_box_lists(), b=scene_box_lists())
+    @settings(max_examples=300)
+    def test_pairwise_equals_reference(self, a, b):
+        assert _bits(pairwise, a, b + a) == _bits(pairwise_reference, a, b + a)
+
+    @given(a=scene_box_lists(), b=scene_box_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_tensor_terms_equal_reference(self, a, b):
+        # with the other weights 0, the tensor is l1, or 0.0 - giou
+        predictions = [[(box, (0.5,))] for box in a]
+        candidates = [GroundTruthObject(k, box) for k, box in enumerate(b + a)]
+        _, want_giou, want_l1 = pairwise_reference(a, b + a)
+        for w, want in ((CostWeights(0.0, 1.0, 0.0), want_l1),
+                        (CostWeights(0.0, 0.0, 1.0), 0.0 - want_giou)):
+            got = build_set_cost_tensor(predictions, range(len(a)), candidates, w).costs
+            assert got[:, 0, :].tobytes() == want.tobytes()
 
 
 def _normalized(pixel, img_w, img_h):

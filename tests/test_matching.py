@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import signal
 
 import hypothesis.strategies as st
 import numpy as np
@@ -18,7 +19,7 @@ from shadowmot import (
     focal_cost,
     hungarian,
 )
-from shadowmot.matching import _FOCAL_EPS
+from shadowmot.matching import _FOCAL_EPS, _shortest_augmenting_path
 
 from helpers import (
     UNIT_WEIGHTS,
@@ -88,6 +89,34 @@ class TestFocalCost:
             focal_cost((0.5, 0.5), 2, UNIT_WEIGHTS)
         with pytest.raises(IndexError):
             focal_cost((0.5,), -2, UNIT_WEIGHTS)
+
+    # a score outside [0, 1] once failed in math.log ("math domain error"),
+    # and a NaN one only in the cost tensor's finiteness check
+    @pytest.mark.parametrize("p", [1.0000001, 1.5, -0.5, math.nan],
+                             ids=["just-above-one", "above-one", "negative", "nan"])
+    def test_score_outside_unit_interval_rejected(self, p):
+        with pytest.raises(ValueError) as info:
+            focal_cost((0.2, p), 1, UNIT_WEIGHTS)
+        assert str(info.value) == f"scores[1]: must lie in [0, 1], got {p!r}"
+
+    @pytest.mark.parametrize("p", [1.0000001, 1.5, -0.5, math.nan],
+                             ids=["just-above-one", "above-one", "negative", "nan"])
+    def test_tensor_names_the_set_and_shadow_of_a_bad_score(self, p):
+        b = BoundingBox(cx=0.5, cy=0.5, w=0.1, h=0.1)
+        preds = [[(b, (0.5,)), (b, (0.5,))], [(b, (0.5,)), (b, (p,))], [(b, (p,)), (b, (p,))]]
+        cands = [GroundTruthObject(identity=1, box=b)]
+        with pytest.raises(ValueError) as info:
+            build_set_cost_tensor(preds, [4, 7, 9], cands, UNIT_WEIGHTS)
+        assert str(info.value) == f"set 7 shadow 1: scores[0]: must lie in [0, 1], got {p!r}"
+
+    def test_tensor_raises_in_shadow_then_class_order(self):
+        # the first shadow's fault is raised, whichever kind it is
+        b = BoundingBox(cx=0.5, cy=0.5, w=0.1, h=0.1)
+        cands = [GroundTruthObject(identity=k, box=b, class_index=k) for k in (0, 1)]
+        with pytest.raises(IndexError, match="target class 1 out of range for 1 class scores"):
+            build_set_cost_tensor([[(b, (0.5,))], [(b, (1.5, 0.5))]], [0, 1], cands, UNIT_WEIGHTS)
+        with pytest.raises(ValueError, match=r"^set 0 shadow 0: scores\[0\]: "):
+            build_set_cost_tensor([[(b, (1.5, 0.5))], [(b, (0.5,))]], [0, 1], cands, UNIT_WEIGHTS)
 
 
 class TestPairCost:
@@ -320,6 +349,54 @@ class TestSameTiesAsScipy:
             linear_sum_assignment(np.array(costs))
         with pytest.raises(ValueError):
             hungarian(np.array(costs))
+
+
+def _search_outcome(solve, costs: np.ndarray) -> object:
+    """The pairs ``solve`` returns, or its error; a search that has not
+    ended within 10 s fails rather than hangs the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("the search did not end")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    try:
+        rows, cols = solve(costs)
+    except ValueError as exc:
+        return str(exc)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    return list(rows), list(cols)
+
+
+class TestColumnSlots:
+    """The search finds a visited column's slot in its list of remaining
+    columns from a table that each swap-removal updates.  It must return
+    the pairs of ``lsap_reference``, which searches the list, and of scipy,
+    on matrices whose rows need long searches: many ties, forbidden
+    entries, and the replay's shapes."""
+
+    @staticmethod
+    def _check(costs: np.ndarray) -> None:
+        want = _search_outcome(lsap_reference, costs)
+        assert _search_outcome(_shortest_augmenting_path, costs) == want
+        assert _search_outcome(lambda c: [a.tolist() for a in linear_sum_assignment(c)],
+                               costs) == want
+
+    @given(shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+           forbidden=st.sampled_from([0.0, 0.2, 0.5]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=400, deadline=None)
+    def test_tie_heavy(self, shape, forbidden, seed):
+        rng = np.random.default_rng(seed)
+        costs = rng.integers(0, 3, size=shape).astype(float)
+        costs[rng.random(shape) < forbidden] = np.inf
+        self._check(costs)
+
+    @pytest.mark.parametrize("width", [5, 11, 23, 40, 60])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_replay_shapes(self, width, seed):
+        rng = np.random.default_rng(seed)
+        self._check(rng.uniform(-3.0, 6.0, size=(60, width)))
 
 
 class TestAssignment:
