@@ -10,6 +10,7 @@ when it runs, so that no command pays for another's.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import sys
@@ -19,7 +20,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .config import (_FIELDS, _SCHEMA, REDUCTIONS, ConfigError, RunConfig, _check_choice,
                      _check_range, describe_defaults, load_run_config, parse_config_text)
-from .mot_io import MotRows, _read_ascii as _read_text, _rows_of, _write_ascii as _write_text
+from .mot_io import MotRows, _format_rows, _read_ascii as _read_text, _write_ascii as _write_text
 
 if TYPE_CHECKING:
     from .simulator import Scene
@@ -116,35 +117,51 @@ def _scene_manifest(run: RunConfig, scene: Scene) -> dict:
     return {**replace(run, scene=scene.config).to_manifest(), "scene.seed": scene.config.seed}
 
 
+def _write_outputs(*outputs: tuple[str, str]) -> None:
+    """Write each ``(path, text)`` in order.  When one write fails, the
+    regular files written before it are removed, so that a failed command
+    leaves none of its outputs, and its OSError, which names the file, is
+    raised."""
+    written = []
+    try:
+        for path, text in outputs:
+            _write_text(path, text)
+            written.append(Path(path))
+    except OSError:
+        for path in written:
+            if path.is_file():
+                with contextlib.suppress(OSError):
+                    path.unlink()
+        raise
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .mot_io import write_mot
     from .simulator import generate_scene
 
     run = _run_config(args)
     scene = generate_scene(run.scene)
     out = Path(args.output)
-    _write_text(str(out), scene.to_json_text())
     gt_path = out.with_suffix(".gt.txt") if out.suffix else out.parent / (out.name + ".gt.txt")
     size = (scene.config.image_width, scene.config.image_height)
-    write_mot(scene.gt_tracklets(), str(gt_path), image_size=size)
+    _write_outputs((str(out), scene.to_json_text()),
+                   (str(gt_path), _format_rows(scene._gt_rows(), size)))
     print(f"wrote {out} and {gt_path}: {scene.config.n_objects} objects, "
           f"{scene.config.n_frames} frames")
     return 0
 
 
 def _cmd_track(args: argparse.Namespace) -> int:
-    from .mot_io import write_mot
-    from .simulator import track_scene
+    from .simulator import _track_rows
 
     run = _run_config(args)
     scene = _load_scene(args.scene)
-    tracklets = track_scene(scene, run.tracker, run.oracle)
+    rows = _track_rows(scene, run.tracker, run.oracle)
     size = (scene.config.image_width, scene.config.image_height)
-    write_mot(tracklets, args.output, image_size=size)
     manifest = {"scene_path": args.scene, "config": _scene_manifest(run, scene)}
-    _write_text(args.output + ".manifest.json", _dump_json(manifest))
-    print(f"wrote {args.output}: {len(tracklets)} tracks, "
-          f"{tracklets.n_boxes()} boxes over {scene.config.n_frames} frames")
+    _write_outputs((args.output, _format_rows(rows, size)),
+                   (args.output + ".manifest.json", _dump_json(manifest)))
+    print(f"wrote {args.output}: {len(set(rows.ids))} tracks, "
+          f"{len(rows.ids)} boxes over {scene.config.n_frames} frames")
     return 0
 
 
@@ -182,13 +199,13 @@ def _mean_metric_columns(
     ``trials`` oracle seeds against the ground-truth rows ``gt``, left empty
     when any trial leaves it undefined, as mota is without any gt box."""
     from .metrics import SCORES, _evaluate
-    from .simulator import track_scene
+    from .simulator import _track_rows
 
     sums = dict.fromkeys(SCORES, 0.0)
     undefined: set[str] = set()
     for trial in range(trials):
         oracle = replace(run.oracle, seed=run.seed + trial)
-        report = _evaluate(gt, _rows_of(track_scene(scene, tracker_cfg, oracle)))
+        report = _evaluate(gt, _track_rows(scene, tracker_cfg, oracle))
         for name in SCORES:
             value = getattr(report, name)
             if value is None:
@@ -207,7 +224,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     _check_range("--trials", args.trials, 1, _MAX_TRIALS)
 
     rows = [",".join(("lambda", "phi", "ns", "trials", *SCORES))]
-    gt = _rows_of(scene.gt_tracklets())
+    gt = scene._gt_rows()
     # cells whose tracker configs have one TrackerConfig.run_key share a run
     metric_columns: dict[TrackerConfig, list[str]] = {}
     for combo in itertools.product(*(_GRID_VALUES[a] for a in axes)):

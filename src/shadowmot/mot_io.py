@@ -7,15 +7,15 @@ boxes in pixel units.  Reals are serialized with shortest round-trip
 precision, so reading back what was written recovers the exact values.
 
 :class:`Tracklets` reach the metrics and the writer as one row form,
-:class:`MotRows` sorted by (frame, id).  Each file is read and written in
-one pass: the read checks every parsed line as arrays, giving the rows;
-``format_mot`` scales the rows as one array and formats each with one
-string.  Parsing is strict: a non-ASCII byte, wrong field count,
-non-numeric fields, frames below 1, duplicate (frame, id) pairs,
-boxes whose center overflows and boxes with a corner beyond
-``MAX_CORNER`` all raise with the file path and the 1-based line number,
-which the per-line parser ``parse_mot_line`` finds when the one-pass read
-fails.
+:class:`MotRows` sorted by (frame, id), which the commands make without
+tracklets.  Each file is read and written in one pass: the read checks
+every parsed line as arrays, giving the rows; ``_format_rows`` scales the
+rows as one array and formats each with one string.  Parsing is strict:
+a non-ASCII byte, wrong field count, non-numeric fields, frames below 1,
+duplicate (frame, id) pairs, boxes whose center overflows and boxes with
+a corner beyond ``MAX_CORNER`` all raise with the file path and the
+1-based line number, which the per-line parser ``parse_mot_line`` finds
+when the one-pass read fails.
 """
 
 from __future__ import annotations
@@ -220,6 +220,14 @@ def _rows_of(tracklets: Tracklets) -> MotRows:
     return MotRows(frames, ids, _rows(boxes), scores)
 
 
+def _tracklets_of(rows: MotRows) -> Tracklets:
+    """The tracklets of ``rows``: what ``_rows_of`` undoes."""
+    return Tracklets.from_entries([
+        (identity, frame, BoundingBox(*box), score)
+        for frame, identity, box, score in zip(rows.frames, rows.ids, rows.boxes.tolist(), rows.scores)
+    ])
+
+
 def read_mot(path: str) -> Tracklets:
     """Parse a results or ground-truth file into pixel-space tracklets.
 
@@ -227,11 +235,7 @@ def read_mot(path: str) -> Tracklets:
     which rules out detection files full of id -1 rows; those are not
     tracklets.
     """
-    rows = _read_rows(path)
-    return Tracklets.from_entries([
-        (identity, frame, BoundingBox(*box), score)
-        for frame, identity, box, score in zip(rows.frames, rows.ids, rows.boxes.tolist(), rows.scores)
-    ])
+    return _tracklets_of(_read_rows(path))
 
 
 def _read_lines(path: str, lines: list[str]) -> Tracklets:
@@ -283,11 +287,16 @@ def format_mot(
     corner beyond ``MAX_CORNER``, as ``read_mot`` computes it from the
     written fields, is a ValueError that names its identity and frame.
     """
+    return _format_rows(_rows_of(tracklets), image_size)
+
+
+def _format_rows(rows: MotRows, image_size: Optional[tuple[int, int]] = None) -> str:
+    """The MOT text of ``rows``, as ``format_mot`` writes the tracklets
+    whose rows they are."""
     # a scale of 1 keeps every value's bits
     img_w, img_h = image_size if image_size is not None else (1, 1)
     if img_w <= 0 or img_h <= 0:
         raise ValueError(f"image dimensions must be positive, got {img_w}x{img_h}")
-    rows = _rows_of(tracklets)
     # an overflow or a nan fails the corner test below
     with np.errstate(over="ignore", invalid="ignore"):
         x1, y1, _, _ = _corners(rows.boxes)

@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from functools import cached_property
+from itertools import chain, islice
+from operator import itemgetter
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -27,9 +30,9 @@ from .config import (_MAX_SCALE, _SCHEMA, _check_choice, _check_range, _check_sp
                      _parse_occlusions)
 from .geometry import BoundingBox, _corners, _iou, _rows
 from .matching import ClassScores
-from .mot_io import Tracklets
+from .mot_io import MotRows, Tracklets, _tracklets_of
 from .shadow import ShadowSet
-from .tracker import FrameResult, ShadowTracker, TrackerConfig
+from .tracker import ShadowTracker, TrackerConfig, _Emitted
 
 if TYPE_CHECKING:
     from .assignment import FrameGroundTruth, GroundTruthObject
@@ -169,23 +172,63 @@ class SceneFrame(NamedTuple):
     visible: bool
 
 
-@dataclass
 class Scene:
-    """Ground truth: per-identity frame states plus the generating config."""
+    """Ground truth: per-identity frame states plus the generating config.
 
-    config: SceneConfig
-    tracks: dict[int, tuple[SceneFrame, ...]]
+    The states are held as rows sorted by (frame, id): each row's frame,
+    its identity as an index into the sorted identity list, its box
+    ``(cx, cy, w, h)`` as a row of one ``[n, 4]`` array, and its
+    visibility.  The identity list also keeps identities with no frames.
+    ``tracks``, the per-identity ``SceneFrame`` form, is built from the
+    rows when first read.
+    """
 
-    def __post_init__(self) -> None:
-        self._states: dict[int, dict[int, SceneFrame]] = {}
-        for identity, states in self.tracks.items():
+    def __init__(self, config: SceneConfig, tracks: dict[int, tuple[SceneFrame, ...]]) -> None:
+        for identity, states in tracks.items():
             frames = [s.t for s in states]
             if frames != sorted(set(frames)):
                 raise ValueError(f"identity {identity}: frame indices must strictly increase")
-            if frames and (frames[0] < 1 or frames[-1] > self.config.n_frames):
-                raise ValueError(f"identity {identity}: frames outside [1, {self.config.n_frames}]")
-            for s in states:
-                self._states.setdefault(s.t, {})[identity] = s
+            if frames and (frames[0] < 1 or frames[-1] > config.n_frames):
+                raise ValueError(f"identity {identity}: frames outside [1, {config.n_frames}]")
+        identities = sorted(tracks)
+        states = [(s, code) for code, identity in enumerate(identities) for s in tracks[identity]]
+        self._init(
+            config, identities,
+            np.array([s.t for s, _ in states], dtype=np.int64),
+            np.array([code for _, code in states], dtype=np.intp),
+            _rows([s.box for s, _ in states]),
+            np.array([s.visible for s, _ in states], dtype=bool),
+        )
+
+    @classmethod
+    def _of_rows(cls, config: SceneConfig, identities: list[int], frames: np.ndarray,
+                 codes: np.ndarray, boxes: np.ndarray, visible: np.ndarray) -> "Scene":
+        """The scene of checked rows in any order, whose ``codes`` index the
+        sorted ``identities``."""
+        scene = cls.__new__(cls)
+        scene._init(config, identities, frames, codes, boxes, visible)
+        return scene
+
+    def _init(self, config: SceneConfig, identities: list[int], frames: np.ndarray,
+              codes: np.ndarray, boxes: np.ndarray, visible: np.ndarray) -> None:
+        order = np.lexsort((codes, frames))
+        self.config = config
+        self._identities = tuple(identities)
+        self._frames = frames[order]
+        self._codes = codes[order]
+        self._boxes = boxes[order]
+        self._visible = visible[order]
+        # frame t's rows are _bounds[t - 1]:_bounds[t]
+        self._bounds = np.searchsorted(self._frames, np.arange(1, config.n_frames + 2))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Scene):
+            return NotImplemented
+        return (self.config == other.config and self._identities == other._identities
+                and np.array_equal(self._frames, other._frames)
+                and np.array_equal(self._codes, other._codes)
+                and np.array_equal(self._boxes, other._boxes)
+                and np.array_equal(self._visible, other._visible))
 
     @property
     def n_frames(self) -> int:
@@ -193,10 +236,34 @@ class Scene:
 
     @property
     def identities(self) -> tuple[int, ...]:
-        return tuple(sorted(self.tracks))
+        return self._identities
+
+    @cached_property
+    def tracks(self) -> dict[int, tuple[SceneFrame, ...]]:
+        return {identity: tuple(SceneFrame(t, BoundingBox(*box), visible)
+                                for t, box, visible in states)
+                for identity, states in self._by_identity()}
+
+    def _by_identity(self) -> list[tuple[int, list[tuple[int, list[float], bool]]]]:
+        """Each identity with its ``(t, box, visible)`` states in frame order."""
+        order = np.lexsort((self._frames, self._codes))
+        counts = np.bincount(self._codes, minlength=len(self._identities)).tolist()
+        states = zip(self._frames[order].tolist(), self._boxes[order].tolist(),
+                     self._visible[order].tolist())
+        return [(identity, list(islice(states, n))) for identity, n in zip(self._identities, counts)]
+
+    def _span(self, frame: int) -> slice:
+        """The rows of ``frame``; none outside [1, n_frames]."""
+        if not 1 <= frame <= self.n_frames:
+            return slice(0, 0)
+        return slice(*self._bounds[frame - 1:frame + 1].tolist())
 
     def states_at(self, frame: int) -> dict[int, SceneFrame]:
-        return dict(self._states.get(frame, {}))
+        rows = self._span(frame)
+        return {self._identities[code]: SceneFrame(frame, BoundingBox(*box), visible)
+                for code, box, visible in zip(self._codes[rows].tolist(),
+                                              self._boxes[rows].tolist(),
+                                              self._visible[rows].tolist())}
 
     def visible_objects(self, frame: int) -> tuple[GroundTruthObject, ...]:
         # training targets load the assignment module only when asked for
@@ -208,45 +275,40 @@ class Scene:
             if s.visible
         )
 
+    def _gt_rows(self) -> MotRows:
+        """The visible rows as ground truth, each with score 1.0; occluded
+        rows are skipped, since an occluded object is not an evaluation
+        target."""
+        visible = self._visible
+        ids = [self._identities[code] for code in self._codes[visible].tolist()]
+        return MotRows(self._frames[visible].tolist(), ids, self._boxes[visible], [1.0] * len(ids))
+
     def gt_tracklets(self) -> Tracklets:
-        """Ground truth as tracklets; occluded frames are skipped, since an
-        occluded object is not an evaluation target."""
-        out = Tracklets()
-        for identity in self.identities:
-            for s in self.tracks[identity]:
-                if s.visible:
-                    out.add(identity, s.t, s.box, 1.0)
-        return out
+        """Ground truth as tracklets: the tracklets of ``_gt_rows``."""
+        return _tracklets_of(self._gt_rows())
 
     def to_json(self) -> dict:
         return {
             "version": SCENE_JSON_VERSION,
             "config": self.config.to_json(),
             "tracks": [
-                {
-                    "id": identity,
-                    "frames": [
-                        {"t": s.t, "box": [s.box.cx, s.box.cy, s.box.w, s.box.h], "visible": s.visible}
-                        for s in self.tracks[identity]
-                    ],
-                }
-                for identity in self.identities
+                {"id": identity,
+                 "frames": [{"t": t, "box": box, "visible": visible} for t, box, visible in states]}
+                for identity, states in self._by_identity()
             ],
         }
 
     def to_json_text(self) -> str:
         """``json.dumps(self.to_json(), indent=2) + "\\n"``, one template per
-        frame.  Box components are floats, as ``generate_scene`` and
-        ``from_json`` build them, and ``json`` writes each with
-        ``float.__repr__``, also numpy's, which ``%r`` would not."""
+        frame.  Box components are floats, and ``json`` writes each with
+        ``float.__repr__``."""
         r = float.__repr__
         tracks = [
             _TRACK_JSON % (identity, _json_list([
-                _FRAME_JSON % (t, r(box.cx), r(box.cy), r(box.w), r(box.h),
-                               "true" if visible else "false")
-                for t, box, visible in self.tracks[identity]
+                _FRAME_JSON % (t, r(cx), r(cy), r(w), r(h), "true" if visible else "false")
+                for t, (cx, cy, w, h), visible in states
             ], "      "))
-            for identity in self.identities
+            for identity, states in self._by_identity()
         ]
         # the document up to its "tracks" key is this dump without its
         # closing brace
@@ -259,7 +321,9 @@ class Scene:
     def from_json(cls, doc: dict) -> "Scene":
         """Parse a scene document; any defect is a ValueError that names its
         path, e.g. ``tracks[0].frames[3].box: expected 4 numbers, got 3``
-        or ``tracks[0]: unknown keys ['junk']``."""
+        or ``tracks[0]: unknown keys ['junk']``.  The tracks are read in
+        one pass into rows; a document that pass does not accept goes
+        through ``_from_frames``, which names the defect."""
         if not isinstance(doc, dict):
             raise ValueError(f"scene document: expected an object, got {type(doc).__name__}")
         version = doc.get("version")
@@ -269,10 +333,20 @@ class Scene:
         if unknown:
             raise ValueError(f"unknown scene document keys: {sorted(unknown)}")
         config = SceneConfig.from_json(_key(doc, "config", "scene document"))
+        entries = _list(_key(doc, "tracks", "scene document"), "tracks")
+        rows = _one_pass_rows(entries, config.n_frames)
+        if rows is None:
+            return cls._from_frames(config, entries)
+        return cls._of_rows(config, *rows)
+
+    @classmethod
+    def _from_frames(cls, config: SceneConfig, entries: list) -> "Scene":
+        """The scene of a document's ``tracks`` list read one frame at a
+        time: the first defect raises, with its path and what is wrong."""
         tracks: dict[int, tuple[SceneFrame, ...]] = {}
         # every frame is checked inline, by exact type: json.loads makes
         # exactly dict, list, str, int, float and bool
-        for n, entry in enumerate(_list(_key(doc, "tracks", "scene document"), "tracks")):
+        for n, entry in enumerate(entries):
             if type(entry) is not dict or entry.keys() != _TRACK_KEYS:
                 _check_keys(entry, ("id", "frames"), f"tracks[{n}]")
             identity, frames = entry["id"], entry["frames"]
@@ -322,6 +396,56 @@ class Scene:
             raise ValueError(f"tracks[{n}]: {problem}") from None
 
 
+def _one_pass_rows(entries: list, n_frames: int) -> Optional[tuple]:
+    """The identities and the frame, identity index, box and visibility
+    rows of a scene document's ``tracks`` list, read in one pass over it;
+    None when any entry may hold a defect, which ``Scene._from_frames``
+    then names.  It takes what that pass takes, with equal rows: a float
+    of an integer component lies beyond the scale bound exactly when the
+    integer does."""
+    if not all(type(entry) is dict and len(entry) == 2 for entry in entries):
+        return None
+    try:
+        ids, track_frames = zip(*map(_TRACK_ITEMS, entries)) if entries else ((), ())
+    except KeyError:
+        return None
+    if not ({int}.issuperset(map(type, ids)) and {list}.issuperset(map(type, track_frames))):
+        return None
+    states = list(chain.from_iterable(track_frames))
+    if not {dict}.issuperset(map(type, states)) or sum(map(len, states)) != 3 * len(states):
+        return None
+    try:
+        ts, boxes, visible = zip(*map(_FRAME_ITEMS, states)) if states else ((), (), ())
+    except KeyError:
+        return None
+    if not ({int}.issuperset(map(type, ts)) and {bool}.issuperset(map(type, visible))
+            and {list}.issuperset(map(type, boxes)) and {4}.issuperset(map(len, boxes))):
+        return None
+    values = list(chain.from_iterable(boxes))
+    if not _NUMBER_TYPES.issuperset(map(type, values)) or min(ids, default=1) < 1 \
+            or len(set(ids)) < len(ids):
+        return None
+    try:
+        rows = np.fromiter(map(float, values), float, len(values)).reshape(-1, 4)
+        frames = np.array(ts, dtype=np.int64)
+    except OverflowError:
+        return None
+    # a row that is not finite fails the first test; a frame must follow
+    # the one before it unless it starts a track
+    counts = np.array(list(map(len, track_frames)), dtype=np.intp)
+    starts = np.cumsum(counts) - counts
+    rising = np.ones(len(frames), dtype=bool)
+    rising[1:] = frames[1:] > frames[:-1]
+    rising[starts[starts < len(frames)]] = True
+    if not ((np.abs(rows) <= _MAX_SCALE).all() and (rows[:, 2:] >= 0.0).all() and rising.all()
+            and (frames >= 1).all() and (frames <= n_frames).all()):
+        return None
+    identities = sorted(ids)
+    code = {identity: k for k, identity in enumerate(identities)}
+    codes = np.repeat(np.array([code[identity] for identity in ids], dtype=np.intp), counts)
+    return identities, frames, codes, rows, np.array(visible, dtype=bool)
+
+
 # one frame and one track of a scene document, as json.dumps(indent=2)
 # lays them out at their depth
 _FRAME_JSON = ('        {\n          "t": %d,\n          "box": [\n            %s,\n'
@@ -338,6 +462,8 @@ def _json_list(items: list[str], indent: str) -> str:
 
 _TRACK_KEYS = {"id", "frames"}
 _FRAME_KEYS = {"t", "box", "visible"}
+_TRACK_ITEMS = itemgetter("id", "frames")
+_FRAME_ITEMS = itemgetter("t", "box", "visible")
 _NUMBER_TYPES = {int, float}
 # converter of a config key -> the exact types json.loads makes of its
 # values, and their name in an error
@@ -401,7 +527,10 @@ def generate_scene(cfg: SceneConfig) -> Scene:
     for identity, start, end in cfg.occlusions:
         occluded.setdefault(identity, set()).update(range(start, end + 1))
 
-    tracks: dict[int, tuple[SceneFrame, ...]] = {}
+    frames: list[int] = []
+    codes: list[int] = []
+    boxes: list[float] = []
+    visible: list[bool] = []
     for identity in range(1, cfg.n_objects + 1):
         rng = np.random.default_rng([cfg.seed, _STREAM_SCENE, identity])
         if cfg.schedule == "all-at-start":
@@ -414,7 +543,7 @@ def generate_scene(cfg: SceneConfig) -> Scene:
         h = float(rng.uniform(0.05, 0.2))
         vx = float(rng.uniform(-0.01, 0.01))
         vy = float(rng.uniform(-0.01, 0.01))
-        states = []
+        hidden = occluded.get(identity, ())
         for t in range(first, cfg.n_frames + 1):
             if t > first:
                 jx, jy = (rng.normal(0.0, cfg.jitter, size=2) if cfg.jitter > 0 else (0.0, 0.0))
@@ -422,10 +551,14 @@ def generate_scene(cfg: SceneConfig) -> Scene:
                 cy, fy = _reflect(cy + vy + float(jy), h / 2)
                 vx *= fx
                 vy *= fy
-            visible = t not in occluded.get(identity, ())
-            states.append(SceneFrame(t=t, box=BoundingBox(cx, cy, w, h), visible=visible))
-        tracks[identity] = tuple(states)
-    return Scene(config=cfg, tracks=tracks)
+            boxes += (cx, cy, w, h)
+            visible.append(t not in hidden)
+        frames += range(first, cfg.n_frames + 1)
+        codes += [identity - 1] * (cfg.n_frames + 1 - first)
+    return Scene._of_rows(
+        cfg, list(range(1, cfg.n_objects + 1)), np.array(frames, dtype=np.int64),
+        np.array(codes, dtype=np.intp), np.array(boxes).reshape(-1, 4), np.array(visible, dtype=bool),
+    )
 
 
 def emit_training_targets(
@@ -507,33 +640,34 @@ def _frame_draws(
     frame_rng = np.random.default_rng([cfg.seed, _STREAM_ORACLE, frame])
     corrupt_rng = np.random.default_rng([cfg.seed, _STREAM_CORRUPT, frame])
 
-    present = sorted(scene.states_at(frame).items())
+    rows = scene._span(frame)
+    present = scene._boxes[rows]
+    visible = scene._visible[rows].tolist()
     n_sets = len(tracking)
     base = np.zeros(n_sets)
-    served: dict[int, BoundingBox] = {}
+    # set -> the row of ``present`` it is served
+    served: dict[int, int] = {}
 
     # tracking sets recognize their target by anchor overlap, not by the
     # tracker's identity counter (identities diverge from scene ids as
     # soon as a track dies or objects enter out of order); the gate is
     # any positive overlap because one frame of motion can drop a small
     # box below IoU 0.5 even without noise
-    claimed_ids: set[int] = set()
+    claimed: set[int] = set()
     trk_indices = [i for i in range(n_sets) if tracking[i]]
-    if present and trk_indices:
-        overlaps, _ = _iou(_corners(anchors[trk_indices]),
-                           _corners(_rows([st.box for _, st in present])))
+    if visible and trk_indices:
+        overlaps, _ = _iou(_corners(anchors[trk_indices]), _corners(present))
         claims = _claim(overlaps, overlaps > 0.0)
         for r, k in claims.items():
-            identity, st = present[k]
-            served[trk_indices[r]] = st.box
-            base[trk_indices[r]] = max(cfg.base_score - (0.0 if st.visible else cfg.occ_drop), 0.0)
-            claimed_ids.add(identity)
+            served[trk_indices[r]] = k
+            base[trk_indices[r]] = max(cfg.base_score - (0.0 if visible[k] else cfg.occ_drop), 0.0)
+        claimed.update(claims.values())
 
-    unclaimed = [st.box for identity, st in present if st.visible and identity not in claimed_ids]
+    unclaimed = [k for k, shown in enumerate(visible) if shown and k not in claimed]
 
     det_indices = [i for i in range(n_sets) if not tracking[i]]
     if unclaimed and det_indices:
-        overlaps, _ = _iou(_corners(anchors[det_indices]), _corners(_rows(unclaimed)))
+        overlaps, _ = _iou(_corners(anchors[det_indices]), _corners(present[unclaimed]))
         claims = _claim(overlaps, overlaps >= 0.5)
         taken = set(claims.values())
         free_sets = [r for r in range(len(det_indices)) if r not in claims]
@@ -575,9 +709,9 @@ def _frame_draws(
     target = np.zeros((n_sets, 4))
     has_target = np.zeros(n_sets, dtype=bool)
     if served:
-        rows = list(served)
-        target[rows] = _rows(list(served.values()))
-        has_target[rows] = True
+        sets = list(served)
+        target[sets] = present[list(served.values())]
+        has_target[sets] = True
     fallback = np.zeros((n_sets, 4))
     fallback[lost] = anchors[lost]
     base[free] = np.where(u[:, 0] < cfg.fp_rate, cfg.fp_score, 0.0)
@@ -656,13 +790,30 @@ def _live_layer(scene: Scene, tracker: ShadowTracker, frame: int, cfg: OracleCon
 
 def _tracked_frames(
     scene: Scene, tracker: ShadowTracker, oracle_cfg: OracleConfig
-) -> Iterator[FrameResult]:
-    """Step ``tracker`` over ``scene`` from its next frame on, yielding each
-    frame's result.  The final layer's arrays go straight into the
-    tracker's lifecycle core; boxes are built only for emitted outputs."""
+) -> Iterator[_Emitted]:
+    """Step ``tracker`` over ``scene`` from its next frame on, yielding what
+    each frame emitted.  The final layer's arrays go straight into the
+    tracker's lifecycle core."""
     for frame in range(tracker.frame + 1, scene.n_frames + 1):
         boxes, scores = _live_layer(scene, tracker, frame, oracle_cfg, tracker.config.n_layers)
         yield tracker._advance(scores, lambda sets: boxes[sets])
+
+
+def _track_rows(scene: Scene, tracker_cfg: TrackerConfig, oracle_cfg: OracleConfig) -> MotRows:
+    """The rows of a run of the oracle-fed tracker over a whole scene: the
+    one run behind ``track_scene``, ``track`` and ``ablate``.  Each frame
+    emits in ascending identity order, so the rows come sorted."""
+    tracker = ShadowTracker(tracker_cfg, seed=oracle_cfg.seed)
+    frames: list[int] = []
+    ids: list[int] = []
+    boxes = [np.zeros((0, 4))]
+    scores = [np.zeros(0)]
+    for emitted in _tracked_frames(scene, tracker, oracle_cfg):
+        frames += [tracker.frame] * len(emitted.ids)
+        ids += emitted.ids
+        boxes.append(emitted.boxes)
+        scores.append(emitted.scores)
+    return MotRows(frames, ids, np.concatenate(boxes), np.concatenate(scores).tolist())
 
 
 def track_scene(
@@ -672,9 +823,4 @@ def track_scene(
 ) -> Tracklets:
     """Run the oracle-fed tracker over a whole scene.  The oracle seed also
     seeds the tracker's query bank, so one seed pins the entire run."""
-    tracker = ShadowTracker(tracker_cfg, seed=oracle_cfg.seed)
-    tracklets = Tracklets()
-    for result in _tracked_frames(scene, tracker, oracle_cfg):
-        for identity, box, score in result.outputs:
-            tracklets.add(identity, result.frame, box, score)
-    return tracklets
+    return _tracklets_of(_track_rows(scene, tracker_cfg, oracle_cfg))

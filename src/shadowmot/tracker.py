@@ -11,7 +11,7 @@ best member.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,6 +81,18 @@ class FrameResult:
             raise ValueError("every birth must emit an output this frame")
 
 
+class _Emitted(NamedTuple):
+    """What one frame of the lifecycle core emitted: the identities, in
+    ascending order, and the best shadow's box ``[n, 4]`` and score
+    ``[n]`` of each, with the births and deaths."""
+
+    ids: list[int]
+    boxes: np.ndarray
+    scores: np.ndarray
+    births: tuple[int, ...]
+    deaths: tuple[int, ...]
+
+
 class ShadowTracker:
     """Single-sequence state machine.  Frames are 1-based; identities are
     drawn from a monotone counter and never reused.
@@ -145,20 +157,28 @@ class ShadowTracker:
         scores = np.array(
             [max(s) for per_shadow in predictions for _, s in per_shadow], dtype=float
         )
-        return self._advance(
+        emitted = self._advance(
             scores.reshape(n_sets, ns),
             lambda sets: _rows([b for i in sets for b, _ in predictions[i]]).reshape(-1, ns, 4),
+        )
+        return FrameResult(
+            frame=self._frame,
+            outputs=tuple(zip(emitted.ids, [BoundingBox(*box) for box in emitted.boxes.tolist()],
+                              emitted.scores.tolist())),
+            births=emitted.births,
+            deaths=emitted.deaths,
         )
 
     def _advance(
         self, scores: np.ndarray, boxes_of: Callable[[list[int]], np.ndarray]
-    ) -> FrameResult:
+    ) -> _Emitted:
         """The lifecycle core: gate every live set on its reduced shadow
         scores ``[T + D, ns]``, emit the best shadow of each set that
         passes, promote the bank sets that pass, and drop tracks past their
         patience.  ``boxes_of(sets)`` gives the final-layer boxes
         ``[len(sets), ns, 4]`` of the listed live sets; it is asked only for
-        the sets that pass."""
+        the sets that pass.  An emitted box that ``BoundingBox`` rejects
+        raises its error, for the first such box in emission order."""
         self._frame += 1
         cfg = self.config
         phi, tau = cfg.shadow.score_reduction, cfg.shadow.tau
@@ -198,20 +218,11 @@ class ShadowTracker:
 
         # argmax takes the lowest shadow index among equal scores
         best = scores[emitted].argmax(axis=1)
-        outputs = tuple(
-            (identity, BoundingBox(*box), score)
-            for identity, box, score in zip(
-                out_ids,
-                boxes[np.arange(len(emitted)), best].tolist(),
-                scores[emitted, best].tolist(),
-            )
-        )
-        return FrameResult(
-            frame=self._frame,
-            outputs=outputs,
-            births=tuple(births),
-            deaths=tuple(deaths),
-        )
+        best_boxes = boxes[np.arange(len(emitted)), best]
+        if not (np.isfinite(best_boxes).all() and (best_boxes[:, 2:] >= 0.0).all()):
+            for box in best_boxes.tolist():
+                BoundingBox(*box)
+        return _Emitted(out_ids, best_boxes, scores[emitted, best], tuple(births), tuple(deaths))
 
 
 # the largest |score| and tau of a row that numpy's mean may gate: a sum of

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import permutations
 from pathlib import Path
@@ -20,16 +21,20 @@ from shadowmot import (
     CostWeights,
     FrameResult,
     MotLine,
+    RunConfig,
+    SceneConfig,
+    SceneFrame,
     ShadowSet,
     Tracklets,
+    evaluate,
     focal_cost,
     init_query_bank,
     reduce_values,
 )
 from shadowmot.geometry import _corners, _iou, pairwise
 from shadowmot.matching import hungarian
-from shadowmot.metrics import ALPHA_GRID, AlphaScores, HotaResult
-from shadowmot.simulator import _STREAM_CORRUPT, _STREAM_ORACLE
+from shadowmot.metrics import ALPHA_GRID, SCORES, AlphaScores, HotaResult
+from shadowmot.simulator import _STREAM_CORRUPT, _STREAM_ORACLE, _STREAM_SCENE, _reflect
 
 # the matching cost with all three components at weight 1
 UNIT_WEIGHTS = CostWeights(w_class=1.0, w_l1=1.0, w_giou=1.0)
@@ -546,6 +551,106 @@ def track_scene_reference(scene, tracker_cfg, oracle_cfg) -> Tracklets:
         for identity, box, score in result.outputs:
             tracklets.add(identity, result.frame, box, score)
     return tracklets
+
+
+# The object form of a scene: one SceneFrame, with its BoundingBox, per
+# box.  The reference that the rows of ``Scene`` must equal, and the scene
+# that the object path of the oracle reads.
+
+
+@dataclass
+class SceneReference:
+    """A scene as per-identity ``SceneFrame`` tuples."""
+
+    config: SceneConfig
+    tracks: dict[int, tuple[SceneFrame, ...]]
+
+    @property
+    def n_frames(self) -> int:
+        return self.config.n_frames
+
+    def states_at(self, frame: int) -> dict[int, SceneFrame]:
+        return {identity: s for identity, states in self.tracks.items()
+                for s in states if s.t == frame}
+
+    def gt_tracklets(self) -> Tracklets:
+        """The visible states as tracklets, each with score 1.0."""
+        out = Tracklets()
+        for identity in sorted(self.tracks):
+            for s in self.tracks[identity]:
+                if s.visible:
+                    out.add(identity, s.t, s.box, 1.0)
+        return out
+
+    def to_json(self) -> dict:
+        return {
+            "version": 1,
+            "config": self.config.to_json(),
+            "tracks": [
+                {"id": identity,
+                 "frames": [{"t": s.t, "box": [s.box.cx, s.box.cy, s.box.w, s.box.h],
+                             "visible": s.visible} for s in self.tracks[identity]]}
+                for identity in sorted(self.tracks)
+            ],
+        }
+
+
+def generate_scene_reference(cfg: SceneConfig) -> SceneReference:
+    """``generate_scene`` building one ``SceneFrame`` per state, with the
+    same draws and reflections."""
+    occluded: dict[int, set[int]] = {}
+    for identity, start, end in cfg.occlusions:
+        occluded.setdefault(identity, set()).update(range(start, end + 1))
+    tracks = {}
+    for identity in range(1, cfg.n_objects + 1):
+        rng = np.random.default_rng([cfg.seed, _STREAM_SCENE, identity])
+        first = 1 if cfg.schedule == "all-at-start" else int(rng.integers(1, cfg.n_frames + 1))
+        cx, cy, w, h = (float(rng.uniform(lo, hi)) for lo, hi in
+                        ((0.15, 0.85), (0.15, 0.85), (0.05, 0.2), (0.05, 0.2)))
+        vx = float(rng.uniform(-0.01, 0.01))
+        vy = float(rng.uniform(-0.01, 0.01))
+        states = []
+        for t in range(first, cfg.n_frames + 1):
+            if t > first:
+                jx, jy = (rng.normal(0.0, cfg.jitter, size=2) if cfg.jitter > 0 else (0.0, 0.0))
+                cx, fx = _reflect(cx + vx + float(jx), w / 2)
+                cy, fy = _reflect(cy + vy + float(jy), h / 2)
+                vx *= fx
+                vy *= fy
+            visible = t not in occluded.get(identity, ())
+            states.append(SceneFrame(t=t, box=BoundingBox(cx, cy, w, h), visible=visible))
+        tracks[identity] = tuple(states)
+    return SceneReference(cfg, tracks)
+
+
+# each ablate grid axis: the ShadowConfig field it sets and its values
+_GRID_AXES = {"lambda": ("cost_reduction", ("min", "mean", "max")),
+              "phi": ("score_reduction", ("min", "mean", "max")),
+              "ns": ("n_shadows", (1, 2, 3, 4, 5, 6))}
+
+
+def ablate_reference(scene, run: RunConfig, axes: Sequence[str], trials: int) -> str:
+    """The CSV of ``ablate`` on the object path: every cell tracked on its
+    own with ``track_scene_reference`` and scored against the scene's
+    ``gt_tracklets``, one oracle seed per trial."""
+    lines = [",".join(("lambda", "phi", "ns", "trials", *SCORES))]
+    gt = scene.gt_tracklets()
+    for combo in itertools.product(*(_GRID_AXES[a][1] for a in axes)):
+        shadow = replace(run.tracker.shadow,
+                         **{_GRID_AXES[a][0]: v for a, v in zip(axes, combo)})
+        tracker_cfg = replace(run.tracker, shadow=shadow)
+        reports = [
+            evaluate(gt, track_scene_reference(scene, tracker_cfg,
+                                               replace(run.oracle, seed=run.seed + trial)))
+            for trial in range(trials)
+        ]
+        cells = []
+        for name in SCORES:
+            values = [getattr(report, name) for report in reports]
+            cells.append("" if None in values else repr(sum(map(float, values)) / trials))
+        lines.append(",".join([shadow.cost_reduction, shadow.score_reduction,
+                               str(shadow.n_shadows), str(trials), *cells]))
+    return "\n".join(lines) + "\n"
 
 
 def tracklet_bits(tracklets: Tracklets) -> bytes:

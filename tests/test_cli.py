@@ -5,22 +5,31 @@ tests exercise the real entry point: argument parsing, file I/O, exit codes,
 and the exact bytes written to disk.
 """
 
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 import warnings
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import shadowmot
-from shadowmot import ShadowTracker, cli, read_mot
+from shadowmot import (BoundingBox, Observation, SceneFrame, ShadowTracker, cli, format_mot,
+                       load_run_config, parse_config_text, read_mot)
 
-from helpers import by_frame, cli_env
+from helpers import (ablate_reference, by_frame, cli_env, generate_scene_reference,
+                     track_scene_reference)
 
 _CONFIG = """\
 # small scene so the suite stays fast
@@ -681,7 +690,7 @@ class TestAblate:
         scene = cli._load_scene(str(scene_path))
         for row in ones:
             shadow = replace(run.tracker.shadow, score_reduction=row[1], n_shadows=1)
-            alone = cli._mean_metric_columns(scene, cli._rows_of(scene.gt_tracklets()), run,
+            alone = cli._mean_metric_columns(scene, scene._gt_rows(), run,
                                              replace(run.tracker, shadow=shadow), 2)
             assert row[4:] == alone
 
@@ -917,7 +926,159 @@ class TestObjectBoundary:
         assert "tracking targets:" in capsys.readouterr().out
 
 
+    def test_commands_build_no_per_box_objects(self, workdir, monkeypatch, capsys):
+        # simulate, track and ablate keep scenes and emitted boxes as rows:
+        # the only boxes they build are the anchors of each tracker's bank
+        from shadowmot import tracker
+
+        built = Counter()
+        post_init = BoundingBox.__post_init__
+
+        def counted_post_init(self):
+            built["BoundingBox"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(BoundingBox, "__post_init__", counted_post_init)
+        for cls in (SceneFrame, Observation):
+            def counted_new(cls_, *args, _new=cls.__new__, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                return _new(cls_, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__new__", staticmethod(counted_new))
+        bank = tracker.init_query_bank
+
+        def counted_bank(n_sets, *args):
+            built["anchors"] += n_sets
+            return bank(n_sets, *args)
+
+        monkeypatch.setattr(tracker, "init_query_bank", counted_bank)
+        assert SceneFrame(1, None, True) and built["SceneFrame"] == 1
+        cfg, scene = str(workdir / "run.cfg"), str(workdir / "scene.json")
+        for argv in (
+            ["simulate", "--config", cfg, "-o", scene],
+            ["track", "--scene", scene, "--config", cfg, "-o", str(workdir / "results.txt")],
+            ["ablate", "--scene", scene, "--config", cfg, "--grid", "phi x ns",
+             "-o", str(workdir / "sweep.csv")],
+        ):
+            built.clear()
+            assert cli.main(argv) == 0, argv
+            assert built["SceneFrame"] == built["Observation"] == 0, argv
+            assert built["BoundingBox"] == built["anchors"], argv
+        # 16 tracker runs of 6 sets
+        assert built["anchors"] == 16 * 6
+        assert read_mot(str(workdir / "results.txt")).n_boxes() > 0
+
+
+_SWEEP_GRIDS = {"phi": ["phi"], "ns": ["ns"], "lambda x phi": ["lambda", "phi"]}
+
+
+class TestObjectPathEquivalence:
+    """The commands keep scenes and emitted boxes as rows from the scene
+    document to the MOT file; their bytes must equal what the object path
+    in tests/helpers.py writes: one ``SceneFrame`` per scene box, reference
+    draws and lifecycle, and ``format_mot`` of the tracklets."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_frames=st.integers(1, 8),
+        n_objects=st.integers(0, 5),
+        schedule=st.sampled_from(["all-at-start", "uniform"]),
+        jitter=st.sampled_from([0.0, 0.01]),
+        occluded=st.booleans(),
+        n_sets=st.integers(1, 8),
+        ns=st.integers(1, 6),
+        phi=st.sampled_from(["min", "mean", "max"]),
+        patience=st.integers(0, 3),
+        box_noise=st.sampled_from([0.0, 0.01]),
+        p_corrupt=st.sampled_from([0.0, 0.1, 0.5]),
+        fp_rate=st.sampled_from([0.0, 0.1, 0.5]),
+        fp_score=st.sampled_from([0.1, 0.8]),
+        grid=st.sampled_from(sorted(_SWEEP_GRIDS)),
+        trials=st.integers(1, 2),
+    )
+    def test_commands_equal_object_path(self, seed, n_frames, n_objects, schedule, jitter,
+                                        occluded, n_sets, ns, phi, patience, box_noise,
+                                        p_corrupt, fp_rate, fp_score, grid, trials):
+        text = (f"seed = {seed}\nscene.n_frames = {n_frames}\nscene.n_objects = {n_objects}\n"
+                f"scene.schedule = {schedule}\nscene.jitter = {jitter}\n"
+                f"tracker.n_detection_sets = {n_sets}\nshadow.ns = {ns}\nshadow.phi = {phi}\n"
+                f"tracker.patience = {patience}\noracle.box_noise_std = {box_noise}\n"
+                f"oracle.p_corrupt = {p_corrupt}\noracle.fp_rate = {fp_rate}\n"
+                f"oracle.fp_score = {fp_score}\nshadow.embed_dim = 8\n")
+        if occluded and n_objects:
+            text += f"scene.occlusions = 1:1:{(n_frames + 1) // 2}\n"
+        run = load_run_config(parse_config_text(text), {})
+        scene = generate_scene_reference(run.scene)
+        size = (run.scene.image_width, run.scene.image_height)
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            work = Path(tmp)
+            (work / "run.cfg").write_text(text, encoding="ascii")
+            cfg, doc = str(work / "run.cfg"), str(work / "scene.json")
+            assert cli.main(["simulate", "--config", cfg, "-o", doc]) == 0
+            assert cli.main(["track", "--scene", doc, "--config", cfg,
+                             "-o", str(work / "out.txt")]) == 0
+            assert cli.main(["ablate", "--scene", doc, "--config", cfg, "--grid", grid,
+                             "--trials", str(trials), "-o", str(work / "grid.csv")]) == 0
+            written = {name: (work / name).read_text(encoding="ascii")
+                       for name in ("scene.json", "scene.gt.txt", "out.txt", "grid.csv")}
+        assert written["scene.json"] == json.dumps(scene.to_json(), indent=2) + "\n"
+        assert written["scene.gt.txt"] == format_mot(scene.gt_tracklets(), size)
+        assert written["out.txt"] == format_mot(
+            track_scene_reference(scene, run.tracker, run.oracle), size)
+        assert written["grid.csv"] == ablate_reference(scene, run, _SWEEP_GRIDS[grid], trials)
+
+
+class TestBadEmittedBox:
+    @pytest.mark.parametrize("command", ["track", "ablate"])
+    def test_first_bad_box_in_emission_order_is_one_error(self, workdir, scene_path,
+                                                          monkeypatch, capsys, command):
+        # frame 2 gives every set but the first (identity 1) a negative
+        # height, frame 3 gives identity 1 a NaN center: the error names
+        # the first bad box emitted, not the bad box of the lowest identity
+        from shadowmot import simulator
+
+        render = simulator._render_layer
+        calls = []
+
+        def bad_render(draws, scale):
+            boxes, scores = render(draws, scale)
+            calls.append(len(calls) + 1)
+            if calls[-1] == 2:
+                boxes[1:] = (0.5, 0.5, 0.1, -1.0)
+            elif calls[-1] == 3:
+                boxes[:1] = math.nan
+            return boxes, scores
+
+        monkeypatch.setattr(simulator, "_render_layer", bad_render)
+        capsys.readouterr()
+        out = workdir / "out.txt"
+        assert cli.main([command, "--scene", str(scene_path), "--config",
+                         str(workdir / "run.cfg"), "-o", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: box extent must be non-negative, got w=0.1, h=-1.0"]
+        assert calls == [1, 2]
+        assert not out.exists()
+
+
 class TestWriteErrors:
+    def test_failed_track_leaves_no_output(self, workdir, scene_path):
+        (workdir / "p1.txt.manifest.json").mkdir()
+        proc = run_cli("track", "--scene", "scene.json", "--config", "run.cfg", "-o", "p1.txt",
+                       cwd=workdir)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "error: [Errno 21] Is a directory: 'p1.txt.manifest.json'"]
+        assert not (workdir / "p1.txt").exists()
+
+    def test_failed_simulate_leaves_no_output(self, workdir):
+        (workdir / "p2.gt.txt").mkdir()
+        proc = run_cli("simulate", "--config", "run.cfg", "-o", "p2.json", cwd=workdir)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error: [Errno 21] Is a directory: 'p2.gt.txt'"]
+        assert not (workdir / "p2.json").exists()
+        assert (workdir / "p2.gt.txt").is_dir()
+
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
     @pytest.mark.parametrize("command", ["simulate", "track", "eval", "ablate"])
     def test_full_device_is_one_error_naming_the_file(self, workdir, scene_path, command):
@@ -968,7 +1129,7 @@ class TestMain:
 
     @pytest.mark.parametrize("command,module,step,args", [
         ("simulate", "simulator", "generate_scene", ["--config", "run.cfg", "-o", "s.json"]),
-        ("track", "simulator", "track_scene",
+        ("track", "simulator", "_track_rows",
          ["--scene", "scene.json", "--config", "run.cfg", "-o", "out.txt"]),
         ("eval", "metrics", "_evaluate",
          ["--gt", "scene.gt.txt", "--results", "scene.gt.txt", "-o", "report.json"]),

@@ -28,7 +28,8 @@ from shadowmot import (
     track_scene,
 )
 from shadowmot.geometry import _corners, _iou, _rows
-from shadowmot.simulator import _FALLBACK_HI, _FALLBACK_LO, _claim, _frame_draws, _set_arrays
+from shadowmot.simulator import (_FALLBACK_HI, _FALLBACK_LO, _claim, _frame_draws,
+                                 _one_pass_rows, _set_arrays)
 
 from helpers import (
     by_frame,
@@ -36,6 +37,7 @@ from helpers import (
     corners,
     first_frame,
     frame_draws_reference,
+    generate_scene_reference,
     render_layer_reference,
     track_scene_reference,
     tracklet_bits,
@@ -499,6 +501,195 @@ class TestSceneWriter:
         text = scene.to_json_text()
         assert text == json.dumps(scene.to_json(), indent=2) + "\n"
         assert Scene.from_json(json.loads(text)).tracks[1][0].box == box
+
+
+def _scene_bits(scene: Scene) -> tuple:
+    """A scene's identities and the bytes of each of its row arrays."""
+    return (scene.identities, scene._frames.tobytes(), scene._codes.tobytes(),
+            scene._boxes.tobytes(), scene._visible.tobytes())
+
+
+class TestSceneRows:
+    """``Scene`` holds its boxes as rows; the object form in tests/helpers.py
+    (one ``SceneFrame`` per box) must give the same states, ground truth and
+    document bytes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_frames=st.integers(1, 12),
+        n_objects=st.integers(0, 6),
+        schedule=st.sampled_from(["all-at-start", "uniform"]),
+        jitter=st.sampled_from([0, 0.0, 0.004, 0.3]),
+        occluded=st.booleans(),
+        seed=st.integers(0, 2**32),
+    )
+    def test_generated_rows_equal_object_form(
+        self, n_frames, n_objects, schedule, jitter, occluded, seed
+    ):
+        occlusions = ((n_objects, 1, (n_frames + 1) // 2),) if occluded and n_objects else ()
+        cfg = SceneConfig(n_frames=n_frames, n_objects=n_objects, schedule=schedule,
+                          jitter=jitter, occlusions=occlusions, seed=seed)
+        scene = generate_scene(cfg)
+        want = generate_scene_reference(cfg)
+        assert scene.tracks == want.tracks
+        assert [_state_bits(s) for states in scene.tracks.values() for s in states] == [
+            _state_bits(s) for states in want.tracks.values() for s in states]
+        for frame in range(0, n_frames + 2):
+            assert scene.states_at(frame) == want.states_at(frame)
+        gt = scene.gt_tracklets()
+        assert gt == want.gt_tracklets()
+        assert tracklet_bits(gt) == tracklet_bits(want.gt_tracklets())
+        assert scene.to_json_text() == json.dumps(want.to_json(), indent=2) + "\n"
+        assert scene == Scene(cfg, want.tracks)
+        assert _scene_bits(scene) == _scene_bits(Scene(cfg, want.tracks))
+
+    def test_identities_without_frames_are_kept(self):
+        cfg = SceneConfig(n_frames=3, n_objects=1)
+        box = BoundingBox(0.5, 0.5, 0.1, 0.1)
+        scene = Scene(cfg, {9: (), 4: (SceneFrame(2, box, False), SceneFrame(3, box, True))})
+        assert scene.identities == (4, 9)
+        assert scene.tracks == {4: (SceneFrame(2, box, False), SceneFrame(3, box, True)), 9: ()}
+        assert scene.states_at(1) == {} and scene.states_at(4) == {}
+        assert scene.visible_objects(2) == ()
+        assert [o.identity for o in scene.visible_objects(3)] == [4]
+        loaded = Scene.from_json(json.loads(scene.to_json_text()))
+        assert loaded == scene
+        assert loaded != Scene(cfg, {4: scene.tracks[4]})
+
+
+def _state_bits(state: SceneFrame) -> bytes:
+    return np.array([state.t, *state.box.__dict__.values(), state.visible], dtype=float).tobytes()
+
+
+def _mutate(doc: dict, mutation: str, draw) -> None:
+    """Apply ``mutation`` to a scene document, with ``draw`` picking the
+    track, the frame and the box component it hits."""
+    tracks = doc["tracks"]
+    # an earlier mutation may have broken some track or frame
+    whole = [track for track in tracks if type(track) is dict and "id" in track
+             and type(track.get("frames")) is list]
+    states = [(track, frame) for track in whole for frame in track["frames"]
+              if type(frame) is dict and type(frame.get("box")) is list and len(frame["box"]) == 4]
+    if mutation == "empty-track":
+        tracks.insert(draw(st.integers(0, len(tracks))), {"id": 1000 + len(tracks), "frames": []})
+        return
+    if mutation == "huge-id":
+        tracks.append({"id": 2 ** 70, "frames": [{"t": 1, "box": [0.5, 0.5, 0.1, 0.1],
+                                                  "visible": True}]})
+        return
+    if mutation in ("repeated-id", "zero-id", "bool-id", "extra-track-key", "track-not-object"):
+        if not whole:
+            tracks.append({"id": 1, "frames": []})
+            whole = tracks[-1:]
+        track = whole[draw(st.integers(0, len(whole) - 1))]
+        if mutation == "repeated-id":
+            tracks.append({"id": track["id"], "frames": []})
+        elif mutation == "zero-id":
+            track["id"] = 0
+        elif mutation == "bool-id":
+            track["id"] = True
+        elif mutation == "extra-track-key":
+            track["junk"] = 1
+        else:
+            tracks[tracks.index(track)] = [track]
+        return
+    if not states:
+        tracks.append({"id": 999, "frames": [{"t": 1, "box": [0.5, 0.5, 0.1, 0.1],
+                                              "visible": True}]})
+        states = [(tracks[-1], tracks[-1]["frames"][0])]
+    track, frame = states[draw(st.integers(0, len(states) - 1))]
+    k = draw(st.integers(0, 3))
+    value = {
+        "negative-zero-extent": -0.0, "int-component": 3, "int-zero": 0,
+        "2**53+1": 2 ** 53 + 1, "10**400": 10 ** 400, "bool-component": True,
+        "nan": math.nan, "infinity": math.inf, "-infinity": -math.inf,
+        "at-bound": 1e6, "int-at-bound": 10 ** 6, "past-bound": 1000000.0000000001,
+        "negative-extent": -0.5,
+    }.get(mutation)
+    if value is not None:
+        frame["box"][2 + k % 2 if mutation == "negative-zero-extent" else k] = value
+    elif mutation == "bool-t":
+        frame["t"] = True
+    elif mutation == "frame-zero":
+        frame["t"] = 0
+    elif mutation == "frame-past-end":
+        frame["t"] = doc["config"]["n_frames"] + 1
+    elif mutation == "frames-out-of-order":
+        frame["t"] = track["frames"][0]["t"] if frame is not track["frames"][0] else 10 ** 6
+    elif mutation == "huge-t":
+        frame["t"] = 2 ** 64
+    elif mutation == "visible-int":
+        frame["visible"] = 1
+    elif mutation == "extra-frame-key":
+        frame["colour"] = "red"
+    elif mutation == "missing-box":
+        del frame["box"]
+    elif mutation == "short-box":
+        frame["box"].pop()
+    elif mutation == "box-not-list":
+        frame["box"] = {"cx": 0.5}
+    elif mutation == "frame-not-object":
+        track["frames"][track["frames"].index(frame)] = [frame]
+    elif mutation == "frames-not-list":
+        track["frames"] = {"t": 1}
+    else:
+        assert mutation == "none", mutation
+
+
+_MUTATIONS = [
+    "none", "empty-track", "huge-id", "repeated-id", "zero-id", "bool-id", "extra-track-key",
+    "track-not-object", "negative-zero-extent", "int-component", "int-zero", "2**53+1",
+    "10**400", "bool-component", "nan", "infinity", "-infinity", "at-bound", "int-at-bound",
+    "past-bound", "negative-extent", "bool-t", "frame-zero", "frame-past-end",
+    "frames-out-of-order", "huge-t", "visible-int", "extra-frame-key", "missing-box",
+    "short-box", "box-not-list", "frame-not-object", "frames-not-list",
+]
+# mutations that leave a document the one-pass read must take itself
+_FAST = {"none", "empty-track", "huge-id", "negative-zero-extent", "int-component", "int-zero",
+         "at-bound", "int-at-bound"}
+
+
+class TestOnePassRead:
+    """``Scene.from_json`` reads the tracks in one pass and hands any
+    document it does not take to the per-frame pass, which names the
+    defect.  On mutated documents both must accept or reject alike, with
+    one message, and give rows equal by ``tobytes()``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=_scene_documents(), mutations=st.lists(st.sampled_from(_MUTATIONS), max_size=2),
+           data=st.data())
+    def test_equals_per_frame_pass(self, doc, mutations, data):
+        for mutation in mutations:
+            _mutate(doc, mutation, data.draw)
+        config = SceneConfig.from_json(doc["config"])
+        try:
+            want = Scene._from_frames(config, doc["tracks"])
+        except ValueError as exc:
+            want = str(exc)
+        try:
+            got = Scene.from_json(doc)
+        except ValueError as exc:
+            got = str(exc)
+        rows = _one_pass_rows(doc["tracks"], config.n_frames)
+        if isinstance(want, str):
+            assert got == want
+            assert rows is None
+            return
+        assert _scene_bits(got) == _scene_bits(want)
+        if set(mutations) <= _FAST:
+            assert rows is not None
+        if rows is not None:
+            assert _scene_bits(Scene._of_rows(config, *rows)) == _scene_bits(want)
+
+    def test_integer_components_are_checked_exactly(self):
+        doc = generate_scene(SceneConfig(n_frames=3, n_objects=2, seed=1)).to_json()
+        doc["tracks"][1]["frames"][1]["box"][0] = 2 ** 53 + 1
+        with pytest.raises(ValueError) as info:
+            Scene.from_json(doc)
+        assert str(info.value) == "tracks[1].frames[1].box: must be <= 1000000, got 9007199254740993"
+        doc["tracks"][1]["frames"][1]["box"][0] = 10 ** 6
+        assert Scene.from_json(doc).tracks[2][1].box.cx == 1e6
+        assert _one_pass_rows(doc["tracks"], 3) is not None
 
 
 class TestEmitTrainingTargets:
