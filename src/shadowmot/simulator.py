@@ -19,8 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
-from itertools import chain, islice
-from operator import itemgetter
+from itertools import islice
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -180,16 +179,15 @@ class Scene:
     ``(cx, cy, w, h)`` as a row of one ``[n, 4]`` array, and its
     visibility.  The identity list also keeps identities with no frames.
     ``tracks``, the per-identity ``SceneFrame`` form, is built from the
-    rows when first read.
+    rows when first read.  ``from_json`` and ``Scene(config, tracks)``
+    check each identity's frames by one rule, ``_frame_problem``.
     """
 
     def __init__(self, config: SceneConfig, tracks: dict[int, tuple[SceneFrame, ...]]) -> None:
         for identity, states in tracks.items():
-            frames = [s.t for s in states]
-            if frames != sorted(set(frames)):
-                raise ValueError(f"identity {identity}: frame indices must strictly increase")
-            if frames and (frames[0] < 1 or frames[-1] > config.n_frames):
-                raise ValueError(f"identity {identity}: frames outside [1, {config.n_frames}]")
+            problem = _frame_problem([s.t for s in states], config.n_frames)
+            if problem:
+                raise ValueError(f"identity {identity}: {problem}")
         identities = sorted(tracks)
         states = [(s, code) for code, identity in enumerate(identities) for s in tracks[identity]]
         self._init(
@@ -321,9 +319,9 @@ class Scene:
     def from_json(cls, doc: dict) -> "Scene":
         """Parse a scene document; any defect is a ValueError that names its
         path, e.g. ``tracks[0].frames[3].box: expected 4 numbers, got 3``
-        or ``tracks[0]: unknown keys ['junk']``.  The tracks are read in
-        one pass into rows; a document that pass does not accept goes
-        through ``_from_frames``, which names the defect."""
+        or ``tracks[0]: unknown keys ['junk']``.  One pass reads the tracks
+        frame by frame into rows, ``_read_tracks``, and builds no box object
+        unless a box fails its range test and its defect must be named."""
         if not isinstance(doc, dict):
             raise ValueError(f"scene document: expected an object, got {type(doc).__name__}")
         version = doc.get("version")
@@ -334,116 +332,88 @@ class Scene:
             raise ValueError(f"unknown scene document keys: {sorted(unknown)}")
         config = SceneConfig.from_json(_key(doc, "config", "scene document"))
         entries = _list(_key(doc, "tracks", "scene document"), "tracks")
-        rows = _one_pass_rows(entries, config.n_frames)
-        if rows is None:
-            return cls._from_frames(config, entries)
-        return cls._of_rows(config, *rows)
+        return cls._of_rows(config, *_read_tracks(entries, config.n_frames))
 
-    @classmethod
-    def _from_frames(cls, config: SceneConfig, entries: list) -> "Scene":
-        """The scene of a document's ``tracks`` list read one frame at a
-        time: the first defect raises, with its path and what is wrong."""
-        tracks: dict[int, tuple[SceneFrame, ...]] = {}
-        # every frame is checked inline, by exact type: json.loads makes
-        # exactly dict, list, str, int, float and bool
-        for n, entry in enumerate(entries):
-            if type(entry) is not dict or entry.keys() != _TRACK_KEYS:
-                _check_keys(entry, ("id", "frames"), f"tracks[{n}]")
-            identity, frames = entry["id"], entry["frames"]
-            if type(identity) is not int:
-                raise ValueError(f"tracks[{n}].id: expected an integer, got {identity!r}")
-            _check_range(f"tracks[{n}].id", identity, 1)
-            if identity in tracks:
-                raise ValueError(f"tracks[{n}].id: duplicate id {identity}")
-            if type(frames) is not list:
-                raise ValueError(f"tracks[{n}].frames: expected a list")
-            states = []
-            for m, f in enumerate(frames):
-                if type(f) is not dict or f.keys() != _FRAME_KEYS:
-                    _check_keys(f, ("t", "box", "visible"), f"tracks[{n}].frames[{m}]")
-                t, box, visible = f["t"], f["box"], f["visible"]
-                if type(t) is not int:
-                    raise ValueError(f"tracks[{n}].frames[{m}].t: expected an integer, got {t!r}")
-                if type(box) is not list or not _NUMBER_TYPES.issuperset(map(type, box)):
-                    raise ValueError(
-                        f"tracks[{n}].frames[{m}].box: expected a list of 4 numbers, got {box!r}"
-                    )
-                if len(box) != 4:
-                    raise ValueError(
-                        f"tracks[{n}].frames[{m}].box: expected 4 numbers, got {len(box)}"
-                    )
+
+def _frame_problem(frames: list[int], n_frames: int) -> Optional[str]:
+    """What is wrong with one identity's frame indices, their order before
+    their range; None when they strictly increase within [1, n_frames]."""
+    if frames != sorted(set(frames)):
+        return "frame indices must strictly increase"
+    if frames and (frames[0] < 1 or frames[-1] > n_frames):
+        return f"frames outside [1, {n_frames}]"
+    return None
+
+
+def _read_tracks(entries: list, n_frames: int) -> tuple:
+    """The identities and the frame, identity index, box and visibility
+    rows of a scene document's ``tracks`` list, read in one pass: the first
+    defect raises, with its path and what is wrong.  A track's frame order
+    and range raise only once every frame of every track has passed."""
+    # each track's identity and its number of frames, in document order
+    counts: dict[int, int] = {}
+    ts: list[int] = []
+    values: list[float] = []
+    visible: list[bool] = []
+    frame_error = None
+    # every frame is checked inline, by exact type: json.loads makes
+    # exactly dict, list, str, int, float and bool
+    for n, entry in enumerate(entries):
+        if type(entry) is not dict or entry.keys() != _TRACK_KEYS:
+            _check_keys(entry, ("id", "frames"), f"tracks[{n}]")
+        identity, frames = entry["id"], entry["frames"]
+        if type(identity) is not int:
+            raise ValueError(f"tracks[{n}].id: expected an integer, got {identity!r}")
+        _check_range(f"tracks[{n}].id", identity, 1)
+        if identity in counts:
+            raise ValueError(f"tracks[{n}].id: duplicate id {identity}")
+        if type(frames) is not list:
+            raise ValueError(f"tracks[{n}].frames: expected a list")
+        first = len(ts)
+        for m, f in enumerate(frames):
+            if type(f) is not dict or f.keys() != _FRAME_KEYS:
+                _check_keys(f, ("t", "box", "visible"), f"tracks[{n}].frames[{m}]")
+            t, box, shown = f["t"], f["box"], f["visible"]
+            if type(t) is not int:
+                raise ValueError(f"tracks[{n}].frames[{m}].t: expected an integer, got {t!r}")
+            if type(box) is not list or not _NUMBER_TYPES.issuperset(map(type, box)):
+                raise ValueError(
+                    f"tracks[{n}].frames[{m}].box: expected a list of 4 numbers, got {box!r}"
+                )
+            if len(box) != 4:
+                raise ValueError(f"tracks[{n}].frames[{m}].box: expected 4 numbers, got {len(box)}")
+            cx, cy, w, h = box
+            # one test of a valid box on the document's numbers, which NaN,
+            # infinities, a negative extent and a component past the bound
+            # fail; only a failure runs the code that names the defect
+            if not (-_MAX_SCALE <= cx <= _MAX_SCALE and -_MAX_SCALE <= cy <= _MAX_SCALE
+                    and 0 <= w <= _MAX_SCALE and 0 <= h <= _MAX_SCALE):
                 try:
-                    bbox = BoundingBox(*map(float, box))
+                    BoundingBox(*map(float, box))
                 except (ValueError, OverflowError) as exc:
                     raise ValueError(f"tracks[{n}].frames[{m}].box: {exc}") from None
-                # checked per frame, so the message is built only when out of range
-                far = max(box, key=abs)
-                if abs(far) > _MAX_SCALE:
-                    _check_range(f"tracks[{n}].frames[{m}].box", far, -_MAX_SCALE, _MAX_SCALE)
-                if type(visible) is not bool:
-                    raise ValueError(
-                        f"tracks[{n}].frames[{m}].visible: expected true or false, got {visible!r}"
-                    )
-                states.append(SceneFrame(t, bbox, visible))
-            tracks[identity] = tuple(states)
-        try:
-            return cls(config=config, tracks=tracks)
-        except ValueError as exc:
-            # the check names an identity; the document names its track,
-            # the n-th in both
-            where, _, problem = str(exc).partition(": ")
-            n = list(tracks).index(int(where.removeprefix("identity ")))
-            raise ValueError(f"tracks[{n}]: {problem}") from None
-
-
-def _one_pass_rows(entries: list, n_frames: int) -> Optional[tuple]:
-    """The identities and the frame, identity index, box and visibility
-    rows of a scene document's ``tracks`` list, read in one pass over it;
-    None when any entry may hold a defect, which ``Scene._from_frames``
-    then names.  It takes what that pass takes, with equal rows: a float
-    of an integer component lies beyond the scale bound exactly when the
-    integer does."""
-    if not all(type(entry) is dict and len(entry) == 2 for entry in entries):
-        return None
-    try:
-        ids, track_frames = zip(*map(_TRACK_ITEMS, entries)) if entries else ((), ())
-    except KeyError:
-        return None
-    if not ({int}.issuperset(map(type, ids)) and {list}.issuperset(map(type, track_frames))):
-        return None
-    states = list(chain.from_iterable(track_frames))
-    if not {dict}.issuperset(map(type, states)) or sum(map(len, states)) != 3 * len(states):
-        return None
-    try:
-        ts, boxes, visible = zip(*map(_FRAME_ITEMS, states)) if states else ((), (), ())
-    except KeyError:
-        return None
-    if not ({int}.issuperset(map(type, ts)) and {bool}.issuperset(map(type, visible))
-            and {list}.issuperset(map(type, boxes)) and {4}.issuperset(map(len, boxes))):
-        return None
-    values = list(chain.from_iterable(boxes))
-    if not _NUMBER_TYPES.issuperset(map(type, values)) or min(ids, default=1) < 1 \
-            or len(set(ids)) < len(ids):
-        return None
-    try:
-        rows = np.fromiter(map(float, values), float, len(values)).reshape(-1, 4)
-        frames = np.array(ts, dtype=np.int64)
-    except OverflowError:
-        return None
-    # a row that is not finite fails the first test; a frame must follow
-    # the one before it unless it starts a track
-    counts = np.array(list(map(len, track_frames)), dtype=np.intp)
-    starts = np.cumsum(counts) - counts
-    rising = np.ones(len(frames), dtype=bool)
-    rising[1:] = frames[1:] > frames[:-1]
-    rising[starts[starts < len(frames)]] = True
-    if not ((np.abs(rows) <= _MAX_SCALE).all() and (rows[:, 2:] >= 0.0).all() and rising.all()
-            and (frames >= 1).all() and (frames <= n_frames).all()):
-        return None
-    identities = sorted(ids)
+                _check_range(f"tracks[{n}].frames[{m}].box", max(box, key=abs),
+                             -_MAX_SCALE, _MAX_SCALE)
+            if type(shown) is not bool:
+                raise ValueError(
+                    f"tracks[{n}].frames[{m}].visible: expected true or false, got {shown!r}"
+                )
+            ts.append(t)
+            values.extend(box)
+            visible.append(shown)
+        counts[identity] = len(frames)
+        if frame_error is None:
+            problem = _frame_problem(ts[first:], n_frames)
+            if problem:
+                frame_error = f"tracks[{n}]: {problem}"
+    if frame_error:
+        raise ValueError(frame_error)
+    identities = sorted(counts)
     code = {identity: k for k, identity in enumerate(identities)}
-    codes = np.repeat(np.array([code[identity] for identity in ids], dtype=np.intp), counts)
-    return identities, frames, codes, rows, np.array(visible, dtype=bool)
+    codes = np.repeat(np.array([code[identity] for identity in counts], dtype=np.intp),
+                      list(counts.values()))
+    return (identities, np.array(ts, dtype=np.int64), codes,
+            np.array(values, dtype=float).reshape(-1, 4), np.array(visible, dtype=bool))
 
 
 # one frame and one track of a scene document, as json.dumps(indent=2)
@@ -462,8 +432,6 @@ def _json_list(items: list[str], indent: str) -> str:
 
 _TRACK_KEYS = {"id", "frames"}
 _FRAME_KEYS = {"t", "box", "visible"}
-_TRACK_ITEMS = itemgetter("id", "frames")
-_FRAME_ITEMS = itemgetter("t", "box", "visible")
 _NUMBER_TYPES = {int, float}
 # converter of a config key -> the exact types json.loads makes of its
 # values, and their name in an error

@@ -22,6 +22,7 @@ from shadowmot import (
     FrameResult,
     MotLine,
     RunConfig,
+    Scene,
     SceneConfig,
     SceneFrame,
     ShadowSet,
@@ -31,10 +32,12 @@ from shadowmot import (
     init_query_bank,
     reduce_values,
 )
+from shadowmot.config import _MAX_SCALE, _check_range
 from shadowmot.geometry import _corners, _iou, pairwise
 from shadowmot.matching import hungarian
 from shadowmot.metrics import ALPHA_GRID, SCORES, AlphaScores, HotaResult
-from shadowmot.simulator import _STREAM_CORRUPT, _STREAM_ORACLE, _STREAM_SCENE, _reflect
+from shadowmot.simulator import (_STREAM_CORRUPT, _STREAM_ORACLE, _STREAM_SCENE, _check_keys,
+                                 _reflect)
 
 # the matching cost with all three components at weight 1
 UNIT_WEIGHTS = CostWeights(w_class=1.0, w_l1=1.0, w_giou=1.0)
@@ -621,6 +624,63 @@ def generate_scene_reference(cfg: SceneConfig) -> SceneReference:
             states.append(SceneFrame(t=t, box=BoundingBox(cx, cy, w, h), visible=visible))
         tracks[identity] = tuple(states)
     return SceneReference(cfg, tracks)
+
+
+
+def scene_from_json_reference(doc: dict) -> Scene:
+    """``Scene.from_json`` of a document whose version and config are valid,
+    reading its tracks one frame at a time into ``SceneFrame`` objects and
+    handing them to ``Scene(config, tracks)``: the first defect raises, with
+    its path and what is wrong."""
+    config = SceneConfig.from_json(doc["config"])
+    tracks: dict[int, tuple[SceneFrame, ...]] = {}
+    for n, entry in enumerate(doc["tracks"]):
+        if type(entry) is not dict or entry.keys() != {"id", "frames"}:
+            _check_keys(entry, ("id", "frames"), f"tracks[{n}]")
+        identity, frames = entry["id"], entry["frames"]
+        if type(identity) is not int:
+            raise ValueError(f"tracks[{n}].id: expected an integer, got {identity!r}")
+        _check_range(f"tracks[{n}].id", identity, 1)
+        if identity in tracks:
+            raise ValueError(f"tracks[{n}].id: duplicate id {identity}")
+        if type(frames) is not list:
+            raise ValueError(f"tracks[{n}].frames: expected a list")
+        states = []
+        for m, f in enumerate(frames):
+            if type(f) is not dict or f.keys() != {"t", "box", "visible"}:
+                _check_keys(f, ("t", "box", "visible"), f"tracks[{n}].frames[{m}]")
+            t, box, visible = f["t"], f["box"], f["visible"]
+            if type(t) is not int:
+                raise ValueError(f"tracks[{n}].frames[{m}].t: expected an integer, got {t!r}")
+            if type(box) is not list or not {int, float}.issuperset(map(type, box)):
+                raise ValueError(
+                    f"tracks[{n}].frames[{m}].box: expected a list of 4 numbers, got {box!r}"
+                )
+            if len(box) != 4:
+                raise ValueError(
+                    f"tracks[{n}].frames[{m}].box: expected 4 numbers, got {len(box)}"
+                )
+            try:
+                bbox = BoundingBox(*map(float, box))
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"tracks[{n}].frames[{m}].box: {exc}") from None
+            far = max(box, key=abs)
+            if abs(far) > _MAX_SCALE:
+                _check_range(f"tracks[{n}].frames[{m}].box", far, -_MAX_SCALE, _MAX_SCALE)
+            if type(visible) is not bool:
+                raise ValueError(
+                    f"tracks[{n}].frames[{m}].visible: expected true or false, got {visible!r}"
+                )
+            states.append(SceneFrame(t, bbox, visible))
+        tracks[identity] = tuple(states)
+    try:
+        return Scene(config=config, tracks=tracks)
+    except ValueError as exc:
+        # the check names an identity; the document names its track, the
+        # n-th in both
+        where, _, problem = str(exc).partition(": ")
+        n = list(tracks).index(int(where.removeprefix("identity ")))
+        raise ValueError(f"tracks[{n}]: {problem}") from None
 
 
 # each ablate grid axis: the ShadowConfig field it sets and its values

@@ -28,8 +28,7 @@ from shadowmot import (
     track_scene,
 )
 from shadowmot.geometry import _corners, _iou, _rows
-from shadowmot.simulator import (_FALLBACK_HI, _FALLBACK_LO, _claim, _frame_draws,
-                                 _one_pass_rows, _set_arrays)
+from shadowmot.simulator import _FALLBACK_HI, _FALLBACK_LO, _claim, _frame_draws, _set_arrays
 
 from helpers import (
     by_frame,
@@ -39,6 +38,7 @@ from helpers import (
     frame_draws_reference,
     generate_scene_reference,
     render_layer_reference,
+    scene_from_json_reference,
     track_scene_reference,
     tracklet_bits,
 )
@@ -302,6 +302,10 @@ class TestSceneViews:
         ("frame-past-end", "tracks[0]: frames outside [1, 3]"),
         ("repeated-frame", "tracks[0]: frame indices must strictly increase"),
         ("second-track-past-end", "tracks[1]: frames outside [1, 3]"),
+        # a track's frame order and range are checked after every frame of
+        # every track, and its order before its range
+        ("later-visible-beats-order", "tracks[1].frames[0].visible: expected true or false, got 1"),
+        ("first-frame-zero", "tracks[0]: frames outside [1, 3]"),
         ("unknown-track-key", "tracks[0]: unknown keys ['junk']"),
         ("unknown-frame-key", "tracks[0].frames[0]: unknown keys ['colour']"),
         ("huge-int-box", "tracks[0].frames[1].box: int too large to convert to float"),
@@ -395,6 +399,11 @@ class TestSceneViews:
             frame["t"] = 1
         elif defect == "second-track-past-end":
             doc["tracks"].append({"id": 7, "frames": [dict(frame, t=4)]})
+        elif defect == "later-visible-beats-order":
+            track["frames"][:2] = track["frames"][1::-1]
+            doc["tracks"].append({"id": 7, "frames": [dict(frame, visible=1)]})
+        elif defect == "first-frame-zero":
+            track["frames"][0]["t"] = 0
         elif defect == "unknown-track-key":
             track["junk"] = 1
         elif defect == "unknown-frame-key":
@@ -556,6 +565,13 @@ class TestSceneRows:
         assert loaded == scene
         assert loaded != Scene(cfg, {4: scene.tracks[4]})
 
+    def test_constructor_names_the_identity_out_of_order(self):
+        cfg = SceneConfig(n_frames=3, n_objects=1)
+        box = BoundingBox(0.5, 0.5, 0.1, 0.1)
+        with pytest.raises(ValueError) as info:
+            Scene(cfg, {4: (SceneFrame(3, box, True), SceneFrame(2, box, True))})
+        assert str(info.value) == "identity 4: frame indices must strictly increase"
+
 
 def _state_bits(state: SceneFrame) -> bytes:
     return np.array([state.t, *state.box.__dict__.values(), state.visible], dtype=float).tobytes()
@@ -644,16 +660,14 @@ _MUTATIONS = [
     "frames-out-of-order", "huge-t", "visible-int", "extra-frame-key", "missing-box",
     "short-box", "box-not-list", "frame-not-object", "frames-not-list",
 ]
-# mutations that leave a document the one-pass read must take itself
-_FAST = {"none", "empty-track", "huge-id", "negative-zero-extent", "int-component", "int-zero",
-         "at-bound", "int-at-bound"}
 
 
 class TestOnePassRead:
-    """``Scene.from_json`` reads the tracks in one pass and hands any
-    document it does not take to the per-frame pass, which names the
-    defect.  On mutated documents both must accept or reject alike, with
-    one message, and give rows equal by ``tobytes()``."""
+    """``Scene.from_json`` reads the tracks in one pass into rows; the
+    object-form reader in tests/helpers.py reads them one ``SceneFrame`` at
+    a time and checks them with ``Scene(config, tracks)``.  On mutated
+    documents both must accept or reject alike, with one message, and give
+    rows equal by ``tobytes()``."""
 
     @settings(max_examples=400, deadline=None)
     @given(doc=_scene_documents(), mutations=st.lists(st.sampled_from(_MUTATIONS), max_size=2),
@@ -661,25 +675,18 @@ class TestOnePassRead:
     def test_equals_per_frame_pass(self, doc, mutations, data):
         for mutation in mutations:
             _mutate(doc, mutation, data.draw)
-        config = SceneConfig.from_json(doc["config"])
         try:
-            want = Scene._from_frames(config, doc["tracks"])
+            want = scene_from_json_reference(doc)
         except ValueError as exc:
             want = str(exc)
         try:
             got = Scene.from_json(doc)
         except ValueError as exc:
             got = str(exc)
-        rows = _one_pass_rows(doc["tracks"], config.n_frames)
         if isinstance(want, str):
             assert got == want
-            assert rows is None
             return
         assert _scene_bits(got) == _scene_bits(want)
-        if set(mutations) <= _FAST:
-            assert rows is not None
-        if rows is not None:
-            assert _scene_bits(Scene._of_rows(config, *rows)) == _scene_bits(want)
 
     def test_integer_components_are_checked_exactly(self):
         doc = generate_scene(SceneConfig(n_frames=3, n_objects=2, seed=1)).to_json()
@@ -689,7 +696,6 @@ class TestOnePassRead:
         assert str(info.value) == "tracks[1].frames[1].box: must be <= 1000000, got 9007199254740993"
         doc["tracks"][1]["frames"][1]["box"][0] = 10 ** 6
         assert Scene.from_json(doc).tracks[2][1].box.cx == 1e6
-        assert _one_pass_rows(doc["tracks"], 3) is not None
 
 
 class TestEmitTrainingTargets:
