@@ -25,7 +25,7 @@ _MODULES = {
     ),
     "tracker": ("TrackerConfig", "FrameResult", "ShadowTracker"),
     "simulator": (
-        "SceneConfig", "OracleConfig", "SceneFrame", "Scene",
+        "SceneConfig", "OracleConfig", "Scene",
         "generate_scene", "oracle_decode", "emit_training_targets", "track_scene",
     ),
     "metrics": (

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -195,7 +195,7 @@ def _read_rows(path: str) -> MotRows:
             for f, i, l, t, w, h, c, x, y, z in (text.split(",") for text in lines if text.strip())
         )
     except ValueError:
-        return _rows_of(_read_lines(path, lines))
+        _read_lines(path, lines)
     frames, ids, *columns = zip(*rows) if rows else [()] * 10
     left, top, w, h, *rest = np.array(columns)
     # an overflow or a nan fails a test below, which sends the file
@@ -206,7 +206,7 @@ def _read_rows(path: str) -> MotRows:
         if (min(frames, default=1) < 1 or len(set(zip(frames, ids))) < len(rows)
                 or not np.isfinite(rest).all() or not ((w >= 0) & (h >= 0)).all()
                 or not (np.abs(_corners(boxes)) <= MAX_CORNER).all()):
-            return _rows_of(_read_lines(path, lines))
+            _read_lines(path, lines)
     return MotRows(frames, ids, boxes, columns[4])
 
 
@@ -238,10 +238,9 @@ def read_mot(path: str) -> Tracklets:
     return _tracklets_of(_read_rows(path))
 
 
-def _read_lines(path: str, lines: list[str]) -> Tracklets:
-    """``read_mot`` one line at a time: the first bad line raises, with its
-    number and what is wrong with it."""
-    entries = []
+def _read_lines(path: str, lines: list[str]) -> NoReturn:
+    """Raise the located error of the first bad line of a file that the
+    one-pass read refused: its number and what is wrong with it."""
     seen: set[tuple[int, int]] = set()
     for line_no, text in enumerate(lines, start=1):
         if not text.strip():
@@ -272,8 +271,7 @@ def _read_lines(path: str, lines: list[str]) -> Tracklets:
             raise MotFormatError(f"{path}: {exc}") from None
         except ValueError as exc:
             raise MotFormatError(f"{path}: line {line_no}: {exc}") from None
-        entries.append((line.id, line.frame, box, line.conf))
-    return Tracklets.from_entries(entries)
+    raise AssertionError(f"{path}: the one-pass read refused a file with no bad line")
 
 
 def format_mot(

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
 from itertools import islice
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
@@ -165,38 +164,15 @@ class OracleConfig:
             raise ValueError(f"refinement: must lie in [0, 1), got {self.refinement!r}")
 
 
-class SceneFrame(NamedTuple):
-    t: int
-    box: BoundingBox
-    visible: bool
-
-
 class Scene:
-    """Ground truth: per-identity frame states plus the generating config.
+    """Ground truth: per-identity frame states plus the generating config,
+    made by ``generate_scene`` or ``Scene.from_json``.
 
     The states are held as rows sorted by (frame, id): each row's frame,
     its identity as an index into the sorted identity list, its box
     ``(cx, cy, w, h)`` as a row of one ``[n, 4]`` array, and its
     visibility.  The identity list also keeps identities with no frames.
-    ``tracks``, the per-identity ``SceneFrame`` form, is built from the
-    rows when first read.  ``from_json`` and ``Scene(config, tracks)``
-    check each identity's frames by one rule, ``_frame_problem``.
     """
-
-    def __init__(self, config: SceneConfig, tracks: dict[int, tuple[SceneFrame, ...]]) -> None:
-        for identity, states in tracks.items():
-            problem = _frame_problem([s.t for s in states], config.n_frames)
-            if problem:
-                raise ValueError(f"identity {identity}: {problem}")
-        identities = sorted(tracks)
-        states = [(s, code) for code, identity in enumerate(identities) for s in tracks[identity]]
-        self._init(
-            config, identities,
-            np.array([s.t for s, _ in states], dtype=np.int64),
-            np.array([code for _, code in states], dtype=np.intp),
-            _rows([s.box for s, _ in states]),
-            np.array([s.visible for s, _ in states], dtype=bool),
-        )
 
     @classmethod
     def _of_rows(cls, config: SceneConfig, identities: list[int], frames: np.ndarray,
@@ -204,20 +180,16 @@ class Scene:
         """The scene of checked rows in any order, whose ``codes`` index the
         sorted ``identities``."""
         scene = cls.__new__(cls)
-        scene._init(config, identities, frames, codes, boxes, visible)
-        return scene
-
-    def _init(self, config: SceneConfig, identities: list[int], frames: np.ndarray,
-              codes: np.ndarray, boxes: np.ndarray, visible: np.ndarray) -> None:
         order = np.lexsort((codes, frames))
-        self.config = config
-        self._identities = tuple(identities)
-        self._frames = frames[order]
-        self._codes = codes[order]
-        self._boxes = boxes[order]
-        self._visible = visible[order]
+        scene.config = config
+        scene._identities = tuple(identities)
+        scene._frames = frames[order]
+        scene._codes = codes[order]
+        scene._boxes = boxes[order]
+        scene._visible = visible[order]
         # frame t's rows are _bounds[t - 1]:_bounds[t]
-        self._bounds = np.searchsorted(self._frames, np.arange(1, config.n_frames + 2))
+        scene._bounds = np.searchsorted(scene._frames, np.arange(1, config.n_frames + 2))
+        return scene
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Scene):
@@ -236,12 +208,6 @@ class Scene:
     def identities(self) -> tuple[int, ...]:
         return self._identities
 
-    @cached_property
-    def tracks(self) -> dict[int, tuple[SceneFrame, ...]]:
-        return {identity: tuple(SceneFrame(t, BoundingBox(*box), visible)
-                                for t, box, visible in states)
-                for identity, states in self._by_identity()}
-
     def _by_identity(self) -> list[tuple[int, list[tuple[int, list[float], bool]]]]:
         """Each identity with its ``(t, box, visible)`` states in frame order."""
         order = np.lexsort((self._frames, self._codes))
@@ -256,21 +222,16 @@ class Scene:
             return slice(0, 0)
         return slice(*self._bounds[frame - 1:frame + 1].tolist())
 
-    def states_at(self, frame: int) -> dict[int, SceneFrame]:
-        rows = self._span(frame)
-        return {self._identities[code]: SceneFrame(frame, BoundingBox(*box), visible)
-                for code, box, visible in zip(self._codes[rows].tolist(),
-                                              self._boxes[rows].tolist(),
-                                              self._visible[rows].tolist())}
-
     def visible_objects(self, frame: int) -> tuple[GroundTruthObject, ...]:
+        """The visible objects of ``frame``, in identity order as its rows are."""
         # training targets load the assignment module only when asked for
         from .assignment import GroundTruthObject
 
+        rows = self._span(frame)
+        shown = self._visible[rows]
         return tuple(
-            GroundTruthObject(identity=i, box=s.box)
-            for i, s in sorted(self.states_at(frame).items())
-            if s.visible
+            GroundTruthObject(identity=self._identities[code], box=BoundingBox(*box))
+            for code, box in zip(self._codes[rows][shown].tolist(), self._boxes[rows][shown].tolist())
         )
 
     def _gt_rows(self) -> MotRows:
@@ -336,8 +297,8 @@ class Scene:
 
 
 def _frame_problem(frames: list[int], n_frames: int) -> Optional[str]:
-    """What is wrong with one identity's frame indices, their order before
-    their range; None when they strictly increase within [1, n_frames]."""
+    """What is wrong with one document track's frame indices, their order
+    before their range; None when they strictly increase within [1, n_frames]."""
     if frames != sorted(set(frames)):
         return "frame indices must strictly increase"
     if frames and (frames[0] < 1 or frames[-1] > n_frames):

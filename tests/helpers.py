@@ -20,11 +20,11 @@ from shadowmot import (
     CostMatrix,
     CostWeights,
     FrameResult,
+    MotFormatError,
     MotLine,
     RunConfig,
     Scene,
     SceneConfig,
-    SceneFrame,
     ShadowSet,
     Tracklets,
     evaluate,
@@ -33,11 +33,12 @@ from shadowmot import (
     reduce_values,
 )
 from shadowmot.config import _MAX_SCALE, _check_range
-from shadowmot.geometry import _corners, _iou, pairwise
+from shadowmot.geometry import _corners, _iou, _rows, pairwise
 from shadowmot.matching import hungarian
 from shadowmot.metrics import ALPHA_GRID, SCORES, AlphaScores, HotaResult
+from shadowmot.mot_io import MAX_CORNER, _read_ascii, parse_mot_line
 from shadowmot.simulator import (_STREAM_CORRUPT, _STREAM_ORACLE, _STREAM_SCENE, _check_keys,
-                                 _reflect)
+                                 _frame_problem, _reflect)
 
 # the matching cost with all three components at weight 1
 UNIT_WEIGHTS = CostWeights(w_class=1.0, w_l1=1.0, w_giou=1.0)
@@ -360,12 +361,12 @@ def claim_reference(overlaps: np.ndarray, passes: np.ndarray) -> dict[int, int]:
     return claims
 
 
-def frame_draws_reference(scene, frame, live_sets, cfg) -> list[_SetDraws]:
-    """The oracle's per-frame draws made one numpy call per value group:
-    per set its box noise, its corruption flags, then, without a target,
-    the false-positive coin (detection sets only) and the fallback box
-    through ``uniform(lo, hi)``.  The reference that the batched
-    ``simulator._frame_draws`` must equal exactly."""
+def frame_draws_reference(scene: SceneReference, frame, live_sets, cfg) -> list[_SetDraws]:
+    """The oracle's per-frame draws on the object form of a scene, made one
+    numpy call per value group: per set its box noise, its corruption
+    flags, then, without a target, the false-positive coin (detection sets
+    only) and the fallback box through ``uniform(lo, hi)``.  The reference
+    that the batched ``simulator._frame_draws`` must equal exactly."""
     if not 1 <= frame <= scene.n_frames:
         raise ValueError(f"frame {frame} outside [1, {scene.n_frames}]")
 
@@ -543,8 +544,9 @@ class TrackerReference:
 
 
 def track_scene_reference(scene, tracker_cfg, oracle_cfg) -> Tracklets:
-    """``track_scene`` on the object path: reference draws, one box per
-    shadow, and the reference lifecycle."""
+    """``track_scene`` on the object path: the object form of the scene,
+    reference draws, one box per shadow, and the reference lifecycle."""
+    scene = scene_reference(scene)
     tracker = TrackerReference(tracker_cfg, seed=oracle_cfg.seed)
     scale = oracle_cfg.refinement ** (tracker_cfg.n_layers - 1)
     tracklets = Tracklets()
@@ -561,12 +563,40 @@ def track_scene_reference(scene, tracker_cfg, oracle_cfg) -> Tracklets:
 # that the object path of the oracle reads.
 
 
+class SceneFrame(NamedTuple):
+    t: int
+    box: BoundingBox
+    visible: bool
+
+
 @dataclass
 class SceneReference:
     """A scene as per-identity ``SceneFrame`` tuples."""
 
     config: SceneConfig
     tracks: dict[int, tuple[SceneFrame, ...]]
+
+    @classmethod
+    def from_json(cls, doc: dict) -> SceneReference:
+        """The states of a valid scene document."""
+        return cls(SceneConfig.from_json(doc["config"]), {
+            track["id"]: tuple(SceneFrame(f["t"], BoundingBox(*f["box"]), f["visible"])
+                               for f in track["frames"])
+            for track in doc["tracks"]
+        })
+
+    def scene(self) -> Scene:
+        """The ``Scene`` of these states, built from their rows unchecked."""
+        identities = sorted(self.tracks)
+        states = [(s, code) for code, identity in enumerate(identities)
+                  for s in self.tracks[identity]]
+        return Scene._of_rows(
+            self.config, identities,
+            np.array([s.t for s, _ in states], dtype=np.int64),
+            np.array([code for _, code in states], dtype=np.intp),
+            _rows([s.box for s, _ in states]),
+            np.array([s.visible for s, _ in states], dtype=bool),
+        )
 
     @property
     def n_frames(self) -> int:
@@ -626,12 +656,17 @@ def generate_scene_reference(cfg: SceneConfig) -> SceneReference:
     return SceneReference(cfg, tracks)
 
 
+def scene_reference(scene) -> SceneReference:
+    """The object form of ``scene``, read from its document."""
+    return SceneReference.from_json(scene.to_json())
+
 
 def scene_from_json_reference(doc: dict) -> Scene:
     """``Scene.from_json`` of a document whose version and config are valid,
-    reading its tracks one frame at a time into ``SceneFrame`` objects and
-    handing them to ``Scene(config, tracks)``: the first defect raises, with
-    its path and what is wrong."""
+    reading its tracks one frame at a time into ``SceneFrame`` objects,
+    checking each track's frames once every frame has passed and building
+    the scene from their rows: the first defect raises, with its path and
+    what is wrong."""
     config = SceneConfig.from_json(doc["config"])
     tracks: dict[int, tuple[SceneFrame, ...]] = {}
     for n, entry in enumerate(doc["tracks"]):
@@ -673,14 +708,11 @@ def scene_from_json_reference(doc: dict) -> Scene:
                 )
             states.append(SceneFrame(t, bbox, visible))
         tracks[identity] = tuple(states)
-    try:
-        return Scene(config=config, tracks=tracks)
-    except ValueError as exc:
-        # the check names an identity; the document names its track, the
-        # n-th in both
-        where, _, problem = str(exc).partition(": ")
-        n = list(tracks).index(int(where.removeprefix("identity ")))
-        raise ValueError(f"tracks[{n}]: {problem}") from None
+    for n, states in enumerate(tracks.values()):
+        problem = _frame_problem([s.t for s in states], config.n_frames)
+        if problem:
+            raise ValueError(f"tracks[{n}]: {problem}")
+    return SceneReference(config, tracks).scene()
 
 
 # each ablate grid axis: the ShadowConfig field it sets and its values
@@ -732,6 +764,44 @@ def format_mot_line(line: MotLine) -> str:
     )
 
 
+def read_mot_reference(path: str) -> Tracklets:
+    """``read_mot`` one line at a time: each line parsed by
+    ``parse_mot_line`` into a ``BoundingBox``, its (frame, id) checked
+    against those before it and its corners against ``MAX_CORNER``.  The
+    first bad line raises, with the path, its number and what is wrong
+    with it."""
+    try:
+        lines = _read_ascii(path).splitlines()
+    except ValueError as exc:
+        raise MotFormatError(str(exc)) from None
+    entries = []
+    seen: set[tuple[int, int]] = set()
+    for line_no, text in enumerate(lines, start=1):
+        if not text.strip():
+            continue
+        try:
+            line = parse_mot_line(text, line_no)
+            if (line.frame, line.id) in seen:
+                raise MotFormatError(
+                    f"line {line_no}: duplicate (frame, id) = ({line.frame}, {line.id})"
+                )
+            seen.add((line.frame, line.id))
+            box = BoundingBox(cx=line.bb_left + line.bb_width / 2,
+                              cy=line.bb_top + line.bb_height / 2,
+                              w=line.bb_width, h=line.bb_height)
+            for corner in corners(box):
+                if abs(corner) > MAX_CORNER:
+                    raise MotFormatError(
+                        f"line {line_no}: box corner {corner!r} outside [-1e150, 1e150]"
+                    )
+        except MotFormatError as exc:
+            raise MotFormatError(f"{path}: {exc}") from None
+        except ValueError as exc:
+            raise MotFormatError(f"{path}: line {line_no}: {exc}") from None
+        entries.append((line.id, line.frame, box, line.conf))
+    return Tracklets.from_entries(entries)
+
+
 def random_box(rng: np.random.Generator) -> BoundingBox:
     return BoundingBox(
         cx=float(rng.uniform(0.1, 0.9)),
@@ -770,7 +840,7 @@ def by_frame(tracklets: Tracklets) -> dict[int, dict[int, tuple[BoundingBox, flo
 
 def first_frame(scene, identity: int) -> int:
     """The frame in which ``identity`` enters ``scene``."""
-    return scene.tracks[identity][0].t
+    return scene_reference(scene).tracks[identity][0].t
 
 
 def run_tracker(tracker, n_frames: int, provider) -> Tracklets:

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 
 import shadowmot
-from shadowmot import (BoundingBox, Observation, SceneFrame, ShadowTracker, cli, format_mot,
+from shadowmot import (BoundingBox, Observation, ShadowTracker, cli, format_mot,
                        load_run_config, parse_config_text, read_mot)
 
 from helpers import (ablate_reference, by_frame, cli_env, generate_scene_reference,
@@ -939,12 +939,13 @@ class TestObjectBoundary:
             post_init(self)
 
         monkeypatch.setattr(BoundingBox, "__post_init__", counted_post_init)
-        for cls in (SceneFrame, Observation):
-            def counted_new(cls_, *args, _new=cls.__new__, _name=cls.__name__, **kwargs):
-                built[_name] += 1
-                return _new(cls_, *args, **kwargs)
+        new = Observation.__new__
 
-            monkeypatch.setattr(cls, "__new__", staticmethod(counted_new))
+        def counted_new(cls, *args, **kwargs):
+            built["Observation"] += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Observation, "__new__", staticmethod(counted_new))
         bank = tracker.init_query_bank
 
         def counted_bank(n_sets, *args):
@@ -952,7 +953,7 @@ class TestObjectBoundary:
             return bank(n_sets, *args)
 
         monkeypatch.setattr(tracker, "init_query_bank", counted_bank)
-        assert SceneFrame(1, None, True) and built["SceneFrame"] == 1
+        assert Observation(1, None, 1.0) and built["Observation"] == 1
         cfg, scene = str(workdir / "run.cfg"), str(workdir / "scene.json")
         for argv in (
             ["simulate", "--config", cfg, "-o", scene],
@@ -962,7 +963,7 @@ class TestObjectBoundary:
         ):
             built.clear()
             assert cli.main(argv) == 0, argv
-            assert built["SceneFrame"] == built["Observation"] == 0, argv
+            assert built["Observation"] == 0, argv
             assert built["BoundingBox"] == built["anchors"], argv
         # 16 tracker runs of 6 sets
         assert built["anchors"] == 16 * 6

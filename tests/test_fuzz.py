@@ -18,21 +18,23 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 from pathlib import Path
+from unittest import mock
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, event, given, settings
 
-from shadowmot import MotFormatError, SceneConfig, cli, evaluate, generate_scene, read_mot
+from shadowmot import MotFormatError, SceneConfig, cli, evaluate, generate_scene, mot_io, read_mot
 from shadowmot.config import _SCHEMA
 from shadowmot.metrics import _overlaps
-from shadowmot.mot_io import _read_ascii, _read_lines, _read_rows
+from shadowmot.mot_io import _read_lines, _read_rows
 
-from helpers import _frame_overlaps
+from helpers import _frame_overlaps, read_mot_reference
 
 _CONFIG = """\
 seed = 3
@@ -281,7 +283,7 @@ class TestBulkReadMot:
         with tempfile.TemporaryDirectory() as tmp:
             path = _write(Path(tmp) / "m.txt", text)
             try:
-                expected = _read_lines(path, _read_ascii(path).splitlines())
+                expected = read_mot_reference(path)
             except ValueError as exc:
                 expected = exc
             try:
@@ -320,6 +322,36 @@ def _mot_file(draw) -> str:
     return draw(_mutated_text(text, max_edits=2)) if draw(st.booleans()) else text
 
 
+class TestPerLinePass:
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(_mutated_text(_GT), _mutated_text(_RESULTS, max_edits=6),
+                           _mot_file(), _mot_file().map(lambda text: text + text)))
+    def test_refused_file_names_its_line(self, text):
+        # the per-line pass runs only on a file that the one-pass checks
+        # refused, and must raise that file's located error; a file read
+        # twice over repeats every (frame, id) on a later line
+        raised = []
+
+        def per_line(path, lines):
+            try:
+                _read_lines(path, lines)
+            except BaseException as exc:
+                raised.append(exc)
+                raise
+
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(mot_io, "_read_lines", per_line):
+            path = _write(Path(tmp) / "m.txt", text)
+            try:
+                _read_rows(path)
+            except MotFormatError:
+                pass
+        if raised:
+            event("refused")
+            [exc] = raised
+            assert type(exc) is MotFormatError
+            assert re.match(re.escape(path) + r": line [1-9][0-9]*: ", str(exc)), str(exc)
+
+
 class TestArrayCore:
     @settings(max_examples=300, deadline=None)
     @given(gt=_mot_file(), results=_mot_file())
@@ -336,8 +368,7 @@ class TestArrayCore:
                 warnings.simplefilter("error")
                 code, err = _run(["eval", "--gt", g, "--results", r, "-o", str(report)])
             try:
-                gt_tracklets, pred_tracklets = (
-                    _read_lines(path, _read_ascii(path).splitlines()) for path in (g, r))
+                gt_tracklets, pred_tracklets = (read_mot_reference(path) for path in (g, r))
             except ValueError as exc:
                 event("malformed")
                 assert (code, err) == (1, f"error: {exc}\n")

@@ -15,7 +15,6 @@ from shadowmot import (
     OracleConfig,
     Scene,
     SceneConfig,
-    SceneFrame,
     ShadowConfig,
     ShadowSet,
     ShadowTracker,
@@ -31,6 +30,8 @@ from shadowmot.geometry import _corners, _iou, _rows
 from shadowmot.simulator import _FALLBACK_HI, _FALLBACK_LO, _claim, _frame_draws, _set_arrays
 
 from helpers import (
+    SceneFrame,
+    SceneReference,
     by_frame,
     claim_reference,
     corners,
@@ -39,6 +40,7 @@ from helpers import (
     generate_scene_reference,
     render_layer_reference,
     scene_from_json_reference,
+    scene_reference,
     track_scene_reference,
     tracklet_bits,
 )
@@ -122,7 +124,7 @@ class TestSceneConfig:
         doc = cfg.to_json()
         assert list(doc) == [field.name for field in dataclasses.fields(SceneConfig)]
         assert SceneConfig.from_json(json.loads(json.dumps(doc))) == cfg
-        scene = Scene(cfg, {})
+        scene = Scene.from_json(SceneReference(cfg, {}).to_json())
         assert scene.to_json_text() == json.dumps(scene.to_json(), indent=2) + "\n"
 
     # one row per field, so that a new scene key is covered as it is added;
@@ -165,8 +167,9 @@ class TestGenerateScene:
     def test_all_at_start(self):
         scene = generate_scene(SceneConfig(n_frames=20, n_objects=6, seed=1))
         assert scene.identities == (1, 2, 3, 4, 5, 6)
+        tracks = scene_reference(scene).tracks
         for identity in scene.identities:
-            states = scene.tracks[identity]
+            states = tracks[identity]
             assert states[0].t == 1
             assert states[-1].t == 20
             assert len(states) == 20
@@ -178,14 +181,14 @@ class TestGenerateScene:
         firsts = [first_frame(scene, i) for i in scene.identities]
         assert all(1 <= f <= 50 for f in firsts)
         assert len(set(firsts)) > 1
-        for identity in scene.identities:
-            assert scene.tracks[identity][-1].t == 50
+        for states in scene_reference(scene).tracks.values():
+            assert states[-1].t == 50
 
     def test_boxes_stay_in_frame(self):
         for seed in range(5):
             cfg = SceneConfig(n_frames=200, n_objects=8, jitter=0.005, seed=seed)
             scene = generate_scene(cfg)
-            for states in scene.tracks.values():
+            for states in scene_reference(scene).tracks.values():
                 for s in states:
                     x1, y1, x2, y2 = corners(s.box)
                     assert -1e-9 <= x1 and x2 <= 1 + 1e-9
@@ -193,21 +196,21 @@ class TestGenerateScene:
 
     def test_occlusion_clears_visibility_only(self):
         cfg = SceneConfig(n_frames=30, n_objects=4, occlusions=((3, 10, 20),), seed=5)
-        scene = generate_scene(cfg)
-        for s in scene.tracks[3]:
+        tracks = scene_reference(generate_scene(cfg)).tracks
+        for s in tracks[3]:
             assert s.visible == (not 10 <= s.t <= 20)
         for identity in (1, 2, 4):
-            assert all(s.visible for s in scene.tracks[identity])
+            assert all(s.visible for s in tracks[identity])
 
     def test_trajectories_independent_of_population(self):
-        few = generate_scene(SceneConfig(n_frames=25, n_objects=3, seed=9))
-        many = generate_scene(SceneConfig(n_frames=25, n_objects=10, seed=9))
+        few = scene_reference(generate_scene(SceneConfig(n_frames=25, n_objects=3, seed=9)))
+        many = scene_reference(generate_scene(SceneConfig(n_frames=25, n_objects=10, seed=9)))
         for identity in (1, 2, 3):
             assert few.tracks[identity] == many.tracks[identity]
 
     def test_sizes_constant_over_time(self):
         scene = generate_scene(SceneConfig(n_frames=60, n_objects=4, jitter=0.002, seed=4))
-        for states in scene.tracks.values():
+        for states in scene_reference(scene).tracks.values():
             assert len({(s.box.w, s.box.h) for s in states}) == 1
 
     def test_zero_objects(self):
@@ -220,7 +223,7 @@ class TestSceneViews:
     def test_states_and_visible_objects(self):
         cfg = SceneConfig(n_frames=10, n_objects=3, occlusions=((2, 4, 6),), seed=0)
         scene = generate_scene(cfg)
-        states = scene.states_at(5)
+        states = scene_reference(scene).states_at(5)
         assert set(states) == {1, 2, 3}
         vis = scene.visible_objects(5)
         assert [o.identity for o in vis] == [1, 3]
@@ -230,7 +233,7 @@ class TestSceneViews:
         scene = generate_scene(cfg)
         gt = scene.gt_tracklets()
         assert [o.frame for o in gt.track(1)] == [1, 2, 6, 7, 8, 9, 10]
-        full = scene.tracks[1]
+        full = scene_reference(scene).tracks[1]
         assert [s.t for s in full] == list(range(1, 11))
 
     def test_scene_json_round_trip(self):
@@ -476,12 +479,8 @@ class TestSceneWriter:
     @settings(max_examples=300, deadline=None)
     @given(doc=_scene_documents(_ANY_COMPONENT))
     def test_scene_of_any_finite_boxes_equals_json_dumps(self, doc):
-        # built in memory, past the bound of a scene document's boxes
-        scene = Scene(SceneConfig.from_json(doc["config"]), {
-            track["id"]: tuple(SceneFrame(f["t"], BoundingBox(*f["box"]), f["visible"])
-                               for f in track["frames"])
-            for track in doc["tracks"]
-        })
+        # built from rows, past the bound of a scene document's boxes
+        scene = SceneReference.from_json(doc).scene()
         assert scene.to_json_text() == json.dumps(scene.to_json(), indent=2) + "\n"
 
     @settings(max_examples=40, deadline=None)
@@ -506,10 +505,11 @@ class TestSceneWriter:
     def test_numpy_float_components_are_written_as_floats(self):
         # under numpy 2, '%r' % np.float64(0.5) is 'np.float64(0.5)'
         box = BoundingBox(np.float64(0.5), np.float64(-0.0), np.float64(1e-07), np.float64(0.25))
-        scene = Scene(SceneConfig(n_frames=1, n_objects=1), {1: (SceneFrame(1, box, True),)})
+        scene = SceneReference(SceneConfig(n_frames=1, n_objects=1),
+                               {1: (SceneFrame(1, box, True),)}).scene()
         text = scene.to_json_text()
         assert text == json.dumps(scene.to_json(), indent=2) + "\n"
-        assert Scene.from_json(json.loads(text)).tracks[1][0].box == box
+        assert scene_reference(Scene.from_json(json.loads(text))).tracks[1][0].box == box
 
 
 def _scene_bits(scene: Scene) -> tuple:
@@ -518,10 +518,17 @@ def _scene_bits(scene: Scene) -> tuple:
             scene._boxes.tobytes(), scene._visible.tobytes())
 
 
+def _object_bits(objects) -> bytes:
+    """The identity and box components of each of ``objects``, which are
+    ``(identity, box)`` pairs, as float64 bytes."""
+    return np.array([(identity, box.cx, box.cy, box.w, box.h) for identity, box in objects],
+                    dtype=float).tobytes()
+
+
 class TestSceneRows:
     """``Scene`` holds its boxes as rows; the object form in tests/helpers.py
-    (one ``SceneFrame`` per box) must give the same states, ground truth and
-    document bytes."""
+    (one ``SceneFrame`` per box) must give the same states, visible objects,
+    ground truth and document bytes."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -540,37 +547,49 @@ class TestSceneRows:
                           jitter=jitter, occlusions=occlusions, seed=seed)
         scene = generate_scene(cfg)
         want = generate_scene_reference(cfg)
-        assert scene.tracks == want.tracks
-        assert [_state_bits(s) for states in scene.tracks.values() for s in states] == [
+        got = scene_reference(scene)
+        assert got.tracks == want.tracks
+        assert [_state_bits(s) for states in got.tracks.values() for s in states] == [
             _state_bits(s) for states in want.tracks.values() for s in states]
-        for frame in range(0, n_frames + 2):
-            assert scene.states_at(frame) == want.states_at(frame)
+        _assert_visible_objects_equal(scene, want)
         gt = scene.gt_tracklets()
         assert gt == want.gt_tracklets()
         assert tracklet_bits(gt) == tracklet_bits(want.gt_tracklets())
         assert scene.to_json_text() == json.dumps(want.to_json(), indent=2) + "\n"
-        assert scene == Scene(cfg, want.tracks)
-        assert _scene_bits(scene) == _scene_bits(Scene(cfg, want.tracks))
+        loaded = Scene.from_json(want.to_json())
+        assert scene == loaded
+        assert _scene_bits(scene) == _scene_bits(loaded)
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_scene_documents())
+    def test_visible_objects_equal_object_form(self, doc):
+        # identities in any document order, with gaps in their frames, with
+        # no frames and hidden in some
+        _assert_visible_objects_equal(Scene.from_json(doc), SceneReference.from_json(doc))
 
     def test_identities_without_frames_are_kept(self):
         cfg = SceneConfig(n_frames=3, n_objects=1)
         box = BoundingBox(0.5, 0.5, 0.1, 0.1)
-        scene = Scene(cfg, {9: (), 4: (SceneFrame(2, box, False), SceneFrame(3, box, True))})
+        tracks = {9: (), 4: (SceneFrame(2, box, False), SceneFrame(3, box, True))}
+        scene = Scene.from_json(SceneReference(cfg, tracks).to_json())
         assert scene.identities == (4, 9)
-        assert scene.tracks == {4: (SceneFrame(2, box, False), SceneFrame(3, box, True)), 9: ()}
-        assert scene.states_at(1) == {} and scene.states_at(4) == {}
-        assert scene.visible_objects(2) == ()
+        assert scene_reference(scene).tracks == tracks
+        assert scene.visible_objects(1) == scene.visible_objects(2) == ()
         assert [o.identity for o in scene.visible_objects(3)] == [4]
         loaded = Scene.from_json(json.loads(scene.to_json_text()))
         assert loaded == scene
-        assert loaded != Scene(cfg, {4: scene.tracks[4]})
+        assert loaded != Scene.from_json(SceneReference(cfg, {4: tracks[4]}).to_json())
 
-    def test_constructor_names_the_identity_out_of_order(self):
-        cfg = SceneConfig(n_frames=3, n_objects=1)
-        box = BoundingBox(0.5, 0.5, 0.1, 0.1)
-        with pytest.raises(ValueError) as info:
-            Scene(cfg, {4: (SceneFrame(3, box, True), SceneFrame(2, box, True))})
-        assert str(info.value) == "identity 4: frame indices must strictly increase"
+
+def _assert_visible_objects_equal(scene: Scene, want: SceneReference) -> None:
+    """``scene.visible_objects`` equals the visible states of ``want`` in
+    ascending identity order, bit for bit, in every frame from 0 to
+    n_frames + 1."""
+    for frame in range(0, scene.n_frames + 2):
+        objects = scene.visible_objects(frame)
+        states = sorted(want.states_at(frame).items())
+        assert _object_bits((o.identity, o.box) for o in objects) == _object_bits(
+            (identity, s.box) for identity, s in states if s.visible)
 
 
 def _state_bits(state: SceneFrame) -> bytes:
@@ -665,7 +684,7 @@ _MUTATIONS = [
 class TestOnePassRead:
     """``Scene.from_json`` reads the tracks in one pass into rows; the
     object-form reader in tests/helpers.py reads them one ``SceneFrame`` at
-    a time and checks them with ``Scene(config, tracks)``.  On mutated
+    a time, then checks each track's frames and builds the rows.  On mutated
     documents both must accept or reject alike, with one message, and give
     rows equal by ``tobytes()``."""
 
@@ -695,7 +714,7 @@ class TestOnePassRead:
             Scene.from_json(doc)
         assert str(info.value) == "tracks[1].frames[1].box: must be <= 1000000, got 9007199254740993"
         doc["tracks"][1]["frames"][1]["box"][0] = 10 ** 6
-        assert Scene.from_json(doc).tracks[2][1].box.cx == 1e6
+        assert scene_reference(Scene.from_json(doc)).tracks[2][1].box.cx == 1e6
 
 
 class TestEmitTrainingTargets:
@@ -755,8 +774,9 @@ class TestOracleDecode:
 
     def test_tracking_set_served_gt_box(self):
         scene = self._scene()
-        box = scene.tracks[1][2].box
-        live = [_tracking_set(1, scene.tracks[1][0].box)]
+        track = scene_reference(scene).tracks[1]
+        box = track[2].box
+        live = [_tracking_set(1, track[0].box)]
         layers = oracle_decode(scene, 3, live, OracleConfig(), 6)
         for layer in layers:
             got, scores = layer[0][0]
@@ -765,7 +785,7 @@ class TestOracleDecode:
 
     def test_occluded_track_score_drops(self):
         scene = self._scene(occlusions=((1, 5, 8),))
-        live = [_tracking_set(1, scene.tracks[1][0].box)]
+        live = [_tracking_set(1, scene_reference(scene).tracks[1][0].box)]
         layers = oracle_decode(scene, 6, live, OracleConfig(), 1)
         _, scores = layers[0][0][0]
         assert scores == (pytest.approx(0.3),)
@@ -777,7 +797,7 @@ class TestOracleDecode:
         late = max(scene.identities, key=lambda i: first_frame(scene, i))
         first = first_frame(scene, late)
         assert first > 1
-        anchor = scene.tracks[late][0].box
+        anchor = scene_reference(scene).tracks[late][0].box
         live = [_tracking_set(late, anchor)]
         layers = oracle_decode(scene, first - 1, live, OracleConfig(), 1)
         box, scores = layers[0][0][0]
@@ -797,7 +817,7 @@ class TestOracleDecode:
         # tracker identities outrun scene ids after any death; serving
         # must go by where the anchor sits, not by the counter value
         scene = self._scene()
-        box = scene.tracks[2][0].box
+        box = scene_reference(scene).tracks[2][0].box
         live = [_tracking_set(99, box)]
         final = oracle_decode(scene, 1, live, OracleConfig(), 1)[0]
         got, scores = final[0][0]
@@ -806,7 +826,7 @@ class TestOracleDecode:
 
     def test_lost_anchor_scores_zero(self):
         scene = generate_scene(SceneConfig(n_frames=5, n_objects=1, seed=9))
-        b = scene.tracks[1][0].box
+        b = scene_reference(scene).tracks[1][0].box
         off = BoundingBox((b.cx + 0.5) % 1.0, (b.cy + 0.5) % 1.0, b.w, b.h)
         live = [_tracking_set(1, off)]
         final = oracle_decode(scene, 1, live, OracleConfig(), 1)[0]
@@ -816,7 +836,7 @@ class TestOracleDecode:
 
     def test_two_sets_cannot_claim_one_object(self):
         scene = generate_scene(SceneConfig(n_frames=5, n_objects=1, seed=9))
-        b = scene.tracks[1][0].box
+        b = scene_reference(scene).tracks[1][0].box
         live = [_tracking_set(7, b), _tracking_set(8, b)]
         final = oracle_decode(scene, 1, live, OracleConfig(), 1)[0]
         assert final[0][0][1] == (0.9,)
@@ -824,7 +844,7 @@ class TestOracleDecode:
 
     def test_claimed_objects_not_reserved(self):
         scene = self._scene()
-        tracked_box = scene.tracks[1][0].box
+        tracked_box = scene_reference(scene).tracks[1][0].box
         live = [_tracking_set(1, tracked_box)] + [_detection_set(i) for i in range(4)]
         final = oracle_decode(scene, 1, live, OracleConfig(), 6)[-1]
         det_boxes = {box for box, scores in (p[0] for p in final[1:]) if scores[0] > 0.5}
@@ -877,8 +897,9 @@ class TestOracleDecode:
         scene = generate_scene(SceneConfig(n_frames=40, n_objects=6, seed=21))
         cfg = OracleConfig(box_noise_std=0.02, refinement=0.5, seed=3)
         deltas: dict[int, list[float]] = {l: [] for l in range(6)}
+        reference = scene_reference(scene)
         for frame in range(1, 41):
-            states = scene.states_at(frame)
+            states = reference.states_at(frame)
             live = [
                 _tracking_set(i, states[i].box, ns=3)
                 for i in scene.identities
@@ -1035,10 +1056,11 @@ class TestBatchedDraws:
         scale = oracle.refinement ** (cfg.n_layers - 1)
         want = Tracklets()
         seen = set()
+        reference = scene_reference(scene)
         for frame in range(1, scene.n_frames + 1):
             live = tracker.live_sets()
             got = _frame_draws(scene, frame, *_set_arrays(live), oracle)
-            ref = frame_draws_reference(scene, frame, live, oracle)
+            ref = frame_draws_reference(reference, frame, live, oracle)
             _assert_draws_equal(got, ref)
             seen |= _branches(live, ref, oracle)
             result = tracker.step(render_layer_reference(ref, scale))
@@ -1231,7 +1253,7 @@ class TestArrayPath:
     def test_oracle_decode_rejects_mixed_shadow_counts(self):
         # the draws are [set, shadow] arrays, so every set has one count
         scene = generate_scene(SceneConfig(n_frames=6, n_objects=4, seed=0))
-        live = [_tracking_set(1, scene.tracks[1][0].box, ns=2)]
+        live = [_tracking_set(1, scene_reference(scene).tracks[1][0].box, ns=2)]
         live += [_detection_set(10 + k, ns=k % 3 + 1) for k in range(1, 6)]
         with pytest.raises(ValueError) as info:
             oracle_decode(scene, 1, live, OracleConfig(), 6)
@@ -1245,13 +1267,13 @@ class TestArrayPath:
         for f in doc["tracks"][0]["frames"]:
             f["box"][2] = -0.0
         scene = Scene.from_json(json.loads(json.dumps(doc)))
-        assert math.copysign(1.0, scene.tracks[1][0].box.w) < 0
+        assert math.copysign(1.0, scene_reference(scene).tracks[1][0].box.w) < 0
         cfg = TrackerConfig(shadow=ShadowConfig(n_shadows=3, embed_dim=8), n_detection_sets=6)
         oracle = OracleConfig(seed=4, box_noise_std=0.01, refinement=0.0)
 
         tracker = ShadowTracker(cfg, seed=4)
         got = oracle_decode(scene, 1, tracker.live_sets(), oracle, 6)
-        draws = frame_draws_reference(scene, 1, tracker.live_sets(), oracle)
+        draws = frame_draws_reference(scene_reference(scene), 1, tracker.live_sets(), oracle)
         want = [render_layer_reference(draws, oracle.refinement ** l) for l in range(6)]
         assert _layer_bits(got) == _layer_bits(want)
         assert any(math.copysign(1.0, b.w) < 0 for per_set in got[-1] for b, _ in per_set)
