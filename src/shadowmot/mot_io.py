@@ -11,11 +11,12 @@ precision, so reading back what was written recovers the exact values.
 tracklets.  Each file is read and written in one pass: the read checks
 every parsed line as arrays, giving the rows; ``_format_rows`` scales the
 rows as one array and formats each with one string.  Parsing is strict:
-a non-ASCII byte, wrong field count, non-numeric fields, frames below 1,
-duplicate (frame, id) pairs, boxes whose center overflows and boxes with
-a corner beyond ``MAX_CORNER`` all raise with the file path and the
-1-based line number, which the per-line parser ``parse_mot_line`` finds
-when the one-pass read fails.
+a byte other than printable ASCII, tab and a line break, wrong field
+count, non-numeric fields (``1_0`` among them, which ``int`` and
+``float`` take), frames below 1, duplicate (frame, id) pairs, boxes whose
+center overflows and boxes with a corner beyond ``MAX_CORNER`` all raise
+with the file path and the 1-based line number, which the per-line
+parser ``parse_mot_line`` finds when the one-pass read fails.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ _FIELDS = ("frame", "id", "bb_left", "bb_top", "bb_width", "bb_height", "conf", 
 # one written row: frame, id, bb_left, bb_top, bb_width, bb_height, conf,
 # then x, y, z, which this package always writes as -1
 _ROW = "%s,%s,%s,%s,%s,%s,%s,-1.0,-1.0,-1.0\n"
+
+# the bytes a text input may hold: printable ASCII, tab and the line breaks
+_TEXT_BYTES = b"\t\n\r" + bytes(range(0x20, 0x7f))
 
 # the largest corner coordinate a box read may have: every area, union and
 # hull that geometry.pairwise forms from two such boxes is finite
@@ -122,6 +126,9 @@ def parse_mot_line(text: str, line_no: int) -> MotLine:
     for name, raw in zip(_FIELDS, parts):
         raw = raw.strip()
         try:
+            # int() and float() read "1_0" as 10
+            if "_" in raw:
+                raise ValueError
             if name in ("frame", "id"):
                 values.append(int(raw))
             else:
@@ -143,18 +150,21 @@ def parse_mot_line(text: str, line_no: int) -> MotLine:
 
 
 def _read_ascii(path: str) -> str:
-    """The text of an ASCII file.  A non-ASCII byte is a ValueError that
+    """The text of a file of printable ASCII, tabs and line breaks
+    (``\\n``, ``\\r\\n`` or ``\\r``).  Any other byte is a ValueError that
     names the file, the line and the byte, e.g. ``bad.txt: line 1:
-    non-ASCII byte 0xc3``."""
+    non-ASCII byte 0xc3`` or ``bad.txt: line 2: control byte 0x0c``."""
     data = Path(path).read_bytes()
-    try:
+    # the bytes outside _TEXT_BYTES, in file order, in one scan
+    bad = data.translate(None, _TEXT_BYTES)
+    if not bad:
         return data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        # a stand-in character completes the bad byte's line
-        line_no = len((data[:exc.start].decode("ascii") + "?").splitlines())
-        raise ValueError(
-            f"{path}: line {line_no}: non-ASCII byte 0x{data[exc.start]:02x}"
-        ) from None
+    at = data.index(bad[:1])
+    # the text before the first bad byte breaks lines only at \n, \r\n and
+    # \r; a stand-in character completes the bad byte's line
+    line_no = len((data[:at].decode("ascii") + "?").splitlines())
+    kind = "non-ASCII" if bad[0] > 0x7f else "control"
+    raise ValueError(f"{path}: line {line_no}: {kind} byte 0x{bad[0]:02x}")
 
 
 def _write_ascii(path: str, text: str) -> None:
@@ -184,9 +194,13 @@ def _read_rows(path: str) -> MotRows:
     """Parse a results or ground-truth file into rows; a defect raises
     the per-line pass's located error."""
     try:
-        lines = _read_ascii(path).splitlines()
+        text = _read_ascii(path)
     except ValueError as exc:
         raise MotFormatError(str(exc)) from None
+    lines = text.splitlines()
+    # int() and float() read "1_0" as 10, which the per-line pass refuses
+    if "_" in text:
+        _read_lines(path, lines)
     # int() and float() skip the whitespace around a field themselves
     try:
         rows = sorted(

@@ -524,27 +524,25 @@ def _claim(overlaps: np.ndarray, passes: np.ndarray) -> dict[int, int]:
 
 class _FrameDraws(NamedTuple):
     """One frame's draws for ``S`` sets of ``ns`` shadows each.  Per set:
-    the box it is served (``target[S, 4]``, valid where ``has_target``),
-    its base score and the box it emits without a target
-    (``fallback[S, 4]``).  Per shadow: the corruption flag ``[S, ns]`` and
-    the unscaled box noise ``eps[S, ns, 4]``."""
+    the box ``[S, 4]`` it is served where ``served`` and else emits, and
+    its base score.  Per shadow: the corruption flag ``[S, ns]`` and the
+    unscaled box noise ``eps[S, ns, 4]``."""
 
-    target: np.ndarray
-    has_target: np.ndarray
+    box: np.ndarray
+    served: np.ndarray
     base: np.ndarray
     corrupted: np.ndarray
     eps: np.ndarray
-    fallback: np.ndarray
 
 
-def _set_arrays(live_sets: Sequence[ShadowSet]) -> tuple[np.ndarray, list[bool], int]:
-    """The anchors ``[S, 4]``, tracking flags and shared shadow count of sets."""
+def _set_arrays(live_sets: Sequence[ShadowSet]) -> tuple[np.ndarray, np.ndarray, int]:
+    """The anchors ``[S, 4]``, tracking flags ``[S]`` and shared shadow count of sets."""
     counts = {s.n_shadows for s in live_sets}
     if len(counts) > 1:
         raise ValueError(f"sets disagree on shadow count: {sorted(counts)}")
     return (
         _rows([s.anchor for s in live_sets]),
-        [s.role == "tracking" for s in live_sets],
+        np.array([s.role == "tracking" for s in live_sets], dtype=bool),
         counts.pop() if counts else 1,
     )
 
@@ -553,7 +551,7 @@ def _frame_draws(
     scene: Scene,
     frame: int,
     anchors: np.ndarray,
-    tracking: Sequence[bool],
+    tracking: np.ndarray,
     ns: int,
     cfg: OracleConfig,
 ) -> _FrameDraws:
@@ -571,40 +569,40 @@ def _frame_draws(
 
     rows = scene._span(frame)
     present = scene._boxes[rows]
-    visible = scene._visible[rows].tolist()
+    visible = scene._visible[rows]
     n_sets = len(tracking)
-    base = np.zeros(n_sets)
-    # set -> the row of ``present`` it is served
-    served: dict[int, int] = {}
+    # the row of ``present`` each set is served, -1 when it is unserved
+    target = np.full(n_sets, -1)
+    unclaimed = visible.copy()
 
     # tracking sets recognize their target by anchor overlap, not by the
     # tracker's identity counter (identities diverge from scene ids as
     # soon as a track dies or objects enter out of order); the gate is
     # any positive overlap because one frame of motion can drop a small
     # box below IoU 0.5 even without noise
-    claimed: set[int] = set()
-    trk_indices = [i for i in range(n_sets) if tracking[i]]
-    if visible and trk_indices:
-        overlaps, _ = _iou(_corners(anchors[trk_indices]), _corners(present))
+    sets = np.flatnonzero(tracking)
+    if len(present) and len(sets):
+        overlaps, _ = _iou(_corners(anchors[sets]), _corners(present))
         claims = _claim(overlaps, overlaps > 0.0)
-        for r, k in claims.items():
-            served[trk_indices[r]] = k
-            base[trk_indices[r]] = max(cfg.base_score - (0.0 if visible[k] else cfg.occ_drop), 0.0)
-        claimed.update(claims.values())
+        target[sets[list(claims)]] = list(claims.values())
+        unclaimed[list(claims.values())] = False
 
-    unclaimed = [k for k, shown in enumerate(visible) if shown and k not in claimed]
-
-    det_indices = [i for i in range(n_sets) if not tracking[i]]
-    if unclaimed and det_indices:
-        overlaps, _ = _iou(_corners(anchors[det_indices]), _corners(present[unclaimed]))
+    sets = np.flatnonzero(~tracking)
+    objs = np.flatnonzero(unclaimed)
+    if len(objs) and len(sets):
+        overlaps, _ = _iou(_corners(anchors[sets]), _corners(present[objs]))
         claims = _claim(overlaps, overlaps >= 0.5)
-        taken = set(claims.values())
-        free_sets = [r for r in range(len(det_indices)) if r not in claims]
-        free_objs = [k for k in range(len(unclaimed)) if k not in taken]
-        claims.update(zip(free_sets, free_objs))
-        for r, k in claims.items():
-            served[det_indices[r]] = unclaimed[k]
-            base[det_indices[r]] = cfg.base_score
+        target[sets[list(claims)]] = objs[list(claims.values())]
+        free_sets = sets[target[sets] < 0]
+        free_objs = np.delete(objs, list(claims.values()))[:len(free_sets)]
+        target[free_sets[:len(free_objs)]] = free_objs
+
+    served = target >= 0
+    free = np.flatnonzero(~tracking & ~served)
+    base = np.where(served, cfg.base_score, 0.0)
+    # a tracking set whose target is occluded scores lower
+    recognized = np.flatnonzero(tracking & served)
+    base[recognized[~visible[target[recognized]]]] = max(cfg.base_score - cfg.occ_drop, 0.0)
 
     # every shadow's corruption flag, in set order, in one call: no other
     # draw reads this stream
@@ -616,36 +614,28 @@ def _frame_draws(
     # (normal(0.0, std) is 0.0 + std * z of the same standard normal z)
     std = cfg.box_noise_std
     eps = np.zeros((n_sets, ns, 4))
-    lost = [i for i in trk_indices if i not in served]
-    free = [i for i in det_indices if i not in served]
     u = np.empty((len(free), 5))
-    n_free = 0
-    for i in range(n_sets):
+    fallback = iter(u)
+    for noise, hit, track in zip(eps, served.tolist(), tracking.tolist()):
         if std > 0:
-            frame_rng.standard_normal(out=eps[i])
-        if i in served:
+            frame_rng.standard_normal(out=noise)
+        if hit:
             continue
-        if tracking[i]:
+        if track:
             # a lost track emits its anchor; the stream still advances
             # past the fallback box it does not use
             frame_rng.random(4)
         else:
-            frame_rng.random(out=u[n_free])
-            n_free += 1
+            frame_rng.random(out=next(fallback))
     if std > 0:
         eps = 0.0 + std * eps
 
-    target = np.zeros((n_sets, 4))
-    has_target = np.zeros(n_sets, dtype=bool)
-    if served:
-        sets = list(served)
-        target[sets] = present[list(served.values())]
-        has_target[sets] = True
-    fallback = np.zeros((n_sets, 4))
-    fallback[lost] = anchors[lost]
+    # every set starts from its anchor, which a lost track keeps
+    box = anchors.copy()
+    box[served] = present[target[served]]
     base[free] = np.where(u[:, 0] < cfg.fp_rate, cfg.fp_score, 0.0)
-    fallback[free] = _FALLBACK_LO + (_FALLBACK_HI - _FALLBACK_LO) * u[:, 1:]
-    return _FrameDraws(target, has_target, base, corrupted, eps, fallback)
+    box[free] = _FALLBACK_LO + (_FALLBACK_HI - _FALLBACK_LO) * u[:, 1:]
+    return _FrameDraws(box, served, base, corrupted, eps)
 
 
 def _render_layer(draws: _FrameDraws, scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -653,11 +643,10 @@ def _render_layer(draws: _FrameDraws, scale: float) -> tuple[np.ndarray, np.ndar
     ``[S, ns]``, box noise scaled by ``scale``.  Makes no draws.  The
     extent clamp is ``np.where(v < 0.0, 0.0, v)``, which keeps ``-0.0`` as
     ``max(v, 0.0)`` does and ``np.maximum`` does not."""
-    boxes = draws.target[:, np.newaxis] + draws.eps * scale
+    boxes = draws.box[:, np.newaxis] + draws.eps * scale
     extent = boxes[..., 2:]
     boxes[..., 2:] = np.where(extent < 0.0, 0.0, extent)
-    boxes = np.where(draws.has_target[:, np.newaxis, np.newaxis], boxes,
-                     draws.fallback[:, np.newaxis])
+    boxes = np.where(draws.served[:, np.newaxis, np.newaxis], boxes, draws.box[:, np.newaxis])
     scores = np.where(draws.corrupted, 0.0, draws.base[:, np.newaxis])
     return boxes, scores
 
@@ -693,13 +682,12 @@ def oracle_decode(
     _check_range("n_layers", n_layers, 1)
     draws = _frame_draws(scene, frame, *_set_arrays(live_sets), cfg)
     # a set without a target emits one box at every shadow and layer
-    served = draws.has_target.tolist()
-    fallback = [None if hit else BoundingBox(*row)
-                for hit, row in zip(served, draws.fallback.tolist())]
+    served = draws.served.tolist()
+    fallback = [None if hit else BoundingBox(*row) for hit, row in zip(served, draws.box.tolist())]
     layers = []
     for l in range(n_layers):
         boxes, scores = _render_layer(draws, cfg.refinement ** l)
-        rendered = iter(boxes[draws.has_target].reshape(-1, 4).tolist())
+        rendered = iter(boxes[draws.served].reshape(-1, 4).tolist())
         layers.append([
             [(BoundingBox(*next(rendered)) if hit else miss, (score,)) for score in row]
             for hit, miss, row in zip(served, fallback, scores.tolist())
@@ -712,7 +700,7 @@ def _live_layer(scene: Scene, tracker: ShadowTracker, frame: int, cfg: OracleCon
     """Decoder layer ``layer`` (1-based) at ``frame`` of the live sets of
     ``tracker``, tracks then bank: boxes ``[S, ns, 4]``, scores ``[S, ns]``."""
     anchors, n_tracks = tracker._live_anchors()
-    tracking = [True] * n_tracks + [False] * (len(anchors) - n_tracks)
+    tracking = np.arange(len(anchors)) < n_tracks
     draws = _frame_draws(scene, frame, anchors, tracking, tracker.config.shadow.n_shadows, cfg)
     return _render_layer(draws, cfg.refinement ** (layer - 1))
 

@@ -97,11 +97,11 @@ class ShadowTracker:
     """Single-sequence state machine.  Frames are 1-based; identities are
     drawn from a monotone counter and never reused.
 
-    The live tracks are held as arrays: one anchor row per track in
-    ``[T, 4]``, with its identity and miss count.  The fixed detection bank
-    is one ``[D, 4]`` anchor array.  Each frame the lifecycle core reads the
-    final-layer shadow scores ``[T + D, ns]`` of the tracks, then the bank,
-    and the boxes ``[ns, 4]`` of the sets that pass the gate.  The
+    The live tracks are held as arrays: anchors ``[T, 4]``, identities
+    and miss counts ``[T]``.  The fixed detection bank is one ``[D, 4]``
+    anchor array.  Each frame the lifecycle core reads the final-layer
+    shadow scores ``[T + D, ns]`` of the tracks, then the bank, and the
+    boxes ``[ns, 4]`` of the sets that pass the gate.  The
     commands feed it arrays through ``simulator``; ``step`` turns object
     predictions into those arrays for library callers, and ``live_sets``
     builds the sets only when asked.
@@ -112,8 +112,8 @@ class ShadowTracker:
         self._detection_bank = init_query_bank(config.n_detection_sets, config.shadow, seed)
         self._bank_anchors = _rows([s.anchor for s in self._detection_bank])
         self._anchors = np.zeros((0, 4))
-        self._identities: list[int] = []
-        self._misses: list[int] = []
+        self._identities = np.zeros(0, dtype=np.int64)
+        self._misses = np.zeros(0, dtype=np.int64)
         self._next_identity = 1
         self._frame = 0
 
@@ -123,7 +123,7 @@ class ShadowTracker:
 
     @property
     def track_identities(self) -> tuple[int, ...]:
-        return tuple(self._identities)
+        return tuple(self._identities.tolist())
 
     def live_sets(self) -> list[ShadowSet]:
         """Sets expecting predictions this frame: current tracks first,
@@ -132,7 +132,7 @@ class ShadowTracker:
         tracks = [
             ShadowSet(set_id=identity, role="tracking", anchor=BoundingBox(*anchor),
                       n_shadows=ns, identity=identity)
-            for identity, anchor in zip(self._identities, self._anchors.tolist())
+            for identity, anchor in zip(self._identities.tolist(), self._anchors.tolist())
         ]
         return tracks + list(self._detection_bank)
 
@@ -188,33 +188,25 @@ class ShadowTracker:
             alive = (scores.min(axis=1) if phi == "min" else scores.max(axis=1)) > tau
 
         n_tracks = len(self._identities)
-        hits: list[int] = []
-        kept: list[int] = []
-        misses: list[int] = []
-        deaths: list[int] = []
-        for i, on in enumerate(alive[:n_tracks].tolist()):
-            miss = 0 if on else self._misses[i] + 1
-            if on:
-                hits.append(i)
-            if miss > cfg.patience:
-                deaths.append(self._identities[i])
-            else:
-                kept.append(i)
-                misses.append(miss)
+        on = alive[:n_tracks]
+        misses = np.where(on, 0, self._misses + 1)
+        dead = misses > cfg.patience
+        hits = np.flatnonzero(on).tolist()
         newborn = (np.flatnonzero(alive[n_tracks:]) + n_tracks).tolist()
-        births = list(range(self._next_identity, self._next_identity + len(newborn)))
+        births = np.arange(self._next_identity, self._next_identity + len(newborn))
         self._next_identity += len(newborn)
         emitted = hits + newborn
-        out_ids = [self._identities[i] for i in hits] + births
+        out_ids = self._identities[hits].tolist() + births.tolist()
 
         boxes = boxes_of(emitted)
 
         # the oracle serves a set next frame by the box of its first shadow
         anchors = self._anchors.copy()
         anchors[hits] = boxes[:len(hits), 0]
-        self._anchors = np.concatenate([anchors[kept], boxes[len(hits):, 0]])
-        self._identities = [self._identities[i] for i in kept] + births
-        self._misses = misses + [0] * len(newborn)
+        self._anchors = np.concatenate([anchors[~dead], boxes[len(hits):, 0]])
+        deaths = tuple(self._identities[dead].tolist())
+        self._identities = np.concatenate([self._identities[~dead], births])
+        self._misses = np.concatenate([misses[~dead], np.zeros(len(newborn), dtype=np.int64)])
 
         # argmax takes the lowest shadow index among equal scores
         best = scores[emitted].argmax(axis=1)
@@ -222,7 +214,7 @@ class ShadowTracker:
         if not (np.isfinite(best_boxes).all() and (best_boxes[:, 2:] >= 0.0).all()):
             for box in best_boxes.tolist():
                 BoundingBox(*box)
-        return _Emitted(out_ids, best_boxes, scores[emitted, best], tuple(births), tuple(deaths))
+        return _Emitted(out_ids, best_boxes, scores[emitted, best], tuple(births.tolist()), deaths)
 
 
 # the largest |score| and tau of a row that numpy's mean may gate: a sum of

@@ -613,6 +613,21 @@ class TestNonAsciiInput:
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [message]
 
+    @pytest.mark.parametrize("command", ["simulate-config", "track-scene"])
+    def test_control_byte_is_one_located_error(self, workdir, scene_path, command):
+        # a form feed between JSON tokens or config lines reads as a line
+        # break to str.splitlines; here it is refused where it stands
+        if command == "track-scene":
+            text = scene_path.read_bytes()
+            (workdir / "bad.txt").write_bytes(text.replace(b"\n", b"\n\x0c", 1))
+            args = ["track", "--scene", "bad.txt", "-o", "out.txt"]
+        else:
+            (workdir / "bad.txt").write_bytes(b"seed = 1\n\x0cscene.n_frames = 3\n")
+            args = ["simulate", "--config", "bad.txt", "-o", "s.json"]
+        proc = run_cli(*args, cwd=workdir)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error: bad.txt: line 2: control byte 0x0c"]
+
 
 class TestAblate:
     HEADER = "lambda,phi,ns,trials,hota,deta,assa,mota,idf1,ids,fp,fn"

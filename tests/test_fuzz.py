@@ -68,8 +68,9 @@ _RESULTS = """\
 """
 
 # characters a text mutation inserts: field syntax, the letters of nan,
-# inf and exponents, line breaks, and one non-ASCII character
-_CHARS = st.sampled_from(list("0123456789.,-+e =#\n\tnaifx_") + ["é"])
+# inf and exponents, line breaks, a form feed (a line break to
+# str.splitlines only) and one non-ASCII character
+_CHARS = st.sampled_from(list("0123456789.,-+e =#\n\tnaifx_\x0c") + ["é"])
 
 # huge numbers of either sign, and subnormals
 _HUGE = (
@@ -309,9 +310,14 @@ def _mot_file(draw) -> str:
     """MOT text over frames 1-6 and ids 1-5, so that frames appear on one
     side only and ids recur over frames and across files; the lines come
     in any order, the file may be empty, and some files are mutated so
-    that the read takes the per-line pass."""
+    that the read takes the per-line pass; some files repeat a (frame, id)
+    on a later line, and some put a ``_`` between two digits, where int()
+    and float() take it."""
     keys = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 5)), unique=True,
                          max_size=16))
+    if keys and draw(st.integers(0, 3)) == 0:
+        first = draw(st.integers(0, len(keys) - 1))
+        keys.insert(draw(st.integers(first + 1, len(keys))), keys[first])
     huge = draw(st.integers(0, 3)) == 0
     coord, extent = (_HUGE_COORD, _HUGE_EXTENT) if huge else (_COORD, _EXTENT)
     text = "".join(
@@ -319,6 +325,10 @@ def _mot_file(draw) -> str:
         f"{draw(st.floats(0, 1))!r},-1,-1,-1\n"
         for f, i in keys
     )
+    spots = [m.start() for m in re.finditer(r"(?<=[0-9])(?=[0-9])", text)]
+    if spots and draw(st.integers(0, 7)) == 0:
+        at = draw(st.sampled_from(spots))
+        text = text[:at] + "_" + text[at:]
     return draw(_mutated_text(text, max_edits=2)) if draw(st.booleans()) else text
 
 

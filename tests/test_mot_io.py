@@ -195,6 +195,41 @@ class TestReadMot:
             read_mot(str(path))
         assert str(info.value) == f"{path}: line 3: non-ASCII byte 0xff"
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("byte", [b"\x00", b"\x0b", b"\x0c", b"\x1c", b"\x7f"])
+    def test_control_byte_is_a_located_error(self, tmp_path, newline, byte):
+        # str.splitlines breaks lines at \x0b, \x0c and \x1c too; a line
+        # number counts only \n, \r\n and \r
+        path = tmp_path / "r.txt"
+        good = "1,3,0.0,0.0,10.0,10.0,1.0,-1,-1,-1"
+        path.write_bytes((good + newline + newline + "2,3,").encode() + byte
+                         + b",0,1,1,1,-1,-1,-1\xff\n")
+        with pytest.raises(MotFormatError) as info:
+            read_mot(str(path))
+        assert str(info.value) == f"{path}: line 3: control byte 0x{byte[0]:02x}"
+
+    def test_records_joined_by_a_form_feed_are_one_line(self, tmp_path):
+        path = tmp_path / "r.txt"
+        good = b"1,3,0.0,0.0,10.0,10.0,1.0,-1,-1,-1"
+        path.write_bytes(good + b"\x0c" + good.replace(b"1,3", b"2,3", 1) + b"\n")
+        with pytest.raises(MotFormatError) as info:
+            read_mot(str(path))
+        assert str(info.value) == f"{path}: line 1: control byte 0x0c"
+
+    @pytest.mark.parametrize("line,message", [
+        ("1_0,1,1,1,1,1,1,-1,-1,-1", "field 'frame': invalid integer '1_0'"),
+        ("1,1_0,1,1,1,1,1,-1,-1,-1", "field 'id': invalid integer '1_0'"),
+        ("1,1,1_2.5,1,1,1,1,-1,-1,-1", "field 'bb_left': invalid number '1_2.5'"),
+        ("1,1,1,1,1,1,1,-1,-1,1e1_0", "field 'z': invalid number '1e1_0'"),
+    ])
+    def test_underscore_in_a_field_is_a_located_error(self, tmp_path, line, message):
+        # int() and float() read "1_0" as 10
+        path = tmp_path / "r.txt"
+        path.write_text(f"2,3,0.0,0.0,10.0,10.0,1.0,-1,-1,-1\n{line}\n")
+        with pytest.raises(MotFormatError) as info:
+            read_mot(str(path))
+        assert str(info.value) == f"{path}: line 2: {message}"
+
 
 class TestWriteReadCycle:
     def test_write_then_read_pixel_tracklets(self, tmp_path):

@@ -1030,14 +1030,14 @@ def _assert_draws_equal(got, ref):
     """The arrays of ``_frame_draws`` against the reference's per-set
     draws stacked along the set and shadow axes, bit for bit."""
     has = [r.target is not None for r in ref]
-    assert got.has_target.tolist() == has
+    assert got.served.tolist() == has
     eps = np.array([r.eps for r in ref])
     assert got.eps.shape == eps.shape
     assert got.corrupted.shape == eps.shape[:2]
     served = _rows([r.target for r in ref if r.target is not None])
-    assert got.target[got.has_target].tobytes() == served.tobytes()
+    assert got.box[got.served].tobytes() == served.tobytes()
     unserved = _rows([r.fallback for r in ref if r.target is None])
-    assert got.fallback[~got.has_target].tobytes() == unserved.tobytes()
+    assert got.box[~got.served].tobytes() == unserved.tobytes()
     assert got.eps.tobytes() == eps.tobytes()
     scores = np.where(got.corrupted, 0.0, got.base[:, np.newaxis])
     assert scores.tobytes() == np.array([r.scores for r in ref]).tobytes()
@@ -1111,6 +1111,36 @@ class TestBatchedDraws:
         assert self._run(scene, cfg, oracle) == {
             "track-served", "track-lost", "detection-served", "fp-up", "fp-down",
         }
+
+    @given(
+        seed=st.integers(0, 2**16),
+        ns=st.integers(1, 4),
+        order=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_interleaved_roles_equal_reference(self, seed, ns, order):
+        # oracle_decode takes the live sets in any order, but live_sets()
+        # puts the tracks first: shuffled, the roles interleave, and the
+        # draws must still equal the reference's on the same order
+        scene = generate_scene(SceneConfig(
+            n_frames=8, n_objects=4, schedule="uniform", occlusions=((1, 3, 5),), seed=seed,
+        ))
+        cfg = TrackerConfig(
+            shadow=ShadowConfig(n_shadows=ns, embed_dim=8), n_detection_sets=6, patience=2
+        )
+        oracle = OracleConfig(
+            seed=seed, box_noise_std=0.01, p_corrupt=0.1, fp_rate=0.3, fp_score=0.8
+        )
+        tracker = ShadowTracker(cfg, seed=seed)
+        reference = scene_reference(scene)
+        scale = oracle.refinement ** (cfg.n_layers - 1)
+        for frame in range(1, scene.n_frames + 1):
+            live = tracker.live_sets()
+            shuffled = order.sample(live, len(live))
+            got = _frame_draws(scene, frame, *_set_arrays(shuffled), oracle)
+            _assert_draws_equal(got, frame_draws_reference(reference, frame, shuffled, oracle))
+            tracker.step(render_layer_reference(
+                frame_draws_reference(reference, frame, live, oracle), scale))
 
     def test_mapped_random_equals_uniform(self):
         # lo + (hi - lo) * u is what numpy's uniform(lo, hi) computes from
