@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .config import (_FIELDS, _SCHEMA, REDUCTIONS, ConfigError, RunConfig, _check_choice,
-                     _check_range, describe_defaults, load_run_config, parse_config_text)
+                     _check_range, _int, describe_defaults, load_run_config, parse_config_text)
 from .mot_io import MotRows, _format_rows, _read_ascii as _read_text, _write_ascii as _write_text
 
 if TYPE_CHECKING:
@@ -344,14 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_abl = run_command("ablate", _cmd_ablate, "sweep shadow configurations over a scene")
     p_abl.add_argument("--grid", default="lambda x phi",
                        help="axes joined by 'x': " + ", ".join(_GRID_VALUES))
-    p_abl.add_argument("--trials", type=int, default=1,
+    p_abl.add_argument("--trials", type=_int, default=1,
                        help=f"trials per configuration, 1 to {_MAX_TRIALS}")
     p_abl.add_argument("-o", "--output", required=True, help="CSV output path")
 
     p_dbg = run_command("assign-debug", _cmd_assign_debug,
                         "inspect candidates, costs, and assignment at one frame/layer")
-    p_dbg.add_argument("--frame", type=int, required=True, help="1-based frame index")
-    p_dbg.add_argument("--layer", type=int, required=True, help="1-based decoder layer")
+    p_dbg.add_argument("--frame", type=_int, required=True, help="1-based frame index")
+    p_dbg.add_argument("--layer", type=_int, required=True, help="1-based decoder layer")
     _add_tracking_flags(p_dbg)
 
     return parser

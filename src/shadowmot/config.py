@@ -27,6 +27,26 @@ class ConfigError(ValueError):
     """Bad config file or bad key/value."""
 
 
+def _int(text: str) -> int:
+    """``int(text)``, refusing the ``_`` that int() reads between digits
+    (``"1_0"`` is 10), as MOT fields do."""
+    if "_" in text:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
+def _float(text: str) -> float:
+    """``float(text)``, refusing the ``_`` that float() reads between
+    digits (``"0_5"`` is 5.0), as MOT fields do."""
+    if "_" in text:
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
+# argparse names a flag's converter in its error: "invalid int value: 'x'"
+_int.__name__, _float.__name__ = "int", "float"
+
+
 def _parse_occlusions(raw: str) -> tuple[tuple[int, int, int], ...]:
     raw = raw.strip()
     if not raw:
@@ -36,7 +56,7 @@ def _parse_occlusions(raw: str) -> tuple[tuple[int, int, int], ...]:
         parts = chunk.strip().split(":")
         if len(parts) != 3:
             raise ValueError(f"occlusion {chunk.strip()!r} is not id:start:end")
-        out.append(tuple(int(p) for p in parts))
+        out.append(tuple(_int(p) for p in parts))
     return tuple(out)
 
 
@@ -51,38 +71,38 @@ REDUCTIONS: tuple[str, ...] = ("min", "mean", "max")
 # key -> (converter, default, help text).  Every ``section.*`` key names a
 # field of that section's constructor: the same name, or the one in _FIELDS.
 _SCHEMA: dict[str, tuple] = {
-    "seed": (int, 0, "master seed for scene, oracle, and query bank"),
-    "scene.n_frames": (int, 100, "frames per sequence, 1 to 100000; n_frames * n_objects at most 1000000"),
-    "scene.n_objects": (int, 10, "number of objects, 0 to 10000; n_frames * n_objects at most 1000000"),
+    "seed": (_int, 0, "master seed for scene, oracle, and query bank"),
+    "scene.n_frames": (_int, 100, "frames per sequence, 1 to 100000; n_frames * n_objects at most 1000000"),
+    "scene.n_objects": (_int, 10, "number of objects, 0 to 10000; n_frames * n_objects at most 1000000"),
     "scene.schedule": (str, "all-at-start", "newborn schedule: all-at-start or uniform"),
-    "scene.jitter": (float, 0.0, "per-frame position jitter std (normalized units)"),
+    "scene.jitter": (_float, 0.0, "per-frame position jitter std (normalized units)"),
     "scene.occlusions": (_parse_occlusions, (), "comma list of id:start:end windows"),
-    "scene.image_width": (int, 1920, "image width in pixels, 1 to 100000"),
-    "scene.image_height": (int, 1080, "image height in pixels, 1 to 100000"),
-    "oracle.box_noise_std": (float, 0.0, "per-shadow box noise std at layer 1, 0 to 1000000"),
-    "oracle.base_score": (float, 0.9, "score served for a captured object"),
-    "oracle.occ_drop": (float, 0.6, "score drop while the object is occluded"),
-    "oracle.p_corrupt": (float, 0.0, "per-shadow probability of a zeroed score"),
-    "oracle.refinement": (float, 0.5, "per-layer noise shrink factor in [0,1)"),
-    "oracle.fp_rate": (float, 0.0, "false-positive rate for idle detection sets"),
-    "oracle.fp_score": (float, 0.1, "score of a false-positive box"),
-    "shadow.ns": (int, 3, "shadows per set, 1 to 64"),
+    "scene.image_width": (_int, 1920, "image width in pixels, 1 to 100000"),
+    "scene.image_height": (_int, 1080, "image height in pixels, 1 to 100000"),
+    "oracle.box_noise_std": (_float, 0.0, "per-shadow box noise std at layer 1, 0 to 1000000"),
+    "oracle.base_score": (_float, 0.9, "score served for a captured object"),
+    "oracle.occ_drop": (_float, 0.6, "score drop while the object is occluded"),
+    "oracle.p_corrupt": (_float, 0.0, "per-shadow probability of a zeroed score"),
+    "oracle.refinement": (_float, 0.5, "per-layer noise shrink factor in [0,1)"),
+    "oracle.fp_rate": (_float, 0.0, "false-positive rate for idle detection sets"),
+    "oracle.fp_score": (_float, 0.1, "score of a false-positive box"),
+    "shadow.ns": (_int, 3, "shadows per set, 1 to 64"),
     "shadow.init": (str, "noise", "bank anchor initialization: rand, copy, or noise; rand and copy give the same anchors"),
-    "shadow.sigma_pos": (float, 1e-6, "position noise std for noisy init, 0 to 1000000"),
-    "shadow.sigma_emb": (float, 1e-6, "unread (queries carry no embedding); validated >= 0 and kept in manifests"),
+    "shadow.sigma_pos": (_float, 1e-6, "position noise std for noisy init, 0 to 1000000"),
+    "shadow.sigma_emb": (_float, 1e-6, "unread (queries carry no embedding); validated >= 0 and kept in manifests"),
     "shadow.lambda": (str, "max", "training cost reduction: min, mean, or max"),
     "shadow.phi": (str, "min", "inference score reduction: min, mean, or max"),
-    "shadow.tau": (float, 0.5, "confidence threshold for births and survival"),
-    "shadow.embed_dim": (int, 256, "length of a discarded per-set draw in copy/noise init, 1 to 4096; shifts noise-init positions"),
-    "tracker.n_layers": (int, 6, "decoder layer count, 1 to 64"),
-    "tracker.n_detection_sets": (int, 60, "detection sets per frame, 1 to 10000; n_detection_sets * patience at most 1000000"),
-    "tracker.patience": (int, 0, "sub-threshold frames before a track dies, >= 0; n_detection_sets * patience at most 1000000"),
+    "shadow.tau": (_float, 0.5, "confidence threshold for births and survival"),
+    "shadow.embed_dim": (_int, 256, "length of a discarded per-set draw in copy/noise init, 1 to 4096; shifts noise-init positions"),
+    "tracker.n_layers": (_int, 6, "decoder layer count, 1 to 64"),
+    "tracker.n_detection_sets": (_int, 60, "detection sets per frame, 1 to 10000; n_detection_sets * patience at most 1000000"),
+    "tracker.patience": (_int, 0, "sub-threshold frames before a track dies, >= 0; n_detection_sets * patience at most 1000000"),
     "tracker.mode": (str, "cola", "training-target mode: tala or cola"),
-    "cost.w_class": (float, 2.0, "classification cost weight, 0 to 1000000"),
-    "cost.w_l1": (float, 5.0, "L1 box cost weight, 0 to 1000000"),
-    "cost.w_giou": (float, 2.0, "overlap cost weight, 0 to 1000000"),
-    "cost.alpha": (float, 0.25, "focal cost alpha"),
-    "cost.gamma": (float, 2.0, "focal cost gamma"),
+    "cost.w_class": (_float, 2.0, "classification cost weight, 0 to 1000000"),
+    "cost.w_l1": (_float, 5.0, "L1 box cost weight, 0 to 1000000"),
+    "cost.w_giou": (_float, 2.0, "overlap cost weight, 0 to 1000000"),
+    "cost.alpha": (_float, 0.25, "focal cost alpha"),
+    "cost.gamma": (_float, 2.0, "focal cost gamma"),
 }
 
 

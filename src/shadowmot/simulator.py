@@ -24,8 +24,8 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import _MODULES
-from .config import (_MAX_SCALE, _SCHEMA, _check_choice, _check_range, _check_spread, _name_keys,
-                     _parse_occlusions)
+from .config import (_MAX_SCALE, _SCHEMA, _check_choice, _check_range, _check_spread, _float,
+                     _int, _name_keys, _parse_occlusions)
 from .geometry import BoundingBox, _corners, _iou, _rows
 from .matching import ClassScores
 from .mot_io import MotRows, Tracklets, _tracklets_of
@@ -396,7 +396,7 @@ _FRAME_KEYS = {"t", "box", "visible"}
 _NUMBER_TYPES = {int, float}
 # converter of a config key -> the exact types json.loads makes of its
 # values, and their name in an error
-_JSON_TYPES = {int: ({int}, "an integer"), float: (_NUMBER_TYPES, "a number"),
+_JSON_TYPES = {_int: ({int}, "an integer"), _float: (_NUMBER_TYPES, "a number"),
                str: ({str}, "a string")}
 
 
@@ -526,13 +526,24 @@ class _FrameDraws(NamedTuple):
     """One frame's draws for ``S`` sets of ``ns`` shadows each.  Per set:
     the box ``[S, 4]`` it is served where ``served`` and else emits, and
     its base score.  Per shadow: the corruption flag ``[S, ns]`` and the
-    unscaled box noise ``eps[S, ns, 4]``."""
+    unscaled box noise ``eps[S, ns, 4]``.
+
+    Draws that stop at a bound (see ``_frame_draws``) hold for each set
+    past it, none of them served: its anchor as its box, base 0.0 and zero
+    noise, with its corruption flags drawn as for every set.  Such a set's
+    scores are 0.0, which is what the full draws give it too, and its box
+    is one no gate lets the tracker read."""
 
     box: np.ndarray
     served: np.ndarray
     base: np.ndarray
     corrupted: np.ndarray
     eps: np.ndarray
+
+    def scores(self) -> np.ndarray:
+        """The per-shadow scores ``[S, ns]`` of every layer: the base
+        score, or 0.0 where a shadow is corrupted."""
+        return np.where(self.corrupted, 0.0, self.base[:, np.newaxis])
 
 
 def _set_arrays(live_sets: Sequence[ShadowSet]) -> tuple[np.ndarray, np.ndarray, int]:
@@ -554,6 +565,7 @@ def _frame_draws(
     tracking: np.ndarray,
     ns: int,
     cfg: OracleConfig,
+    bounded: bool = False,
 ) -> _FrameDraws:
     """Everything random about one frame for the sets with ``anchors[S, 4]``,
     ``tracking`` roles and ``ns`` shadows each, drawn in a fixed order:
@@ -561,7 +573,18 @@ def _frame_draws(
     corruption flag from the corruption stream, then per set its box noise
     and, when it has no target, a false-positive coin and a fallback box
     (detection sets) or four discarded doubles (tracking sets, which fall
-    back to their anchor)."""
+    back to their anchor).
+
+    ``bounded`` stops the per-set draws after the last set whose draws a
+    score can read: the last served set, or, when ``fp_rate > 0``, the
+    later of it and the last free detection set.  Every value drawn is
+    the one the full draws give it, since the frame seeds its own streams
+    and a set's draws follow only those of the sets before it.  Every set
+    past the bound is unserved and scores 0.0 either way: a lost track
+    reads none of its draws, and a free detection set's coin
+    ``u < fp_rate`` never holds at ``fp_rate == 0``.  A score row of 0.0
+    fails ``> tau`` under every reduction, as ``tau >= 0``, so the tracker
+    never asks for the box of such a set."""
     _check_range("frame", frame, 1, scene.n_frames)
 
     frame_rng = np.random.default_rng([cfg.seed, _STREAM_ORACLE, frame])
@@ -598,7 +621,11 @@ def _frame_draws(
         target[free_sets[:len(free_objs)]] = free_objs
 
     served = target >= 0
-    free = np.flatnonzero(~tracking & ~served)
+    stop = n_sets
+    if bounded:
+        read = np.flatnonzero(served | ~tracking if cfg.fp_rate > 0 else served)
+        stop = int(read[-1]) + 1 if len(read) else 0
+    free = np.flatnonzero(~tracking[:stop] & ~served[:stop])
     base = np.where(served, cfg.base_score, 0.0)
     # a tracking set whose target is occluded scores lower
     recognized = np.flatnonzero(tracking & served)
@@ -616,7 +643,7 @@ def _frame_draws(
     eps = np.zeros((n_sets, ns, 4))
     u = np.empty((len(free), 5))
     fallback = iter(u)
-    for noise, hit, track in zip(eps, served.tolist(), tracking.tolist()):
+    for noise, hit, track in zip(eps[:stop], served[:stop].tolist(), tracking[:stop].tolist()):
         if std > 0:
             frame_rng.standard_normal(out=noise)
         if hit:
@@ -638,17 +665,19 @@ def _frame_draws(
     return _FrameDraws(box, served, base, corrupted, eps)
 
 
-def _render_layer(draws: _FrameDraws, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """One decoder layer's per-shadow boxes ``[S, ns, 4]`` and scores
-    ``[S, ns]``, box noise scaled by ``scale``.  Makes no draws.  The
-    extent clamp is ``np.where(v < 0.0, 0.0, v)``, which keeps ``-0.0`` as
-    ``max(v, 0.0)`` does and ``np.maximum`` does not."""
-    boxes = draws.box[:, np.newaxis] + draws.eps * scale
+def _render_layer(draws: _FrameDraws, scale: float,
+                  rows: slice | list[int] | np.ndarray = slice(None)) -> np.ndarray:
+    """One decoder layer's per-shadow boxes ``[n, ns, 4]`` of the sets
+    ``rows`` selects, every set by default, box noise scaled by ``scale``.
+    Makes no draws, and each row's boxes are the bits that rendering every
+    set gives that row.  The extent clamp is ``np.where(v < 0.0, 0.0, v)``,
+    which keeps ``-0.0`` as ``max(v, 0.0)`` does and ``np.maximum`` does
+    not."""
+    box = draws.box[rows]
+    boxes = box[:, np.newaxis] + draws.eps[rows] * scale
     extent = boxes[..., 2:]
     boxes[..., 2:] = np.where(extent < 0.0, 0.0, extent)
-    boxes = np.where(draws.served[:, np.newaxis, np.newaxis], boxes, draws.box[:, np.newaxis])
-    scores = np.where(draws.corrupted, 0.0, draws.base[:, np.newaxis])
-    return boxes, scores
+    return np.where(draws.served[rows][:, np.newaxis, np.newaxis], boxes, box[:, np.newaxis])
 
 
 def oracle_decode(
@@ -684,13 +713,14 @@ def oracle_decode(
     # a set without a target emits one box at every shadow and layer
     served = draws.served.tolist()
     fallback = [None if hit else BoundingBox(*row) for hit, row in zip(served, draws.box.tolist())]
+    scores = draws.scores().tolist()
     layers = []
     for l in range(n_layers):
-        boxes, scores = _render_layer(draws, cfg.refinement ** l)
-        rendered = iter(boxes[draws.served].reshape(-1, 4).tolist())
+        boxes = _render_layer(draws, cfg.refinement ** l, draws.served)
+        rendered = iter(boxes.reshape(-1, 4).tolist())
         layers.append([
             [(BoundingBox(*next(rendered)) if hit else miss, (score,)) for score in row]
-            for hit, miss, row in zip(served, fallback, scores.tolist())
+            for hit, miss, row in zip(served, fallback, scores)
         ])
     return layers
 
@@ -698,11 +728,10 @@ def oracle_decode(
 def _live_layer(scene: Scene, tracker: ShadowTracker, frame: int, cfg: OracleConfig,
                 layer: int) -> tuple[np.ndarray, np.ndarray]:
     """Decoder layer ``layer`` (1-based) at ``frame`` of the live sets of
-    ``tracker``, tracks then bank: boxes ``[S, ns, 4]``, scores ``[S, ns]``."""
-    anchors, n_tracks = tracker._live_anchors()
-    tracking = np.arange(len(anchors)) < n_tracks
-    draws = _frame_draws(scene, frame, anchors, tracking, tracker.config.shadow.n_shadows, cfg)
-    return _render_layer(draws, cfg.refinement ** (layer - 1))
+    ``tracker``, tracks then bank, on the draws of every set: boxes
+    ``[S, ns, 4]``, scores ``[S, ns]``."""
+    draws = _frame_draws(scene, frame, *tracker._live_anchors(), tracker.config.shadow.n_shadows, cfg)
+    return _render_layer(draws, cfg.refinement ** (layer - 1)), draws.scores()
 
 
 def _tracked_frames(
@@ -710,10 +739,16 @@ def _tracked_frames(
 ) -> Iterator[_Emitted]:
     """Step ``tracker`` over ``scene`` from its next frame on, yielding what
     each frame emitted.  The final layer's arrays go straight into the
-    tracker's lifecycle core."""
+    tracker's lifecycle core: the scores of every set, and the boxes of
+    only the sets that pass its gate.  Each frame's draws stop at the
+    bound of ``_frame_draws``, which leaves every score and every box the
+    gate lets through as the full draws give them, so the run emits what
+    it emits on the full draws."""
+    ns = tracker.config.shadow.n_shadows
+    scale = oracle_cfg.refinement ** (tracker.config.n_layers - 1)
     for frame in range(tracker.frame + 1, scene.n_frames + 1):
-        boxes, scores = _live_layer(scene, tracker, frame, oracle_cfg, tracker.config.n_layers)
-        yield tracker._advance(scores, lambda sets: boxes[sets])
+        draws = _frame_draws(scene, frame, *tracker._live_anchors(), ns, oracle_cfg, bounded=True)
+        yield tracker._advance(draws.scores(), lambda sets: _render_layer(draws, scale, sets))
 
 
 def _track_rows(scene: Scene, tracker_cfg: TrackerConfig, oracle_cfg: OracleConfig) -> MotRows:

@@ -136,9 +136,11 @@ class ShadowTracker:
         ]
         return tracks + list(self._detection_bank)
 
-    def _live_anchors(self) -> tuple[np.ndarray, int]:
-        """The anchors ``[T + D, 4]`` of the live sets and the track count."""
-        return np.concatenate([self._anchors, self._bank_anchors]), len(self._identities)
+    def _live_anchors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The anchors ``[T + D, 4]`` of the live sets and their tracking
+        flags ``[T + D]``, true for the tracks."""
+        anchors = np.concatenate([self._anchors, self._bank_anchors])
+        return anchors, np.arange(len(anchors)) < len(self._identities)
 
     def step(self, predictions: SetPredictions) -> FrameResult:
         """One frame over ``[set][shadow]`` predictions of ``(box, class

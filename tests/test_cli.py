@@ -189,6 +189,33 @@ class TestTrack:
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [message]
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("track", "--seed", "1_0"),
+        ("track", "--ns", "1_0"),
+        ("track", "--tau", "0_5"),
+        ("track", "--patience", "1_0"),
+        ("ablate", "--trials", "1_0"),
+        ("assign-debug", "--frame", "1_0"),
+        ("assign-debug", "--layer", "1_0"),
+    ])
+    def test_underscore_in_a_numeric_flag_fails_as_a_word_does(self, workdir, scene_path,
+                                                                command, flag, value):
+        # int() reads "1_0" as 10 and float() reads "0_5" as 5.0; argparse
+        # names the flag's converter: "invalid int value: 'x'"
+        def stderr(given):
+            args = {"--frame": "2", "--layer": "1"} if command == "assign-debug" else {"-o": "out.txt"}
+            argv = [command, "--scene", "scene.json", "--config", "run.cfg"]
+            for name, v in {**args, flag: given}.items():
+                argv += [name, v]
+            proc = run_cli(*argv, cwd=workdir)
+            assert proc.returncode == 2
+            return proc.stderr
+
+        word = stderr("x")
+        assert "invalid " + ("float" if flag == "--tau" else "int") + " value: 'x'" in word
+        assert stderr(value) == word.replace("'x'", repr(value))
+        assert not (workdir / "out.txt").exists()
+
     def test_rand_and_copy_init_track_identically(self, workdir, scene_path):
         # a set is served by its anchor, the first shadow's position, and
         # rand and copy draw that position alike
@@ -1049,22 +1076,24 @@ class TestBadEmittedBox:
     @pytest.mark.parametrize("command", ["track", "ablate"])
     def test_first_bad_box_in_emission_order_is_one_error(self, workdir, scene_path,
                                                           monkeypatch, capsys, command):
-        # frame 2 gives every set but the first (identity 1) a negative
-        # height, frame 3 gives identity 1 a NaN center: the error names
-        # the first bad box emitted, not the bad box of the lowest identity
+        # the tracker asks for the boxes of the sets that pass its gate,
+        # once a frame and in emission order: frame 2 gives every such set
+        # but the first (identity 1) a negative height, frame 3 gives
+        # identity 1 a NaN center: the error names the first bad box
+        # emitted, not the bad box of the lowest identity
         from shadowmot import simulator
 
         render = simulator._render_layer
         calls = []
 
-        def bad_render(draws, scale):
-            boxes, scores = render(draws, scale)
+        def bad_render(draws, scale, rows):
+            boxes = render(draws, scale, rows)
             calls.append(len(calls) + 1)
             if calls[-1] == 2:
                 boxes[1:] = (0.5, 0.5, 0.1, -1.0)
             elif calls[-1] == 3:
                 boxes[:1] = math.nan
-            return boxes, scores
+            return boxes
 
         monkeypatch.setattr(simulator, "_render_layer", bad_render)
         capsys.readouterr()

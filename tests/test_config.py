@@ -14,7 +14,7 @@ from shadowmot import (
     generate_scene, init_query_bank, load_run_config, oracle_decode, parse_config_text,
     reduce_set_costs, reduce_values, tala_targets,
 )
-from shadowmot.config import _FIELDS, _SCHEMA, describe_defaults
+from shadowmot.config import _FIELDS, _SCHEMA, _int, describe_defaults
 from shadowmot.simulator import _SCHEDULES
 from shadowmot.tracker import _MODES
 
@@ -86,6 +86,18 @@ class TestLoadRunConfig:
     def test_bad_value_names_key(self):
         with pytest.raises(ConfigError, match="key 'scene.n_frames': bad value 'many'"):
             load_run_config({"scene.n_frames": "many"})
+
+    @pytest.mark.parametrize("key,value,problem", [
+        ("seed", "1_0", "invalid literal for int() with base 10: '1_0'"),
+        ("scene.n_frames", "1_0", "invalid literal for int() with base 10: '1_0'"),
+        ("shadow.tau", "0_5", "could not convert string to float: '0_5'"),
+        ("scene.occlusions", "1:1_0:12", "invalid literal for int() with base 10: '1_0'"),
+    ])
+    def test_underscore_in_a_number_is_a_bad_value(self, key, value, problem):
+        # int() reads "1_0" as 10 and float() reads "0_5" as 5.0
+        with pytest.raises(ConfigError) as info:
+            load_run_config({key: value})
+        assert str(info.value) == f"key {key!r}: bad value {value!r} ({problem})"
 
     def test_domain_validation_surfaces_as_config_error(self):
         with pytest.raises(ConfigError):
@@ -370,7 +382,7 @@ class TestSchemaAgreesWithConstructors:
 
     @pytest.mark.parametrize("key,least,most", _HELP_BOUNDS)
     def test_help_bounds_are_the_constructor_bounds(self, key, least, most):
-        if _SCHEMA[key][0] is int:
+        if _SCHEMA[key][0] is _int:
             below, above = str(int(least) - 1), str(int(most) + 1)
         else:
             below = repr(math.nextafter(float(least), -math.inf))

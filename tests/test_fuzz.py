@@ -30,7 +30,7 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, event, given, settings
 
 from shadowmot import MotFormatError, SceneConfig, cli, evaluate, generate_scene, mot_io, read_mot
-from shadowmot.config import _SCHEMA
+from shadowmot.config import _SCHEMA, _float, _int
 from shadowmot.metrics import _overlaps
 from shadowmot.mot_io import _read_lines, _read_rows
 
@@ -172,7 +172,7 @@ def _huge_config(draw) -> str:
     """The config text with one numeric key, set in it or not, given a
     huge value."""
     key = draw(st.sampled_from([k for k, (convert, _, _) in _SCHEMA.items()
-                                if convert in (int, float)]))
+                                if convert in (_int, _float)]))
     lines = [line for line in _CONFIG.splitlines() if not line.startswith(key + " ")]
     return "\n".join(lines + [f"{key} = {draw(_HUGE)!r}"]) + "\n"
 

@@ -23,11 +23,14 @@ from shadowmot import (
     evaluate,
     generate_scene,
     emit_training_targets,
+    init_query_bank,
     oracle_decode,
+    simulator,
     track_scene,
 )
 from shadowmot.geometry import _corners, _iou, _rows
-from shadowmot.simulator import _FALLBACK_HI, _FALLBACK_LO, _claim, _frame_draws, _set_arrays
+from shadowmot.simulator import (_FALLBACK_HI, _FALLBACK_LO, _claim, _frame_draws, _render_layer,
+                                 _set_arrays)
 
 from helpers import (
     SceneFrame,
@@ -1177,6 +1180,109 @@ class TestBatchedDraws:
         assert (0.0 + std * z).tobytes() == want.tobytes()
 
 
+def _still_scene(n_frames, objects):
+    """The scene of still objects, each ``(first, last, box)`` one identity
+    that is visible from frame ``first`` to frame ``last``."""
+    return Scene.from_json({
+        "version": 1,
+        "config": {"n_frames": n_frames, "n_objects": len(objects)},
+        "tracks": [{"id": k, "frames": [{"t": t, "box": list(box), "visible": True}
+                                        for t in range(first, last + 1)]}
+                   for k, (first, last, box) in enumerate(objects, start=1)],
+    })
+
+
+def _bounded_frames(monkeypatch, scene, cfg, oracle):
+    """The tracking flags and bounded draws of each frame of the run of
+    ``track_scene``, recorded as its frame loop makes them."""
+    frames = []
+
+    def recording(scene, frame, anchors, tracking, ns, cfg, bounded=False):
+        draws = _frame_draws(scene, frame, anchors, tracking, ns, cfg, bounded)
+        frames.append((tracking, draws))
+        return draws
+
+    monkeypatch.setattr(simulator, "_frame_draws", recording)
+    tracklets = track_scene(scene, cfg, oracle)
+    assert len(frames) == scene.n_frames
+    return tracklets, frames
+
+
+def _last_served(draws) -> int:
+    served = np.flatnonzero(draws.served)
+    return int(served[-1]) if len(served) else -1
+
+
+# the extent of a still object: too small for a bank anchor, drawn on
+# [0, 1] per component, to overlap it with IoU >= 0.5
+_SMALL = (0.05, 0.05)
+
+
+class TestBoundedDraws:
+    """The frame loop stops each frame's per-set draws after the last set
+    whose draws a score can read; every run must still emit the bits of
+    the object path, which draws every set (as along the random runs of
+    ``TestArrayPath``), on the frames named here too."""
+
+    @pytest.mark.parametrize("case", ["no-served-set", "last-bank-set-served",
+                                      "lost-track-past-last-served"])
+    def test_named_frame_equals_object_path(self, monkeypatch, case):
+        cfg = TrackerConfig(shadow=ShadowConfig(n_shadows=3, embed_dim=8), n_detection_sets=12,
+                            patience=3)
+        oracle = OracleConfig(seed=5, box_noise_std=0.01, p_corrupt=0.05)
+        if case == "no-served-set":
+            # nothing arrives before frame 3
+            scene = _still_scene(8, [(3, 8, (0.3, 0.3, *_SMALL)), (4, 8, (0.7, 0.6, *_SMALL))])
+            holds = lambda tracking, draws: not draws.served.any()
+        elif case == "last-bank-set-served":
+            # an object on the last bank anchor claims that set, IoU 1
+            last = init_query_bank(cfg.n_detection_sets, cfg.shadow, oracle.seed)[-1].anchor
+            scene = _still_scene(6, [(1, 6, (last.cx, last.cy, last.w, last.h))])
+            holds = lambda tracking, draws: draws.served.tolist() == [False] * 11 + [True]
+        else:
+            # the second object leaves after frame 3; its track, second in
+            # the track list, is lost past the first track, the last served
+            scene = _still_scene(8, [(1, 8, (0.3, 0.3, *_SMALL)), (1, 3, (0.7, 0.6, *_SMALL))])
+            holds = lambda tracking, draws: any(
+                tracking[k] and not draws.served[k]
+                for k in range(_last_served(draws) + 1, len(tracking)))
+        got, frames = _bounded_frames(monkeypatch, scene, cfg, oracle)
+        assert any(holds(tracking, draws) for tracking, draws in frames)
+        assert got.n_boxes() > 0
+        assert tracklet_bits(got) == tracklet_bits(track_scene_reference(scene, cfg, oracle))
+
+    def test_bank_rows_past_the_bound_are_not_drawn(self):
+        # at fp_rate 0 a frame with no served bank set draws no bank row:
+        # each holds its anchor, base 0.0 and zero noise, where the full
+        # draws give it a fallback box; every score keeps its bits
+        scene = _still_scene(8, [(3, 8, (0.3, 0.3, *_SMALL)), (3, 6, (0.7, 0.6, *_SMALL))])
+        cfg = TrackerConfig(shadow=ShadowConfig(n_shadows=3, embed_dim=8), n_detection_sets=12,
+                            patience=1)
+        oracle = OracleConfig(seed=5, box_noise_std=0.01, p_corrupt=0.05)
+        tracker = ShadowTracker(cfg, seed=oracle.seed)
+        scale = oracle.refinement ** (cfg.n_layers - 1)
+        bankless = set()
+        for frame in range(1, scene.n_frames + 1):
+            anchors, tracking = tracker._live_anchors()
+            args = (scene, frame, anchors, tracking, 3, oracle)
+            bounded, full = _frame_draws(*args, bounded=True), _frame_draws(*args)
+            assert bounded.scores().tobytes() == full.scores().tobytes()
+            assert bounded.served.tolist() == full.served.tolist()
+            stop = _last_served(full) + 1
+            for got, want in zip(bounded, full):
+                assert got[:stop].tobytes() == want[:stop].tobytes()
+            bank = ~tracking
+            if not full.served[bank].any():
+                bankless.add(frame)
+                assert bounded.base[bank].tolist() == [0.0] * cfg.n_detection_sets
+                assert bounded.box[bank].tobytes() == anchors[bank].tobytes()
+                assert not bounded.eps[bank].any()
+                assert (full.box[bank] != anchors[bank]).any()
+            tracker._advance(full.scores(), lambda sets: _render_layer(full, scale, sets))
+        # no set is served before frame 3, and no bank set after it
+        assert bankless == {1, 2, 4, 5, 6, 7, 8}
+
+
 # overlaps with ties: exactly 0 and the smallest positive double (one
 # passes ``> 0``, the other does not), 0.5 and its neighbours (the
 # detection gate is ``>= 0.5``), and a few repeated values
@@ -1251,7 +1357,10 @@ class TestArrayPath:
     @given(
         seed=st.integers(0, 2**16),
         ns=st.integers(1, 6),
+        n_sets=st.integers(1, 40),
         phi=st.sampled_from(["min", "mean", "max"]),
+        tau=st.sampled_from([0.0, 0.1, 0.5]),
+        occ_drop=st.sampled_from([0.6, 0.9, 1.0]),
         box_noise=st.sampled_from([0.0, 0.01]),
         p_corrupt=st.sampled_from([0.0, 0.1, 0.5]),
         fp_rate=st.sampled_from([0.0, 0.1, 0.5]),
@@ -1261,18 +1370,24 @@ class TestArrayPath:
     )
     @settings(max_examples=150, deadline=None)
     def test_track_scene_equals_object_path(
-        self, seed, ns, phi, box_noise, p_corrupt, fp_rate, fp_score, patience, schedule
+        self, seed, ns, n_sets, phi, tau, occ_drop, box_noise, p_corrupt, fp_rate, fp_score,
+        patience, schedule,
     ):
+        # track_scene's draws stop at the last set a score can read, the
+        # object path draws every set; fp_score 0.1 against tau 0.1 under
+        # phi = mean passes (the fsum mean of three 0.1 scores is
+        # 0.10000000000000002), and occ_drop 0.9 and 1.0 make an occluded
+        # served set score 0.0
         scene = generate_scene(SceneConfig(
             n_frames=10, n_objects=4, schedule=schedule,
             occlusions=((1, 3, 5), (2, 6, 8)), seed=seed,
         ))
         cfg = TrackerConfig(
-            shadow=ShadowConfig(n_shadows=ns, score_reduction=phi, embed_dim=8),
-            n_detection_sets=6, patience=patience,
+            shadow=ShadowConfig(n_shadows=ns, score_reduction=phi, tau=tau, embed_dim=8),
+            n_detection_sets=n_sets, patience=patience,
         )
         oracle = OracleConfig(
-            seed=seed, box_noise_std=box_noise, p_corrupt=p_corrupt,
+            seed=seed, box_noise_std=box_noise, occ_drop=occ_drop, p_corrupt=p_corrupt,
             fp_rate=fp_rate, fp_score=fp_score,
         )
         got = track_scene(scene, cfg, oracle)
