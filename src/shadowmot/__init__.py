@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines, which are also its __all__
 _MODULES = {
-    "geometry": ("BoundingBox", "pairwise"),
+    "geometry": ("BoundingBox",),
     "matching": (
         "ClassScores", "CostWeights", "CostMatrix", "Assignment", "focal_cost", "hungarian",
     ),

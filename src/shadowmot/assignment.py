@@ -69,12 +69,8 @@ class FrameGroundTruth:
         )
 
     @property
-    def objects(self) -> tuple[GroundTruthObject, ...]:
-        return self.tracked + self.newborn
-
-    @property
     def identities(self) -> frozenset[int]:
-        return frozenset(o.identity for o in self.objects)
+        return frozenset(o.identity for o in self.tracked + self.newborn)
 
 
 def _check_competition(targets: Mapping[int, Target], kind: str) -> None:

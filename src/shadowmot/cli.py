@@ -305,8 +305,15 @@ def _cmd_assign_debug(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors, its subparsers' too, are one ``error:`` line and exit 1."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shadowmot",
         description="Shadow-set multi-object tracking sandbox: synthetic scenes, "
                     "an oracle decoder, label assignment, tracking, and evaluation.",
@@ -358,9 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = argparse.Namespace(command="shadowmot")  # the name until a command is parsed
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     # ConfigError, MotFormatError and json.JSONDecodeError are ValueErrors
     except (ValueError, OSError) as exc:

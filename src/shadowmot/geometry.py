@@ -53,14 +53,6 @@ def _rows(boxes: Sequence[BoundingBox]) -> np.ndarray:
     return np.fromiter(flat, float, 4 * len(boxes)).reshape(-1, 4)
 
 
-def pairwise(
-    a: Sequence[BoundingBox], b: Sequence[BoundingBox]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """IoU, GIoU and L1 distance of every box of ``a`` against every box of
-    ``b``, each a ``[len(a), len(b)]`` array: ``_pairwise_rows`` on their rows."""
-    return _pairwise_rows(_rows(a), _rows(b))
-
-
 def _pairwise_rows(rows_a: np.ndarray, rows_b: np.ndarray) -> tuple[np.ndarray, ...]:
     """IoU, GIoU and L1 distance of every box row of ``rows_a`` (``[n, 4]``)
     against every one of ``rows_b`` (``[m, 4]``), each ``[n, m]``.
@@ -102,7 +94,7 @@ def _corners(rows: np.ndarray) -> np.ndarray:
 def _iou(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """IoU and union of every corner column of ``a`` (``[4, n]``) against
     every one of ``b`` (``[4, m]``), each ``[n, m]``: the part of
-    ``pairwise`` that the metrics and the oracle read."""
+    ``_pairwise_rows`` that the metrics and the oracle read."""
     ax1, ay1, ax2, ay2 = a[:, :, np.newaxis]
     bx1, by1, bx2, by2 = b[:, np.newaxis, :]
     area_a = (ax2 - ax1) * (ay2 - ay1)

@@ -42,7 +42,7 @@ _ROW = "%s,%s,%s,%s,%s,%s,%s,-1.0,-1.0,-1.0\n"
 _TEXT_BYTES = b"\t\n\r" + bytes(range(0x20, 0x7f))
 
 # the largest corner coordinate a box read may have: every area, union and
-# hull that geometry.pairwise forms from two such boxes is finite
+# hull that geometry._pairwise_rows forms from two such boxes is finite
 MAX_CORNER = 1e150
 
 

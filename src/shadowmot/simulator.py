@@ -204,10 +204,6 @@ class Scene:
     def n_frames(self) -> int:
         return self.config.n_frames
 
-    @property
-    def identities(self) -> tuple[int, ...]:
-        return self._identities
-
     def _by_identity(self) -> list[tuple[int, list[tuple[int, list[float], bool]]]]:
         """Each identity with its ``(t, box, visible)`` states in frame order."""
         order = np.lexsort((self._frames, self._codes))
@@ -425,12 +421,10 @@ def _list(value: object, path: str) -> list:
 
 
 def _reflect(center: float, half: float) -> tuple[float, float]:
-    """Fold a center coordinate back into [half, 1-half]; returns the new
-    coordinate and the velocity sign flip (+1 or -1)."""
+    """Fold a center coordinate back into [half, 1-half], for ``half <
+    0.5``; returns the new coordinate and the velocity sign flip (+1 or -1)."""
     lo, hi = half, 1.0 - half
     flip = 1.0
-    if lo >= hi:
-        return min(max(center, 0.0), 1.0), flip
     c = center
     for _ in range(8):
         if c < lo:
@@ -524,26 +518,20 @@ def _claim(overlaps: np.ndarray, passes: np.ndarray) -> dict[int, int]:
 
 class _FrameDraws(NamedTuple):
     """One frame's draws for ``S`` sets of ``ns`` shadows each.  Per set:
-    the box ``[S, 4]`` it is served where ``served`` and else emits, and
-    its base score.  Per shadow: the corruption flag ``[S, ns]`` and the
-    unscaled box noise ``eps[S, ns, 4]``.
+    the box ``[S, 4]`` it is served where ``served`` and else emits.  Per
+    shadow: the score ``[S, ns]`` of every layer, its set's base score or
+    0.0 where the shadow is corrupted, and the unscaled box noise
+    ``eps[S, ns, 4]``.
 
     Draws that stop at a bound (see ``_frame_draws``) hold for each set
-    past it, none of them served: its anchor as its box, base 0.0 and zero
-    noise, with its corruption flags drawn as for every set.  Such a set's
-    scores are 0.0, which is what the full draws give it too, and its box
-    is one no gate lets the tracker read."""
+    past it, none of them served: its anchor as its box, scores 0.0 and
+    zero noise.  Those scores are what the full draws give it too, and its
+    box is one no gate lets the tracker read."""
 
     box: np.ndarray
     served: np.ndarray
-    base: np.ndarray
-    corrupted: np.ndarray
+    scores: np.ndarray
     eps: np.ndarray
-
-    def scores(self) -> np.ndarray:
-        """The per-shadow scores ``[S, ns]`` of every layer: the base
-        score, or 0.0 where a shadow is corrupted."""
-        return np.where(self.corrupted, 0.0, self.base[:, np.newaxis])
 
 
 def _set_arrays(live_sets: Sequence[ShadowSet]) -> tuple[np.ndarray, np.ndarray, int]:
@@ -662,7 +650,7 @@ def _frame_draws(
     box[served] = present[target[served]]
     base[free] = np.where(u[:, 0] < cfg.fp_rate, cfg.fp_score, 0.0)
     box[free] = _FALLBACK_LO + (_FALLBACK_HI - _FALLBACK_LO) * u[:, 1:]
-    return _FrameDraws(box, served, base, corrupted, eps)
+    return _FrameDraws(box, served, np.where(corrupted, 0.0, base[:, np.newaxis]), eps)
 
 
 def _render_layer(draws: _FrameDraws, scale: float,
@@ -713,7 +701,7 @@ def oracle_decode(
     # a set without a target emits one box at every shadow and layer
     served = draws.served.tolist()
     fallback = [None if hit else BoundingBox(*row) for hit, row in zip(served, draws.box.tolist())]
-    scores = draws.scores().tolist()
+    scores = draws.scores.tolist()
     layers = []
     for l in range(n_layers):
         boxes = _render_layer(draws, cfg.refinement ** l, draws.served)
@@ -731,7 +719,7 @@ def _live_layer(scene: Scene, tracker: ShadowTracker, frame: int, cfg: OracleCon
     ``tracker``, tracks then bank, on the draws of every set: boxes
     ``[S, ns, 4]``, scores ``[S, ns]``."""
     draws = _frame_draws(scene, frame, *tracker._live_anchors(), tracker.config.shadow.n_shadows, cfg)
-    return _render_layer(draws, cfg.refinement ** (layer - 1)), draws.scores()
+    return _render_layer(draws, cfg.refinement ** (layer - 1)), draws.scores
 
 
 def _tracked_frames(
@@ -748,7 +736,7 @@ def _tracked_frames(
     scale = oracle_cfg.refinement ** (tracker.config.n_layers - 1)
     for frame in range(tracker.frame + 1, scene.n_frames + 1):
         draws = _frame_draws(scene, frame, *tracker._live_anchors(), ns, oracle_cfg, bounded=True)
-        yield tracker._advance(draws.scores(), lambda sets: _render_layer(draws, scale, sets))
+        yield tracker._advance(draws.scores, lambda sets: _render_layer(draws, scale, sets))
 
 
 def _track_rows(scene: Scene, tracker_cfg: TrackerConfig, oracle_cfg: OracleConfig) -> MotRows:

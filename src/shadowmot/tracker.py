@@ -25,10 +25,6 @@ __all__ = _MODULES["tracker"]
 
 _MODES = ("tala", "cola")
 
-# Final-layer predictions for one frame: outer index parallels live_sets(),
-# inner index runs over the shadows of that set.
-SetPredictions = Sequence[Sequence[tuple[BoundingBox, ClassScores]]]
-
 
 @dataclass(frozen=True)
 class TrackerConfig:
@@ -142,7 +138,7 @@ class ShadowTracker:
         anchors = np.concatenate([self._anchors, self._bank_anchors])
         return anchors, np.arange(len(anchors)) < len(self._identities)
 
-    def step(self, predictions: SetPredictions) -> FrameResult:
+    def step(self, predictions: Sequence[Sequence[tuple[BoundingBox, ClassScores]]]) -> FrameResult:
         """One frame over ``[set][shadow]`` predictions of ``(box, class
         scores)`` in ``live_sets()`` order.  A shadow's confidence is its
         maximum class score."""

@@ -33,7 +33,7 @@ from shadowmot import (
     reduce_values,
 )
 from shadowmot.config import _MAX_SCALE, _check_range
-from shadowmot.geometry import _corners, _iou, _rows, pairwise
+from shadowmot.geometry import _corners, _iou, _pairwise_rows, _rows
 from shadowmot.matching import hungarian
 from shadowmot.metrics import ALPHA_GRID, SCORES, AlphaScores, HotaResult
 from shadowmot.mot_io import MAX_CORNER, _read_ascii, parse_mot_line
@@ -190,6 +190,12 @@ def lsap_reference(costs: np.ndarray) -> tuple[list[int], list[int]]:
         order = sorted(range(nr), key=col4row.__getitem__)
         return [col4row[k] for k in order], order
     return list(range(nr)), col4row
+
+
+def pairwise(a: Sequence[BoundingBox], b: Sequence[BoundingBox]) -> tuple[np.ndarray, ...]:
+    """IoU, GIoU and L1 of every box of ``a`` against every box of ``b``:
+    the kernel on their rows."""
+    return _pairwise_rows(_rows(a), _rows(b))
 
 
 # The whole-array GIoU/L1 formula, one numpy expression per term with a

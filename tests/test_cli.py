@@ -71,12 +71,30 @@ class TestHelp:
 
     def test_no_command_is_an_error(self, tmp_path):
         proc = run_cli(cwd=tmp_path)
-        assert proc.returncode == 2
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error: the following arguments are required: command"]
 
     def test_simulate_requires_output(self, tmp_path):
         proc = run_cli("simulate", cwd=tmp_path)
-        assert proc.returncode == 2
-        assert "-o" in proc.stderr or "--output" in proc.stderr
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "error: the following arguments are required: -o/--output"]
+
+    @pytest.mark.parametrize("argv", [
+        ("track", "--scene", "scene.json", "--seed", "x", "-o", "out.txt"),
+        ("track", "--scene", "scene.json", "--bogus", "1", "-o", "out.txt"),
+        ("track", "--scene", "scene.json"),
+        ("track", "--scene", "scene.json", "--tala", "--cola", "-o", "out.txt"),
+        (),
+    ])
+    def test_a_bad_command_line_is_one_error_line(self, workdir, scene_path, argv):
+        # as every other bad input: exit 1 and one error line, not
+        # argparse's usage line and exit 2
+        proc = run_cli(*argv, cwd=workdir)
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ")
+        assert not (workdir / "out.txt").exists()
 
 
 class TestSimulate:
@@ -208,7 +226,8 @@ class TestTrack:
             for name, v in {**args, flag: given}.items():
                 argv += [name, v]
             proc = run_cli(*argv, cwd=workdir)
-            assert proc.returncode == 2
+            assert proc.returncode == 1
+            assert len(proc.stderr.splitlines()) == 1
             return proc.stderr
 
         word = stderr("x")
@@ -367,7 +386,9 @@ class TestTrack:
     def test_tala_and_cola_are_mutually_exclusive(self, workdir, scene_path):
         proc = run_cli("track", "--scene", "scene.json", "--tala", "--cola",
                        "-o", "out.txt", cwd=workdir)
-        assert proc.returncode == 2
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "error: argument --cola: not allowed with argument --tala"]
 
 
 class TestScipyImport:

@@ -14,7 +14,6 @@ from shadowmot import (
     GroundTruthObject,
     build_set_cost_tensor,
     format_mot,
-    pairwise,
 )
 
 from helpers import (
@@ -22,6 +21,7 @@ from helpers import (
     giou,
     iou,
     l1_distance,
+    pairwise,
     pairwise_reference,
     to_pixel,
     tracklets_from_rows,

@@ -19,14 +19,13 @@ from shadowmot import (
     TrackerConfig,
     format_mot,
     generate_scene,
-    pairwise,
     read_mot,
     track_scene,
     write_mot,
 )
 from shadowmot.mot_io import MAX_CORNER, parse_mot_line
 
-from helpers import format_mot_line, random_box, to_pixel, tracklets_from_rows
+from helpers import format_mot_line, pairwise, random_box, to_pixel, tracklets_from_rows
 
 # signed zeros, subnormals and magnitudes near the corner bound, drawn as
 # box extents and, with either sign, as centers

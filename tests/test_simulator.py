@@ -169,9 +169,9 @@ class TestGenerateScene:
 
     def test_all_at_start(self):
         scene = generate_scene(SceneConfig(n_frames=20, n_objects=6, seed=1))
-        assert scene.identities == (1, 2, 3, 4, 5, 6)
+        assert scene._identities == (1, 2, 3, 4, 5, 6)
         tracks = scene_reference(scene).tracks
-        for identity in scene.identities:
+        for identity in scene._identities:
             states = tracks[identity]
             assert states[0].t == 1
             assert states[-1].t == 20
@@ -181,7 +181,7 @@ class TestGenerateScene:
         scene = generate_scene(
             SceneConfig(n_frames=50, n_objects=12, schedule="uniform", seed=2)
         )
-        firsts = [first_frame(scene, i) for i in scene.identities]
+        firsts = [first_frame(scene, i) for i in scene._identities]
         assert all(1 <= f <= 50 for f in firsts)
         assert len(set(firsts)) > 1
         for states in scene_reference(scene).tracks.values():
@@ -218,7 +218,7 @@ class TestGenerateScene:
 
     def test_zero_objects(self):
         scene = generate_scene(SceneConfig(n_frames=5, n_objects=0))
-        assert scene.identities == ()
+        assert scene._identities == ()
         assert scene.visible_objects(1) == ()
 
 
@@ -517,7 +517,7 @@ class TestSceneWriter:
 
 def _scene_bits(scene: Scene) -> tuple:
     """A scene's identities and the bytes of each of its row arrays."""
-    return (scene.identities, scene._frames.tobytes(), scene._codes.tobytes(),
+    return (scene._identities, scene._frames.tobytes(), scene._codes.tobytes(),
             scene._boxes.tobytes(), scene._visible.tobytes())
 
 
@@ -575,7 +575,7 @@ class TestSceneRows:
         box = BoundingBox(0.5, 0.5, 0.1, 0.1)
         tracks = {9: (), 4: (SceneFrame(2, box, False), SceneFrame(3, box, True))}
         scene = Scene.from_json(SceneReference(cfg, tracks).to_json())
-        assert scene.identities == (4, 9)
+        assert scene._identities == (4, 9)
         assert scene_reference(scene).tracks == tracks
         assert scene.visible_objects(1) == scene.visible_objects(2) == ()
         assert [o.identity for o in scene.visible_objects(3)] == [4]
@@ -797,7 +797,7 @@ class TestOracleDecode:
         scene = generate_scene(
             SceneConfig(n_frames=30, n_objects=2, schedule="uniform", seed=14)
         )
-        late = max(scene.identities, key=lambda i: first_frame(scene, i))
+        late = max(scene._identities, key=lambda i: first_frame(scene, i))
         first = first_frame(scene, late)
         assert first > 1
         anchor = scene_reference(scene).tracks[late][0].box
@@ -905,11 +905,11 @@ class TestOracleDecode:
             states = reference.states_at(frame)
             live = [
                 _tracking_set(i, states[i].box, ns=3)
-                for i in scene.identities
+                for i in scene._identities
             ]
             layers = oracle_decode(scene, frame, live, cfg, 6)
             for l in range(6):
-                for set_idx, identity in enumerate(scene.identities):
+                for set_idx, identity in enumerate(scene._identities):
                     gt = states[identity].box
                     for box, _ in layers[l][set_idx]:
                         deltas[l].extend(
@@ -1036,14 +1036,13 @@ def _assert_draws_equal(got, ref):
     assert got.served.tolist() == has
     eps = np.array([r.eps for r in ref])
     assert got.eps.shape == eps.shape
-    assert got.corrupted.shape == eps.shape[:2]
+    assert got.scores.shape == eps.shape[:2]
     served = _rows([r.target for r in ref if r.target is not None])
     assert got.box[got.served].tobytes() == served.tobytes()
     unserved = _rows([r.fallback for r in ref if r.target is None])
     assert got.box[~got.served].tobytes() == unserved.tobytes()
     assert got.eps.tobytes() == eps.tobytes()
-    scores = np.where(got.corrupted, 0.0, got.base[:, np.newaxis])
-    assert scores.tobytes() == np.array([r.scores for r in ref]).tobytes()
+    assert got.scores.tobytes() == np.array([r.scores for r in ref]).tobytes()
 
 
 class TestBatchedDraws:
@@ -1253,7 +1252,7 @@ class TestBoundedDraws:
 
     def test_bank_rows_past_the_bound_are_not_drawn(self):
         # at fp_rate 0 a frame with no served bank set draws no bank row:
-        # each holds its anchor, base 0.0 and zero noise, where the full
+        # each holds its anchor, scores 0.0 and zero noise, where the full
         # draws give it a fallback box; every score keeps its bits
         scene = _still_scene(8, [(3, 8, (0.3, 0.3, *_SMALL)), (3, 6, (0.7, 0.6, *_SMALL))])
         cfg = TrackerConfig(shadow=ShadowConfig(n_shadows=3, embed_dim=8), n_detection_sets=12,
@@ -1266,7 +1265,7 @@ class TestBoundedDraws:
             anchors, tracking = tracker._live_anchors()
             args = (scene, frame, anchors, tracking, 3, oracle)
             bounded, full = _frame_draws(*args, bounded=True), _frame_draws(*args)
-            assert bounded.scores().tobytes() == full.scores().tobytes()
+            assert bounded.scores.tobytes() == full.scores.tobytes()
             assert bounded.served.tolist() == full.served.tolist()
             stop = _last_served(full) + 1
             for got, want in zip(bounded, full):
@@ -1274,11 +1273,11 @@ class TestBoundedDraws:
             bank = ~tracking
             if not full.served[bank].any():
                 bankless.add(frame)
-                assert bounded.base[bank].tolist() == [0.0] * cfg.n_detection_sets
+                assert bounded.scores[bank].tolist() == [[0.0] * 3] * cfg.n_detection_sets
                 assert bounded.box[bank].tobytes() == anchors[bank].tobytes()
                 assert not bounded.eps[bank].any()
                 assert (full.box[bank] != anchors[bank]).any()
-            tracker._advance(full.scores(), lambda sets: _render_layer(full, scale, sets))
+            tracker._advance(full.scores, lambda sets: _render_layer(full, scale, sets))
         # no set is served before frame 3, and no bank set after it
         assert bankless == {1, 2, 4, 5, 6, 7, 8}
 
