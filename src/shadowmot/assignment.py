@@ -132,6 +132,9 @@ class SetCostTensor:
 
 
 def _track_targets(track_ids: Sequence[int], gt: FrameGroundTruth) -> dict[int, Target]:
+    """The one tracking-target rule, which ``tala_targets`` and
+    ``assign_tracking_sets`` read: each track keeps its identity when that
+    object is in ``gt``, else background."""
     present = gt.identities
     return {tid: (tid if tid in present else None) for tid in track_ids}
 
@@ -190,7 +193,9 @@ def build_set_cost_tensor(
     weights: CostWeights,
 ) -> SetCostTensor:
     """Pairwise costs of every shadow of every set against every candidate.
-    A class score outside [0, 1] is a ValueError that names its set and shadow."""
+    The geometry kernel runs once, on the box rows of all shadows and all
+    candidates.  A class score outside [0, 1] is a ValueError that names
+    its set and shadow."""
     if len(predictions) != len(set_ids):
         raise ValueError("predictions and set_ids disagree on the number of sets")
     n_shadows = {len(p) for p in predictions}

@@ -2,9 +2,11 @@
 
 The canonical box format everywhere in this package is normalized
 center-format ``(cx, cy, w, h)``; corner format exists only transiently,
-made by ``_corners``, the one place that writes the corner formula.  Boxes
-are deliberately never clamped to ``[0, 1]``: the oracle decoder may emit
-slightly out-of-range boxes and all costs must remain well-defined on them.
+made by ``_corners``, the one place that writes the corner formula, which
+the MOT reader's corner bound and the MOT writer's pixel left and top use
+too.  Boxes are deliberately never clamped to ``[0, 1]``: the oracle
+decoder may emit slightly out-of-range boxes and all costs must remain
+well-defined on them.
 """
 
 from __future__ import annotations

@@ -72,10 +72,6 @@ class CostMatrix:
         if costs.size and not np.all(np.isfinite(costs)):
             raise ValueError("cost matrix entries must be finite")
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.costs.shape
-
 
 @dataclass(frozen=True)
 class Assignment:

@@ -231,8 +231,9 @@ class Scene:
         )
 
     def _gt_rows(self) -> MotRows:
-        """The visible rows as ground truth, each with score 1.0; occluded
-        rows are skipped, since an occluded object is not an evaluation
+        """The visible rows as ground truth, each with score 1.0, which
+        ``simulate`` writes and ``ablate`` scores against; occluded rows
+        are skipped, since an occluded object is not an evaluation
         target."""
         visible = self._visible
         ids = [self._identities[code] for code in self._codes[visible].tolist()]
@@ -501,7 +502,8 @@ def _claim(overlaps: np.ndarray, passes: np.ndarray) -> dict[int, int]:
     the lower column, among the pairs where ``passes``, none of them NaN.
     ``np.nonzero`` lists the pairs row by row and the stable sort keeps
     that order among equal overlaps, which is the order of a sort of
-    ``(-overlap, row, column)`` tuples."""
+    ``(-overlap, row, column)`` tuples.  It stops once every row or every
+    column is claimed."""
     rows, cols = np.nonzero(passes)
     order = np.argsort(-overlaps[rows, cols], kind="stable")
     claims: dict[int, int] = {}
@@ -561,7 +563,9 @@ def _frame_draws(
     corruption flag from the corruption stream, then per set its box noise
     and, when it has no target, a false-positive coin and a fallback box
     (detection sets) or four discarded doubles (tracking sets, which fall
-    back to their anchor).
+    back to their anchor).  The claims fill one array of served rows,
+    ``target[S]``, from which the role masks and the unclaimed objects
+    follow as array operations, with no per-set bookkeeping.
 
     ``bounded`` stops the per-set draws after the last set whose draws a
     score can read: the last served set, or, when ``fp_rate > 0``, the

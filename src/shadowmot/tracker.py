@@ -175,8 +175,10 @@ class ShadowTracker:
         passes, promote the bank sets that pass, and drop tracks past their
         patience.  ``boxes_of(sets)`` gives the final-layer boxes
         ``[len(sets), ns, 4]`` of the listed live sets; it is asked only for
-        the sets that pass.  An emitted box that ``BoundingBox`` rejects
-        raises its error, for the first such box in emission order."""
+        the sets that pass.  The tracks' misses, hits, deaths and survivors
+        are array operations, with no per-track loop.  An emitted box that
+        ``BoundingBox`` rejects raises its error, for the first such box in
+        emission order."""
         self._frame += 1
         cfg = self.config
         phi, tau = cfg.shadow.score_reduction, cfg.shadow.tau

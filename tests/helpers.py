@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import os
 from dataclasses import dataclass, replace
@@ -29,7 +30,10 @@ from shadowmot import (
     Tracklets,
     evaluate,
     focal_cost,
+    format_mot,
     init_query_bank,
+    load_run_config,
+    parse_config_text,
     reduce_values,
 )
 from shadowmot.config import _MAX_SCALE, _check_range
@@ -562,6 +566,21 @@ def track_scene_reference(scene, tracker_cfg, oracle_cfg) -> Tracklets:
         for identity, box, score in result.outputs:
             tracklets.add(identity, result.frame, box, score)
     return tracklets
+
+
+def assert_track_bytes(scene_path: str, config_path: str, results_path: str) -> None:
+    """The results file that ``track`` wrote for the scene document and the
+    config file equals ``format_mot`` of ``track_scene_reference``, which
+    draws every set; a mismatch names the results file."""
+    with open(scene_path, encoding="ascii") as f:
+        scene = Scene.from_json(json.load(f))
+    with open(config_path, encoding="ascii") as f:
+        run = load_run_config(parse_config_text(f.read()), {})
+    with open(results_path, encoding="ascii") as f:
+        written = f.read()
+    size = (scene.config.image_width, scene.config.image_height)
+    assert written == format_mot(track_scene_reference(scene, run.tracker, run.oracle), size), \
+        f"{results_path} differs from format_mot(track_scene_reference(...))"
 
 
 # The object form of a scene: one SceneFrame, with its BoundingBox, per

@@ -28,8 +28,8 @@ import shadowmot
 from shadowmot import (BoundingBox, Observation, ShadowTracker, cli, format_mot,
                        load_run_config, parse_config_text, read_mot)
 
-from helpers import (ablate_reference, by_frame, cli_env, generate_scene_reference,
-                     track_scene_reference)
+from helpers import (ablate_reference, assert_track_bytes, by_frame, cli_env,
+                     generate_scene_reference, track_scene_reference)
 
 _CONFIG = """\
 # small scene so the suite stays fast
@@ -1091,6 +1091,21 @@ class TestObjectPathEquivalence:
         assert written["out.txt"] == format_mot(
             track_scene_reference(scene, run.tracker, run.oracle), size)
         assert written["grid.csv"] == ablate_reference(scene, run, _SWEEP_GRIDS[grid], trials)
+
+
+class TestTrackBytes:
+    def test_track_results_equal_the_object_path(self, workdir, scene_path):
+        # the check the CI track-bytes steps run, on the small scene
+        paths = [str(scene_path), str(workdir / "run.cfg"), str(workdir / "out.txt")]
+        assert cli.main(["track", "--scene", paths[0], "--config", paths[1], "-o", paths[2]]) == 0
+        assert_track_bytes(*paths)
+        # one digit changed is a mismatch that names the results file
+        data = bytearray((workdir / "out.txt").read_bytes())
+        at = data.index(b".") + 1
+        data[at] = ord("0") + (data[at] - ord("0") + 1) % 10
+        (workdir / "out.txt").write_bytes(data)
+        with pytest.raises(AssertionError, match="out.txt differs from format_mot"):
+            assert_track_bytes(*paths)
 
 
 class TestBadEmittedBox:
