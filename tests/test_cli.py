@@ -6,11 +6,14 @@ and the exact bytes written to disk.
 """
 
 import contextlib
+import gc
 import hashlib
 import importlib
 import io
 import json
 import math
+import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -1230,3 +1233,72 @@ class TestMain:
         capsys.readouterr()
         assert cli.main([command, *args]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {command} ran out of memory"]
+
+
+_EVAL = ["eval", "--gt", "scene.gt.txt", "--results", "scene.gt.txt", "-o", "report.json"]
+
+
+class TestProcessEntry:
+    """``python -m shadowmot.cli`` and the ``shadowmot`` script run ``main``
+    through ``cli._run``, which freezes the start-up heap and flushes
+    standard output; ``main`` called in-process does neither."""
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [None, "1"])
+    @pytest.mark.parametrize("args", [["simulate", "--config", "run.cfg", "-o", "s.json"], _EVAL],
+                             ids=["simulate", "eval"])
+    def test_unwritable_stdout_is_one_error_line(self, workdir, scene_path, args, unbuffered):
+        env = cli_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered is not None:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "shadowmot.cli", *args], cwd=workdir,
+                                  stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+    def test_closed_stdout_is_not_an_error(self, workdir, scene_path):
+        # with descriptor 1 closed at start, sys.stdout is None and print
+        # writes nothing, so there is nothing for the entry to flush
+        proc = subprocess.run([sys.executable, "-m", "shadowmot.cli", *_EVAL], cwd=workdir,
+                              stderr=subprocess.PIPE, text=True, env=cli_env(),
+                              preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_main_in_process_freezes_nothing(self, workdir, scene_path, monkeypatch, capsys):
+        monkeypatch.chdir(workdir)
+        before = gc.get_freeze_count()
+        assert cli.main(_EVAL) == 0
+        assert gc.get_freeze_count() == before
+        assert capsys.readouterr().out.startswith("hota")
+
+    @pytest.mark.parametrize("args", [_EVAL, ["track", "--scene", "scene.json", "--seed", "x",
+                                              "-o", "r.txt"]], ids=["eval", "bad-seed"])
+    def test_entry_freezes_and_exits_as_main(self, workdir, scene_path, monkeypatch, capsys,
+                                             args):
+        script = ("import gc, sys\n"
+                  "from shadowmot import cli\n"
+                  "status = cli._run()\n"
+                  "print(f'frozen {gc.get_freeze_count()}', file=sys.stderr)\n"
+                  "sys.exit(status)\n")
+        proc = subprocess.run([sys.executable, "-c", script, *args], cwd=workdir,
+                              capture_output=True, text=True, env=cli_env())
+        frozen = proc.stderr.splitlines()[-1]
+        assert frozen.startswith("frozen ") and int(frozen.split()[1]) > 0, proc.stderr
+        monkeypatch.chdir(workdir)
+        capsys.readouterr()
+        assert proc.returncode == cli.main(args)
+        assert proc.stdout == capsys.readouterr().out
+
+    def test_console_script_is_the_module_entry(self):
+        root = Path(__file__).resolve().parent.parent
+        # a regex: Python 3.10 has no tomllib
+        script = re.search(r'^shadowmot = "shadowmot\.cli:(\w+)"$',
+                           (root / "pyproject.toml").read_text(encoding="utf-8"), re.M)
+        module = re.search(r'^if __name__ == "__main__":\n    sys\.exit\((\w+)\(\)\)$',
+                           Path(cli.__file__).read_text(encoding="utf-8"), re.M)
+        assert script and module
+        assert script.group(1) == module.group(1)
+        assert callable(getattr(cli, script.group(1)))
