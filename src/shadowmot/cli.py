@@ -3,7 +3,9 @@
 Every command is deterministic for a fixed (config, seed): floats are
 serialized with shortest round-trip precision, JSON keys are sorted, and
 grid rows follow grid order.  Failures exit nonzero with a single
-diagnostic line on stderr.  Each command imports the modules it runs
+diagnostic line on stderr; standard output is one of a command's
+outputs, ``--help`` included, so when it cannot be written the command
+leaves none of its files.  Each command imports the modules it runs
 when it runs, so that no command pays for another's.
 """
 
@@ -119,22 +121,31 @@ def _scene_manifest(run: RunConfig, scene: Scene) -> dict:
     return {**replace(run, scene=scene.config).to_manifest(), "scene.seed": scene.config.seed}
 
 
-def _write_outputs(*outputs: tuple[str, str]) -> None:
-    """Write each ``(path, text)`` in order.  When one write fails, the
-    regular files written before it are removed, so that a failed command
-    leaves none of its outputs, and its OSError, which names the file, is
-    raised."""
+def _write_outputs(outputs: Sequence[tuple[str, str]], lines: Sequence[str]) -> None:
+    """Write each ``(path, text)`` of ``outputs`` in order, then ``lines`` to
+    standard output as ``print`` would, and flush it.  A failed write removes
+    the regular files written before it, so a failed command leaves none,
+    and raises one error that names the file or standard output."""
     written = []
     try:
         for path, text in outputs:
             _write_text(path, text)
             written.append(Path(path))
-    except OSError:
+        if sys.stdout is not None:  # None: the process started with descriptor 1 closed
+            sys.stdout.writelines(line + "\n" for line in lines)
+            sys.stdout.flush()
+    except (OSError, ValueError) as exc:  # ValueError: a text the stream cannot encode
         for path in written:
             if path.is_file():
                 with contextlib.suppress(OSError):
                     path.unlink()
-        raise
+        if len(written) < len(outputs):  # a file's write failed
+            raise
+        # what the failed write left buffered goes to /dev/null at exit, not
+        # to a second report; an in-process stdout (io.StringIO) has no fd
+        with contextlib.suppress(OSError, ValueError), open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        raise OSError(f"standard output: {exc}") from None
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -145,10 +156,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.output)
     gt_path = out.with_suffix(".gt.txt") if out.suffix else out.parent / (out.name + ".gt.txt")
     size = (scene.config.image_width, scene.config.image_height)
-    _write_outputs((str(out), scene.to_json_text()),
-                   (str(gt_path), _format_rows(scene._gt_rows(), size)))
-    print(f"wrote {out} and {gt_path}: {scene.config.n_objects} objects, "
-          f"{scene.config.n_frames} frames")
+    _write_outputs([(str(out), scene.to_json_text()),
+                    (str(gt_path), _format_rows(scene._gt_rows(), size))],
+                   [f"wrote {out} and {gt_path}: {scene.config.n_objects} objects, "
+                    f"{scene.config.n_frames} frames"])
     return 0
 
 
@@ -160,10 +171,10 @@ def _cmd_track(args: argparse.Namespace) -> int:
     rows = _track_rows(scene, run.tracker, run.oracle)
     size = (scene.config.image_width, scene.config.image_height)
     manifest = {"scene_path": args.scene, "config": _scene_manifest(run, scene)}
-    _write_outputs((args.output, _format_rows(rows, size)),
-                   (args.output + ".manifest.json", _dump_json(manifest)))
-    print(f"wrote {args.output}: {len(set(rows.ids))} tracks, "
-          f"{len(rows.ids)} boxes over {scene.config.n_frames} frames")
+    _write_outputs([(args.output, _format_rows(rows, size)),
+                    (args.output + ".manifest.json", _dump_json(manifest))],
+                   [f"wrote {args.output}: {len(set(rows.ids))} tracks, "
+                    f"{len(rows.ids)} boxes over {scene.config.n_frames} frames"])
     return 0
 
 
@@ -172,8 +183,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     from .mot_io import _read_rows
 
     report = _evaluate(_read_rows(args.gt), _read_rows(args.results))
-    _write_text(args.output, _dump_json(report.to_json_dict()))
-    print(report.text_table())
+    _write_outputs([(args.output, _dump_json(report.to_json_dict()))], [report.text_table()])
     return 0
 
 
@@ -244,8 +254,8 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
             str(args.trials),
             *metric_columns[key],
         ]))
-    _write_text(args.output, "\n".join(rows) + "\n")
-    print(f"wrote {args.output}: {len(rows) - 1} configurations x {args.trials} trials")
+    _write_outputs([(args.output, "\n".join(rows) + "\n")],
+                   [f"wrote {args.output}: {len(rows) - 1} configurations x {args.trials} trials"])
     return 0
 
 
@@ -283,35 +293,40 @@ def _cmd_assign_debug(args: argparse.Namespace) -> int:
     lam = run.tracker.shadow.cost_reduction
     shown = {k: (v if v is not None else "background") for k, v in sorted(tala_track.items())}
 
-    print(f"frame {args.frame}, layer {args.layer}/{n_layers}, mode {mode}")
-    print(f"live tracks: {list(track_ids)}")
-    print(f"tala candidates: {[c.identity for c in tala_cand]}")
-    print(f"cola candidates: {[c.identity for c in cola_cand]}")
-    print(f"track targets: {shown}")
+    lines = [f"frame {args.frame}, layer {args.layer}/{n_layers}, mode {mode}",
+             f"live tracks: {list(track_ids)}",
+             f"tala candidates: {[c.identity for c in tala_cand]}",
+             f"cola candidates: {[c.identity for c in cola_cand]}",
+             f"track targets: {shown}"]
 
     matched: dict[int, int] = {}
     if candidates:
         tensor = build_set_cost_tensor(det_preds, range(len(det_preds)), candidates, run.weights)
         matrix = reduce_set_costs(tensor, lam)
-        print(f"reduced cost matrix ({lam}) rows=set, cols={list(matrix.col_labels)}:")
-        for row_label, row in zip(matrix.row_labels, matrix.costs):
-            print(f"  set {row_label}: " + " ".join(f"{v: .4f}" for v in row))
+        lines.append(f"reduced cost matrix ({lam}) rows=set, cols={list(matrix.col_labels)}:")
+        lines += [f"  set {row_label}: " + " ".join(f"{v: .4f}" for v in row)
+                  for row_label, row in zip(matrix.row_labels, matrix.costs)]
         matched = {matrix.row_labels[r]: matrix.col_labels[c] for r, c in hungarian(matrix).pairs}
     else:
-        print("no detection candidates at this layer")
+        lines.append("no detection candidates at this layer")
 
-    print(f"detection matches: {matched} ({len(det_preds) - len(matched)} background sets)")
+    lines.append(f"detection matches: {matched} ({len(det_preds) - len(matched)} background sets)")
     # a tracking set's id is its identity, so its targets are the track targets
     if track_ids:
-        print(f"tracking targets: {shown}")
+        lines.append(f"tracking targets: {shown}")
+    _write_outputs([], lines)
     return 0
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser whose errors, its subparsers' too, are one ``error:`` line and exit 1."""
+    """A parser whose errors, its subparsers' too, are one ``error:`` line
+    and exit 1, and whose help goes out as every command's output does."""
 
     def error(self, message: str):
         raise ConfigError(message)
+
+    def print_help(self) -> None:
+        _write_outputs([], [self.format_help().removesuffix("\n")])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,28 +399,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _run() -> int:
-    """The process entry of ``python -m shadowmot.cli`` and of the
-    ``shadowmot`` console script: ``main`` in a process that ends when it
-    returns.  Standard output is flushed here, so that one that cannot be
-    written is one ``error:`` line and exit 1 in either buffering mode."""
+    """``main`` as the process entry of ``python -m shadowmot.cli`` and of
+    the ``shadowmot`` console script."""
     # the imports leave about 21,000 GC-tracked objects, numpy's most of
     # them; freezing moves them to the permanent generation, so no later
     # collection walks them, the ones interpreter shutdown runs included
     gc.freeze()
-    status = main()
-    if sys.stdout is None:  # started with descriptor 1 closed: print wrote nothing
-        return status
-    try:
-        sys.stdout.flush()
-    except OSError as exc:
-        print(f"error: standard output: {exc}", file=sys.stderr)
-        # the interpreter's own flush at exit now writes what is left to
-        # /dev/null instead of reporting the same error again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 1
-    return status
+    return main()
 
 
 if __name__ == "__main__":

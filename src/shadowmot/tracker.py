@@ -176,9 +176,7 @@ class ShadowTracker:
         patience.  ``boxes_of(sets)`` gives the final-layer boxes
         ``[len(sets), ns, 4]`` of the listed live sets; it is asked only for
         the sets that pass.  The tracks' misses, hits, deaths and survivors
-        are array operations, with no per-track loop.  An emitted box that
-        ``BoundingBox`` rejects raises its error, for the first such box in
-        emission order."""
+        are array operations, with no per-track loop."""
         self._frame += 1
         cfg = self.config
         phi, tau = cfg.shadow.score_reduction, cfg.shadow.tau
@@ -210,11 +208,8 @@ class ShadowTracker:
 
         # argmax takes the lowest shadow index among equal scores
         best = scores[emitted].argmax(axis=1)
-        best_boxes = boxes[np.arange(len(emitted)), best]
-        if not (np.isfinite(best_boxes).all() and (best_boxes[:, 2:] >= 0.0).all()):
-            for box in best_boxes.tolist():
-                BoundingBox(*box)
-        return _Emitted(out_ids, best_boxes, scores[emitted, best], tuple(births.tolist()), deaths)
+        return _Emitted(out_ids, boxes[np.arange(len(emitted)), best], scores[emitted, best],
+                        tuple(births.tolist()), deaths)
 
 
 # the largest |score| and tau of a row that numpy's mean may gate: a sum of

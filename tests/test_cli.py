@@ -1111,40 +1111,6 @@ class TestTrackBytes:
             assert_track_bytes(*paths)
 
 
-class TestBadEmittedBox:
-    @pytest.mark.parametrize("command", ["track", "ablate"])
-    def test_first_bad_box_in_emission_order_is_one_error(self, workdir, scene_path,
-                                                          monkeypatch, capsys, command):
-        # the tracker asks for the boxes of the sets that pass its gate,
-        # once a frame and in emission order: frame 2 gives every such set
-        # but the first (identity 1) a negative height, frame 3 gives
-        # identity 1 a NaN center: the error names the first bad box
-        # emitted, not the bad box of the lowest identity
-        from shadowmot import simulator
-
-        render = simulator._render_layer
-        calls = []
-
-        def bad_render(draws, scale, rows):
-            boxes = render(draws, scale, rows)
-            calls.append(len(calls) + 1)
-            if calls[-1] == 2:
-                boxes[1:] = (0.5, 0.5, 0.1, -1.0)
-            elif calls[-1] == 3:
-                boxes[:1] = math.nan
-            return boxes
-
-        monkeypatch.setattr(simulator, "_render_layer", bad_render)
-        capsys.readouterr()
-        out = workdir / "out.txt"
-        assert cli.main([command, "--scene", str(scene_path), "--config",
-                         str(workdir / "run.cfg"), "-o", str(out)]) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            "error: box extent must be non-negative, got w=0.1, h=-1.0"]
-        assert calls == [1, 2]
-        assert not out.exists()
-
-
 class TestWriteErrors:
     def test_failed_track_leaves_no_output(self, workdir, scene_path):
         (workdir / "p1.txt.manifest.json").mkdir()
@@ -1238,26 +1204,65 @@ class TestMain:
 _EVAL = ["eval", "--gt", "scene.gt.txt", "--results", "scene.gt.txt", "-o", "report.json"]
 
 
+# each command's arguments and the files it writes
+_COMMANDS = {
+    "simulate": (["simulate", "--config", "run.cfg", "-o", "s.json"], ["s.json", "s.gt.txt"]),
+    "track": (["track", "--scene", "scene.json", "--config", "run.cfg", "-o", "t.txt"],
+              ["t.txt", "t.txt.manifest.json"]),
+    "eval": (_EVAL, ["report.json"]),
+    "ablate": (["ablate", "--scene", "scene.json", "--config", "run.cfg", "-o", "g.csv"],
+               ["g.csv"]),
+    "assign-debug": (["assign-debug", "--scene", "scene.json", "--config", "run.cfg",
+                      "--frame", "5", "--layer", "3"], []),
+    "help": (["--help"], []),
+    "track-help": (["track", "--help"], []),
+}
+
+
+def _entry_env(unbuffered, **extra) -> dict:
+    """``cli_env()`` with ``PYTHONUNBUFFERED`` set to ``unbuffered``, or
+    unset for None, and the variables ``extra`` added."""
+    env = {**cli_env(), **extra}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    return env
+
+
 class TestProcessEntry:
     """``python -m shadowmot.cli`` and the ``shadowmot`` script run ``main``
-    through ``cli._run``, which freezes the start-up heap and flushes
-    standard output; ``main`` called in-process does neither."""
+    through ``cli._run``, which freezes the start-up heap; ``main`` called
+    in-process does not.  Standard output is one of a command's outputs,
+    ``--help`` included: when it cannot be written, the command is one
+    ``error: standard output:`` line and exit 1, and leaves none of its
+    files."""
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", [None, "1"])
-    @pytest.mark.parametrize("args", [["simulate", "--config", "run.cfg", "-o", "s.json"], _EVAL],
-                             ids=["simulate", "eval"])
-    def test_unwritable_stdout_is_one_error_line(self, workdir, scene_path, args, unbuffered):
-        env = cli_env()
-        env.pop("PYTHONUNBUFFERED", None)
-        if unbuffered is not None:
-            env["PYTHONUNBUFFERED"] = unbuffered
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_unwritable_stdout_is_one_error_line(self, workdir, scene_path, command,
+                                                 unbuffered):
+        args, outputs = _COMMANDS[command]
         with open("/dev/full", "w") as full:
             proc = subprocess.run([sys.executable, "-m", "shadowmot.cli", *args], cwd=workdir,
-                                  stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+                                  stdout=full, stderr=subprocess.PIPE, text=True,
+                                  env=_entry_env(unbuffered))
         assert proc.returncode == 1
         lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert len(lines) == 1 and lines[0].startswith("error: standard output: "), proc.stderr
+        assert [name for name in outputs if (workdir / name).exists()] == []
+
+    @pytest.mark.parametrize("unbuffered", [None, "1"])
+    def test_unencodable_stdout_is_one_error_line(self, workdir, unbuffered):
+        # the summary line names the output, which ascii cannot encode
+        proc = subprocess.run([sys.executable, "-m", "shadowmot.cli", "simulate",
+                               "--config", "run.cfg", "-o", "\u00e9.json"],
+                              cwd=workdir, capture_output=True, text=True,
+                              env=_entry_env(unbuffered, PYTHONIOENCODING="ascii"))
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: standard output: "), proc.stderr
+        assert sorted(path.name for path in workdir.iterdir()) == ["run.cfg"]
 
     def test_closed_stdout_is_not_an_error(self, workdir, scene_path):
         # with descriptor 1 closed at start, sys.stdout is None and print

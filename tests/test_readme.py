@@ -1,6 +1,6 @@
 """README.md's Layout table: one row per module of the package, naming
 only public names, so the table says what each module owns and leaves how
-it works to the docstrings."""
+it works to the docstrings.  README's python example runs as written."""
 
 import re
 from pathlib import Path
@@ -32,3 +32,11 @@ def test_rows_name_no_private_identifier():
                  for word in re.findall(r"[A-Za-z_]\w*", code)]
         private = [word for word in named if re.match(r"_[^_]", word)]
         assert not private, f"the {module} row names {private}"
+
+
+def test_python_example_runs(capsys):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    assert len(blocks) == 1, f"expected one python block in README.md, got {len(blocks)}"
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("hota")

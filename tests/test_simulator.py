@@ -1012,6 +1012,39 @@ class TestTrackScene:
         assert want.n_boxes() > 0
         assert track_scene(scene, cfg, oracle) == want
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        doc=_scene_documents(),
+        bound=st.sampled_from([1e6, -1e6]),
+        box_noise=st.sampled_from([0.0, 1e6]) | st.floats(0.0, 1e6),
+        fp_rate=st.sampled_from([1.0]) | st.floats(0.0, 1.0),
+        fp_score=st.floats(0.0, 1.0),
+        sigma_pos=st.sampled_from([1e-6, 1e6]),
+        ns=st.integers(1, 4),
+        phi=st.sampled_from(["min", "max", "mean"]),
+        tau=st.floats(0.0, 1.0),
+        patience=st.integers(0, 2),
+        seed=st.integers(0, 2**32),
+    )
+    def test_emitted_boxes_are_valid_at_the_bounds(self, doc, bound, box_noise, fp_rate,
+                                                   fp_score, sigma_pos, ns, phi, tau,
+                                                   patience, seed):
+        # every box a run emits is one BoundingBox accepts, finite with
+        # non-negative extents, with scene components, box noise, false
+        # positives and bank noise at their bounds
+        doc["tracks"].append({"id": 99, "frames": [
+            {"t": t, "box": [bound, -bound, abs(bound), abs(bound)], "visible": True}
+            for t in range(1, doc["config"]["n_frames"] + 1)]})
+        scene = Scene.from_json(doc)
+        cfg = TrackerConfig(shadow=ShadowConfig(n_shadows=ns, score_reduction=phi, tau=tau,
+                                                sigma_pos=sigma_pos),
+                            n_detection_sets=4, patience=patience)
+        oracle = OracleConfig(seed=seed, box_noise_std=box_noise, fp_rate=fp_rate,
+                              fp_score=fp_score, p_corrupt=0.1)
+        boxes = simulator._track_rows(scene, cfg, oracle).boxes
+        assert np.isfinite(boxes).all()
+        assert (boxes[:, 2:] >= 0.0).all()
+
 
 def _branches(live, draws, oracle):
     """Which draw branches a frame took: recognized and lost tracking
